@@ -9,7 +9,9 @@ their line number.
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -85,26 +87,38 @@ def load_dataset(path: str, embedding_path: str, hp: HyperParams):
 
 
 def build_batch(samples: list[Sample], max_seq_len: int) -> Batch:
+    """Pack samples into one padded Batch, histories left-aligned."""
     n = len(samples)
-    target_ids = np.zeros(n, dtype=np.int64)
+    lengths = np.fromiter((len(s.seq_ids) for s in samples), dtype=np.int64, count=n)
+    if n and lengths.max() > max_seq_len:
+        raise DataError(f"sequence length {int(lengths.max())} exceeds limit {max_seq_len}")
+    live = np.arange(max_seq_len) < lengths[:, None]
     seq_ids = np.zeros((n, max_seq_len), dtype=np.int64)
-    mask = np.zeros((n, max_seq_len), dtype=FLOAT)
-    labels = np.zeros(n, dtype=FLOAT)
-    for i, s in enumerate(samples):
-        target_ids[i] = s.target_id
-        seq_ids[i, :s.seq_len] = s.seq_ids
-        mask[i, :s.seq_len] = 1.0
-        labels[i] = s.label
-    return Batch(target_ids=target_ids, seq_ids=seq_ids, mask=mask, labels=labels)
+    seq_ids[live] = np.fromiter(itertools.chain.from_iterable(s.seq_ids for s in samples),
+                                dtype=np.int64, count=int(lengths.sum()))
+    return Batch(target_ids=np.fromiter((s.target_id for s in samples), dtype=np.int64, count=n),
+                 seq_ids=seq_ids, mask=live.astype(FLOAT),
+                 labels=np.fromiter((s.label for s in samples), dtype=FLOAT, count=n))
 
 
 def make_batches(samples: list[Sample], batch_size: int, max_seq_len: int,
-                 rng: np.random.Generator | None = None) -> list[Batch]:
-    """Optionally shuffled batches; the final partial batch is kept."""
+                 rng: np.random.Generator | None = None) -> Iterator[Batch]:
+    """Optionally shuffled batches; the final partial batch is kept.
+
+    The split is packed once, here; each batch is sliced from it only when
+    the returned iterator reaches it, so no second copy of the split is
+    held.
+    """
     if batch_size < 1:
         raise DataError(f"batch_size must be >= 1, got {batch_size}")
-    order = np.arange(len(samples))
-    if rng is not None:
-        order = rng.permutation(len(samples))
-    return [build_batch([samples[i] for i in order[at:at + batch_size]], max_seq_len)
-            for at in range(0, len(samples), batch_size)]
+    packed = build_batch(samples, max_seq_len)
+    order = rng.permutation(len(samples)) if rng is not None else None
+    return _slice_batches(packed, batch_size, order)
+
+
+def _slice_batches(packed: Batch, batch_size: int,
+                   order: np.ndarray | None) -> Iterator[Batch]:
+    for at in range(0, packed.size, batch_size):
+        rows = slice(at, at + batch_size) if order is None else order[at:at + batch_size]
+        yield Batch(target_ids=packed.target_ids[rows], seq_ids=packed.seq_ids[rows],
+                    mask=packed.mask[rows], labels=packed.labels[rows])

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import HyperParams
-from .errors import BadMagicError, ConfigError, DataError, TruncatedFileError
-from .linalg import FLOAT
+from .errors import BadMagicError, ConfigError, DataError, ShapeError, TruncatedFileError
+from .linalg import FLOAT, segment_sum
 from .params import Gradients
 
 EMB_MAGIC = b"QINEMB1"
@@ -114,6 +114,19 @@ def lookup_target(store: EmbeddingStore, id_table: np.ndarray, target_ids: np.nd
     return np.concatenate([store.data[target_ids], id_table[target_ids]], axis=1)
 
 
+def item_table(store: EmbeddingStore, id_table: np.ndarray, seq_ids: np.ndarray) -> np.ndarray:
+    """Every item vector, (vocab, d_t), for attention to index by seq_ids.
+
+    The table is built whole once per step instead of one row per
+    sequence slot. That adds no new cost class: a training step already
+    touches every vocab row through the dense id-table gradient and Adam.
+    """
+    if store.count != id_table.shape[0]:
+        raise ShapeError(f"embedding store has {store.count} items, id table {id_table.shape[0]}")
+    _check_ids(np.asarray(seq_ids), store.count, "sequence")
+    return np.concatenate([store.data, id_table], axis=1)
+
+
 def lookup_sequence(store: EmbeddingStore, id_table: np.ndarray,
                     seq_ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Behavior sequence vectors, (n, s, d_b); padded slots are zero vectors."""
@@ -128,14 +141,17 @@ def embedding_grad_accumulate(grads: Gradients, d_frozen: int,
                               target_ids: np.ndarray, d_x_t: np.ndarray,
                               seq_ids: np.ndarray, mask: np.ndarray,
                               d_x_b: np.ndarray) -> None:
-    """Scatter-add upstream gradients into the id-table gradient rows.
+    """Sum upstream gradients into the id-table gradient rows.
 
-    The frozen store part (first d_frozen coordinates) is dropped: frozen
-    rows receive no gradient. Repeated ids accumulate (sum of upstreams).
+    d_x_b holds one upstream row per entry of seq_ids: per sequence slot,
+    (n, s, d), or per item, (vocab, d) under ids 0..vocab-1. Rows whose
+    mask is 0 are padding and are skipped. The frozen store part (first
+    d_frozen coordinates) is dropped: frozen rows receive no gradient.
+    Target and sequence rows go through one ordered segment sum, so
+    repeated ids accumulate in a fixed order.
     """
-    np.add.at(grads.id_embedding, np.asarray(target_ids, dtype=np.int64),
-              d_x_t[:, d_frozen:])
     live = np.asarray(mask) > 0
-    if np.any(live):
-        ids = np.asarray(seq_ids, dtype=np.int64)[live]
-        np.add.at(grads.id_embedding, ids, d_x_b[live][:, d_frozen:])
+    ids = np.concatenate([np.asarray(target_ids, dtype=np.int64),
+                          np.asarray(seq_ids, dtype=np.int64)[live]])
+    rows = np.concatenate([d_x_t[:, d_frozen:], d_x_b[live][:, d_frozen:]])
+    grads.id_embedding += segment_sum(ids, rows, grads.id_embedding.shape[0])

@@ -70,6 +70,29 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b
 
 
+def segment_sum(ids: np.ndarray, rows: np.ndarray, count: int,
+                weights: np.ndarray | None = None) -> np.ndarray:
+    """(count, d) table: row v sums rows[r] * weights[r, ...] over every
+    entry of ids[r, ...] equal to v.
+
+    rows is (n, d). ids is (n,), each row counted once, or (n, s) with
+    weights (n, s), so entry (r, j) adds weights[r, j] * rows[r]. Each
+    column is one ordered np.bincount: repeated ids accumulate in index
+    order, the result is the same bits on every run, and the (n * s, d)
+    array of weighted rows is never built. Ids must lie in [0, count).
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    flat = ids.ravel()
+    columns = np.asarray(rows, dtype=FLOAT).T
+    if weights is not None:
+        columns = columns[:, :, None]
+    out = np.empty((len(columns), count), dtype=FLOAT)
+    for c, column in enumerate(columns):
+        entry = column if weights is None else weights * column
+        out[c] = np.bincount(flat, weights=entry.ravel(), minlength=count)
+    return out.T
+
+
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(x, dtype=FLOAT), 0.0)
 

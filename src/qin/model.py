@@ -9,7 +9,7 @@ import numpy as np
 from .asta import (AttentionConfig, asta_backward, asta_forward,
                    mean_pool_backward, mean_pool_forward)
 from .config import HyperParams
-from .embedding import Batch, EmbeddingStore, embedding_grad_accumulate, lookup_sequence, lookup_target
+from .embedding import Batch, EmbeddingStore, embedding_grad_accumulate, item_table, lookup_target
 from .linalg import FLOAT
 from .metrics import bce_backward, bce_loss, head_forward
 from .params import Gradients, ModelParams, zero_gradients
@@ -31,7 +31,7 @@ def qnn_config(hp: HyperParams) -> QnnConfig:
 class ModelTrace:
     batch: Batch
     x_t: np.ndarray
-    x_b: np.ndarray
+    table: np.ndarray
     pool_trace: object
     x1: np.ndarray
     inter_trace: object
@@ -60,14 +60,15 @@ def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
         attn_mask, qnn_masks = draw_dropout_masks(hp, batch.size, dropout_rng)
 
     x_t = lookup_target(store, params.id_embedding, batch.target_ids)
-    x_b = lookup_sequence(store, params.id_embedding, batch.seq_ids, batch.mask)
+    table = item_table(store, params.id_embedding, batch.seq_ids)
 
     if hp.pooling == "asta":
         o, pool_trace = asta_forward(params.w_q, params.w_k, params.w_v,
-                                     attention_config(hp), x_t, x_b, batch.mask,
-                                     drop_mask=attn_mask)
+                                     attention_config(hp), x_t, table, batch.mask,
+                                     drop_mask=attn_mask, ids=batch.seq_ids)
     else:
-        o, pool_trace = mean_pool_forward(params.w_v, x_t, x_b, batch.mask)
+        o, pool_trace = mean_pool_forward(params.w_v, x_t, table, batch.mask,
+                                          ids=batch.seq_ids)
 
     x1 = assemble_x1(x_t, o, hp.qnn_dim)
     if hp.interaction == "qnn":
@@ -77,7 +78,7 @@ def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
         x_last, inter_trace = mlp_forward(params.mlp_w, params.mlp_b, x1)
 
     logits, probs = head_forward(params.head_w, params.head_b, x_last)
-    return ModelTrace(batch=batch, x_t=x_t, x_b=x_b, pool_trace=pool_trace,
+    return ModelTrace(batch=batch, x_t=x_t, table=table, pool_trace=pool_trace,
                       x1=x1, inter_trace=inter_trace, x_last=x_last,
                       logits=logits, probs=probs)
 
@@ -107,19 +108,21 @@ def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
     d_o = d_x1[:, hp.d_t:]
 
     if hp.pooling == "asta":
-        d_w_q, d_w_k, d_w_v, d_x_t_pool, d_x_b = asta_backward(
+        d_w_q, d_w_k, d_w_v, d_x_t_pool, d_table = asta_backward(
             params.w_q, params.w_k, params.w_v, attention_config(hp),
             trace.pool_trace, d_o)
         grads.w_q += d_w_q
         grads.w_k += d_w_k
         grads.w_v += d_w_v
     else:
-        d_w_v, d_x_t_pool, d_x_b = mean_pool_backward(params.w_v, trace.pool_trace, d_o)
+        d_w_v, d_x_t_pool, d_table = mean_pool_backward(params.w_v, trace.pool_trace, d_o)
         grads.w_v += d_w_v
     d_x_t += d_x_t_pool
 
+    # d_table already sums the slots per item: its rows are indexed by item id.
+    items = np.arange(d_table.shape[0])
     embedding_grad_accumulate(grads, hp.d_frozen, trace.batch.target_ids, d_x_t,
-                              trace.batch.seq_ids, trace.batch.mask, d_x_b)
+                              items, np.ones(items.shape), d_table)
     return grads
 
 
@@ -135,7 +138,7 @@ def loss_and_grads(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
 
 
 def predict_probs(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-                  batches: list) -> np.ndarray:
+                  batches) -> np.ndarray:
     """Deterministic full-pass probabilities, dropout disabled, order preserved."""
     outs = [model_forward(params, hp, store, b, training=False).probs for b in batches]
     return np.concatenate(outs) if outs else np.zeros(0, dtype=FLOAT)

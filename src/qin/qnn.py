@@ -36,7 +36,6 @@ class QnnConfig:
 @dataclass
 class QnnLayerTrace:
     x: np.ndarray               # (n, dim) layer input
-    z: np.ndarray               # (n, m, dim) per-head transforms
     t: np.ndarray               # (n, dim) head sum
     h: np.ndarray               # (n, dim) pre-activation of the branch
     drop_mask: np.ndarray | None
@@ -64,8 +63,7 @@ def qnn_layer_forward(w: np.ndarray, slope: float, x: np.ndarray, cfg: QnnConfig
     """One quadratic layer on a (n, dim) batch."""
     if x.shape[-1] != cfg.dim or w.shape != (cfg.m, cfg.dim, cfg.dim):
         raise ShapeError(f"layer shapes x={x.shape} w={w.shape} do not match dim={cfg.dim}")
-    z = np.einsum("mij,nj->nmi", w, x)
-    t = z.sum(axis=1)
+    t = x @ w.sum(axis=0).T
     if cfg.mid_act:
         h = t
         branch = x * prelu(t, slope)
@@ -75,7 +73,7 @@ def qnn_layer_forward(w: np.ndarray, slope: float, x: np.ndarray, cfg: QnnConfig
     if drop_mask is not None:
         branch = branch * drop_mask / (1.0 - cfg.dropout_p)
     x_next = x + branch if cfg.residual else branch
-    return x_next, QnnLayerTrace(x=x, z=z, t=t, h=h, drop_mask=drop_mask)
+    return x_next, QnnLayerTrace(x=x, t=t, h=h, drop_mask=drop_mask)
 
 
 def qnn_layer_backward(w: np.ndarray, slope: float, cfg: QnnConfig,
@@ -100,10 +98,8 @@ def qnn_layer_backward(w: np.ndarray, slope: float, cfg: QnnConfig,
         d_x = d_h * trace.t
         d_t = d_h * x
 
-    w_sum = w.sum(axis=0)
-    d_w_slice = np.einsum("ni,nj->ij", d_t, x)
-    d_w = np.broadcast_to(d_w_slice, w.shape).copy()
-    d_x = d_x + d_t @ w_sum
+    d_w = np.broadcast_to(d_t.T @ x, w.shape).copy()
+    d_x = d_x + d_t @ w.sum(axis=0)
     if cfg.residual:
         d_x = d_x + d_out
     if cfg.act == "relu":

@@ -296,3 +296,85 @@ def test_shape_errors():
         asta_forward(w, w, w, cfg, np.zeros(2), np.zeros((4, 3)), np.ones(4))
     with pytest.raises(ShapeError):
         asta_forward(np.eye(2), w, w, cfg, np.zeros(3), np.zeros((4, 3)), np.ones(4))
+
+
+def per_slot_reference(params, hp, store, batch, dropout_rng):
+    """Loss and attention/embedding gradients from per-slot behavior rows.
+
+    Gathers one row per sequence slot with lookup_sequence, pools them,
+    and scatters the slot gradients into the id table with np.add.at.
+    """
+    from qin.embedding import lookup_sequence, lookup_target
+    from qin.metrics import bce_backward, bce_loss, head_forward
+    from qin.model import attention_config, draw_dropout_masks, qnn_config
+    from qin.qnn import assemble_x1, qnn_backward, qnn_forward
+
+    attn_mask, qnn_masks = draw_dropout_masks(hp, batch.size, dropout_rng)
+    x_t = lookup_target(store, params.id_embedding, batch.target_ids)
+    x_b = lookup_sequence(store, params.id_embedding, batch.seq_ids, batch.mask)
+    cfg = attention_config(hp)
+    if hp.pooling == "asta":
+        o, pool = asta_forward(params.w_q, params.w_k, params.w_v, cfg, x_t, x_b,
+                               batch.mask, drop_mask=attn_mask)
+    else:
+        o, pool = mean_pool_forward(params.w_v, x_t, x_b, batch.mask)
+    x_last, inter = qnn_forward(params.qnn_w, params.prelu, assemble_x1(x_t, o, hp.qnn_dim),
+                                qnn_config(hp), qnn_masks)
+    _, probs = head_forward(params.head_w, params.head_b, x_last)
+    d_x_last = np.multiply.outer(bce_backward(probs, batch.labels), params.head_w)
+    _, _, d_x1 = qnn_backward(params.qnn_w, params.prelu, qnn_config(hp), inter, d_x_last)
+    grads = {}
+    if hp.pooling == "asta":
+        grads["w_q"], grads["w_k"], grads["w_v"], d_x_t, d_x_b = asta_backward(
+            params.w_q, params.w_k, params.w_v, cfg, pool, d_x1[:, hp.d_t:])
+    else:
+        grads["w_v"], d_x_t, d_x_b = mean_pool_backward(params.w_v, pool, d_x1[:, hp.d_t:])
+    d_x_t = d_x_t + d_x1[:, :hp.d_t]
+    d_id = np.zeros_like(params.id_embedding)
+    np.add.at(d_id, batch.target_ids, d_x_t[:, hp.d_frozen:])
+    live = batch.mask > 0
+    np.add.at(d_id, batch.seq_ids[live], d_x_b[live][:, hp.d_frozen:])
+    grads["id_embedding"] = d_id
+    return bce_loss(probs, batch.labels), probs, grads
+
+
+@pytest.mark.parametrize("pooling,kind,attn_dropout",
+                         [("asta", kind, drop) for kind in KINDS for drop in (False, True)]
+                         + [("mean", "relu", False)])
+def test_per_item_path_matches_per_slot_reference(pooling, kind, attn_dropout):
+    from qin.config import HyperParams
+    from qin.dataio import build_batch
+    from qin.embedding import EmbeddingStore, Sample
+    from qin.linalg import spawn_rng
+    from qin.model import loss_and_grads
+    from qin.params import init_params, named_arrays
+
+    hp = HyperParams(d_t=8, d_b=8, d_a=8, seq_len=6, vocab=9, d_frozen=3, pooling=pooling,
+                     attn_kind=kind, attn_dropout=attn_dropout, attn_dropout_p=0.3)
+    rng = make_rng(41)
+    params = init_params(hp, rng)
+    params.id_embedding = rng.standard_normal(params.id_embedding.shape) * 0.5
+    store = EmbeddingStore(rng.standard_normal((hp.vocab, hp.d_frozen)))
+    # Ids repeat within a history, across histories and between target and
+    # history; histories are padded, one is empty and one is full.
+    samples = [Sample(target_id=2, seq_ids=[4, 4, 1], label=1),
+               Sample(target_id=4, seq_ids=[], label=0),
+               Sample(target_id=2, seq_ids=[2, 7, 4, 4, 7, 1], label=0),
+               Sample(target_id=8, seq_ids=[1], label=1),
+               Sample(target_id=0, seq_ids=[8, 8, 3, 0], label=1)]
+    batch = build_batch(samples, hp.seq_len)
+
+    loss, grads, probs = loss_and_grads(params, hp, store, batch, training=True,
+                                        dropout_rng=spawn_rng(5, 2, 0))
+    ref_loss, ref_probs, ref_grads = per_slot_reference(params, hp, store, batch,
+                                                        spawn_rng(5, 2, 0))
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert close(probs, ref_probs)
+    named = named_arrays(grads)
+    for name, ref in ref_grads.items():
+        assert np.max(np.abs(ref)) > 0, name
+        assert close(named[name], ref), name

@@ -145,6 +145,45 @@ def test_make_batches_seeded_shuffle_deterministic():
         assert np.array_equal(ba.target_ids, bb.target_ids)
 
 
+def per_sample_batch(samples, max_seq_len):
+    """Reference: the per-sample packing loop build_batch replaced."""
+    n = len(samples)
+    target_ids = np.zeros(n, dtype=np.int64)
+    seq_ids = np.zeros((n, max_seq_len), dtype=np.int64)
+    mask = np.zeros((n, max_seq_len), dtype=float)
+    labels = np.zeros(n, dtype=float)
+    for i, s in enumerate(samples):
+        target_ids[i] = s.target_id
+        seq_ids[i, :s.seq_len] = s.seq_ids
+        mask[i, :s.seq_len] = 1.0
+        labels[i] = s.label
+    return target_ids, seq_ids, mask, labels
+
+
+@pytest.mark.parametrize("shuffle_seed", [None, 9])
+def test_make_batches_equal_per_sample_packing(shuffle_seed):
+    rng = make_rng(4)
+    lengths = [0, 8, 3, 8, 0, 1, 5, 7, 2, 8, 4]   # ragged, empty and full histories
+    samples = [Sample(target_id=int(rng.integers(0, 50)),
+                      seq_ids=[int(v) for v in rng.integers(0, 50, k)], label=i % 2)
+               for i, k in enumerate(lengths)]
+    shuffle = None if shuffle_seed is None else make_rng(shuffle_seed)
+    batches = list(make_batches(samples, 4, 8, rng=shuffle))
+    order = (np.arange(len(samples)) if shuffle_seed is None
+             else make_rng(shuffle_seed).permutation(len(samples)))
+    assert [b.size for b in batches] == [4, 4, 3]
+    for at, batch in zip(range(0, len(samples), 4), batches):
+        expected = per_sample_batch([samples[i] for i in order[at:at + 4]], 8)
+        got = (batch.target_ids, batch.seq_ids, batch.mask, batch.labels)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype and np.array_equal(g, e)
+
+
+def test_build_batch_rejects_overlong_history():
+    with pytest.raises(DataError, match="exceeds"):
+        build_batch([Sample(target_id=0, seq_ids=[1, 2, 3], label=0)], 2)
+
+
 def test_build_batch_mask_left_aligned():
     batch = build_batch([Sample(target_id=1, seq_ids=[4, 5], label=1),
                          Sample(target_id=2, seq_ids=[], label=0)], 4)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qin.config import HyperParams
-from qin.embedding import (EmbeddingStore, embedding_grad_accumulate, load_embeddings,
-                           lookup_sequence, lookup_target, save_embeddings)
+from qin.embedding import (EmbeddingStore, embedding_grad_accumulate, item_table,
+                           load_embeddings, lookup_sequence, lookup_target, save_embeddings)
 from qin.errors import BadMagicError, ConfigError, DataError, TruncatedFileError
 from qin.linalg import make_rng
 from qin.params import init_params, zero_gradients
@@ -71,6 +71,22 @@ def test_lookup_out_of_range():
         lookup_target(store, table, np.array([5]))
     with pytest.raises(DataError, match="out of range"):
         lookup_sequence(store, table, np.array([[99]]), np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("bad", [5, -1])
+def test_item_table_out_of_range(bad):
+    from qin.embedding import Batch
+    from qin.model import loss_and_grads
+
+    hp = HyperParams(d_t=6, d_b=6, d_a=6, seq_len=2, vocab=5, d_frozen=4)
+    store = make_store(count=5)
+    params = init_params(hp, make_rng(0))
+    with pytest.raises(DataError, match="out of range"):
+        item_table(store, params.id_embedding, np.array([[0, bad]]))
+    batch = Batch(target_ids=np.array([1]), seq_ids=np.array([[0, bad]]),
+                  mask=np.ones((1, 2)), labels=np.ones(1))
+    with pytest.raises(DataError, match="out of range"):
+        loss_and_grads(params, hp, store, batch)
 
 
 def test_store_dim_config_error():

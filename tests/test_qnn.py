@@ -32,7 +32,7 @@ def test_layer_hand_case():
     w = np.eye(2)[None, :, :]
     x = np.array([[1.0, 2.0]])
     out, trace = qnn_layer_forward(w, 1.0, x, cfg)
-    assert np.array_equal(trace.z[0, 0], [1.0, 2.0])
+    assert np.array_equal(trace.t, [[1.0, 2.0]])  # the one head's transform
     assert np.array_equal(trace.h, [[1.0, 4.0]])
     assert np.array_equal(out, [[2.0, 6.0]])
 
