@@ -11,6 +11,14 @@ Masking: with softmax the masked scores are forced to -inf before
 normalization; for the pointwise kinds the transformed weight is zeroed.
 Either way masked positions contribute exactly zero to the output, and an
 all-masked (empty) history returns the target embedding unchanged.
+
+Data flow: keys and values are linear maps of the same behavior rows x_b,
+so neither is ever formed. Each slot's raw row is gathered once, the
+query is mapped into item space (qk = W_k^T q, so q.k = x_b.qk), the
+weights pool the raw rows, and W_v maps the pooled row once per sample.
+The backward pass mirrors this: every projection gradient is a product of
+per-sample (n, d) arrays, and the behavior-row gradient is one segment sum
+whose slot entry is d_score * qk + weight * W_v^T d_o.
 """
 
 from __future__ import annotations
@@ -49,15 +57,19 @@ class AttentionConfig:
 
 @dataclass
 class AttentionTrace:
-    """Everything the backward pass replays, per batch row."""
+    """Everything the backward pass replays, per batch row.
+
+    Only per-sample vectors and the gathered behavior rows are kept; no
+    per-slot key or value exists in either pass.
+    """
 
     q: np.ndarray            # (n, d_a)
-    k: np.ndarray            # (n, s, d_a) key of each slot
-    v: np.ndarray            # (n, s, d_a) value of each slot
+    qk: np.ndarray           # (n, d_b) query mapped into item space, W_k^T q
+    x_b: np.ndarray          # (n, s, d_b) behavior row of each slot
+    pooled: np.ndarray       # (n, d_b) weighted sum of the behavior rows
     scores: np.ndarray       # (n, s) raw scaled scores
     weights: np.ndarray      # (n, s) transformed, masked, post-dropout
     x_t: np.ndarray          # (n, d_t)
-    table: np.ndarray        # (rows, d_b) behavior rows the slots index
     ids: np.ndarray          # (n, s) table row of each slot
     x_b_shape: tuple         # shape of the x_b argument, which d_x_b takes
     mask: np.ndarray         # (n, s)
@@ -93,25 +105,25 @@ def attention_weights(scores: np.ndarray, mask: np.ndarray, kind: str) -> np.nda
 
 
 def _promote(x_t, x_b, mask, ids):
-    """Batch-shaped inputs, the behavior table and each slot's row in it.
+    """Batch-shaped inputs, each slot's behavior row and its table row.
 
     Without ids, x_b holds one row per slot, (n, s, d_b) or (s, d_b) for
     one sample, and is read as a table of n*s rows under the identity
-    index. With ids, (n, s) or (s,), x_b is already the item table.
+    index. With ids, (n, s) or (s,), x_b is the item table and each
+    slot's row is gathered from it once.
     """
     x_t = np.asarray(x_t, dtype=FLOAT)
     x_b = np.asarray(x_b, dtype=FLOAT)
     mask = np.asarray(mask, dtype=FLOAT)
     if ids is None:
-        table = x_b.reshape(-1, x_b.shape[-1])
-        ids = np.arange(table.shape[0]).reshape(x_b.shape[:-1])
+        ids = np.arange(int(np.prod(x_b.shape[:-1]))).reshape(x_b.shape[:-1])
     else:
-        table = x_b
         ids = np.asarray(ids, dtype=np.int64)
+        x_b = np.take(x_b, ids, axis=0)
     single = x_t.ndim == 1
     if single:
-        x_t, ids, mask = x_t[None], ids[None], mask[None]
-    return x_t, table, ids, mask, single
+        x_t, x_b, ids, mask = x_t[None], x_b[None], ids[None], mask[None]
+    return x_t, x_b, ids, mask, single
 
 
 def asta_forward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
@@ -121,15 +133,14 @@ def asta_forward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
 
     Accepts one sample (x_t (d_t,), x_b (s, d_b)) or a batch with a leading
     n axis. With ids, x_b is an item table (rows, d_b) instead and ids
-    (n, s) names the row behind each slot; keys and values are then
-    projected once per table row rather than once per slot. drop_mask,
-    when given, is the {0,1} keep mask applied to the transformed weights
-    with inverted scaling (training mode only).
+    (n, s) names the row behind each slot. drop_mask, when given, is the
+    {0,1} keep mask applied to the transformed weights with inverted
+    scaling (training mode only).
     """
     x_b_shape = np.shape(x_b)
-    x_t, table, ids, mask, single = _promote(x_t, x_b, mask, ids)
+    x_t, x_b, ids, mask, single = _promote(x_t, x_b, mask, ids)
     if ids.ndim != 2 or x_t.shape != (ids.shape[0], cfg.d_t) \
-            or table.shape[-1] != cfg.d_b or mask.shape != ids.shape:
+            or x_b.shape[-1] != cfg.d_b or mask.shape != ids.shape:
         raise ShapeError(
             f"attention input shapes x_t={x_t.shape} x_b={x_b_shape} mask={mask.shape} "
             f"do not match config (d_t={cfg.d_t}, d_b={cfg.d_b})")
@@ -138,19 +149,19 @@ def asta_forward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
         raise ShapeError("attention projection shapes do not match config")
 
     q = x_t @ w_q.T                                         # (n, d_a)
-    k = np.take(table @ w_k.T, ids, axis=0)                 # (n, s, d_a)
-    v = np.take(table @ w_v.T, ids, axis=0)                 # (n, s, d_a)
-    scores = (k @ q[:, :, None])[:, :, 0] * cfg.scale
+    qk = q @ w_k                                            # (n, d_b)
+    scores = (x_b @ qk[:, :, None])[:, :, 0] * cfg.scale
 
     weights = attention_weights(scores, mask, cfg.kind)
     softmax_w = weights if cfg.kind == "softmax" else None
     if drop_mask is not None:
         weights = weights * drop_mask / (1.0 - cfg.dropout_p)
 
-    o = (weights[:, None, :] @ v)[:, 0, :] + x_t
-    trace = AttentionTrace(q=q, k=k, v=v, scores=scores, weights=weights, x_t=x_t,
-                           table=table, ids=ids, x_b_shape=x_b_shape, mask=mask,
-                           drop_mask=drop_mask, softmax_w=softmax_w)
+    pooled = (weights[:, None, :] @ x_b)[:, 0, :]           # (n, d_b)
+    o = pooled @ w_v.T + x_t
+    trace = AttentionTrace(q=q, qk=qk, x_b=x_b, pooled=pooled, scores=scores,
+                           weights=weights, x_t=x_t, ids=ids, x_b_shape=x_b_shape,
+                           mask=mask, drop_mask=drop_mask, softmax_w=softmax_w)
     if single:
         return o[0], trace
     return o, trace
@@ -162,8 +173,8 @@ def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
 
     Returns (d_w_q, d_w_k, d_w_v, d_x_t, d_x_b), d_x_b shaped like the x_b
     of the forward call: per slot, or per table row when ids were given.
-    Slot gradients of keys and values are summed per table row before
-    they meet the projections. ReLU subgradient at 0 is 0; the residual
+    Each slot's behavior-row gradient is summed per table row by one
+    segment sum. ReLU subgradient at 0 is 0; the residual
     contributes identity to d_x_t; dropout masks are replayed from the
     trace.
     """
@@ -175,7 +186,8 @@ def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
         raise ShapeError(f"upstream shape {d_o.shape} does not match forward {trace.x_t.shape}")
 
     d_x_t = d_o.copy()                                      # residual path
-    d_w = (trace.v @ d_o[:, :, None])[:, :, 0]              # d loss / d weights
+    d_v = d_o @ w_v                                         # (n, d_b) d_o in item space
+    d_w = (trace.x_b @ d_v[:, :, None])[:, :, 0]            # d loss / d weights
 
     if trace.drop_mask is not None:
         d_w = d_w * trace.drop_mask / (1.0 - cfg.dropout_p)
@@ -191,18 +203,18 @@ def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
         d_scores = d_w * silu_grad(trace.scores) * trace.mask
     d_scores = d_scores * cfg.scale
 
-    d_q = (d_scores[:, None, :] @ trace.k)[:, 0, :]
+    px = (d_scores[:, None, :] @ trace.x_b)[:, 0, :]       # (n, d_b)
+    d_q = px @ w_k.T
     d_w_q = d_q.T @ trace.x_t
     d_x_t += d_q @ w_q
+    d_w_k = trace.q.T @ px
+    d_w_v = d_o.T @ trace.pooled
 
-    # Slot (r, j) adds d_scores[r, j] * q[r] to the key gradient of its
-    # table row and weights[r, j] * d_o[r] to the value gradient.
-    rows = trace.table.shape[0]
-    g_k = segment_sum(trace.ids, trace.q, rows, weights=d_scores)
-    g_v = segment_sum(trace.ids, d_o, rows, weights=trace.weights)
-    d_w_k = g_k.T @ trace.table
-    d_w_v = g_v.T @ trace.table
-    d_x_b = (g_k @ w_k + g_v @ w_v).reshape(trace.x_b_shape)
+    # Slot (r, j) adds d_scores[r, j] * qk[r] + weights[r, j] * d_v[r] to
+    # the gradient of its table row.
+    rows = int(np.prod(trace.x_b_shape[:-1]))
+    d_x_b = segment_sum(trace.ids, rows, (trace.qk, d_scores),
+                        (d_v, trace.weights)).reshape(trace.x_b_shape)
 
     if single:
         return d_w_q, d_w_k, d_w_v, d_x_t[0], d_x_b
@@ -224,11 +236,11 @@ def mean_pool_forward(w_v: np.ndarray, x_t, x_b, mask, ids=None):
     x_b and ids are read as in asta_forward.
     """
     x_b_shape = np.shape(x_b)
-    x_t, table, ids, mask, single = _promote(x_t, x_b, mask, ids)
+    x_t, x_b, ids, mask, single = _promote(x_t, x_b, mask, ids)
     counts = mask.sum(axis=1)
     inv_len = np.where(counts > 0, 1.0 / np.where(counts > 0, counts, 1.0), 0.0)
     share = mask * inv_len[:, None]
-    mean = (share[:, None, :] @ np.take(table, ids, axis=0))[:, 0, :]
+    mean = (share[:, None, :] @ x_b)[:, 0, :]
     o = mean @ w_v.T + x_t
     trace = MeanPoolTrace(x_t=x_t, ids=ids, x_b_shape=x_b_shape, share=share, mean=mean)
     if single:
@@ -245,7 +257,7 @@ def mean_pool_backward(w_v: np.ndarray, trace: MeanPoolTrace, d_o):
     d_w_v = d_o.T @ trace.mean
     d_mean = d_o @ w_v
     rows = int(np.prod(trace.x_b_shape[:-1]))
-    d_x_b = segment_sum(trace.ids, d_mean, rows, weights=trace.share).reshape(trace.x_b_shape)
+    d_x_b = segment_sum(trace.ids, rows, (d_mean, trace.share)).reshape(trace.x_b_shape)
     if single:
         return d_w_v, d_x_t[0], d_x_b
     return d_w_v, d_x_t, d_x_b

@@ -154,4 +154,4 @@ def embedding_grad_accumulate(grads: Gradients, d_frozen: int,
     ids = np.concatenate([np.asarray(target_ids, dtype=np.int64),
                           np.asarray(seq_ids, dtype=np.int64)[live]])
     rows = np.concatenate([d_x_t[:, d_frozen:], d_x_b[live][:, d_frozen:]])
-    grads.id_embedding += segment_sum(ids, rows, grads.id_embedding.shape[0])
+    grads.id_embedding += segment_sum(ids, grads.id_embedding.shape[0], (rows, None))

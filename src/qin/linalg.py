@@ -70,25 +70,34 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b
 
 
-def segment_sum(ids: np.ndarray, rows: np.ndarray, count: int,
-                weights: np.ndarray | None = None) -> np.ndarray:
-    """(count, d) table: row v sums rows[r] * weights[r, ...] over every
-    entry of ids[r, ...] equal to v.
+def segment_sum(ids: np.ndarray, count: int, *terms) -> np.ndarray:
+    """(count, d) table: row v sums the entries of ids equal to v.
 
-    rows is (n, d). ids is (n,), each row counted once, or (n, s) with
-    weights (n, s), so entry (r, j) adds weights[r, j] * rows[r]. Each
-    column is one ordered np.bincount: repeated ids accumulate in index
-    order, the result is the same bits on every run, and the (n * s, d)
-    array of weighted rows is never built. Ids must lie in [0, count).
+    Each term is a pair (rows, weights) with rows (n, d). ids is (n,) or
+    (n, s); weights is shaped like ids, or None for weight 1. Entry
+    (r, j) contributes sum over terms of weights[r, j] * rows[r]. Each
+    column is one ordered np.bincount over per-entry values written into
+    two buffers reused across columns: repeated ids accumulate in index
+    order, the result is the same bits on every run, and no (n * s, d)
+    array of weighted rows is built. Ids must lie in [0, count).
     """
     ids = np.asarray(ids, dtype=np.int64)
     flat = ids.ravel()
-    columns = np.asarray(rows, dtype=FLOAT).T
-    if weights is not None:
-        columns = columns[:, :, None]
-    out = np.empty((len(columns), count), dtype=FLOAT)
-    for c, column in enumerate(columns):
-        entry = column if weights is None else weights * column
+    lead = (-1,) + (1,) * (ids.ndim - 1)
+    terms = [(np.asarray(rows, dtype=FLOAT), weights) for rows, weights in terms]
+    entry = np.empty(ids.shape, dtype=FLOAT)
+    extra = np.empty(ids.shape, dtype=FLOAT) if len(terms) > 1 else None
+    out = np.empty((terms[0][0].shape[1], count), dtype=FLOAT)
+    for c in range(len(out)):
+        for t, (rows, weights) in enumerate(terms):
+            column = rows[:, c].reshape(lead)
+            buf = entry if t == 0 else extra
+            if weights is None:
+                buf[...] = column
+            else:
+                np.multiply(weights, column, out=buf)
+            if t:
+                entry += extra
         out[c] = np.bincount(flat, weights=entry.ravel(), minlength=count)
     return out.T
 

@@ -78,7 +78,11 @@ def qnn_layer_forward(w: np.ndarray, slope: float, x: np.ndarray, cfg: QnnConfig
 
 def qnn_layer_backward(w: np.ndarray, slope: float, cfg: QnnConfig,
                        trace: QnnLayerTrace, d_out: np.ndarray):
-    """Gradients of one layer; returns (d_w, d_slope, d_x)."""
+    """Gradients of one layer; returns (d_w, d_slope, d_x).
+
+    Every head gets the same (dim, dim) gradient, so d_w is a read-only
+    broadcast view of it; callers add it into their own arrays.
+    """
     d_branch = d_out
     if trace.drop_mask is not None:
         d_branch = d_branch * trace.drop_mask / (1.0 - cfg.dropout_p)
@@ -98,7 +102,7 @@ def qnn_layer_backward(w: np.ndarray, slope: float, cfg: QnnConfig,
         d_x = d_h * trace.t
         d_t = d_h * x
 
-    d_w = np.broadcast_to(d_t.T @ x, w.shape).copy()
+    d_w = np.broadcast_to(d_t.T @ x, w.shape)
     d_x = d_x + d_t @ w.sum(axis=0)
     if cfg.residual:
         d_x = d_x + d_out

@@ -24,8 +24,8 @@ def test_hand_case_relu():
     x_t = np.array([2.0])
     x_b = np.array([[1.0, 3.0], [-1.0, 5.0]])
     o, trace = asta_forward(w_q, w_k, w_v, cfg, x_t, x_b, np.ones(2))
-    assert np.array_equal(trace.k, np.array([[[1.0], [-1.0]]]))
-    assert np.array_equal(trace.v, np.array([[[3.0], [5.0]]]))
+    assert np.array_equal(trace.x_b @ w_k.T, np.array([[[1.0], [-1.0]]]))
+    assert np.array_equal(trace.x_b @ w_v.T, np.array([[[3.0], [5.0]]]))
     assert np.array_equal(trace.scores, np.array([[2.0, -2.0]]))
     assert np.array_equal(trace.weights, np.array([[2.0, 0.0]]))
     assert np.array_equal(o, np.array([8.0]))
@@ -378,3 +378,93 @@ def test_per_item_path_matches_per_slot_reference(pooling, kind, attn_dropout):
     for name, ref in ref_grads.items():
         assert np.max(np.abs(ref)) > 0, name
         assert close(named[name], ref), name
+
+
+def direct_attention(w_q, w_k, w_v, cfg, x_t, x_b, mask, drop, d_o):
+    """Output and gradients of batched attention from explicit per-slot
+    keys and values, every contraction an einsum; d_x_b is per slot.
+    Shares no code with asta_forward/asta_backward."""
+    q = x_t @ w_q.T
+    k = x_b @ w_k.T
+    v = x_b @ w_v.T
+    scores = np.einsum("na,nsa->ns", q, k) * cfg.scale
+    if cfg.kind == "softmax":
+        ex = np.where(mask > 0, np.exp(scores - scores.max(axis=1, keepdims=True)), 0.0)
+        denom = ex.sum(axis=1, keepdims=True)
+        p = np.where(denom > 0, ex / np.where(denom > 0, denom, 1.0), 0.0)
+    elif cfg.kind == "relu":
+        p, dp = np.maximum(scores, 0.0) * mask, (scores > 0) * mask
+    elif cfg.kind == "relu2":
+        p, dp = np.maximum(scores, 0.0) ** 2 * mask, 2 * np.maximum(scores, 0.0) * mask
+    else:
+        sig = 1.0 / (1.0 + np.exp(-scores))
+        p, dp = scores * sig * mask, sig * (1 + scores * (1 - sig)) * mask
+    keep = np.ones_like(mask) if drop is None else drop / (1.0 - cfg.dropout_p)
+    weights = p * keep
+    o = np.einsum("ns,nsa->na", weights, v) + x_t
+
+    d_w = np.einsum("nsa,na->ns", v, d_o) * keep
+    if cfg.kind == "softmax":
+        d_scores = p * (d_w - np.einsum("ns,ns->n", d_w, p)[:, None])
+    else:
+        d_scores = d_w * dp
+    d_scores = d_scores * cfg.scale
+    d_q = np.einsum("ns,nsa->na", d_scores, k)
+    d_k = np.einsum("ns,na->nsa", d_scores, q)
+    d_v = np.einsum("ns,na->nsa", weights, d_o)
+    d_w_q = np.einsum("na,nt->at", d_q, x_t)
+    d_w_k = np.einsum("nsa,nsb->ab", d_k, x_b)
+    d_w_v = np.einsum("nsa,nsb->ab", d_v, x_b)
+    d_x_t = d_o + d_q @ w_q
+    d_x_b = np.einsum("nsa,ab->nsb", d_k, w_k) + np.einsum("nsa,ab->nsb", d_v, w_v)
+    return o, (d_w_q, d_w_k, d_w_v, d_x_t, d_x_b)
+
+
+@pytest.mark.parametrize("with_dropout", [False, True])
+@pytest.mark.parametrize("kind", KINDS)
+def test_attention_matches_direct_key_value_algebra(kind, with_dropout):
+    d_a, d_b, s, vocab = 4, 6, 5, 7
+    cfg = cfg_for(d_a, d_b, s, kind=kind, dropout=with_dropout)
+    rng = make_rng(61)
+    w_q = rng.standard_normal((d_a, d_a))
+    w_k, w_v = rng.standard_normal((d_a, d_b)), rng.standard_normal((d_a, d_b))
+    table = rng.standard_normal((vocab, d_b))
+    # Repeated ids within and across histories, an empty history and a
+    # full one; padded slots point at row 0 as the model's batches do.
+    ids = np.array([[3, 3, 1, 0, 0], [0, 0, 0, 0, 0], [2, 5, 3, 3, 5], [6, 1, 0, 0, 0]])
+    mask = np.array([[1, 1, 1, 0, 0], [0, 0, 0, 0, 0], [1, 1, 1, 1, 1], [1, 1, 0, 0, 0]],
+                    dtype=float)
+    n = len(ids)
+    x_t = rng.standard_normal((n, d_a))
+    d_o = rng.standard_normal((n, d_a))
+    drop = (rng.random((n, s)) >= 0.3).astype(float) if with_dropout else None
+    x_b = table[ids]
+
+    o_ref, (d_w_q, d_w_k, d_w_v, d_x_t, d_x_b) = direct_attention(
+        w_q, w_k, w_v, cfg, x_t, x_b, mask, drop, d_o)
+    d_table = np.zeros_like(table)
+    np.add.at(d_table, ids, d_x_b)
+
+    def close(a, b):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def check(x_t_in, x_b_in, mask_in, drop_in, d_o_in, ids_in, row, ref_x_b):
+        o, trace = asta_forward(w_q, w_k, w_v, cfg, x_t_in, x_b_in, mask_in,
+                                drop_mask=drop_in, ids=ids_in)
+        close(o, o_ref[row])
+        got = asta_backward(w_q, w_k, w_v, cfg, trace, d_o_in)
+        for g, ref in zip(got, (d_w_q, d_w_k, d_w_v, d_x_t[row], ref_x_b)):
+            close(g, ref)
+
+    everything = slice(None)
+    check(x_t, table, mask, drop, d_o, ids, everything, d_table)
+    check(x_t, x_b, mask, drop, d_o, None, everything, d_x_b)
+    # The single-sample form, on the full history, in both call forms.
+    one_drop = None if drop is None else drop[2:3]
+    o_ref, (d_w_q, d_w_k, d_w_v, d_x_t, d_x_b) = direct_attention(
+        w_q, w_k, w_v, cfg, x_t[2:3], x_b[2:3], mask[2:3], one_drop, d_o[2:3])
+    d_table = np.zeros_like(table)
+    np.add.at(d_table, ids[2], d_x_b[0])
+    check(x_t[2], x_b[2], mask[2], one_drop, d_o[2], None, 0, d_x_b[0])
+    check(x_t[2], table, mask[2], one_drop, d_o[2], ids[2], 0, d_table)

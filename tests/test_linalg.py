@@ -3,7 +3,7 @@ import pytest
 
 from qin.errors import ShapeError
 from qin.linalg import (add, make_rng, matmul, mul, prelu, prelu_grad, relu,
-                        relu2, rng_normal, sigmoid, silu, silu_grad)
+                        relu2, rng_normal, segment_sum, sigmoid, silu, silu_grad)
 
 
 def test_matmul_identity():
@@ -106,3 +106,30 @@ def test_kernel_sequence_bit_determinism():
         return matmul(relu(a), silu(b))
 
     assert np.array_equal(run(), run())
+
+
+def test_segment_sum_terms_match_add_at():
+    rng = make_rng(14)
+    n, s, d, count = 5, 4, 3, 9
+    # Repeated ids within and across rows; ids 7 and 8 never occur, so
+    # count lies above the largest id.
+    ids = np.array([[0, 2, 2, 5], [5, 5, 1, 0], [3, 2, 6, 6], [0, 0, 0, 0], [6, 1, 2, 3]])
+    a, b = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+    w_a, w_b = rng.standard_normal((n, s)), rng.standard_normal((n, s))
+    w_a[3] = 0.0   # a padding row: zero weight in both terms
+    w_b[3] = 0.0
+    ref = np.zeros((count, d))
+    np.add.at(ref, ids, w_a[:, :, None] * a[:, None, :] + w_b[:, :, None] * b[:, None, :])
+    out = segment_sum(ids, count, (a, w_a), (b, w_b))
+    assert out.shape == (count, d)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(out[7:], np.zeros((2, d)))
+    assert np.array_equal(out.tobytes(), segment_sum(ids, count, (a, w_a), (b, w_b)).tobytes())
+
+    # One term, unweighted, over (n,) ids: each row counted once.
+    flat = np.array([4, 1, 4, 0, 4])
+    ref = np.zeros((count, d))
+    np.add.at(ref, flat, a)
+    out = segment_sum(flat, count, (a, None))
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(out.tobytes(), segment_sum(flat, count, (a, None)).tobytes())
