@@ -29,12 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .config import GenConfig
+from .dataio import Split, write_dataset
 from .embedding import Sample, save_embeddings
 from .errors import DataError
 from .linalg import FLOAT, make_rng, sigmoid
 from .metrics import auc
-from .dataio import write_dataset
+
+CHUNK = 512  # samples whose histories are drawn in one array
 
 
 @dataclass
@@ -65,17 +68,32 @@ def generate(cfg: GenConfig, out_dir: str) -> GenResult:
     target_ids = rng.integers(0, cfg.n_items, cfg.n_samples)
     seq_lens = rng.integers(cfg.min_seq_len, cfg.max_seq_len + 1, cfg.n_samples)
 
+    offsets = np.zeros(cfg.n_samples + 1, dtype=np.int64)
+    np.cumsum(seq_lens, out=offsets[1:])
+    seq_ids = np.empty(offsets[-1], dtype=np.int64)
     raw = np.empty(cfg.n_samples, dtype=FLOAT)
-    seqs: list[list[int]] = []
-    for i in range(cfg.n_samples):
-        logits_i = user_logits[user_ids[i]]
-        gumbel = -np.log(-np.log(rng.random(cfg.n_items)))
-        take = int(seq_lens[i])
-        picked = np.argpartition(logits_i + gumbel, -take)[-take:]
-        picked = np.sort(picked)
-        seqs.append([int(v) for v in picked])
-        u = items[picked].mean(axis=0)
-        raw[i] = u @ items[target_ids[i]]
+    for at in range(0, cfg.n_samples, CHUNK):
+        rows = slice(at, at + CHUNK)
+        take = seq_lens[rows]
+        # One (rows, n_items) draw is the same stream as one draw per row;
+        # the Gumbel keys are formed in place to hold one array per chunk.
+        keys = rng.random((len(take), cfg.n_items))
+        np.negative(np.log(keys, out=keys), out=keys)
+        np.negative(np.log(keys, out=keys), out=keys)
+        keys += user_logits[user_ids[rows]]
+        width = int(take.max())
+        top = np.argpartition(keys, -width, axis=1)[:, -width:]
+        by_key = np.take_along_axis(
+            top, np.argsort(-np.take_along_axis(keys, top, axis=1), axis=1), axis=1)
+        live = np.arange(width) < take[:, None]
+        # Each row's history in ascending id order, then padding.
+        picked = np.sort(np.where(live, by_key, cfg.n_items), axis=1)
+        seq_ids[offsets[at]:offsets[at + len(take)]] = picked[live]
+        # Padded slots add exact zeros after the live rows, so the sum runs
+        # in the same order as a per-row mean over the sorted history.
+        hist = np.where(live[:, :, None], items[np.where(live, picked, 0)], 0.0)
+        u = hist.sum(axis=1) / take[:, None]
+        raw[rows] = (u[:, None, :] @ items[target_ids[rows]][:, :, None])[:, 0, 0]
 
     std = raw.std()
     if std == 0:
@@ -85,10 +103,9 @@ def generate(cfg: GenConfig, out_dir: str) -> GenResult:
     noise = rng.standard_normal(cfg.n_samples) * cfg.noise_std
     logits = cfg.linear_strength * t + cfg.quad_strength * (t * t - 1.0) + noise
     probs = sigmoid(logits)
-    labels = (rng.random(cfg.n_samples) < probs).astype(int)
+    labels = (rng.random(cfg.n_samples) < probs).astype(FLOAT)
 
-    samples = [Sample(target_id=int(target_ids[i]), seq_ids=seqs[i], label=int(labels[i]))
-               for i in range(cfg.n_samples)]
+    split = Split(targets=target_ids, labels=labels, offsets=offsets, ids=seq_ids)
     n_train = int(round(cfg.n_samples * cfg.split_frac))
     n_train = min(max(n_train, 1), cfg.n_samples - 1)
 
@@ -98,8 +115,8 @@ def generate(cfg: GenConfig, out_dir: str) -> GenResult:
     truth_path = os.path.join(out_dir, "truth.txt")
 
     save_embeddings(items, emb_path)
-    manifest = write_dataset(samples[:n_train], train_path, cfg.seed)
-    write_dataset(samples[n_train:], valid_path, cfg.seed)
+    manifest = write_dataset(split[:n_train], train_path, cfg.seed)
+    write_dataset(split[n_train:], valid_path, cfg.seed)
     write_truth(probs[n_train:], truth_path, cfg.seed)
     return GenResult(embedding_path=emb_path, train_path=train_path,
                      valid_path=valid_path, truth_path=truth_path, manifest=manifest)
@@ -107,10 +124,9 @@ def generate(cfg: GenConfig, out_dir: str) -> GenResult:
 
 def write_truth(probs: np.ndarray, path: str, seed: int) -> None:
     """Ground-truth click probabilities for the validation split, one per line."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"# n_samples={len(probs)} seed={seed}\n")
-        for p in probs:
-            fh.write(f"{p:.17g}\n")
+        fh.writelines(f"{p:.17g}\n" for p in probs)
 
 
 def read_truth(path: str) -> np.ndarray:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .config import HyperParams
 from .errors import BadMagicError, ConfigError, DataError, ShapeError, TruncatedFileError
 from .linalg import FLOAT, segment_sum
@@ -66,7 +67,7 @@ class Batch:
 
 def save_embeddings(data: np.ndarray, path: str) -> None:
     data = np.asarray(data)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(EMB_MAGIC)
         fh.write(struct.pack("<II", data.shape[0], data.shape[1]))
         fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())

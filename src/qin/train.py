@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import HyperParams, TrainConfig
-from .dataio import make_batches
+from .atomic import atomic_write
+from .dataio import Split, as_split, length_sorted_batches, make_batches
 from .embedding import EmbeddingStore, Sample
 from .errors import NonFiniteLossError, ShapeError, SingleClassError
 from .linalg import FLOAT, spawn_rng
@@ -96,30 +97,37 @@ class TrainResult:
 
 
 def evaluate(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-             samples: list[Sample], batch_size: int = 1024) -> dict:
-    """Full-pass valid metrics, dropout disabled. Raises on single-class data."""
-    if not samples:
+             samples: Split | list[Sample], batch_size: int = 1024) -> dict:
+    """Full-pass valid metrics, dropout disabled. Raises on single-class data.
+
+    Rows are scored in stable history-length order, each batch cut to its
+    longest history, so ragged histories score few padded slots; "probs"
+    is returned in input order.
+    """
+    split = as_split(samples)
+    if not len(split):
         raise SingleClassError("cannot evaluate an empty dataset")
-    labels = np.array([s.label for s in samples], dtype=FLOAT)
-    batches = make_batches(samples, batch_size, hp.seq_len, rng=None)
-    probs = predict_probs(params, hp, store, batches)
-    return {"auc": auc(probs, labels.astype(int)), "logloss": bce_loss(probs, labels),
+    order, batches = length_sorted_batches(split, batch_size, hp.seq_len)
+    probs = np.empty(len(split), dtype=FLOAT)
+    probs[order] = predict_probs(params, hp, store, batches)
+    return {"auc": auc(probs, split.labels.astype(int)), "logloss": bce_loss(probs, split.labels),
             "probs": probs}
 
 
 def train(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-          data_train: list[Sample], data_valid: list[Sample],
+          data_train: Split | list[Sample], data_valid: Split | list[Sample],
           cfg: TrainConfig) -> TrainResult:
     """Epoch loop with seeded shuffling and early stopping on valid AUC.
 
     Keeps the parameters of the best-validation epoch and stops after
     `patience` epochs without improvement. epochs=0 returns the initial
-    parameters untouched with an empty history.
+    parameters untouched with an empty history. Lists of Samples are
+    converted to Splits once, here.
     """
-    if not data_train:
+    data_train, data_valid = as_split(data_train), as_split(data_valid)
+    if not len(data_train):
         raise SingleClassError("training split is empty")
-    valid_labels = {s.label for s in data_valid}
-    if valid_labels != {0, 1}:
+    if set(np.unique(data_valid.labels)) != {0, 1}:
         raise SingleClassError("validation split must contain both classes")
 
     state = AdamState.for_params(params)
@@ -161,6 +169,6 @@ def train(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
 
 
 def write_history(history: list, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for entry in history:
             fh.write(entry.line() + "\n")

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import os
 
 import numpy as np
 import pytest
@@ -221,3 +222,62 @@ def test_linear_baseline_blind_to_quadratic(tmp_path):
     bayes = bayes_auc(truth, labels)
     assert lin < 0.6
     assert bayes > 0.8
+
+
+def per_sample_generate(cfg, out_dir):
+    """Reference: the per-sample Gumbel loop the chunked generator replaced,
+    with its per-record json.dumps writer and per-line truth writer."""
+    from qin.embedding import save_embeddings
+    from qin.linalg import sigmoid
+
+    def f32_round(x):
+        return x.astype(np.float32).astype(np.float64)
+
+    os.makedirs(out_dir, exist_ok=True)
+    rng = make_rng(cfg.seed)
+    items = f32_round(rng.standard_normal((cfg.n_items, cfg.emb_dim)) / np.sqrt(cfg.emb_dim))
+    users = f32_round(rng.standard_normal((cfg.n_users, cfg.emb_dim)) / np.sqrt(cfg.emb_dim))
+    user_logits = (users @ items.T) / cfg.temperature
+    user_ids = rng.integers(0, cfg.n_users, cfg.n_samples)
+    target_ids = rng.integers(0, cfg.n_items, cfg.n_samples)
+    seq_lens = rng.integers(cfg.min_seq_len, cfg.max_seq_len + 1, cfg.n_samples)
+    raw = np.empty(cfg.n_samples)
+    seqs = []
+    for i in range(cfg.n_samples):
+        gumbel = -np.log(-np.log(rng.random(cfg.n_items)))
+        take = int(seq_lens[i])
+        picked = np.sort(np.argpartition(user_logits[user_ids[i]] + gumbel, -take)[-take:])
+        seqs.append([int(v) for v in picked])
+        raw[i] = items[picked].mean(axis=0) @ items[target_ids[i]]
+    t = (raw - raw.mean()) / raw.std()
+    noise = rng.standard_normal(cfg.n_samples) * cfg.noise_std
+    probs = sigmoid(cfg.linear_strength * t + cfg.quad_strength * (t * t - 1.0) + noise)
+    labels = (rng.random(cfg.n_samples) < probs).astype(int)
+    n_train = min(max(int(round(cfg.n_samples * cfg.split_frac)), 1), cfg.n_samples - 1)
+
+    save_embeddings(items, os.path.join(out_dir, "embeddings.qemb"))
+    for name, rows in (("train", range(n_train)), ("valid", range(n_train, cfg.n_samples))):
+        with open(os.path.join(out_dir, f"{name}.jsonl"), "w", encoding="utf-8") as fh:
+            fh.write(f"# n_samples={len(rows)} positives={int(labels[rows].sum())} "
+                     f"seed={cfg.seed}\n")
+            for i in rows:
+                fh.write(json.dumps({"target": int(target_ids[i]), "seq": seqs[i],
+                                     "label": int(labels[i])}, separators=(",", ":")) + "\n")
+    with open(os.path.join(out_dir, "truth.txt"), "w", encoding="utf-8") as fh:
+        fh.write(f"# n_samples={cfg.n_samples - n_train} seed={cfg.seed}\n")
+        for p in probs[n_train:]:
+            fh.write(f"{p:.17g}\n")
+
+
+@pytest.mark.parametrize("min_seq_len", [1, 8])
+def test_chunked_generator_byte_identical_to_per_sample_loop(tmp_path, min_seq_len):
+    # 1203 samples: two full chunks of histories and a partial third.
+    cfg = GenConfig(n_items=60, n_users=40, n_samples=1203, emb_dim=4,
+                    max_seq_len=8, min_seq_len=min_seq_len, seed=13)
+    per_sample_generate(cfg, str(tmp_path / "reference"))
+    result = generate(cfg, str(tmp_path / "chunked"))
+    for path in (result.embedding_path, result.train_path, result.valid_path,
+                 result.truth_path):
+        name = os.path.basename(path)
+        assert (tmp_path / "chunked" / name).read_bytes() == \
+            (tmp_path / "reference" / name).read_bytes(), name

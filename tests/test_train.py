@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -227,3 +228,41 @@ def test_evaluate_matches_independent_recompute():
     pairwise = (wins + 0.5 * ties) / (len(pos) * len(neg))
     assert metrics["auc"] == pairwise
     assert metrics["auc"] == rank_auc(probs, labels.astype(int))
+
+
+@pytest.mark.parametrize("kind,pooling", [("relu", "asta"), ("softmax", "asta"),
+                                          ("relu2", "asta"), ("silu", "asta"),
+                                          ("relu", "mean")])
+def test_length_ordered_evaluate_matches_full_width_pass(kind, pooling):
+    from qin.dataio import as_split
+
+    hp = HyperParams(d_t=8, d_b=8, d_a=8, seq_len=6, depth=2, m=2, vocab=20, d_frozen=4,
+                     attn_kind=kind, pooling=pooling)
+    store, samples = tiny_world(seed=40, n=60, hp=hp)
+    # Nine empty histories: the first length-ordered batch of 8 is all empty.
+    for s in samples[::7][:9]:
+        s.seq_ids = []
+    params = init_params(hp, make_rng(41))
+    params.id_embedding = make_rng(42).standard_normal(params.id_embedding.shape)
+    got = evaluate(params, hp, store, as_split(samples), batch_size=8)
+    reference = predict_probs(params, hp, store, make_batches(samples, 8, hp.seq_len))
+    labels = np.array([s.label for s in samples])
+    assert np.max(np.abs(got["probs"] - reference)) <= 1e-15
+    assert got["auc"] == rank_auc(reference, labels)
+
+
+def test_train_same_bits_from_list_and_split(tmp_path):
+    from qin.dataio import as_split
+    from qin.params import save_checkpoint
+
+    hp = dataclasses.replace(HP, attn_dropout=True)   # the dropout mask stream too
+    store, samples = tiny_world(seed=43)
+    runs = []
+    for convert in (list, as_split):
+        params = init_params(hp, make_rng(44))
+        result = train(params, hp, store, convert(samples[:80]), convert(samples[80:]),
+                       TrainConfig(epochs=3, seed=45))
+        path = tmp_path / f"{convert.__name__}.ckpt"
+        save_checkpoint(result.params, str(path))
+        runs.append(([e.line() for e in result.history], path.read_bytes()))
+    assert runs[0] == runs[1]
