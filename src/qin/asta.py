@@ -1,11 +1,13 @@
 """Adaptive sparse target attention over the user behavior sequence.
 
 The target item is the query, the behavior sequence supplies keys and
-values. Scores are Q.K^T scaled by 1/sqrt(d_a); the score transform is
+values. Scores are Q.K^T scaled by 1/sqrt(d_t); the score transform is
 ReLU by default, which yields non-normalized, exactly sparse weights.
 SoftMax, squared-ReLU and SiLU transforms are kept for ablations. The
 target embedding is added back to the weighted value sum for every kind,
-so ablations isolate the score transform alone.
+so ablations isolate the score transform alone. Because of that residual
+and because targets and behaviors share one item vector, every width in
+the block is the item width d_t.
 
 Masking: with softmax the masked scores are forced to -inf before
 normalization; for the pointwise kinds the transformed weight is zeroed.
@@ -23,36 +25,39 @@ whose slot entry is d_score * qk + weight * W_v^T d_o.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
+from .config import ATTN_KINDS, check_item_width
 from .errors import ConfigError, ShapeError
 from .linalg import (FLOAT, relu, relu2, relu2_grad, relu_grad, segment_sum, silu,
                      silu_grad)
 
-KINDS = ("relu", "softmax", "relu2", "silu")
-
 
 @dataclass(frozen=True)
 class AttentionConfig:
-    kind: str
-    d_a: int
-    d_t: int
-    d_b: int
-    seq_len: int
-    dropout: bool = False
-    dropout_p: float = 0.1
+    """Score transform, item width and dropout rate of the attention block.
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"attention kind must be one of {KINDS}, got {self.kind!r}")
-        if self.d_a != self.d_t:
-            raise ConfigError("attention output dim must equal the target dim (residual add)")
+    d_a and d_b are accepted only when equal to d_t. dropout_p scales the
+    weights when a keep mask is passed to the forward call.
+    """
+
+    kind: str
+    d_t: int
+    seq_len: int
+    dropout_p: float = 0.1
+    d_a: InitVar[int | None] = None
+    d_b: InitVar[int | None] = None
+
+    def __post_init__(self, d_a, d_b):
+        if self.kind not in ATTN_KINDS:
+            raise ConfigError(f"attention kind must be one of {ATTN_KINDS}, got {self.kind!r}")
+        check_item_width(self.d_t, d_a=d_a, d_b=d_b)
 
     @property
     def scale(self) -> float:
-        return self.d_a ** -0.5
+        return self.d_t ** -0.5
 
 
 @dataclass
@@ -63,10 +68,10 @@ class AttentionTrace:
     per-slot key or value exists in either pass.
     """
 
-    q: np.ndarray            # (n, d_a)
-    qk: np.ndarray           # (n, d_b) query mapped into item space, W_k^T q
-    x_b: np.ndarray          # (n, s, d_b) behavior row of each slot
-    pooled: np.ndarray       # (n, d_b) weighted sum of the behavior rows
+    q: np.ndarray            # (n, d_t)
+    qk: np.ndarray           # (n, d_t) query mapped into item space, W_k^T q
+    x_b: np.ndarray          # (n, s, d_t) behavior row of each slot
+    pooled: np.ndarray       # (n, d_t) weighted sum of the behavior rows
     scores: np.ndarray       # (n, s) raw scaled scores
     weights: np.ndarray      # (n, s) transformed, masked, post-dropout
     x_t: np.ndarray          # (n, d_t)
@@ -107,7 +112,7 @@ def attention_weights(scores: np.ndarray, mask: np.ndarray, kind: str) -> np.nda
 def _promote(x_t, x_b, mask, ids):
     """Batch-shaped inputs, each slot's behavior row and its table row.
 
-    Without ids, x_b holds one row per slot, (n, s, d_b) or (s, d_b) for
+    Without ids, x_b holds one row per slot, (n, s, d_t) or (s, d_t) for
     one sample, and is read as a table of n*s rows under the identity
     index. With ids, (n, s) or (s,), x_b is the item table and each
     slot's row is gathered from it once.
@@ -129,27 +134,27 @@ def _promote(x_t, x_b, mask, ids):
 def asta_forward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
                  cfg: AttentionConfig, x_t, x_b, mask,
                  drop_mask: np.ndarray | None = None, ids=None):
-    """Interest vector o = transform(Q.K^T / sqrt(d_a)) V + x_t.
+    """Interest vector o = transform(Q.K^T / sqrt(d_t)) V + x_t.
 
-    Accepts one sample (x_t (d_t,), x_b (s, d_b)) or a batch with a leading
-    n axis. With ids, x_b is an item table (rows, d_b) instead and ids
+    Accepts one sample (x_t (d_t,), x_b (s, d_t)) or a batch with a leading
+    n axis. With ids, x_b is an item table (rows, d_t) instead and ids
     (n, s) names the row behind each slot. drop_mask, when given, is the
     {0,1} keep mask applied to the transformed weights with inverted
     scaling (training mode only).
     """
     x_b_shape = np.shape(x_b)
     x_t, x_b, ids, mask, single = _promote(x_t, x_b, mask, ids)
-    if ids.ndim != 2 or x_t.shape != (ids.shape[0], cfg.d_t) \
-            or x_b.shape[-1] != cfg.d_b or mask.shape != ids.shape:
+    d = cfg.d_t
+    if ids.ndim != 2 or x_t.shape != (ids.shape[0], d) \
+            or x_b.shape[-1] != d or mask.shape != ids.shape:
         raise ShapeError(
             f"attention input shapes x_t={x_t.shape} x_b={x_b_shape} mask={mask.shape} "
-            f"do not match config (d_t={cfg.d_t}, d_b={cfg.d_b})")
-    if w_q.shape != (cfg.d_a, cfg.d_t) or w_k.shape != (cfg.d_a, cfg.d_b) \
-            or w_v.shape != (cfg.d_a, cfg.d_b):
+            f"do not match config (d_t={d})")
+    if any(w.shape != (d, d) for w in (w_q, w_k, w_v)):
         raise ShapeError("attention projection shapes do not match config")
 
-    q = x_t @ w_q.T                                         # (n, d_a)
-    qk = q @ w_k                                            # (n, d_b)
+    q = x_t @ w_q.T                                         # (n, d_t)
+    qk = q @ w_k                                            # (n, d_t)
     scores = (x_b @ qk[:, :, None])[:, :, 0] * cfg.scale
 
     weights = attention_weights(scores, mask, cfg.kind)
@@ -157,7 +162,7 @@ def asta_forward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
     if drop_mask is not None:
         weights = weights * drop_mask / (1.0 - cfg.dropout_p)
 
-    pooled = (weights[:, None, :] @ x_b)[:, 0, :]           # (n, d_b)
+    pooled = (weights[:, None, :] @ x_b)[:, 0, :]           # (n, d_t)
     o = pooled @ w_v.T + x_t
     trace = AttentionTrace(q=q, qk=qk, x_b=x_b, pooled=pooled, scores=scores,
                            weights=weights, x_t=x_t, ids=ids, x_b_shape=x_b_shape,
@@ -186,7 +191,7 @@ def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
         raise ShapeError(f"upstream shape {d_o.shape} does not match forward {trace.x_t.shape}")
 
     d_x_t = d_o.copy()                                      # residual path
-    d_v = d_o @ w_v                                         # (n, d_b) d_o in item space
+    d_v = d_o @ w_v                                         # (n, d_t) d_o in item space
     d_w = (trace.x_b @ d_v[:, :, None])[:, :, 0]            # d loss / d weights
 
     if trace.drop_mask is not None:
@@ -203,7 +208,7 @@ def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
         d_scores = d_w * silu_grad(trace.scores) * trace.mask
     d_scores = d_scores * cfg.scale
 
-    px = (d_scores[:, None, :] @ trace.x_b)[:, 0, :]       # (n, d_b)
+    px = (d_scores[:, None, :] @ trace.x_b)[:, 0, :]       # (n, d_t)
     d_q = px @ w_k.T
     d_w_q = d_q.T @ trace.x_t
     d_x_t += d_q @ w_q
@@ -227,7 +232,7 @@ class MeanPoolTrace:
     ids: np.ndarray       # (n, s) table row of each slot
     x_b_shape: tuple      # shape of the x_b argument, which d_x_b takes
     share: np.ndarray     # (n, s) weight of each slot in the mean: mask / seq_len
-    mean: np.ndarray      # (n, d_b) masked mean of behavior rows
+    mean: np.ndarray      # (n, d_t) masked mean of behavior rows
 
 
 def mean_pool_forward(w_v: np.ndarray, x_t, x_b, mask, ids=None):

@@ -13,8 +13,8 @@ import statistics
 import sys
 
 from . import datagen
-from .config import (SCHEMA, gen_config_from, hyper_params_from, parse_value,
-                     read_config_file, resolve_config, train_config_from)
+from .config import (ITEM_WIDTH_KEYS, KEYS, PRESETS, GenConfig, HyperParams, TrainConfig,
+                     build, parse_value, read_config_file, resolve_config)
 from .dataio import load_dataset
 from .errors import (CheckpointError, ConfigError, DataError, QinError,
                      SingleClassError)
@@ -38,12 +38,15 @@ ABLATION_VARIANTS = [
     ("asta_dropout", {"attn_dropout": True}),
 ]
 
+# One --flag per config key, d_b and d_a included.
+FLAG_KEYS = (*KEYS, *ITEM_WIDTH_KEYS)
+
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="key=value config file")
-    parser.add_argument("--preset", choices=["desk", "paper"], help="named preset")
+    parser.add_argument("--preset", choices=sorted(PRESETS), help="named preset")
     group = parser.add_argument_group("config overrides")
-    for key in SCHEMA:
+    for key in FLAG_KEYS:
         group.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}",
                            metavar="V", help=argparse.SUPPRESS)
 
@@ -51,7 +54,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _resolve(args) -> dict:
     file_values = read_config_file(args.config) if args.config else None
     flag_values = {}
-    for key in SCHEMA:
+    for key in FLAG_KEYS:
         raw = getattr(args, f"cfg_{key}", None)
         if raw is not None:
             flag_values[key] = parse_value(key, raw)
@@ -61,18 +64,13 @@ def _resolve(args) -> dict:
 def _load_split(data_dir: str, split: str, cfg: dict):
     path = f"{data_dir}/{split}.jsonl"
     emb = f"{data_dir}/embeddings.qemb"
-    samples, store, manifest = load_dataset(path, emb, _hp_probe(cfg))
-    return samples, store, manifest
-
-
-def _hp_probe(cfg: dict):
     # Sequence-length bound is all load_dataset needs; use a 1-item vocab probe.
-    return hyper_params_from(cfg, vocab=1, d_frozen=0)
+    return load_dataset(path, emb, build(HyperParams, cfg, vocab=1, d_frozen=0))
 
 
 def cmd_gen_data(args) -> int:
     cfg = _resolve(args)
-    result = datagen.generate(gen_config_from(cfg), args.out)
+    result = datagen.generate(build(GenConfig, cfg), args.out)
     print(result.manifest)
     return EXIT_OK
 
@@ -81,8 +79,8 @@ def cmd_train(args) -> int:
     cfg = _resolve(args)
     train_samples, store, _ = _load_split(args.data, "train", cfg)
     valid_samples, _, _ = _load_split(args.data, "valid", cfg)
-    hp = hyper_params_from(cfg, vocab=store.count, d_frozen=store.dim)
-    tc = train_config_from(cfg)
+    hp = build(HyperParams, cfg, vocab=store.count, d_frozen=store.dim)
+    tc = build(TrainConfig, cfg)
     params = init_params(hp, make_rng(tc.seed))
     result = train(params, hp, store, train_samples, valid_samples, tc)
     os.makedirs(args.out, exist_ok=True)
@@ -97,7 +95,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _resolve(args)
     samples, store, _ = _load_split(args.data, args.split, cfg)
-    hp = hyper_params_from(cfg, vocab=store.count, d_frozen=store.dim)
+    hp = build(HyperParams, cfg, vocab=store.count, d_frozen=store.dim)
     params = load_checkpoint(args.ckpt, hp)
     metrics = evaluate(params, hp, store, samples)
     print(f"auc={metrics['auc']:.17g} logloss={metrics['logloss']:.17g}")
@@ -132,10 +130,10 @@ def cmd_ablate(args) -> int:
     for name, overrides in ABLATION_VARIANTS:
         variant_cfg = dict(cfg)
         variant_cfg.update(overrides)
-        hp = hyper_params_from(variant_cfg, vocab=store.count, d_frozen=store.dim)
+        hp = build(HyperParams, variant_cfg, vocab=store.count, d_frozen=store.dim)
         aucs = []
         for i in range(args.seeds):
-            tc = train_config_from({**variant_cfg, "seed": variant_cfg["seed"] + i})
+            tc = build(TrainConfig, {**variant_cfg, "seed": variant_cfg["seed"] + i})
             params = init_params(hp, make_rng(tc.seed))
             result = train(params, hp, store, train_samples, valid_samples, tc)
             aucs.append(result.best_auc)

@@ -1,16 +1,30 @@
-"""Run configuration: model, training, and generator settings plus presets.
+"""Run configuration: the typed configs are the schema.
+
+HyperParams, TrainConfig and GenConfig are the one statement of every
+config key. Each key is a field that gives the key's default, its parser
+for text values and its range rule; field metadata names the key where it
+differs from the field (``max_seq_len`` -> HyperParams.seq_len,
+``qnn_depth`` -> depth, ``qnn_m`` -> m). ``seed`` and ``max_seq_len`` feed
+a field in two configs and have one default each. A config checks its
+values when it is built, so a bad value raises ConfigError whether it comes
+from the CLI, a config file or a direct constructor call. Every float must
+be finite.
 
 A run is configured by a flat key=value namespace. Resolution order is
 defaults < preset < config file < command-line flags; unknown keys are
-rejected. ``desk`` is the default preset (small dims, minutes on one CPU);
-``paper`` pins the reference hyperparameters (lr 2e-3, embedding weight
-decay 2e-4, batch 8192, dim 128, depth = capacity = 4, dropout 0.1).
+rejected, and ``resolve_config`` validates the result by building the three
+configs. Targets and behaviors share one item vector and the attention
+residual adds the target back, so d_t is the only item width: the ``d_b``
+and ``d_a`` keys are accepted only when equal to it and are not kept.
+``desk`` is the default preset (small dims, minutes on one CPU); ``paper``
+pins the reference hyperparameters (lr 2e-3, embedding weight decay 2e-4,
+batch 8192, dim 128, depth = capacity = 4, dropout 0.1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -18,6 +32,18 @@ ATTN_KINDS = ("relu", "softmax", "relu2", "silu")
 POOLINGS = ("asta", "mean")
 INTERACTIONS = ("qnn", "mlp")
 QNN_ACTS = ("prelu", "relu")
+
+# Range rules a field names in its metadata.
+RULES = {
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "> 0": lambda v: v > 0,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+    "in (0, 1)": lambda v: 0 < v < 1,
+}
+
+# Keys accepted but not kept: each must equal d_t, which HyperParams checks.
+ITEM_WIDTH_KEYS = ("d_b", "d_a")
 
 
 def _parse_bool(s: str) -> bool:
@@ -36,47 +62,173 @@ def _parse_int_list(s: str) -> list[int]:
     return [int(tok) for tok in s.replace(",", " ").split()]
 
 
-# key -> (parser, default). The single source of truth for the CLI schema.
-SCHEMA: dict[str, tuple] = {
-    # model
-    "d_t": (int, 16),
-    "d_b": (int, 16),
-    "d_a": (int, 16),
-    "max_seq_len": (int, 32),
-    "qnn_depth": (int, 2),
-    "qnn_m": (int, 2),
-    "dropout_p": (float, 0.1),
-    "attn_kind": (str, "relu"),
-    "attn_dropout": (_parse_bool, False),
-    "attn_dropout_p": (float, 0.1),
-    "pooling": (str, "asta"),
-    "interaction": (str, "qnn"),
-    "mlp_dims": (_parse_int_list, [64, 32]),
-    "qnn_act": (str, "prelu"),
-    "qnn_residual": (_parse_bool, True),
-    "qnn_mid_act": (_parse_bool, False),
-    # training
-    "lr": (float, 4e-3),
-    "emb_weight_decay": (float, 2e-4),
-    "batch_size": (int, 256),
-    "epochs": (int, 10),
-    "patience": (int, 3),
-    "seed": (int, 7),
-    "adam_beta1": (float, 0.9),
-    "adam_beta2": (float, 0.999),
-    "adam_eps": (float, 1e-8),
-    # data generation
-    "n_items": (int, 1000),
-    "n_users": (int, 2000),
-    "n_samples": (int, 50_000),
-    "emb_dim": (int, 6),
-    "min_seq_len": (int, 0),  # 0 tracks max_seq_len
-    "quad_strength": (float, 4.0),
-    "linear_strength": (float, 0.0),
-    "noise_std": (float, 0.1),
-    "split_frac": (float, 0.8),
-    "temperature": (float, 0.1),
-}
+def _field(default, parse=None, rule=None, key=None):
+    """A checked field; with a parser it is also a config key.
+
+    rule is a RULES name or a tuple of allowed values, and applies to each
+    entry of a tuple value. key names the config key when it is not the
+    field name.
+    """
+    return field(default=default, metadata={"parse": parse, "rule": rule, "key": key})
+
+
+# A key that feeds a field in two configs gets its default and rule from one
+# factory (a dataclass field object cannot be shared between classes).
+def _seed():
+    return _field(7, int, ">= 0")
+
+
+def _max_seq_len(key=None):
+    return _field(32, int, ">= 1", key=key)
+
+
+def _key(f) -> str:
+    return f.metadata["key"] or f.name
+
+
+def _check(cfg) -> None:
+    """Apply each field's rule; every float must be finite."""
+    for f in fields(cfg):
+        rule = f.metadata["rule"]
+        value = getattr(cfg, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{_key(f)} must be finite, got {v!r}")
+            if isinstance(rule, tuple) and v not in rule:
+                raise ConfigError(f"{_key(f)} must be one of {rule}, got {v!r}")
+            if isinstance(rule, str) and not RULES[rule](v):
+                raise ConfigError(f"{_key(f)} must be {rule}, got {v!r}")
+
+
+def check_item_width(d_t: int, **widths) -> None:
+    """Each width given (not None) must equal d_t, the one item width."""
+    for name, width in widths.items():
+        if width is not None and width != d_t:
+            raise ConfigError(
+                f"{name} must equal d_t (targets and behaviors share one item vector, and "
+                f"the attention residual adds the target back), got {name}={width} d_t={d_t}")
+
+
+@dataclass(frozen=True)
+class HyperParams:
+    """Model dimensions and architectural switches.
+
+    d_t is the width of every item vector, target and behavior alike, and
+    of the attention output that the residual adds the target onto; d_b
+    and d_a are accepted only when equal to it. d_frozen is the width of
+    the frozen pretrained part of each item vector; the trainable
+    id-embedding supplies the remaining d_t - d_frozen coordinates. vocab
+    and d_frozen come from the embedding store, not from the config. The
+    interaction input width is 2 * d_t (target concat interest).
+    """
+
+    d_t: int = _field(16, int, ">= 1")
+    d_b: InitVar[int | None] = None
+    d_a: InitVar[int | None] = None
+    seq_len: int = _max_seq_len(key="max_seq_len")
+    depth: int = _field(2, int, ">= 1", key="qnn_depth")
+    m: int = _field(2, int, ">= 1", key="qnn_m")
+    dropout_p: float = _field(0.1, float, "in [0, 1)")
+    attn_kind: str = _field("relu", str, ATTN_KINDS)
+    attn_dropout: bool = _field(False, _parse_bool)
+    attn_dropout_p: float = _field(0.1, float, "in [0, 1)")
+    pooling: str = _field("asta", str, POOLINGS)
+    interaction: str = _field("qnn", str, INTERACTIONS)
+    mlp_dims: tuple[int, ...] = _field((64, 32), _parse_int_list, ">= 1")
+    qnn_act: str = _field("prelu", str, QNN_ACTS)
+    qnn_residual: bool = _field(True, _parse_bool)
+    qnn_mid_act: bool = _field(False, _parse_bool)
+    vocab: int = _field(0, rule=">= 1")
+    d_frozen: int = _field(0, rule=">= 0")
+
+    def __post_init__(self, d_b, d_a):
+        object.__setattr__(self, "mlp_dims", tuple(self.mlp_dims))
+        _check(self)
+        check_item_width(self.d_t, d_b=d_b, d_a=d_a)
+        if self.d_frozen >= self.d_t:
+            raise ConfigError(
+                f"d_frozen must be < d_t, got {self.d_frozen} vs d_t={self.d_t}")
+        if self.interaction == "mlp" and not self.mlp_dims:
+            raise ConfigError("mlp_dims must be non-empty when interaction=mlp")
+
+    @property
+    def qnn_dim(self) -> int:
+        """Interaction input width: target embedding concat interest vector."""
+        return 2 * self.d_t
+
+    @property
+    def d_id(self) -> int:
+        """Trainable id-embedding width."""
+        return self.d_t - self.d_frozen
+
+    @property
+    def out_dim(self) -> int:
+        """Width of the vector fed to the prediction head."""
+        return self.qnn_dim if self.interaction == "qnn" else self.mlp_dims[-1]
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    lr: float = _field(4e-3, float, "> 0")
+    emb_weight_decay: float = _field(2e-4, float, ">= 0")
+    batch_size: int = _field(256, int, ">= 1")
+    epochs: int = _field(10, int, ">= 0")
+    patience: int = _field(3, int, ">= 0")
+    seed: int = _seed()
+    adam_beta1: float = _field(0.9, float, "in [0, 1)")
+    adam_beta2: float = _field(0.999, float, "in [0, 1)")
+    adam_eps: float = _field(1e-8, float, "> 0")
+
+    def __post_init__(self):
+        _check(self)
+
+
+@dataclass(frozen=True)
+class GenConfig:
+    """Synthetic dataset knobs; the click model is quadratic by default.
+
+    min_seq_len left at None follows max_seq_len (fixed-length histories).
+    """
+
+    n_items: int = _field(1000, int, ">= 1")
+    n_users: int = _field(2000, int, ">= 1")
+    n_samples: int = _field(50_000, int, ">= 1")
+    emb_dim: int = _field(6, int, ">= 1")
+    max_seq_len: int = _max_seq_len()
+    min_seq_len: int | None = _field(None, int, ">= 1")
+    quad_strength: float = _field(4.0, float)
+    linear_strength: float = _field(0.0, float)
+    noise_std: float = _field(0.1, float, ">= 0")
+    seed: int = _seed()
+    split_frac: float = _field(0.8, float, "in (0, 1)")
+    temperature: float = _field(0.1, float, "> 0")
+
+    def __post_init__(self):
+        if self.min_seq_len is None:
+            object.__setattr__(self, "min_seq_len", self.max_seq_len)
+        _check(self)
+        if self.min_seq_len > self.max_seq_len:
+            raise ConfigError(
+                f"min_seq_len must be <= max_seq_len, got {self.min_seq_len} > {self.max_seq_len}")
+        if self.n_items < self.max_seq_len:
+            raise ConfigError("n_items must be >= max_seq_len "
+                              "(sequences sample items without replacement)")
+
+
+def _key_fields(cls) -> list:
+    return [f for f in fields(cls) if f.metadata["parse"] is not None]
+
+
+def _schema() -> dict:
+    """key -> the field behind it; a key that feeds two configs maps to the first."""
+    keys = {}
+    for cls in (HyperParams, TrainConfig, GenConfig):
+        for f in _key_fields(cls):
+            keys.setdefault(_key(f), f)
+    return keys
+
+
+KEYS = _schema()
 
 PRESETS: dict[str, dict] = {
     "desk": {},
@@ -85,8 +237,6 @@ PRESETS: dict[str, dict] = {
         "emb_weight_decay": 2e-4,
         "batch_size": 8192,
         "d_t": 128,
-        "d_b": 128,
-        "d_a": 128,
         "qnn_depth": 4,
         "qnn_m": 4,
         "dropout_p": 0.1,
@@ -95,17 +245,19 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def default_config() -> dict:
-    cfg = {}
-    for key, (_, default) in SCHEMA.items():
-        cfg[key] = list(default) if isinstance(default, list) else default
-    return cfg
+def build(cls, cfg: dict, **extra):
+    """A typed config from a resolved one: each key field of cls takes cfg[key]."""
+    values = {f.name: cfg[_key(f)] for f in _key_fields(cls) if _key(f) in cfg}
+    return cls(**values, **extra)
 
 
 def parse_value(key: str, raw: str):
-    if key not in SCHEMA:
+    if key in ITEM_WIDTH_KEYS:
+        parser = int
+    elif key in KEYS:
+        parser = KEYS[key].metadata["parse"]
+    else:
         raise ConfigError(f"unknown config key: {key!r}")
-    parser = SCHEMA[key][0]
     try:
         return parser(raw)
     except (ValueError, TypeError) as exc:
@@ -133,217 +285,24 @@ def read_config_file(path: str) -> dict:
 def resolve_config(preset: str | None = None,
                    file_values: dict | None = None,
                    flag_values: dict | None = None) -> dict:
-    """Merge defaults < preset < file < flags and validate the result."""
-    cfg = default_config()
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-        for key, value in PRESETS[preset].items():
-            cfg[key] = list(value) if isinstance(value, list) else value
-    for layer in (file_values, flag_values):
-        if layer:
-            for key, value in layer.items():
-                if key not in SCHEMA:
-                    raise ConfigError(f"unknown config key: {key!r}")
-                cfg[key] = value
-    validate_config(cfg)
-    return cfg
+    """Merge defaults < preset < file < flags; building the configs validates it.
 
-
-def validate_config(cfg: dict) -> None:
-    for key in ("d_t", "d_b", "d_a", "max_seq_len", "qnn_depth", "qnn_m",
-                "batch_size", "n_items", "n_users", "n_samples", "emb_dim"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
-    if not 0.0 <= cfg["dropout_p"] < 1.0:
-        raise ConfigError(f"dropout_p must be in [0, 1), got {cfg['dropout_p']}")
-    if not 0.0 <= cfg["attn_dropout_p"] < 1.0:
-        raise ConfigError(f"attn_dropout_p must be in [0, 1), got {cfg['attn_dropout_p']}")
-    if cfg["attn_kind"] not in ATTN_KINDS:
-        raise ConfigError(f"attn_kind must be one of {ATTN_KINDS}, got {cfg['attn_kind']!r}")
-    if cfg["pooling"] not in POOLINGS:
-        raise ConfigError(f"pooling must be one of {POOLINGS}, got {cfg['pooling']!r}")
-    if cfg["interaction"] not in INTERACTIONS:
-        raise ConfigError(f"interaction must be one of {INTERACTIONS}, got {cfg['interaction']!r}")
-    if cfg["qnn_act"] not in QNN_ACTS:
-        raise ConfigError(f"qnn_act must be one of {QNN_ACTS}, got {cfg['qnn_act']!r}")
-    if cfg["lr"] <= 0:
-        raise ConfigError(f"lr must be > 0, got {cfg['lr']}")
-    if cfg["emb_weight_decay"] < 0:
-        raise ConfigError(f"emb_weight_decay must be >= 0, got {cfg['emb_weight_decay']}")
-    if cfg["epochs"] < 0 or cfg["patience"] < 0:
-        raise ConfigError("epochs and patience must be >= 0")
-    if not 0.0 < cfg["split_frac"] < 1.0:
-        raise ConfigError(f"split_frac must be in (0, 1), got {cfg['split_frac']}")
-    if cfg["n_items"] < cfg["max_seq_len"]:
-        raise ConfigError("n_items must be >= max_seq_len (sequences sample items without replacement)")
-    if cfg["temperature"] <= 0:
-        raise ConfigError(f"temperature must be > 0, got {cfg['temperature']}")
-    if cfg["interaction"] == "mlp" and not cfg["mlp_dims"]:
-        raise ConfigError("mlp_dims must be non-empty when interaction=mlp")
-
-
-@dataclass(frozen=True)
-class HyperParams:
-    """Model dimensions and architectural switches.
-
-    d_t / d_b / d_a are the target, behavior, and attention dims; the
-    residual inside the attention block forces d_a == d_t. d_frozen is the
-    width of the frozen pretrained part of each item vector; the trainable
-    id-embedding supplies the remaining d_t - d_frozen coordinates.
-    The interaction input width is always d_t + d_a (target concat interest).
+    The result holds every key except d_b and d_a, which are checked
+    against the resolved d_t and dropped.
     """
-
-    d_t: int = 16
-    d_b: int = 16
-    d_a: int = 16
-    seq_len: int = 32
-    depth: int = 2
-    m: int = 2
-    dropout_p: float = 0.1
-    attn_kind: str = "relu"
-    attn_dropout: bool = False
-    attn_dropout_p: float = 0.1
-    pooling: str = "asta"
-    interaction: str = "qnn"
-    mlp_dims: tuple[int, ...] = (64, 32)
-    qnn_act: str = "prelu"
-    qnn_residual: bool = True
-    qnn_mid_act: bool = False
-    vocab: int = 0
-    d_frozen: int = 0
-
-    def __post_init__(self):
-        if min(self.d_t, self.d_b, self.d_a, self.seq_len, self.depth, self.m) < 1:
-            raise ConfigError("all model dimensions must be >= 1")
-        if self.d_a != self.d_t:
-            raise ConfigError(
-                f"d_a must equal d_t (residual adds the target embedding to the "
-                f"attention output), got d_a={self.d_a} d_t={self.d_t}")
-        if self.d_b != self.d_t:
-            raise ConfigError(
-                f"d_b must equal d_t (targets and behaviors share one item "
-                f"representation), got d_b={self.d_b} d_t={self.d_t}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if self.attn_kind not in ATTN_KINDS:
-            raise ConfigError(f"attn_kind must be one of {ATTN_KINDS}")
-        if self.pooling not in POOLINGS or self.interaction not in INTERACTIONS:
-            raise ConfigError("bad pooling/interaction value")
-        if self.qnn_act not in QNN_ACTS:
-            raise ConfigError(f"qnn_act must be one of {QNN_ACTS}")
-        if self.vocab < 1:
-            raise ConfigError(f"vocab must be >= 1, got {self.vocab}")
-        if not 0 <= self.d_frozen < self.d_t:
-            raise ConfigError(
-                f"d_frozen must satisfy 0 <= d_frozen < d_t, got {self.d_frozen} vs d_t={self.d_t}")
-        if self.interaction == "mlp" and not self.mlp_dims:
-            raise ConfigError("mlp_dims must be non-empty when interaction=mlp")
-
-    @property
-    def qnn_dim(self) -> int:
-        """Interaction input width: target embedding concat interest vector."""
-        return self.d_t + self.d_a
-
-    @property
-    def d_id(self) -> int:
-        """Trainable id-embedding width."""
-        return self.d_t - self.d_frozen
-
-    @property
-    def out_dim(self) -> int:
-        """Width of the vector fed to the prediction head."""
-        return self.qnn_dim if self.interaction == "qnn" else self.mlp_dims[-1]
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    lr: float = 4e-3
-    emb_weight_decay: float = 2e-4
-    batch_size: int = 256
-    epochs: int = 10
-    patience: int = 3
-    seed: int = 7
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if self.emb_weight_decay < 0:
-            raise ConfigError(f"emb_weight_decay must be >= 0, got {self.emb_weight_decay}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0 or self.patience < 0:
-            raise ConfigError("epochs and patience must be >= 0")
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    """Synthetic dataset knobs; the click model is quadratic by default."""
-
-    n_items: int = 1000
-    n_users: int = 2000
-    n_samples: int = 50_000
-    emb_dim: int = 6
-    max_seq_len: int = 32
-    min_seq_len: int = 32
-    quad_strength: float = 4.0
-    linear_strength: float = 0.0
-    noise_std: float = 0.1
-    seed: int = 7
-    split_frac: float = 0.8
-    temperature: float = 0.1
-
-    def __post_init__(self):
-        if min(self.n_items, self.n_users, self.n_samples, self.emb_dim, self.max_seq_len) < 1:
-            raise ConfigError("generator counts and dims must be >= 1")
-        if not 1 <= self.min_seq_len <= self.max_seq_len:
-            raise ConfigError(
-                f"min_seq_len must be in [1, max_seq_len], got {self.min_seq_len}")
-        if not 0.0 < self.split_frac < 1.0:
-            raise ConfigError(f"split_frac must be in (0, 1), got {self.split_frac}")
-        if self.n_items < self.max_seq_len:
-            raise ConfigError("n_items must be >= max_seq_len")
-        if self.noise_std < 0:
-            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        for name in ("quad_strength", "linear_strength"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-
-
-def hyper_params_from(cfg: dict, vocab: int, d_frozen: int) -> HyperParams:
-    """Build HyperParams from a resolved config plus the embedding-store shape."""
-    return HyperParams(
-        d_t=cfg["d_t"], d_b=cfg["d_b"], d_a=cfg["d_a"],
-        seq_len=cfg["max_seq_len"], depth=cfg["qnn_depth"], m=cfg["qnn_m"],
-        dropout_p=cfg["dropout_p"], attn_kind=cfg["attn_kind"],
-        attn_dropout=cfg["attn_dropout"], attn_dropout_p=cfg["attn_dropout_p"],
-        pooling=cfg["pooling"], interaction=cfg["interaction"],
-        mlp_dims=tuple(cfg["mlp_dims"]), qnn_act=cfg["qnn_act"],
-        qnn_residual=cfg["qnn_residual"], qnn_mid_act=cfg["qnn_mid_act"],
-        vocab=vocab, d_frozen=d_frozen,
-    )
-
-
-def train_config_from(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        lr=cfg["lr"], emb_weight_decay=cfg["emb_weight_decay"],
-        batch_size=cfg["batch_size"], epochs=cfg["epochs"], patience=cfg["patience"],
-        seed=cfg["seed"], adam_beta1=cfg["adam_beta1"], adam_beta2=cfg["adam_beta2"],
-        adam_eps=cfg["adam_eps"],
-    )
-
-
-def gen_config_from(cfg: dict) -> GenConfig:
-    return GenConfig(
-        n_items=cfg["n_items"], n_users=cfg["n_users"], n_samples=cfg["n_samples"],
-        emb_dim=cfg["emb_dim"], max_seq_len=cfg["max_seq_len"],
-        min_seq_len=cfg["min_seq_len"] or cfg["max_seq_len"],
-        quad_strength=cfg["quad_strength"], linear_strength=cfg["linear_strength"],
-        noise_std=cfg["noise_std"], seed=cfg["seed"], split_frac=cfg["split_frac"],
-        temperature=cfg["temperature"],
-    )
+    if preset is not None and preset not in PRESETS:
+        raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
+    cfg = {key: f.default for key, f in KEYS.items()}
+    widths = {}
+    for layer in (PRESETS.get(preset), file_values, flag_values):
+        for key, value in (layer or {}).items():
+            if key in ITEM_WIDTH_KEYS:
+                widths[key] = value
+            elif key in KEYS:
+                cfg[key] = value
+            else:
+                raise ConfigError(f"unknown config key: {key!r}")
+    build(HyperParams, cfg, vocab=1, d_frozen=0, **widths)
+    build(TrainConfig, cfg)
+    build(GenConfig, cfg)
+    return cfg

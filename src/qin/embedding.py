@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_write
-from .config import HyperParams
-from .errors import BadMagicError, ConfigError, DataError, ShapeError, TruncatedFileError
+from .errors import BadMagicError, DataError, ShapeError, TruncatedFileError
 from .linalg import FLOAT, segment_sum
 from .params import Gradients
 
@@ -93,14 +92,6 @@ def load_embeddings(path: str) -> EmbeddingStore:
     return EmbeddingStore(data=data)
 
 
-def check_store_dims(store: EmbeddingStore, hp: HyperParams) -> None:
-    """The frozen dim plus the trainable id dim must add up to d_t."""
-    if store.dim != hp.d_frozen:
-        raise ConfigError(
-            f"embedding store dim {store.dim} does not match configured frozen dim "
-            f"{hp.d_frozen} (d_t={hp.d_t} = frozen + trainable id dims)")
-
-
 def _check_ids(ids: np.ndarray, count: int, what: str) -> None:
     if ids.size and (ids.min() < 0 or ids.max() >= count):
         bad = ids[(ids < 0) | (ids >= count)][0]
@@ -108,10 +99,13 @@ def _check_ids(ids: np.ndarray, count: int, what: str) -> None:
 
 
 def lookup_target(store: EmbeddingStore, id_table: np.ndarray, target_ids: np.ndarray) -> np.ndarray:
-    """Target item vectors, (n, d_t) = concat(frozen row, trainable row)."""
+    """Target item vectors, (n, d_t) = concat(frozen row, trainable row).
+
+    Ids are checked against the store only: item_table, which the model
+    calls first, checks that the store and the id table have the same rows.
+    """
     target_ids = np.asarray(target_ids, dtype=np.int64)
     _check_ids(target_ids, store.count, "target")
-    _check_ids(target_ids, id_table.shape[0], "target")
     return np.concatenate([store.data[target_ids], id_table[target_ids]], axis=1)
 
 
@@ -126,16 +120,6 @@ def item_table(store: EmbeddingStore, id_table: np.ndarray, seq_ids: np.ndarray)
         raise ShapeError(f"embedding store has {store.count} items, id table {id_table.shape[0]}")
     _check_ids(np.asarray(seq_ids), store.count, "sequence")
     return np.concatenate([store.data, id_table], axis=1)
-
-
-def lookup_sequence(store: EmbeddingStore, id_table: np.ndarray,
-                    seq_ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Behavior sequence vectors, (n, s, d_b); padded slots are zero vectors."""
-    seq_ids = np.asarray(seq_ids, dtype=np.int64)
-    _check_ids(seq_ids, store.count, "sequence")
-    _check_ids(seq_ids, id_table.shape[0], "sequence")
-    x_b = np.concatenate([store.data[seq_ids], id_table[seq_ids]], axis=2)
-    return x_b * mask[:, :, None]
 
 
 def embedding_grad_accumulate(grads: Gradients, d_frozen: int,

@@ -135,7 +135,7 @@ def gradcheck_hyperparams(attn_kind: str = "relu", pooling: str = "asta",
                           interaction: str = "qnn", vocab: int = 24,
                           mid_act: bool = False) -> HyperParams:
     """Small instance: d=16, seq len 8, depth = capacity = 2, dropout off."""
-    return HyperParams(d_t=16, d_b=16, d_a=16, seq_len=8, depth=2, m=2,
+    return HyperParams(d_t=16, seq_len=8, depth=2, m=2,
                        dropout_p=0.0, attn_kind=attn_kind, attn_dropout=False,
                        pooling=pooling, interaction=interaction, mlp_dims=(12, 8),
                        qnn_mid_act=mid_act, vocab=vocab, d_frozen=8)

@@ -1,7 +1,7 @@
-"""Dense float64 kernel: matmul, elementwise ops, and the seeded RNG.
+"""Dense float64 kernel helpers: segment sum, activations, and the seeded RNG.
 
 Arrays are plain C-order ``numpy.ndarray`` with dtype float64 throughout;
-matrices are 2-D (rows x cols, row-major) and rank-3 tensors are 3-D.
+products are numpy's own ``@``.
 Randomness always flows through :func:`make_rng` (PCG64), which gives an
 identical draw stream for an identical seed on every platform.
 """
@@ -9,8 +9,6 @@ identical draw stream for an identical seed on every platform.
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import QinError, ShapeError
 
 FLOAT = np.float64
 
@@ -32,42 +30,6 @@ def spawn_rng(seed: int, *stream: int) -> np.random.Generator:
 def rng_normal(rng: np.random.Generator, n: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
     """n Gaussian draws; advances the stream by n. std=0 gives n copies of mean."""
     return np.asarray(rng.normal(mean, std, n), dtype=FLOAT)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard matrix product with 64-bit accumulation.
-
-    Raises ShapeError naming both shapes when the inner dimensions differ.
-    """
-    a = np.asarray(a, dtype=FLOAT)
-    b = np.asarray(b, dtype=FLOAT)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise QinError(f"matmul produced non-finite entries for shapes {a.shape} x {b.shape}")
-    return out
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op} shape mismatch: {a.shape} vs {b.shape}")
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=FLOAT)
-    b = np.asarray(b, dtype=FLOAT)
-    _check_same_shape(a, b, "add")
-    return a + b
-
-
-def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=FLOAT)
-    b = np.asarray(b, dtype=FLOAT)
-    _check_same_shape(a, b, "mul")
-    return a * b
 
 
 def segment_sum(ids: np.ndarray, count: int, *terms) -> np.ndarray:

@@ -82,7 +82,3 @@ def auc_bruteforce(scores, labels) -> float:
     wins = float(np.sum(pos[:, None] > neg[None, :]))
     ties = float(np.sum(pos[:, None] == neg[None, :]))
     return (wins + 0.5 * ties) / (n_pos * n_neg)
-
-
-def logloss(probs, labels) -> float:
-    return bce_loss(probs, labels)

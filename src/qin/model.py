@@ -17,8 +17,7 @@ from .qnn import QnnConfig, assemble_x1, mlp_backward, mlp_forward, qnn_backward
 
 
 def attention_config(hp: HyperParams) -> AttentionConfig:
-    return AttentionConfig(kind=hp.attn_kind, d_a=hp.d_a, d_t=hp.d_t, d_b=hp.d_b,
-                           seq_len=hp.seq_len, dropout=hp.attn_dropout,
+    return AttentionConfig(kind=hp.attn_kind, d_t=hp.d_t, seq_len=hp.seq_len,
                            dropout_p=hp.attn_dropout_p)
 
 
@@ -59,8 +58,8 @@ def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
     if training and dropout_rng is not None:
         attn_mask, qnn_masks = draw_dropout_masks(hp, batch.size, dropout_rng)
 
-    x_t = lookup_target(store, params.id_embedding, batch.target_ids)
     table = item_table(store, params.id_embedding, batch.seq_ids)
+    x_t = lookup_target(store, params.id_embedding, batch.target_ids)
 
     if hp.pooling == "asta":
         o, pool_trace = asta_forward(params.w_q, params.w_k, params.w_v,

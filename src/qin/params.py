@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
 from .config import HyperParams
 from .errors import BadMagicError, ShapeTableError, TruncatedFileError
 from .linalg import FLOAT, rng_normal
@@ -29,9 +30,9 @@ class ModelParams:
     """Every learnable tensor. Only the active interaction stack is stored."""
 
     id_embedding: np.ndarray          # (vocab, d_id) trainable id table
-    w_q: np.ndarray                   # (d_a, d_t)
-    w_k: np.ndarray                   # (d_a, d_b)
-    w_v: np.ndarray                   # (d_a, d_b)
+    w_q: np.ndarray                   # (d_t, d_t)
+    w_k: np.ndarray                   # (d_t, d_t)
+    w_v: np.ndarray                   # (d_t, d_t)
     qnn_w: list = field(default_factory=list)   # depth x (m, D, D)
     prelu: np.ndarray = None          # (depth,) one slope per layer
     head_w: np.ndarray = None         # (out_dim,)
@@ -106,45 +107,33 @@ def params_equal(a: ModelParams, b: ModelParams) -> bool:
 
 
 def init_params(hp: HyperParams, rng: np.random.Generator) -> ModelParams:
-    """Fresh parameters from one seeded stream, in a fixed draw order.
+    """Fresh parameters from one seeded stream, drawn in expected_shapes order.
 
     Projection / interaction / head weights ~ Normal(0, sqrt(1/fan_in)),
-    id embeddings ~ Normal(0, 0.01), PReLU slopes 0.25 (0 when the
-    interaction activation is plain ReLU), all biases 0.
+    fan_in being the last dim; id embeddings ~ Normal(0, 0.01); PReLU
+    slopes 0.25 (0 when the interaction activation is plain ReLU); all
+    biases 0, drawing nothing.
     """
-    def normal(shape, std):
-        n = int(np.prod(shape))
-        return rng_normal(rng, n, 0.0, std).reshape(shape)
-
-    dim = hp.qnn_dim
-    p = ModelParams(
-        id_embedding=normal((hp.vocab, hp.d_id), 0.01),
-        w_q=normal((hp.d_a, hp.d_t), (1.0 / hp.d_t) ** 0.5),
-        w_k=normal((hp.d_a, hp.d_b), (1.0 / hp.d_b) ** 0.5),
-        w_v=normal((hp.d_a, hp.d_b), (1.0 / hp.d_b) ** 0.5),
-    )
-    if hp.interaction == "qnn":
-        p.qnn_w = [normal((hp.m, dim, dim), (1.0 / dim) ** 0.5) for _ in range(hp.depth)]
-        slope0 = 0.25 if hp.qnn_act == "prelu" else 0.0
-        p.prelu = np.full(hp.depth, slope0, dtype=FLOAT)
-    else:
-        widths = [dim, *hp.mlp_dims]
-        p.mlp_w = [normal((widths[i + 1], widths[i]), (1.0 / widths[i]) ** 0.5)
-                   for i in range(len(hp.mlp_dims))]
-        p.mlp_b = [np.zeros(w, dtype=FLOAT) for w in hp.mlp_dims]
-    p.head_w = normal((hp.out_dim,), (1.0 / hp.out_dim) ** 0.5)
-    p.head_b = np.zeros((), dtype=FLOAT)
-    return p
+    arrays = {}
+    for name, shape in expected_shapes(hp).items():
+        if name == "prelu":
+            arrays[name] = np.full(shape, 0.25 if hp.qnn_act == "prelu" else 0.0, dtype=FLOAT)
+        elif name == "head_b" or name.startswith("mlp_b_"):
+            arrays[name] = np.zeros(shape, dtype=FLOAT)
+        else:
+            std = 0.01 if name == "id_embedding" else (1.0 / shape[-1]) ** 0.5
+            arrays[name] = rng_normal(rng, int(np.prod(shape)), 0.0, std).reshape(shape)
+    return _params_from_arrays("init_params", arrays)
 
 
 def expected_shapes(hp: HyperParams) -> dict[str, tuple[int, ...]]:
-    """Shape table implied by a HyperParams; mirrors init_params."""
+    """Shape table implied by a HyperParams, in checkpoint and draw order."""
     dim = hp.qnn_dim
     shapes = {
         "id_embedding": (hp.vocab, hp.d_id),
-        "w_q": (hp.d_a, hp.d_t),
-        "w_k": (hp.d_a, hp.d_b),
-        "w_v": (hp.d_a, hp.d_b),
+        "w_q": (hp.d_t, hp.d_t),
+        "w_k": (hp.d_t, hp.d_t),
+        "w_v": (hp.d_t, hp.d_t),
     }
     if hp.interaction == "qnn":
         for i in range(hp.depth):
@@ -162,7 +151,7 @@ def expected_shapes(hp: HyperParams) -> dict[str, tuple[int, ...]]:
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
     entries = named_arrays(params)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(entries)))
         for name, arr in entries.items():

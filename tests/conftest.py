@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
 from qin.config import GenConfig, HyperParams, TrainConfig
 from qin.datagen import generate
 from qin.dataio import read_dataset
-from qin.embedding import load_embeddings
+from qin.embedding import _check_ids, load_embeddings
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +50,15 @@ def trained_desk_model(default_splits, desk_hp):
     result = train(params, desk_hp, store, train_samples, valid_samples, cfg)
     elapsed = time.monotonic() - started
     return result, elapsed
+
+
+def lookup_sequence(store, id_table, seq_ids, mask):
+    """Reference: one behavior row per sequence slot, (n, s, d_t); padded slots are zero."""
+    seq_ids = np.asarray(seq_ids, dtype=np.int64)
+    _check_ids(seq_ids, store.count, "sequence")
+    _check_ids(seq_ids, id_table.shape[0], "sequence")
+    x_b = np.concatenate([store.data[seq_ids], id_table[seq_ids]], axis=2)
+    return x_b * mask[:, :, None]
 
 
 def print_criterion(num: int, name: str, ok: bool, detail: str) -> None:

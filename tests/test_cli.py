@@ -72,7 +72,7 @@ def test_paper_preset_pins():
     assert cfg["lr"] == 2e-3
     assert cfg["emb_weight_decay"] == 2e-4
     assert cfg["batch_size"] == 8192
-    assert cfg["d_t"] == cfg["d_b"] == cfg["d_a"] == 128
+    assert cfg["d_t"] == 128 and "d_b" not in cfg and "d_a" not in cfg
     assert cfg["qnn_depth"] == cfg["qnn_m"] == 4
     assert cfg["dropout_p"] == 0.1
     assert cfg["mlp_dims"] == [1024, 512, 256]

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from qin import dataio, datagen, embedding, train
+from qin import dataio, datagen, embedding, params, train
 from qin.atomic import atomic_write
+from qin.config import HyperParams
 from qin.dataio import (as_split, build_batch, make_batches, parse_dataset,
                         read_dataset, write_dataset)
 from qin.embedding import Sample
@@ -155,6 +156,8 @@ WRITERS = {
     "save_embeddings": lambda p: embedding.save_embeddings(np.ones((3, 2)), p),
     "write_history": lambda p: train.write_history(
         [HistoryEntry(epoch=0, loss=0.5, val_auc=0.5, val_logloss=0.7)], p),
+    "save_checkpoint": lambda p: params.save_checkpoint(params.init_params(
+        HyperParams(d_t=4, seq_len=2, vocab=3, d_frozen=1), make_rng(0)), p),
 }
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import lookup_sequence
 from qin.config import HyperParams
 from qin.embedding import (EmbeddingStore, embedding_grad_accumulate, item_table,
-                           load_embeddings, lookup_sequence, lookup_target, save_embeddings)
+                           load_embeddings, lookup_target, save_embeddings)
 from qin.errors import BadMagicError, ConfigError, DataError, TruncatedFileError
 from qin.linalg import make_rng
 from qin.params import init_params, zero_gradients

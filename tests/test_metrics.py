@@ -5,7 +5,7 @@ import pytest
 
 from qin.errors import ShapeError, SingleClassError
 from qin.linalg import make_rng, sigmoid
-from qin.metrics import auc, auc_bruteforce, bce_backward, bce_loss, head_forward, logloss
+from qin.metrics import auc, auc_bruteforce, bce_backward, bce_loss, head_forward
 
 
 def test_head_zero_gives_half():
@@ -126,9 +126,3 @@ def test_auc_monotone_transform_bit_exact():
     base = auc(scores, labels)
     assert auc(2.0 * scores + 1.0, labels) == base
     assert auc(sigmoid(scores), labels) == base
-
-
-def test_logloss_alias():
-    probs = np.array([0.6, 0.3])
-    labels = np.array([1.0, 0.0])
-    assert logloss(probs, labels) == bce_loss(probs, labels)
