@@ -24,6 +24,8 @@ batch 8192, dim 128, depth = capacity = 4, dropout 0.1).
 from __future__ import annotations
 
 import math
+import numbers
+import re
 from dataclasses import InitVar, dataclass, field, fields
 
 from .errors import ConfigError
@@ -40,6 +42,15 @@ RULES = {
     "> 0": lambda v: v > 0,
     "in [0, 1)": lambda v: 0 <= v < 1,
     "in (0, 1)": lambda v: 0 < v < 1,
+}
+
+# Type rule per field kind, the first name in the field's annotation other
+# than "tuple": "int | None" is an int, "tuple[int, ...]" holds ints. A
+# str field has a tuple of choices as its range rule.
+KINDS = {
+    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
 }
 
 # Keys accepted but not kept: each must equal d_t, which HyperParams checks.
@@ -87,11 +98,14 @@ def _key(f) -> str:
 
 
 def _check(cfg) -> None:
-    """Apply each field's rule; every float must be finite."""
+    """Apply each field's type rule, then its range rule; floats must be finite."""
     for f in fields(cfg):
         rule = f.metadata["rule"]
+        kind = next(name for name in re.findall(r"\w+", f.type) if name != "tuple")
         value = getattr(cfg, f.name)
         for v in value if isinstance(value, tuple) else (value,):
+            if kind in KINDS and not KINDS[kind](v):
+                raise ConfigError(f"{_key(f)} must be of type {kind}, got {v!r}")
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"{_key(f)} must be finite, got {v!r}")
             if isinstance(rule, tuple) and v not in rule:

@@ -19,7 +19,7 @@ import numpy as np
 from .atomic import atomic_write
 from .errors import BadMagicError, DataError, ShapeError, TruncatedFileError
 from .linalg import FLOAT, segment_sum
-from .params import Gradients
+from .params import ModelParams
 
 EMB_MAGIC = b"QINEMB1"
 
@@ -122,7 +122,7 @@ def item_table(store: EmbeddingStore, id_table: np.ndarray, seq_ids: np.ndarray)
     return np.concatenate([store.data, id_table], axis=1)
 
 
-def embedding_grad_accumulate(grads: Gradients, d_frozen: int,
+def embedding_grad_accumulate(grads: ModelParams, d_frozen: int,
                               target_ids: np.ndarray, d_x_t: np.ndarray,
                               seq_ids: np.ndarray, mask: np.ndarray,
                               d_x_b: np.ndarray) -> None:

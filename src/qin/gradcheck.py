@@ -8,7 +8,8 @@ sign between the two evaluations, are skipped and counted: a central
 difference straddling a kink says nothing about the derivative.
 
 ``run_model_gradcheck`` builds a small random model instance and certifies
-every parameter class of the full loss.
+every parameter class of the full loss, each class a contiguous span of
+the flat parameter buffer.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import QinError
 from .linalg import FLOAT, make_rng
 from .metrics import bce_loss
 from .model import loss_and_grads, model_forward
-from .params import copy_params, init_params, named_arrays
+from .params import copy_params, init_params
 
 
 @dataclass
@@ -162,22 +163,17 @@ def build_random_instance(hp: HyperParams, seed: int, n: int = 4):
     return params, store, batch
 
 
-# Parameter-class layout: report name -> list of named-array keys.
-def parameter_classes(params) -> dict[str, list[str]]:
-    named = named_arrays(params)
-    classes: dict[str, list[str]] = {}
-    for key in named:
-        if key.startswith("qnn_w_"):
-            classes[key] = [key]
-        elif key.startswith("mlp_"):
-            classes.setdefault("mlp", []).append(key)
-        elif key in ("head_w", "head_b"):
-            classes.setdefault("head", []).append(key)
-        elif key == "id_embedding":
-            classes["embeddings"] = [key]
-        else:
-            classes[key] = [key]
-    return classes
+def parameter_classes(params) -> dict[str, slice]:
+    """Report name -> span of params.flat. Each class is a run of adjacent
+    tensors: the id table, each projection, each QNN slice stack, the PReLU
+    slopes, the whole MLP, the head."""
+    spans: dict[str, slice] = {}
+    for name, span in params.spans.items():
+        if name.startswith(("mlp_", "head_")):
+            name = name.split("_")[0]
+        name = "embeddings" if name == "id_embedding" else name
+        spans[name] = slice(spans.get(name, span).start, span.stop)
+    return spans
 
 
 def run_model_gradcheck(seed: int, hp: HyperParams | None = None,
@@ -191,26 +187,19 @@ def run_model_gradcheck(seed: int, hp: HyperParams | None = None,
     hp = hp or gradcheck_hyperparams()
     params, store, batch = build_random_instance(hp, seed)
     _, grads, _ = loss_and_grads(params, hp, store, batch, training=False)
-    g_named = named_arrays(grads)
 
     reports = []
-    for cls_name, keys in parameter_classes(params).items():
-        point = np.concatenate([named_arrays(params)[k].ravel() for k in keys])
-        analytic = np.concatenate([g_named[k].ravel() for k in keys])
+    for cls_name, span in parameter_classes(params).items():
+        analytic = grads.flat[span]
         if sabotage == cls_name:
             analytic = -analytic
 
-        def forward(vec, keys=keys):
+        def forward(vec, span=span):
             trial = copy_params(params)
-            named = named_arrays(trial)
-            at = 0
-            for k in keys:
-                arr = named[k]
-                arr[...] = vec[at:at + arr.size].reshape(arr.shape)
-                at += arr.size
+            trial.flat[span] = vec
             trace = model_forward(trial, hp, store, batch, training=False)
             return bce_loss(trace.probs, batch.labels), collect_kink_preacts(trace, hp)
 
-        reports.append(check(forward, analytic, point, step=step, rel_tol=rel_tol,
-                             name=cls_name, seed=seed))
+        reports.append(check(forward, analytic, params.flat[span], step=step,
+                             rel_tol=rel_tol, name=cls_name, seed=seed))
     return reports

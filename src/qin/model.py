@@ -12,7 +12,7 @@ from .config import HyperParams
 from .embedding import Batch, EmbeddingStore, embedding_grad_accumulate, item_table, lookup_target
 from .linalg import FLOAT
 from .metrics import bce_backward, bce_loss, head_forward
-from .params import Gradients, ModelParams, zero_gradients
+from .params import ModelParams, zero_gradients
 from .qnn import QnnConfig, assemble_x1, mlp_backward, mlp_forward, qnn_backward, qnn_forward
 
 
@@ -83,7 +83,7 @@ def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
 
 
 def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
-                   d_logits: np.ndarray) -> Gradients:
+                   d_logits: np.ndarray) -> ModelParams:
     grads = zero_gradients(params)
 
     grads.head_w += trace.x_last.T @ d_logits

@@ -1,4 +1,10 @@
-"""Learnable parameters, their gradient mirror, and bit-exact checkpoints.
+"""Learnable parameters in one flat buffer, and bit-exact checkpoints.
+
+ModelParams holds every tensor as a named view into one float64 buffer,
+``flat``, laid out in ``expected_shapes`` order: the init draw order and
+the checkpoint entry order. A gradient is a zeroed ModelParams of the same
+layout, so Adam, the best-epoch copy, gradcheck and checkpoints each work
+on the buffer instead of tensor by tensor.
 
 Checkpoint layout ("QINCKPT1"):
   8 bytes   magic b"QINCKPT1"
@@ -6,104 +12,84 @@ Checkpoint layout ("QINCKPT1"):
   entry*    u16 LE name length, utf-8 name, u8 ndim, ndim x u32 LE dims
   payload   per entry, in order: prod(dims) float64 little-endian values
 
-Round trips are bit-identical. Loading against a HyperParams validates the
-shape table and raises ShapeTableError on any disagreement.
+Round trips are bit-identical. Every malformed file raises a
+CheckpointError. Loading against a HyperParams validates the shape table
+and raises ShapeTableError on any disagreement.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
-from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .atomic import atomic_write
 from .config import HyperParams
-from .errors import BadMagicError, ShapeTableError, TruncatedFileError
+from .errors import BadMagicError, ShapeError, ShapeTableError, TruncatedFileError
 from .linalg import FLOAT, rng_normal
 
 MAGIC = b"QINCKPT1"
 
 
-@dataclass
+def _tensor(name: str) -> property:
+    """A named view of ModelParams.flat (None when the layout lacks it).
+    Assigning an array writes it into the buffer; the shape must match."""
+    def assign(params, value):
+        view, value = params.views.get(name), np.asarray(value)
+        if view is None or value.shape != view.shape:
+            raise ShapeError(f"{name} has shape {getattr(view, 'shape', None)}, got {value.shape}")
+        view[...] = value
+    return property(lambda params: params.views.get(name), assign)
+
+
 class ModelParams:
     """Every learnable tensor. Only the active interaction stack is stored."""
 
-    id_embedding: np.ndarray          # (vocab, d_id) trainable id table
-    w_q: np.ndarray                   # (d_t, d_t)
-    w_k: np.ndarray                   # (d_t, d_t)
-    w_v: np.ndarray                   # (d_t, d_t)
-    qnn_w: list = field(default_factory=list)   # depth x (m, D, D)
-    prelu: np.ndarray = None          # (depth,) one slope per layer
-    head_w: np.ndarray = None         # (out_dim,)
-    head_b: np.ndarray = None         # () scalar
-    mlp_w: list = field(default_factory=list)   # per layer (out, in)
-    mlp_b: list = field(default_factory=list)   # per layer (out,)
+    id_embedding = _tensor("id_embedding")   # (vocab, d_id) trainable id table
+    w_q = _tensor("w_q")                     # (d_t, d_t)
+    w_k = _tensor("w_k")                     # (d_t, d_t)
+    w_v = _tensor("w_v")                     # (d_t, d_t)
+    prelu = _tensor("prelu")                 # (depth,) one slope per layer
+    head_w = _tensor("head_w")               # (out_dim,)
+    head_b = _tensor("head_b")               # () scalar
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]], flat: np.ndarray | None = None):
+        """Views over flat (zeros when None), one per entry of shapes, in order."""
+        self.shapes = dict(shapes)
+        ends = list(accumulate(map(math.prod, self.shapes.values()), initial=0))
+        self.spans = {name: slice(a, b) for name, a, b in zip(self.shapes, ends, ends[1:])}
+        self.flat = np.zeros(ends[-1], dtype=FLOAT) if flat is None else flat
+        if self.flat.shape != (ends[-1],):
+            raise ShapeError(f"buffer of shape {self.flat.shape} for a layout of {ends[-1]} values")
+        self.views = {name: self.flat[span].reshape(self.shapes[name])
+                      for name, span in self.spans.items()}
+        self.qnn_w = self._listed("qnn_w_")   # depth x (m, D, D)
+        self.mlp_w = self._listed("mlp_w_")   # per layer (out, in)
+        self.mlp_b = self._listed("mlp_b_")   # per layer (out,)
+
+    def _listed(self, prefix: str) -> list[np.ndarray]:
+        return [view for name, view in self.views.items() if name.startswith(prefix)]
 
 
-@dataclass
-class Gradients:
-    """Structural mirror of ModelParams; zeroed between batches."""
-
-    id_embedding: np.ndarray
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    qnn_w: list = field(default_factory=list)
-    prelu: np.ndarray = None
-    head_w: np.ndarray = None
-    head_b: np.ndarray = None
-    mlp_w: list = field(default_factory=list)
-    mlp_b: list = field(default_factory=list)
+def named_arrays(p: ModelParams) -> dict[str, np.ndarray]:
+    """Name -> view of a ModelParams (parameters or gradient), layout order."""
+    return dict(p.views)
 
 
-def named_arrays(p) -> dict[str, np.ndarray]:
-    """Flat name -> array view of a ModelParams or Gradients, fixed order."""
-    out = {"id_embedding": p.id_embedding, "w_q": p.w_q, "w_k": p.w_k, "w_v": p.w_v}
-    for i, w in enumerate(p.qnn_w):
-        out[f"qnn_w_{i}"] = w
-    if p.qnn_w:
-        out["prelu"] = p.prelu
-    for i, w in enumerate(p.mlp_w):
-        out[f"mlp_w_{i}"] = w
-        out[f"mlp_b_{i}"] = p.mlp_b[i]
-    out["head_w"] = p.head_w
-    out["head_b"] = p.head_b
-    return out
-
-
-def zero_gradients(params: ModelParams) -> Gradients:
-    return Gradients(
-        id_embedding=np.zeros_like(params.id_embedding),
-        w_q=np.zeros_like(params.w_q),
-        w_k=np.zeros_like(params.w_k),
-        w_v=np.zeros_like(params.w_v),
-        qnn_w=[np.zeros_like(w) for w in params.qnn_w],
-        prelu=np.zeros_like(params.prelu) if params.qnn_w else None,
-        head_w=np.zeros_like(params.head_w),
-        head_b=np.zeros_like(params.head_b),
-        mlp_w=[np.zeros_like(w) for w in params.mlp_w],
-        mlp_b=[np.zeros_like(b) for b in params.mlp_b],
-    )
+def zero_gradients(params: ModelParams) -> ModelParams:
+    """A zeroed gradient: a ModelParams of the same layout."""
+    return ModelParams(params.shapes)
 
 
 def copy_params(params: ModelParams) -> ModelParams:
-    return ModelParams(
-        id_embedding=params.id_embedding.copy(),
-        w_q=params.w_q.copy(), w_k=params.w_k.copy(), w_v=params.w_v.copy(),
-        qnn_w=[w.copy() for w in params.qnn_w],
-        prelu=params.prelu.copy() if params.prelu is not None else None,
-        head_w=params.head_w.copy(), head_b=params.head_b.copy(),
-        mlp_w=[w.copy() for w in params.mlp_w],
-        mlp_b=[b.copy() for b in params.mlp_b],
-    )
+    return ModelParams(params.shapes, params.flat.copy())
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
-    na, nb = named_arrays(a), named_arrays(b)
-    if na.keys() != nb.keys():
-        return False
-    return all(np.array_equal(na[k], nb[k]) for k in na)
+    return a.shapes == b.shapes and np.array_equal(a.flat, b.flat)
 
 
 def init_params(hp: HyperParams, rng: np.random.Generator) -> ModelParams:
@@ -114,20 +100,18 @@ def init_params(hp: HyperParams, rng: np.random.Generator) -> ModelParams:
     slopes 0.25 (0 when the interaction activation is plain ReLU); all
     biases 0, drawing nothing.
     """
-    arrays = {}
-    for name, shape in expected_shapes(hp).items():
+    params = ModelParams(expected_shapes(hp))
+    for name, span in params.spans.items():
         if name == "prelu":
-            arrays[name] = np.full(shape, 0.25 if hp.qnn_act == "prelu" else 0.0, dtype=FLOAT)
-        elif name == "head_b" or name.startswith("mlp_b_"):
-            arrays[name] = np.zeros(shape, dtype=FLOAT)
-        else:
-            std = 0.01 if name == "id_embedding" else (1.0 / shape[-1]) ** 0.5
-            arrays[name] = rng_normal(rng, int(np.prod(shape)), 0.0, std).reshape(shape)
-    return _params_from_arrays("init_params", arrays)
+            params.flat[span] = 0.25 if hp.qnn_act == "prelu" else 0.0
+        elif name != "head_b" and not name.startswith("mlp_b_"):
+            std = 0.01 if name == "id_embedding" else (1.0 / params.shapes[name][-1]) ** 0.5
+            params.flat[span] = rng_normal(rng, span.stop - span.start, 0.0, std)
+    return params
 
 
 def expected_shapes(hp: HyperParams) -> dict[str, tuple[int, ...]]:
-    """Shape table implied by a HyperParams, in checkpoint and draw order."""
+    """Shape table implied by a HyperParams, in buffer, checkpoint and draw order."""
     dim = hp.qnn_dim
     shapes = {
         "id_embedding": (hp.vocab, hp.d_id),
@@ -150,19 +134,14 @@ def expected_shapes(hp: HyperParams) -> dict[str, tuple[int, ...]]:
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
-    entries = named_arrays(params)
     with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(entries)))
-        for name, arr in entries.items():
+        fh.write(struct.pack("<I", len(params.shapes)))
+        for name, shape in params.shapes.items():
             blob = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-        for arr in entries.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(struct.pack(f"<H{len(blob)}sB{len(shape)}I",
+                                 len(blob), blob, len(shape), *shape))
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -174,60 +153,36 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 
 def load_checkpoint(path: str, hp: HyperParams | None = None) -> ModelParams:
-    """Rebuild ModelParams from a checkpoint; validate shapes against hp if given."""
+    """Rebuild ModelParams from a checkpoint; validate shapes against hp if given.
+
+    Without hp the file's own shape table is the layout.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
         (n_entries,) = struct.unpack("<I", _read_exact(fh, 4, "entry count"))
-        table: list[tuple[str, tuple[int, ...]]] = []
+        shapes: dict[str, tuple[int, ...]] = {}
         for _ in range(n_entries):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
+            blob = _read_exact(fh, name_len, "name")
+            try:
+                name = blob.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ShapeTableError(f"{path}: entry name {blob!r} is not utf-8") from None
+            if name in shapes:
+                raise ShapeTableError(f"{path}: entry {name!r} appears twice")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "ndim"))
-            dims = tuple(struct.unpack("<I", _read_exact(fh, 4, "dim"))[0] for _ in range(ndim))
-            table.append((name, dims))
-        arrays = {}
-        for name, dims in table:
-            count = int(np.prod(dims)) if dims else 1
-            raw = _read_exact(fh, count * 8, f"payload of {name}")
-            arrays[name] = np.frombuffer(raw, dtype="<f8").astype(FLOAT).reshape(dims)
-
-    if hp is not None:
-        want = expected_shapes(hp)
-        got = {name: dims for name, dims in table}
-        if want != got:
-            missing = sorted(set(want) - set(got))
-            extra = sorted(set(got) - set(want))
-            diff = sorted(k for k in set(want) & set(got) if want[k] != got[k])
-            raise ShapeTableError(
-                f"{path}: shape table mismatch (missing={missing}, unexpected={extra}, "
-                f"shape-diff={[(k, got[k], want[k]) for k in diff]})")
-
-    return _params_from_arrays(path, arrays)
-
-
-def _params_from_arrays(path: str, arrays: dict[str, np.ndarray]) -> ModelParams:
-    required = ("id_embedding", "w_q", "w_k", "w_v", "head_w", "head_b")
-    for name in required:
-        if name not in arrays:
-            raise ShapeTableError(f"{path}: checkpoint is missing entry {name!r}")
-    qnn_w = []
-    while f"qnn_w_{len(qnn_w)}" in arrays:
-        qnn_w.append(arrays[f"qnn_w_{len(qnn_w)}"])
-    mlp_w, mlp_b = [], []
-    while f"mlp_w_{len(mlp_w)}" in arrays:
-        i = len(mlp_w)
-        if f"mlp_b_{i}" not in arrays:
-            raise ShapeTableError(f"{path}: mlp_w_{i} present without mlp_b_{i}")
-        mlp_w.append(arrays[f"mlp_w_{i}"])
-        mlp_b.append(arrays[f"mlp_b_{i}"])
-    if qnn_w and "prelu" not in arrays:
-        raise ShapeTableError(f"{path}: interaction tensors present without prelu slopes")
-    return ModelParams(
-        id_embedding=arrays["id_embedding"],
-        w_q=arrays["w_q"], w_k=arrays["w_k"], w_v=arrays["w_v"],
-        qnn_w=qnn_w, prelu=arrays.get("prelu"),
-        head_w=arrays["head_w"], head_b=arrays["head_b"],
-        mlp_w=mlp_w, mlp_b=mlp_b,
-    )
+            shapes[name] = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"dims of {name}"))
+        n_bytes = 8 * sum(math.prod(dims) for dims in shapes.values())
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if n_bytes > left:
+            raise TruncatedFileError(f"{path}: payload needs {n_bytes} bytes, {left} remain")
+        if hp is not None and shapes != (want := expected_shapes(hp)):
+            diff = {k: (shapes.get(k), want.get(k)) for k in sorted({*shapes, *want})
+                    if shapes.get(k) != want.get(k)}
+            raise ShapeTableError(f"{path}: shape table mismatch, entry: (file, expected) {diff}")
+        flat = np.empty(n_bytes // 8, dtype="<f8")
+        if fh.readinto(flat) != n_bytes:
+            raise TruncatedFileError(f"{path}: checkpoint ended while reading the payload")
+    return ModelParams(shapes, flat.astype(FLOAT, copy=False))

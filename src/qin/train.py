@@ -1,8 +1,11 @@
 """Adam with embedding-only weight decay, the epoch loop, and evaluation.
 
+Adam updates the flat parameter buffer (see params.py) in fixed-size
+chunks, with its moments in two arrays of the same layout.
+
 Determinism contract: the epoch shuffle and every dropout mask derive from
 the run seed (dropout from a per-step counter), parameters update in a
-fixed name order, and evaluation runs serially, so identical seeds give
+fixed buffer order, and evaluation runs serially, so identical seeds give
 bit-identical histories and checkpoints.
 """
 
@@ -20,7 +23,7 @@ from .errors import NonFiniteLossError, ShapeError, SingleClassError
 from .linalg import FLOAT, spawn_rng
 from .metrics import auc, bce_loss
 from .model import loss_and_grads, predict_probs
-from .params import Gradients, ModelParams, copy_params, named_arrays
+from .params import ModelParams, copy_params
 
 # Substream tags for the run seed, so shuffling and dropout never collide.
 _SHUFFLE_STREAM = 1
@@ -29,45 +32,43 @@ _DROPOUT_STREAM = 2
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """First and second moments, one entry per value of ModelParams.flat."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
-        named = named_arrays(params)
-        return cls(m={k: np.zeros_like(a) for k, a in named.items()},
-                   v={k: np.zeros_like(a) for k, a in named.items()})
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-# Parameter names whose gradient receives the coupled L2 term.
-DECAYED = ("id_embedding",)
+# Entries per Adam chunk: the temporaries of one chunk stay in cache.
+ADAM_CHUNK = 32_768
 
 
-def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
+def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
               cfg: TrainConfig) -> None:
-    """In-place Adam update with bias correction.
+    """In-place Adam update with bias correction, over the flat buffers.
 
     Weight decay is coupled (g <- g + lambda * theta) and restricted to the
-    embedding tables; every other parameter is undecayed.
+    embedding table's span; every other parameter is undecayed. The update
+    runs chunk by chunk; each entry sees the same arithmetic as a
+    tensor-by-tensor loop, so the result is the same to the bit.
     """
-    p_named = named_arrays(params)
-    g_named = named_arrays(grads)
-    if p_named.keys() != g_named.keys():
-        raise ShapeError("params and grads disagree on parameter names")
+    if grads.shapes != params.shapes:
+        raise ShapeError("params and grads disagree on the parameter layout")
     state.step += 1
-    t = state.step
-    bc1 = 1.0 - cfg.adam_beta1 ** t
-    bc2 = 1.0 - cfg.adam_beta2 ** t
-    for name in p_named:
-        theta = p_named[name]
-        g = g_named[name]
-        if g.shape != theta.shape:
-            raise ShapeError(f"gradient shape {g.shape} != param shape {theta.shape} for {name}")
-        if name in DECAYED and cfg.emb_weight_decay > 0:
+    bc1 = 1.0 - cfg.adam_beta1 ** state.step
+    bc2 = 1.0 - cfg.adam_beta2 ** state.step
+    decay = params.spans["id_embedding"] if cfg.emb_weight_decay > 0 else slice(0, 0)
+    n = params.flat.size
+    edges = sorted({*range(0, n, ADAM_CHUNK), decay.start, decay.stop, n})
+    for start, stop in zip(edges, edges[1:]):
+        theta, g = params.flat[start:stop], grads.flat[start:stop]
+        if decay.start <= start and stop <= decay.stop:
             g = g + cfg.emb_weight_decay * theta
-        m = state.m[name]
-        v = state.v[name]
+        m, v = state.m[start:stop], state.v[start:stop]
         m *= cfg.adam_beta1
         m += (1.0 - cfg.adam_beta1) * g
         v *= cfg.adam_beta2

@@ -146,6 +146,16 @@ def test_eval_checkpoint_shape_mismatch_exit_3(tiny_data, tmp_path):
     assert main(["eval", "--data", str(tiny_data), "--ckpt", str(ckpt), *TINY_MODEL]) == 3
 
 
+def test_eval_checkpoint_corrupted_name_exit_3(tiny_data, tmp_path):
+    hp = HyperParams(d_t=8, seq_len=6, vocab=60, d_frozen=4)
+    ckpt = tmp_path / "bad_name.ckpt"
+    save_checkpoint(init_params(hp, make_rng(2)), str(ckpt))
+    data = ckpt.read_bytes()
+    at = data.index(b"w_q")
+    ckpt.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    assert main(["eval", "--data", str(tiny_data), "--ckpt", str(ckpt), *TINY_MODEL]) == 3
+
+
 def test_eval_single_class_exit_4(tiny_data, tmp_path, capsys):
     # rewrite the valid split with one class only
     single = tmp_path / "single"

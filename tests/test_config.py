@@ -37,6 +37,11 @@ CONSTRUCTOR_CASES = {
     "temperature_nan": lambda: GenConfig(temperature=NAN),
     "noise_std_nan": lambda: GenConfig(noise_std=NAN),
     "quad_strength_inf": lambda: GenConfig(quad_strength=INF),
+    "depth_float": lambda: HyperParams(vocab=3, depth=2.5),
+    "attn_dropout_str": lambda: HyperParams(vocab=3, attn_dropout="no"),
+    "batch_size_float": lambda: TrainConfig(batch_size=2.5),
+    "epochs_str": lambda: TrainConfig(epochs="3"),
+    "lr_str": lambda: TrainConfig(lr="0.1"),
 }
 
 

@@ -156,7 +156,7 @@ def test_scatter_add_drops_frozen_part():
                               np.zeros((1, 2), dtype=np.int64), np.zeros((1, 2)),
                               np.zeros((1, 2, 6)))
     assert np.array_equal(grads.id_embedding[2], np.ones(3))
-    # no slot for the frozen store exists at all in Gradients
+    # no slot for the frozen store exists at all in a gradient
     assert not hasattr(grads, "store")
 
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from qin.config import HyperParams
-from qin.errors import BadMagicError, ConfigError, ShapeTableError, TruncatedFileError
+from qin.errors import (BadMagicError, CheckpointError, ConfigError, ShapeError,
+                        ShapeTableError, TruncatedFileError)
 from qin.linalg import make_rng, rng_normal
-from qin.params import (expected_shapes, init_params, load_checkpoint,
+from qin.params import (copy_params, expected_shapes, init_params, load_checkpoint,
                         named_arrays, params_equal, save_checkpoint, zero_gradients)
 
 
@@ -101,3 +102,95 @@ def test_checkpoint_loads_without_hp(tmp_path):
     save_checkpoint(p, str(path))
     loaded = load_checkpoint(str(path))
     assert params_equal(p, loaded)
+
+
+def test_named_views_share_the_flat_buffer():
+    for hp in (small_hp(), small_hp(interaction="mlp", mlp_dims=(6, 5))):
+        p = init_params(hp, make_rng(6))
+        named = named_arrays(p)
+        assert list(named) == list(expected_shapes(hp))
+        assert p.flat.size == sum(a.size for a in named.values())
+        for name, arr in named.items():
+            assert np.shares_memory(arr, p.flat), name
+            arr += 1.0
+        assert np.array_equal(np.concatenate([a.ravel() for a in named.values()]), p.flat)
+        for listed in (p.qnn_w, p.mlp_w, p.mlp_b):
+            assert all(np.shares_memory(w, p.flat) for w in listed)
+        c = copy_params(p)
+        assert params_equal(c, p) and not np.shares_memory(c.flat, p.flat)
+        c.flat += 1.0
+        assert not params_equal(c, p)
+        g = zero_gradients(p)
+        assert g.shapes == p.shapes and not np.any(g.flat)
+
+
+def test_assigning_by_name_writes_into_the_buffer():
+    hp = small_hp()
+    p = init_params(hp, make_rng(8))
+    flat = p.flat
+    table = make_rng(9).standard_normal(p.id_embedding.shape)
+    p.id_embedding = table
+    p.head_b = 2.5
+    assert p.flat is flat
+    assert np.array_equal(flat[:table.size], table.ravel())
+    assert flat[-1] == 2.5 and float(p.head_b) == 2.5
+    with pytest.raises(ShapeError):
+        p.w_q = np.zeros((hp.d_t, hp.d_t + 1))
+    mlp = init_params(small_hp(interaction="mlp", mlp_dims=(6,)), make_rng(8))
+    assert mlp.prelu is None
+    with pytest.raises(ShapeError):
+        mlp.prelu = np.zeros(2)
+
+
+def tiny_checkpoint(tmp_path):
+    hp = HyperParams(d_t=4, seq_len=2, depth=1, m=1, vocab=3, d_frozen=2)
+    p = init_params(hp, make_rng(10))
+    path = tmp_path / "tiny.ckpt"
+    save_checkpoint(p, str(path))
+    n_header = path.stat().st_size - 8 * p.flat.size
+    return hp, path.read_bytes(), n_header
+
+
+def loads_or_raises_checkpoint_error(path, hp):
+    try:
+        load_checkpoint(str(path), hp)
+    except CheckpointError:
+        pass
+
+
+def test_every_header_bit_flip_loads_or_raises_checkpoint_error(tmp_path):
+    hp, data, n_header = tiny_checkpoint(tmp_path)
+    path = tmp_path / "flipped.ckpt"
+    for byte in range(n_header):
+        for bit in range(8):
+            flipped = bytearray(data)
+            flipped[byte] ^= 1 << bit
+            path.write_bytes(bytes(flipped))
+            for with_hp in (hp, None):
+                loads_or_raises_checkpoint_error(path, with_hp)
+
+
+def test_every_truncation_raises_checkpoint_error(tmp_path):
+    hp, data, _ = tiny_checkpoint(tmp_path)
+    path = tmp_path / "cut.ckpt"
+    for n in range(len(data)):
+        path.write_bytes(data[:n])
+        for with_hp in (hp, None):
+            with pytest.raises(CheckpointError):
+                load_checkpoint(str(path), with_hp)
+
+
+def test_malformed_names_raise_shape_table_error(tmp_path):
+    hp, data, _ = tiny_checkpoint(tmp_path)
+    # The first entry, "id_embedding", starts after the magic, the entry
+    # count and its u16 name length.
+    at = 8 + 4 + 2
+    path = tmp_path / "bad_name.ckpt"
+    path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    with pytest.raises(ShapeTableError, match="utf-8"):
+        load_checkpoint(str(path))
+    # Renaming w_k to w_q repeats a name.
+    at = data.index(b"w_k")
+    path.write_bytes(data[:at] + b"w_q" + data[at + 3:])
+    with pytest.raises(ShapeTableError, match="twice"):
+        load_checkpoint(str(path))

@@ -13,7 +13,7 @@ from qin.metrics import auc as rank_auc
 from qin.model import predict_probs
 from qin.params import (copy_params, init_params, named_arrays, params_equal,
                         zero_gradients)
-from qin.train import AdamState, adam_step, evaluate, train
+from qin.train import ADAM_CHUNK, AdamState, adam_step, evaluate, train
 
 HP = HyperParams(d_t=8, d_b=8, d_a=8, seq_len=6, depth=2, m=2, dropout_p=0.1,
                  vocab=20, d_frozen=4)
@@ -84,6 +84,55 @@ def test_decay_scopes_to_embeddings_only():
     for name in named0:
         if name != "id_embedding":
             assert np.array_equal(named0[name], named1[name]), name
+
+
+def per_name_adam(params, grads, m, v, t, cfg):
+    """Reference: the tensor-by-tensor Adam loop, moments kept per name."""
+    p_named = named_arrays(params)
+    g_named = named_arrays(grads)
+    bc1 = 1.0 - cfg.adam_beta1 ** t
+    bc2 = 1.0 - cfg.adam_beta2 ** t
+    for name in p_named:
+        theta = p_named[name]
+        g = g_named[name]
+        if name == "id_embedding" and cfg.emb_weight_decay > 0:
+            g = g + cfg.emb_weight_decay * theta
+        m[name] *= cfg.adam_beta1
+        m[name] += (1.0 - cfg.adam_beta1) * g
+        v[name] *= cfg.adam_beta2
+        v[name] += (1.0 - cfg.adam_beta2) * (g * g)
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + cfg.adam_eps)
+        theta -= cfg.lr * update
+
+
+# Longer than two Adam chunks, with an id table (9000 x 10) that ends
+# inside the third chunk.
+WIDE_TABLE = HyperParams(d_t=16, seq_len=4, depth=2, m=2, vocab=9000, d_frozen=6)
+
+
+@pytest.mark.parametrize("decay", [0.0, 0.05])
+@pytest.mark.parametrize("hp", [HP, dataclasses.replace(HP, interaction="mlp", mlp_dims=(6, 5)),
+                                WIDE_TABLE], ids=["qnn", "mlp", "wide_table"])
+def test_flat_adam_matches_per_name_loop_bit_for_bit(hp, decay):
+    params = init_params(hp, make_rng(30))
+    if hp is WIDE_TABLE:
+        assert params.flat.size > 2 * ADAM_CHUNK
+        assert params.id_embedding.size > 2 * ADAM_CHUNK
+        assert params.id_embedding.size % ADAM_CHUNK
+    reference = copy_params(params)
+    m = {k: np.zeros_like(a) for k, a in named_arrays(reference).items()}
+    v = {k: np.zeros_like(a) for k, a in named_arrays(reference).items()}
+    state = AdamState.for_params(params)
+    cfg = TrainConfig(lr=0.01, emb_weight_decay=decay)
+    grad_rng = make_rng(31)
+    for t in range(1, 21):
+        grads = zero_gradients(params)
+        grads.flat[:] = grad_rng.standard_normal(grads.flat.size)
+        adam_step(params, grads, state, cfg)
+        per_name_adam(reference, grads, m, v, t, cfg)
+        assert params_equal(params, reference), t
+    assert np.array_equal(state.m, np.concatenate([a.ravel() for a in m.values()]))
+    assert np.array_equal(state.v, np.concatenate([a.ravel() for a in v.values()]))
 
 
 def test_train_epochs_zero_returns_init():
