@@ -11,6 +11,7 @@ Values are widened to float64 on load; save/load round trips bit-exactly.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -73,6 +74,13 @@ def save_embeddings(data: np.ndarray, path: str) -> None:
 
 
 def load_embeddings(path: str) -> EmbeddingStore:
+    """Read a QINEMB1 file. Every malformed file raises a QinError.
+
+    The declared payload is checked against the file size before it is
+    read, so a corrupt count or dim can neither allocate beyond the file
+    nor leave bytes unread. A NaN or inf payload raises DataError, and the
+    invalid-value warning a signalling NaN sets off when widened is muted.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(EMB_MAGIC))
         if magic != EMB_MAGIC:
@@ -81,12 +89,20 @@ def load_embeddings(path: str) -> EmbeddingStore:
         if len(header) != 8:
             raise TruncatedFileError(f"{path}: embedding header truncated")
         count, dim = struct.unpack("<II", header)
-        raw = fh.read(count * dim * 4)
-        if len(raw) != count * dim * 4:
-            raise TruncatedFileError(
-                f"{path}: embedding payload truncated (wanted {count * dim * 4} bytes, "
-                f"got {len(raw)})")
-    data = np.frombuffer(raw, dtype="<f4").astype(FLOAT).reshape(count, dim)
+        n_bytes = count * dim * 4
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if n_bytes > left:
+            raise TruncatedFileError(f"{path}: embedding payload truncated "
+                                     f"({count} x {dim} needs {n_bytes} bytes, {left} remain)")
+        if n_bytes < left:
+            raise DataError(f"{path}: {left - n_bytes} surplus bytes after the "
+                            f"{n_bytes}-byte embedding payload")
+        raw = fh.read(n_bytes)
+        if len(raw) != n_bytes:
+            raise TruncatedFileError(f"{path}: embedding payload ended after {len(raw)} "
+                                     f"of {n_bytes} bytes")
+    with np.errstate(invalid="ignore"):   # a signalling NaN warns in the cast
+        data = np.frombuffer(raw, dtype="<f4").astype(FLOAT).reshape(count, dim)
     if not np.all(np.isfinite(data)):
         raise DataError(f"{path}: embedding store contains non-finite values")
     return EmbeddingStore(data=data)

@@ -13,8 +13,9 @@ Checkpoint layout ("QINCKPT1"):
   payload   per entry, in order: prod(dims) float64 little-endian values
 
 Round trips are bit-identical. Every malformed file raises a
-CheckpointError. Loading against a HyperParams validates the shape table
-and raises ShapeTableError on any disagreement.
+CheckpointError, a file with bytes after the payload included. Loading
+against a HyperParams validates the shape table and raises
+ShapeTableError on any disagreement.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import numpy as np
 
 from .atomic import atomic_write
 from .config import HyperParams
-from .errors import BadMagicError, ShapeError, ShapeTableError, TruncatedFileError
+from .errors import (BadMagicError, CheckpointError, ShapeError, ShapeTableError,
+                     TruncatedFileError)
 from .linalg import FLOAT, rng_normal
 
 MAGIC = b"QINCKPT1"
@@ -178,6 +180,9 @@ def load_checkpoint(path: str, hp: HyperParams | None = None) -> ModelParams:
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if n_bytes > left:
             raise TruncatedFileError(f"{path}: payload needs {n_bytes} bytes, {left} remain")
+        if n_bytes < left:
+            raise CheckpointError(f"{path}: {left - n_bytes} surplus bytes after the "
+                                  f"{n_bytes}-byte payload")
         if hp is not None and shapes != (want := expected_shapes(hp)):
             diff = {k: (shapes.get(k), want.get(k)) for k in sorted({*shapes, *want})
                     if shapes.get(k) != want.get(k)}

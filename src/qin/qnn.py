@@ -9,6 +9,13 @@ inside the form. The activation is PReLU with one learnable slope per
 layer (plain ReLU for the no-PReLU ablation), applied after the product by
 default or to the head sum before it (mid-activation variant).
 
+The elementwise chain has no select on the sign of the pre-activation:
+PReLU, its derivative and the slope gradient are max/min arithmetic (see
+``linalg.prelu``, ``prelu_grad`` and ``prelu_slope_grad``). Dropout
+scaling, the residual add and the d_x accumulation run in place on
+temporaries the layer itself made, in the same operand order as the plain
+expressions, so results are unchanged.
+
 ``brute_force_expansion`` recomputes a layer monomial by monomial in pure
 Python and is the independent oracle for the vectorized path.
 """
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import FLOAT, prelu, prelu_grad
+from .linalg import FLOAT, prelu, prelu_grad, prelu_slope_grad
 
 @dataclass(frozen=True)
 class QnnConfig:
@@ -66,14 +73,17 @@ def qnn_layer_forward(w: np.ndarray, slope: float, x: np.ndarray, cfg: QnnConfig
     t = x @ w.sum(axis=0).T
     if cfg.mid_act:
         h = t
-        branch = x * prelu(t, slope)
+        branch = prelu(t, slope)
+        np.multiply(x, branch, out=branch)
     else:
         h = x * t
         branch = prelu(h, slope)
     if drop_mask is not None:
-        branch = branch * drop_mask / (1.0 - cfg.dropout_p)
-    x_next = x + branch if cfg.residual else branch
-    return x_next, QnnLayerTrace(x=x, t=t, h=h, drop_mask=drop_mask)
+        branch *= drop_mask
+        branch /= 1.0 - cfg.dropout_p
+    if cfg.residual:
+        np.add(x, branch, out=branch)
+    return branch, QnnLayerTrace(x=x, t=t, h=h, drop_mask=drop_mask)
 
 
 def qnn_layer_backward(w: np.ndarray, slope: float, cfg: QnnConfig,
@@ -85,29 +95,27 @@ def qnn_layer_backward(w: np.ndarray, slope: float, cfg: QnnConfig,
     """
     d_branch = d_out
     if trace.drop_mask is not None:
-        d_branch = d_branch * trace.drop_mask / (1.0 - cfg.dropout_p)
+        d_branch = d_out * trace.drop_mask
+        d_branch /= 1.0 - cfg.dropout_p
 
-    x = trace.x
+    x, h = trace.x, trace.h   # under mid_act h is t itself
+    d_act = d_branch * x if cfg.mid_act else d_branch   # gradient at act's output
+    d_slope = 0.0 if cfg.act == "relu" else prelu_slope_grad(h, d_act)
+    d_h = prelu_grad(h, slope)
+    np.multiply(d_act, d_h, out=d_h)
     if cfg.mid_act:
         # branch = x * act(t)
-        act_t = prelu(trace.t, slope)
-        d_x = d_branch * act_t
-        d_act = d_branch * x
-        d_t = d_act * prelu_grad(trace.t, slope)
-        d_slope = float(np.sum(np.where(trace.t < 0, d_act * trace.t, 0.0)))
+        d_x = prelu(h, slope)
+        np.multiply(d_branch, d_x, out=d_x)
+        d_t = d_h
     else:
         # branch = act(x * t)
-        d_h = d_branch * prelu_grad(trace.h, slope)
-        d_slope = float(np.sum(np.where(trace.h < 0, d_branch * trace.h, 0.0)))
         d_x = d_h * trace.t
-        d_t = d_h * x
-
+        d_t = np.multiply(d_h, x, out=d_h)
     d_w = np.broadcast_to(d_t.T @ x, w.shape)
-    d_x = d_x + d_t @ w.sum(axis=0)
+    np.add(d_x, d_t @ w.sum(axis=0), out=d_x)
     if cfg.residual:
-        d_x = d_x + d_out
-    if cfg.act == "relu":
-        d_slope = 0.0
+        np.add(d_x, d_out, out=d_x)
     return d_w, d_slope, d_x
 
 

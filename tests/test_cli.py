@@ -156,6 +156,15 @@ def test_eval_checkpoint_corrupted_name_exit_3(tiny_data, tmp_path):
     assert main(["eval", "--data", str(tiny_data), "--ckpt", str(ckpt), *TINY_MODEL]) == 3
 
 
+def test_eval_checkpoint_surplus_bytes_exit_3(tiny_data, tmp_path, capsys):
+    hp = HyperParams(d_t=8, seq_len=6, vocab=60, d_frozen=4)
+    ckpt = tmp_path / "long.ckpt"
+    save_checkpoint(init_params(hp, make_rng(2)), str(ckpt))
+    ckpt.write_bytes(ckpt.read_bytes() + b"\x00" * 40)
+    assert main(["eval", "--data", str(tiny_data), "--ckpt", str(ckpt), *TINY_MODEL]) == 3
+    assert "40 surplus bytes" in capsys.readouterr().err
+
+
 def test_eval_single_class_exit_4(tiny_data, tmp_path, capsys):
     # rewrite the valid split with one class only
     single = tmp_path / "single"

@@ -5,7 +5,7 @@ from conftest import lookup_sequence
 from qin.config import HyperParams
 from qin.embedding import (EmbeddingStore, embedding_grad_accumulate, item_table,
                            load_embeddings, lookup_target, save_embeddings)
-from qin.errors import BadMagicError, ConfigError, DataError, TruncatedFileError
+from qin.errors import BadMagicError, ConfigError, DataError, QinError, TruncatedFileError
 from qin.linalg import make_rng
 from qin.params import init_params, zero_gradients
 
@@ -39,6 +39,70 @@ def test_embedding_file_truncated(tmp_path):
     cut.write_bytes(data[:-8])
     with pytest.raises(TruncatedFileError):
         load_embeddings(str(cut))
+
+
+def small_embedding_file(tmp_path):
+    """A 5 x 3 QINEMB1 file: 7 magic, 8 header and 60 payload bytes."""
+    path = tmp_path / "small.qemb"
+    save_embeddings(make_store(count=5, dim=3).data, str(path))
+    return path.read_bytes()
+
+
+def test_embedding_surplus_bytes_rejected(tmp_path):
+    data = small_embedding_file(tmp_path)
+    path = tmp_path / "long.qemb"
+    for extra in (1, 4, 40):
+        path.write_bytes(data + b"\x00" * extra)
+        with pytest.raises(DataError, match=f"{extra} surplus bytes"):
+            load_embeddings(str(path))
+
+
+def test_embedding_huge_declared_count_is_truncation(tmp_path):
+    data = small_embedding_file(tmp_path)
+    path = tmp_path / "huge.qemb"
+    path.write_bytes(data[:7] + (2**32 - 1).to_bytes(4, "little") + data[11:])
+    with pytest.raises(TruncatedFileError, match="needs"):
+        load_embeddings(str(path))
+
+
+# float32 bit patterns: quiet NaN, signalling NaN (its widening cast sets
+# the invalid flag), +inf, -inf.
+@pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001, 0x7F800000, 0xFF800000])
+def test_embedding_non_finite_payload_rejected(tmp_path, bits):
+    data = bytearray(small_embedding_file(tmp_path))
+    at = 7 + 8 + 4 * 7   # the payload's eighth value
+    data[at:at + 4] = bits.to_bytes(4, "little")
+    path = tmp_path / "nonfinite.qemb"
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataError, match="non-finite"):
+        load_embeddings(str(path))
+
+
+def test_every_bit_flip_loads_or_raises_qin_error(tmp_path):
+    # Tier-1 turns warnings into errors, so a flip that reaches a raw numpy
+    # warning or exception fails here.
+    data = small_embedding_file(tmp_path)
+    path = tmp_path / "flipped.qemb"
+    for byte in range(len(data)):
+        for bit in range(8):
+            flipped = bytearray(data)
+            flipped[byte] ^= 1 << bit
+            path.write_bytes(bytes(flipped))
+            try:
+                store = load_embeddings(str(path))
+            except QinError:
+                continue
+            assert store.data.shape == (5, 3)
+            assert np.all(np.isfinite(store.data))
+
+
+def test_every_truncation_raises_qin_error(tmp_path):
+    data = small_embedding_file(tmp_path)
+    path = tmp_path / "cut.qemb"
+    for n in range(len(data)):
+        path.write_bytes(data[:n])
+        with pytest.raises(QinError):
+            load_embeddings(str(path))
 
 
 def test_lookup_target_concat_layout():

@@ -1,7 +1,10 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from qin.linalg import (make_rng, prelu, prelu_grad, relu, relu2, rng_normal, segment_sum,
-                        sigmoid, silu, silu_grad)
+from qin.linalg import (make_rng, prelu, prelu_grad, prelu_slope_grad, relu, relu2, rng_normal,
+                        segment_sum, sigmoid, silu, silu_grad)
 
 
 def test_elementwise_definitions():
@@ -39,6 +42,51 @@ def test_activation_gradients_match_finite_differences():
                      (lambda v: prelu(v, 0.3), lambda v: prelu_grad(v, 0.3))):
         numeric = (fn(x + h) - fn(x - h)) / (2 * h)
         assert np.max(np.abs(numeric - grad(x))) < 1e-6
+
+
+def where_prelu(x, slope):
+    return np.where(x >= 0.0, x, slope * x)
+
+
+def where_prelu_grad(x, slope):
+    return np.where(x >= 0.0, 1.0, slope)
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, -1e-310, 1e308, -1e308])
+VALUES = st.one_of(SPECIAL, st.floats(allow_nan=True, allow_infinity=True))
+SLOPES = st.one_of(st.sampled_from([0.0, -0.0, 0.25, -0.25, -3.0]),
+                   st.floats(max_value=-1e-300, allow_nan=False, allow_infinity=False),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(deadline=None, max_examples=300)
+@given(x=arrays(np.float64, st.tuples(st.integers(0, 9), st.integers(1, 9)), elements=VALUES),
+       slope=SLOPES)
+def test_prelu_matches_where_definition(x, slope):
+    # The np.where forms are the reference; ±0, ±inf and NaN inputs are
+    # covered, and NaN must map to the negative branch in the gradient.
+    # Overflow and 0 * inf warn in both forms alike.
+    before = x.copy()
+    with np.errstate(all="ignore"):
+        assert np.array_equal(prelu(x, slope), where_prelu(x, slope), equal_nan=True)
+        assert np.array_equal(prelu_grad(x, slope), where_prelu_grad(x, slope), equal_nan=True)
+    assert prelu_grad(x, slope).dtype == np.float64
+    assert np.array_equal(x, before, equal_nan=True)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), shape=st.tuples(st.integers(0, 9), st.integers(1, 9)))
+def test_prelu_slope_grad_matches_where_definition(data, shape):
+    # Finite inputs: a NaN pre-activation makes the branch-free sum NaN,
+    # where the select dropped it, and training stops on a NaN loss first.
+    finite = st.one_of(st.sampled_from([0.0, -0.0, 1e-310, -1e-310, 1e308, -1e308]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    x = data.draw(arrays(np.float64, shape, elements=finite))
+    upstream = data.draw(arrays(np.float64, shape, elements=finite))
+    with np.errstate(all="ignore"):
+        want = float(np.sum(np.where(x < 0, upstream * x, 0.0)))
+        got = prelu_slope_grad(x, upstream)
+    assert got == want or (np.isnan(got) and np.isnan(want))
 
 
 def test_rng_determinism():

@@ -180,6 +180,16 @@ def test_every_truncation_raises_checkpoint_error(tmp_path):
                 load_checkpoint(str(path), with_hp)
 
 
+@pytest.mark.parametrize("extra", [1, 8, 40])
+def test_surplus_bytes_raise_checkpoint_error(tmp_path, extra):
+    hp, data, _ = tiny_checkpoint(tmp_path)
+    path = tmp_path / "long.ckpt"
+    path.write_bytes(data + b"\x00" * extra)
+    for with_hp in (hp, None):
+        with pytest.raises(CheckpointError, match=f"{extra} surplus bytes"):
+            load_checkpoint(str(path), with_hp)
+
+
 def test_malformed_names_raise_shape_table_error(tmp_path):
     hp, data, _ = tiny_checkpoint(tmp_path)
     # The first entry, "id_embedding", starts after the magic, the entry

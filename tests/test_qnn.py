@@ -4,7 +4,8 @@ import pytest
 from qin.errors import ShapeError
 from qin.linalg import make_rng
 from qin.qnn import (QnnConfig, assemble_x1, brute_force_expansion, mlp_backward,
-                     mlp_forward, qnn_backward, qnn_forward, qnn_layer_forward)
+                     mlp_forward, qnn_backward, qnn_forward, qnn_layer_backward,
+                     qnn_layer_forward)
 
 
 def cfg_for(dim, m=1, depth=1, residual=True, mid_act=False, dropout_p=0.0):
@@ -233,6 +234,76 @@ def test_relu_act_freezes_slope_gradient():
     _, trace = qnn_forward(ws, slopes, rng.standard_normal(3), cfg)
     _, d_slopes, _ = qnn_backward(ws, slopes, cfg, trace, np.ones(3))
     assert np.array_equal(d_slopes, np.zeros(1))
+
+
+def where_prelu(x, slope):
+    return np.where(x >= 0.0, x, slope * x)
+
+
+def where_layer(w, slope, x, cfg, drop_mask, d_out):
+    """The layer as written with np.where selects: forward output, d_w, d_slope, d_x."""
+    t = x @ w.sum(axis=0).T
+    if cfg.mid_act:
+        branch = x * where_prelu(t, slope)
+    else:
+        h = x * t
+        branch = where_prelu(h, slope)
+    if drop_mask is not None:
+        branch = branch * drop_mask / (1.0 - cfg.dropout_p)
+    out = x + branch if cfg.residual else branch
+
+    d_branch = d_out
+    if drop_mask is not None:
+        d_branch = d_branch * drop_mask / (1.0 - cfg.dropout_p)
+    if cfg.mid_act:
+        d_x = d_branch * where_prelu(t, slope)
+        d_act = d_branch * x
+        d_t = d_act * np.where(t >= 0.0, 1.0, slope)
+        d_slope = float(np.sum(np.where(t < 0, d_act * t, 0.0)))
+    else:
+        d_h = d_branch * np.where(h >= 0.0, 1.0, slope)
+        d_slope = float(np.sum(np.where(h < 0, d_branch * h, 0.0)))
+        d_x = d_h * t
+        d_t = d_h * x
+    d_w = d_t.T @ x
+    d_x = d_x + d_t @ w.sum(axis=0)
+    if cfg.residual:
+        d_x = d_x + d_out
+    if cfg.act == "relu":
+        d_slope = 0.0
+    return out, d_w, d_slope, d_x
+
+
+@pytest.mark.parametrize("n", [1, 257])
+@pytest.mark.parametrize("act", ["prelu", "relu"])
+@pytest.mark.parametrize("mid_act", [False, True])
+@pytest.mark.parametrize("dropout", [False, True])
+@pytest.mark.parametrize("residual", [False, True])
+def test_layer_matches_where_reference_bit_for_bit(n, act, mid_act, dropout, residual):
+    rng = make_rng(60 + n)
+    dim, m = 8, 3
+    cfg = QnnConfig(depth=1, m=m, dim=dim, dropout_p=0.3 if dropout else 0.0,
+                    residual=residual, mid_act=mid_act, act=act)
+    w = rng.standard_normal((m, dim, dim))
+    slope = 0.0 if act == "relu" else float(rng.uniform(-1.0, 1.0))
+    x = rng.standard_normal((n, dim))
+    drop_mask = (rng.uniform(size=(n, dim)) > 0.3).astype(float) if dropout else None
+    d_out = rng.standard_normal((n, dim))
+    x_before, d_out_before = x.copy(), d_out.copy()
+
+    out, trace = qnn_layer_forward(w, slope, x, cfg, drop_mask)
+    d_w, d_slope, d_x = qnn_layer_backward(w, slope, cfg, trace, d_out)
+    ref_out, ref_d_w, ref_d_slope, ref_d_x = where_layer(w, slope, x, cfg, drop_mask, d_out)
+
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(d_w, np.broadcast_to(ref_d_w, w.shape))
+    assert d_slope == ref_d_slope
+    assert np.array_equal(d_x, ref_d_x)
+    # Mixed signs, so both sides of the activation are exercised.
+    h = trace.t if mid_act else trace.h
+    assert np.any(h < 0) and np.any(h > 0)
+    # In-place arithmetic never writes into the caller's arrays.
+    assert np.array_equal(x, x_before) and np.array_equal(d_out, d_out_before)
 
 
 def test_mlp_zero_weights():
