@@ -20,7 +20,8 @@ query is mapped into item space (qk = W_k^T q, so q.k = x_b.qk), the
 weights pool the raw rows, and W_v maps the pooled row once per sample.
 The backward pass mirrors this: every projection gradient is a product of
 per-sample (n, d) arrays, and the behavior-row gradient is one segment sum
-whose slot entry is d_score * qk + weight * W_v^T d_o.
+whose slot entry is d_score * qk + weight * W_v^T d_o, over columns
+frozen: only; the first `frozen` columns are the store, which never trains.
 """
 
 from __future__ import annotations
@@ -173,15 +174,15 @@ def asta_forward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
 
 
 def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
-                  cfg: AttentionConfig, trace: AttentionTrace, d_o):
+                  cfg: AttentionConfig, trace: AttentionTrace, d_o, frozen: int = 0):
     """Reverse-mode gradients for the attention block.
 
     Returns (d_w_q, d_w_k, d_w_v, d_x_t, d_x_b), d_x_b shaped like the x_b
-    of the forward call: per slot, or per table row when ids were given.
-    Each slot's behavior-row gradient is summed per table row by one
-    segment sum. ReLU subgradient at 0 is 0; the residual
-    contributes identity to d_x_t; dropout masks are replayed from the
-    trace.
+    of the forward call, per slot or per table row when ids were given,
+    but holding only columns frozen: of each row. Each slot's behavior-row
+    gradient is summed per table row by one segment sum. ReLU subgradient
+    at 0 is 0; the residual contributes identity to d_x_t; dropout masks
+    are replayed from the trace.
     """
     d_o = np.asarray(d_o, dtype=FLOAT)
     single = d_o.ndim == 1
@@ -218,8 +219,9 @@ def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
     # Slot (r, j) adds d_scores[r, j] * qk[r] + weights[r, j] * d_v[r] to
     # the gradient of its table row.
     rows = int(np.prod(trace.x_b_shape[:-1]))
-    d_x_b = segment_sum(trace.ids, rows, (trace.qk, d_scores),
-                        (d_v, trace.weights)).reshape(trace.x_b_shape)
+    d_x_b = segment_sum(trace.ids, rows, (trace.qk[:, frozen:], d_scores),
+                        (d_v[:, frozen:], trace.weights))
+    d_x_b = d_x_b.reshape(*trace.x_b_shape[:-1], d_x_b.shape[1])
 
     if single:
         return d_w_q, d_w_k, d_w_v, d_x_t[0], d_x_b
@@ -228,7 +230,6 @@ def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
 
 @dataclass
 class MeanPoolTrace:
-    x_t: np.ndarray
     ids: np.ndarray       # (n, s) table row of each slot
     x_b_shape: tuple      # shape of the x_b argument, which d_x_b takes
     share: np.ndarray     # (n, s) weight of each slot in the mean: mask / seq_len
@@ -247,13 +248,14 @@ def mean_pool_forward(w_v: np.ndarray, x_t, x_b, mask, ids=None):
     share = mask * inv_len[:, None]
     mean = (share[:, None, :] @ x_b)[:, 0, :]
     o = mean @ w_v.T + x_t
-    trace = MeanPoolTrace(x_t=x_t, ids=ids, x_b_shape=x_b_shape, share=share, mean=mean)
+    trace = MeanPoolTrace(ids=ids, x_b_shape=x_b_shape, share=share, mean=mean)
     if single:
         return o[0], trace
     return o, trace
 
 
-def mean_pool_backward(w_v: np.ndarray, trace: MeanPoolTrace, d_o):
+def mean_pool_backward(w_v: np.ndarray, trace: MeanPoolTrace, d_o, frozen: int = 0):
+    """(d_w_v, d_x_t, d_x_b), d_x_b as in asta_backward."""
     d_o = np.asarray(d_o, dtype=FLOAT)
     single = d_o.ndim == 1
     if single:
@@ -262,7 +264,8 @@ def mean_pool_backward(w_v: np.ndarray, trace: MeanPoolTrace, d_o):
     d_w_v = d_o.T @ trace.mean
     d_mean = d_o @ w_v
     rows = int(np.prod(trace.x_b_shape[:-1]))
-    d_x_b = segment_sum(trace.ids, rows, (d_mean, trace.share)).reshape(trace.x_b_shape)
+    d_x_b = segment_sum(trace.ids, rows, (d_mean[:, frozen:], trace.share))
+    d_x_b = d_x_b.reshape(*trace.x_b_shape[:-1], d_x_b.shape[1])
     if single:
         return d_w_v, d_x_t[0], d_x_b
     return d_w_v, d_x_t, d_x_b

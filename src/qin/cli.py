@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 gradcheck failure, 2 config/usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import statistics
 import sys
@@ -68,6 +69,12 @@ def _load_split(data_dir: str, split: str, cfg: dict):
     return load_dataset(path, emb, build(HyperParams, cfg, vocab=1, d_frozen=0))
 
 
+def _check_positive(**flags) -> None:
+    for name, value in flags.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"--{name} must be finite and > 0, got {value!r}")
+
+
 def cmd_gen_data(args) -> int:
     cfg = _resolve(args)
     result = datagen.generate(build(GenConfig, cfg), args.out)
@@ -103,26 +110,25 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    _check_positive(seeds=args.seeds, step=args.step, tol=args.tol)
     cfg = _resolve(args)
     hp = gradcheck_hyperparams(attn_kind=cfg["attn_kind"], pooling=cfg["pooling"],
                                interaction=cfg["interaction"])
-    worst: dict[str, object] = {}
-    for i in range(args.seeds):
-        for report in run_model_gradcheck(cfg["seed"] + i, hp=hp, step=args.step,
-                                          sabotage=args.sabotage, rel_tol=args.tol):
-            prev = worst.get(report.name)
-            if prev is None or report.max_rel_err > prev.max_rel_err:
-                worst[report.name] = report
+    reports = [report for i in range(args.seeds)
+               for report in run_model_gradcheck(cfg["seed"] + i, hp=hp, step=args.step,
+                                                 sabotage=args.sabotage, rel_tol=args.tol)]
     ok = True
-    for name in sorted(worst):
-        report = worst[name]
-        passed = report.max_rel_err < args.tol
+    for name in sorted({report.name for report in reports}):
+        report = max((r for r in reports if r.name == name),
+                     key=lambda r: (r.n_checked == 0, r.max_rel_err))
+        passed = report.n_checked > 0 and report.max_rel_err < args.tol
         ok = ok and passed
         print(f"{report.line()} status={'ok' if passed else 'FAIL'}")
     return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_ablate(args) -> int:
+    _check_positive(seeds=args.seeds)
     cfg = _resolve(args)
     train_samples, store, _ = _load_split(args.data, "train", cfg)
     valid_samples, _, _ = _load_split(args.data, "valid", cfg)

@@ -138,21 +138,15 @@ def item_table(store: EmbeddingStore, id_table: np.ndarray, seq_ids: np.ndarray)
     return np.concatenate([store.data, id_table], axis=1)
 
 
-def embedding_grad_accumulate(grads: ModelParams, d_frozen: int,
-                              target_ids: np.ndarray, d_x_t: np.ndarray,
-                              seq_ids: np.ndarray, mask: np.ndarray,
-                              d_x_b: np.ndarray) -> None:
-    """Sum upstream gradients into the id-table gradient rows.
+def embedding_grad_accumulate(grads: ModelParams, d_frozen: int, target_ids: np.ndarray,
+                              d_x_t: np.ndarray, d_items: np.ndarray) -> None:
+    """Add the id-table gradient: target rows, then per-item rows.
 
-    d_x_b holds one upstream row per entry of seq_ids: per sequence slot,
-    (n, s, d), or per item, (vocab, d) under ids 0..vocab-1. Rows whose
-    mask is 0 are padding and are skipped. The frozen store part (first
-    d_frozen coordinates) is dropped: frozen rows receive no gradient.
-    Target and sequence rows go through one ordered segment sum, so
-    repeated ids accumulate in a fixed order.
+    d_x_t (n, d_t) is the upstream gradient of each target vector; its
+    frozen store part (first d_frozen coordinates) is dropped. d_items
+    (vocab, d_t - d_frozen) is the pooling gradient already summed per
+    item. The target rows go through one ordered segment sum, so repeated
+    ids accumulate in a fixed order, and each item's row is added last.
     """
-    live = np.asarray(mask) > 0
-    ids = np.concatenate([np.asarray(target_ids, dtype=np.int64),
-                          np.asarray(seq_ids, dtype=np.int64)[live]])
-    rows = np.concatenate([d_x_t[:, d_frozen:], d_x_b[live][:, d_frozen:]])
-    grads.id_embedding += segment_sum(ids, grads.id_embedding.shape[0], (rows, None))
+    vocab = grads.id_embedding.shape[0]
+    grads.id_embedding += segment_sum(target_ids, vocab, (d_x_t[:, d_frozen:], None)) + d_items

@@ -21,7 +21,7 @@ import numpy as np
 from .config import HyperParams
 from .dataio import build_batch
 from .embedding import EmbeddingStore, Sample
-from .errors import QinError
+from .errors import ConfigError, QinError
 from .linalg import FLOAT, make_rng
 from .metrics import bce_loss
 from .model import loss_and_grads, model_forward
@@ -181,15 +181,19 @@ def run_model_gradcheck(seed: int, hp: HyperParams | None = None,
                         rel_tol: float = 1e-4) -> list[GradReport]:
     """Certify every parameter class of the full model loss on one instance.
 
-    sabotage flips the sign of the analytic gradient for the named class;
-    the run must then fail, which self-tests the harness.
+    sabotage flips the sign of the analytic gradient for the named class,
+    one of this model's (else ConfigError); the run must then fail, which
+    self-tests the harness.
     """
     hp = hp or gradcheck_hyperparams()
     params, store, batch = build_random_instance(hp, seed)
+    classes = parameter_classes(params)
+    if sabotage is not None and sabotage not in classes:
+        raise ConfigError(f"sabotage {sabotage!r} is not one of the classes {sorted(classes)}")
     _, grads, _ = loss_and_grads(params, hp, store, batch, training=False)
 
     reports = []
-    for cls_name, span in parameter_classes(params).items():
+    for cls_name, span in classes.items():
         analytic = grads.flat[span]
         if sabotage == cls_name:
             analytic = -analytic

@@ -30,12 +30,9 @@ def qnn_config(hp: HyperParams) -> QnnConfig:
 class ModelTrace:
     batch: Batch
     x_t: np.ndarray
-    table: np.ndarray
     pool_trace: object
-    x1: np.ndarray
     inter_trace: object
     x_last: np.ndarray
-    logits: np.ndarray
     probs: np.ndarray
 
 
@@ -76,10 +73,9 @@ def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
     else:
         x_last, inter_trace = mlp_forward(params.mlp_w, params.mlp_b, x1)
 
-    logits, probs = head_forward(params.head_w, params.head_b, x_last)
-    return ModelTrace(batch=batch, x_t=x_t, table=table, pool_trace=pool_trace,
-                      x1=x1, inter_trace=inter_trace, x_last=x_last,
-                      logits=logits, probs=probs)
+    _, probs = head_forward(params.head_w, params.head_b, x_last)
+    return ModelTrace(batch=batch, x_t=x_t, pool_trace=pool_trace, inter_trace=inter_trace,
+                      x_last=x_last, probs=probs)
 
 
 def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
@@ -103,25 +99,22 @@ def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
             grads.mlp_w[l] += d_ws[l]
             grads.mlp_b[l] += d_bs[l]
 
-    d_x_t = d_x1[:, :hp.d_t].copy()
     d_o = d_x1[:, hp.d_t:]
 
     if hp.pooling == "asta":
         d_w_q, d_w_k, d_w_v, d_x_t_pool, d_table = asta_backward(
             params.w_q, params.w_k, params.w_v, attention_config(hp),
-            trace.pool_trace, d_o)
+            trace.pool_trace, d_o, frozen=hp.d_frozen)
         grads.w_q += d_w_q
         grads.w_k += d_w_k
         grads.w_v += d_w_v
     else:
-        d_w_v, d_x_t_pool, d_table = mean_pool_backward(params.w_v, trace.pool_trace, d_o)
+        d_w_v, d_x_t_pool, d_table = mean_pool_backward(
+            params.w_v, trace.pool_trace, d_o, frozen=hp.d_frozen)
         grads.w_v += d_w_v
-    d_x_t += d_x_t_pool
+    d_x_t = d_x1[:, :hp.d_t] + d_x_t_pool
 
-    # d_table already sums the slots per item: its rows are indexed by item id.
-    items = np.arange(d_table.shape[0])
-    embedding_grad_accumulate(grads, hp.d_frozen, trace.batch.target_ids, d_x_t,
-                              items, np.ones(items.shape), d_table)
+    embedding_grad_accumulate(grads, hp.d_frozen, trace.batch.target_ids, d_x_t, d_table)
     return grads
 
 

@@ -197,6 +197,43 @@ def test_gradcheck_multi_seed_reports_worst(capsys):
     assert len(names) == len(set(names))  # one worst-line per class
 
 
+@pytest.mark.parametrize("flags", [
+    ["--seeds", "0"], ["--seeds", "-2"],
+    ["--step", "0"], ["--step=-1e-5"], ["--step", "nan"], ["--step", "inf"],
+    ["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"],
+    ["--sabotage", "nosuch"],
+    ["--interaction", "mlp", "--sabotage", "qnn_w_0"],   # a class of the QNN model only
+    ["--sabotage", "mlp"],
+])
+def test_gradcheck_bad_flag_exit_2(flags, capsys):
+    assert main(["gradcheck", "--seeds", "1", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and captured.out == ""
+
+
+def test_gradcheck_class_that_checked_nothing_fails(monkeypatch, capsys):
+    import qin.cli
+    from qin.gradcheck import GradReport
+
+    def fake(seed, **kwargs):
+        # seed 0 certifies w_q, seed 1 certifies nothing (all kink-skipped)
+        return [GradReport("w_q", 1e-9, 0, 4 - 4 * (seed % 2), 4 * (seed % 2), 0, 1e-5, seed),
+                GradReport("head", 1e-9, 0, 3, 0, 0, 1e-5, seed)]
+
+    monkeypatch.setattr(qin.cli, "run_model_gradcheck", fake)
+    assert main(["gradcheck", "--seeds", "1", "--seed", "0"]) == 0
+    assert main(["gradcheck", "--seeds", "2", "--seed", "0"]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[-2].startswith("class=head") and lines[-2].endswith("status=ok")
+    assert lines[-1].startswith("class=w_q") and " coords=0 " in lines[-1]
+    assert lines[-1].endswith("seed=1 status=FAIL")
+
+
+def test_ablate_zero_seeds_exit_2(tiny_data, capsys):
+    assert main(["ablate", "--data", str(tiny_data), *TINY_MODEL, "--seeds", "0"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_ablate_smoke_deterministic(tiny_data, capsys):
     args = ["ablate", "--data", str(tiny_data), *TINY_MODEL,
             "--epochs", "1", "--seeds", "1"]

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import lookup_sequence
+from qin.asta import (AttentionConfig, asta_backward, asta_forward, mean_pool_backward,
+                      mean_pool_forward)
 from qin.config import HyperParams
 from qin.embedding import (EmbeddingStore, embedding_grad_accumulate, item_table,
                            load_embeddings, lookup_target, save_embeddings)
@@ -197,37 +199,52 @@ def grads_for(vocab=10, d_id=3):
 def test_scatter_add_zero_upstream_noop():
     grads = grads_for()
     before = grads.id_embedding.copy()
-    embedding_grad_accumulate(grads, 3, np.array([1]), np.zeros((1, 6)),
-                              np.array([[2, 3]]), np.ones((1, 2)), np.zeros((1, 2, 6)))
+    embedding_grad_accumulate(grads, 3, np.array([1]), np.zeros((1, 6)), np.zeros((10, 3)))
     assert np.array_equal(grads.id_embedding, before)
 
 
 def test_scatter_add_repeated_id_sums():
     grads = grads_for()
-    up = np.zeros((1, 2, 6))
-    up[0, 0] = np.arange(6)
-    up[0, 1] = np.arange(6) * 10
-    embedding_grad_accumulate(grads, 3, np.array([0]), np.zeros((1, 6)),
-                              np.array([[4, 4]]), np.ones((1, 2)), up)
-    # id part is the last 3 coordinates of each upstream row
-    assert np.array_equal(grads.id_embedding[4], np.array([3.0, 4.0, 5.0]) * 11)
+    d_x_t = np.stack([np.arange(6.0), np.arange(6.0) * 10])
+    d_items = np.zeros((10, 3))
+    d_items[4] = 100.0
+    embedding_grad_accumulate(grads, 3, np.array([4, 4]), d_x_t, d_items)
+    # id part is the last 3 coordinates of each target row, plus the item row
+    assert np.array_equal(grads.id_embedding[4], np.array([3.0, 4.0, 5.0]) * 11 + 100.0)
+    assert np.count_nonzero(np.delete(grads.id_embedding, 4, axis=0)) == 0
 
 
 def test_scatter_add_drops_frozen_part():
     grads = grads_for()
     d_x_t = np.ones((1, 6))
-    embedding_grad_accumulate(grads, 3, np.array([2]), d_x_t,
-                              np.zeros((1, 2), dtype=np.int64), np.zeros((1, 2)),
-                              np.zeros((1, 2, 6)))
+    embedding_grad_accumulate(grads, 3, np.array([2]), d_x_t, np.zeros((10, 3)))
     assert np.array_equal(grads.id_embedding[2], np.ones(3))
     # no slot for the frozen store exists at all in a gradient
     assert not hasattr(grads, "store")
 
 
 def test_scatter_add_ignores_padded_positions():
-    grads = grads_for()
-    up = np.ones((1, 2, 6))
-    embedding_grad_accumulate(grads, 3, np.array([0]), np.zeros((1, 6)),
-                              np.array([[5, 6]]), np.array([[1.0, 0.0]]), up)
-    assert np.array_equal(grads.id_embedding[5], np.ones(3))
-    assert np.array_equal(grads.id_embedding[6], np.zeros(3))
+    # Padded slots name items 5 and 6 or item 0: either way they add exactly
+    # zero, so the id-table gradient is the same bits and items 5 and 6,
+    # named by padding only, get +0.0.
+    rng = make_rng(9)
+    table, d_o = rng.standard_normal((10, 6)), rng.standard_normal((1, 6))
+    w = [np.eye(6), np.eye(6), rng.standard_normal((6, 6))]
+    x_t = table[[3]] + table[[1]]   # both live slots score above zero
+    mask = np.array([[1.0, 1.0, 0.0, 0.0]])
+    for pooling in ("relu", "softmax", "mean"):
+        got = []
+        for seq_ids in (np.array([[3, 1, 5, 6]]), np.array([[3, 1, 0, 0]])):
+            grads = grads_for()
+            if pooling == "mean":
+                _, trace = mean_pool_forward(w[2], x_t, table, mask, ids=seq_ids)
+                d_x_t, d_items = mean_pool_backward(w[2], trace, d_o, frozen=3)[1:]
+            else:
+                cfg = AttentionConfig(kind=pooling, d_t=6, seq_len=4)
+                _, trace = asta_forward(*w, cfg, x_t, table, mask, ids=seq_ids)
+                d_x_t, d_items = asta_backward(*w, cfg, trace, d_o, frozen=3)[3:]
+            embedding_grad_accumulate(grads, 3, np.array([2]), d_x_t, d_items)
+            assert np.count_nonzero(grads.id_embedding[[1, 2, 3]], axis=1).all(), pooling
+            got.append(grads.id_embedding.tobytes())
+        assert got[0] == got[1], pooling
+        assert np.frombuffer(got[0])[15:21].tobytes() == np.zeros(6).tobytes(), pooling

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,17 @@ def test_sabotage_self_test():
     assert reports["head"].max_rel_err > 1e-4
     clean = [r for name, r in reports.items() if name != "head"]
     assert all(r.max_rel_err < 1e-4 for r in clean)
+
+
+@pytest.mark.parametrize("pooling", ["asta", "mean"])
+@pytest.mark.parametrize("d_frozen", [0, 15])
+def test_model_gradcheck_embeddings_at_column_edges(pooling, d_frozen):
+    # No frozen column, and a single trainable one: the id-table gradient
+    # is certified whatever its share of the item vector.
+    hp = dataclasses.replace(gradcheck_hyperparams(pooling=pooling), d_frozen=d_frozen)
+    assert hp.d_id == hp.d_t - d_frozen
+    reports = {r.name: r for r in run_model_gradcheck(7, hp=hp)}
+    emb = reports["embeddings"]
+    assert emb.n_checked > 0 and emb.max_rel_err < 1e-4, emb.line()
+    for report in reports.values():
+        assert report.max_rel_err < 1e-4, report.line()
