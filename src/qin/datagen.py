@@ -31,7 +31,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .config import GenConfig
-from .dataio import Split, write_dataset
+from .dataio import Split, numbered_lines, read_bytes, write_dataset
 from .embedding import Sample, save_embeddings
 from .errors import DataError
 from .linalg import FLOAT, make_rng, sigmoid
@@ -130,16 +130,18 @@ def write_truth(probs: np.ndarray, path: str, seed: int) -> None:
 
 
 def read_truth(path: str) -> np.ndarray:
+    """The probabilities of a truth file; DataError names a line that is not one in [0, 1]."""
     probs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                probs.append(float(line))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad probability ({exc})") from exc
+    for lineno, line in numbered_lines(path, read_bytes(path, "truth file")):
+        if line.startswith("#"):
+            continue
+        try:
+            p = float(line)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad probability ({exc})") from exc
+        if not 0.0 <= p <= 1.0:  # NaN fails this too
+            raise DataError(f"{path}:{lineno}: probability {line} is not in [0, 1]")
+        probs.append(p)
     return np.asarray(probs, dtype=FLOAT)
 
 

@@ -2,9 +2,18 @@
 
 A dataset file is line-delimited: an optional leading manifest comment
 ``# n_samples=<k> positives=<k> seed=<k>`` followed by one JSON record per
-line, ``{"target": <id>, "seq": [<ids>], "label": 0|1}``. Ids are validated
-against the embedding store on load; malformed lines are reported with
-their line number.
+line, ``{"target": <id>, "seq": [<ids>], "label": 0|1}``. The target, the
+label and every history entry are JSON integers (not booleans, floats or
+strings) and ``seq`` is a JSON array. Ids are validated against the
+embedding store on load; a malformed line is reported with its number.
+
+The writer emits one canonical form per record, the compact ``json.dumps``
+line ``{"target":T,"seq":[a,b],"label":L}``, assembled for many rows at a
+time from a byte table of tokens. A file made only of canonical lines
+(after the optional manifest) is read in bulk: a regular expression checks
+the lines and their numbers are converted in one numpy call. Any other
+file, and any file with a record that fails a check, is read line by line
+by the parser that states the grammar and every error message.
 
 In memory a split is a :class:`Split`: four arrays, filled once by the
 parser (or by the generator) and held until batching, which gathers each
@@ -17,9 +26,11 @@ input order.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import operator
+import re
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -31,6 +42,19 @@ from .config import HyperParams
 from .embedding import Batch, Sample, load_embeddings
 from .errors import DataError
 from .linalg import FLOAT
+
+WRITE_TOKENS = 1 << 14  # line tokens gathered into bytes per write
+READ_BYTES = 1 << 18    # bytes of canonical lines cut into columns per step
+
+# A canonical file: an optional manifest line, then canonical lines. Ids and
+# targets are decimal without leading zeros and at most 18 digits, so none
+# overflows int64. Possessive repeats keep no backtracking state, so the
+# match holds no memory per line.
+_ID = rb"(?:0|[1-9][0-9]{0,17}+)"
+_CANONICAL_FILE = re.compile(
+    rb'(?P<manifest>#[^\r\n]*\n)?+'
+    rb'(?:\{"target":%b,"seq":\[(?:%b(?:,%b)*+)?\],"label":[01]\}\n)*+' % (_ID, _ID, _ID))
+_DIGITS_ONLY = bytes(c if chr(c) in "0123456789" else ord(" ") for c in range(256))
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,24 +115,67 @@ def as_split(samples: Split | list[Sample]) -> Split:
                                  dtype=np.int64, count=int(offsets[-1])))
 
 
+def _token_table(values: np.ndarray, form: str):
+    """(tokens, row_of): ``form % v`` as bytes for each distinct value v, and
+    a function from an array of those values to their rows in that list.
+
+    Values over a range not much wider than their count (ids below a vocab
+    size) get one row per integer in it, found by a subtraction; others one
+    row per distinct value, found by a binary search.
+    """
+    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, -1)
+    if hi - lo <= values.size + 1024:
+        return [(form % key).encode() for key in range(lo, hi + 1)], lambda v: v - lo
+    keys = np.unique(values)
+    return [(form % key).encode() for key in keys.tolist()], keys.searchsorted
+
+
 def write_dataset(samples: Split | list[Sample], path: str, seed: int) -> str:
     """Write records plus the manifest comment line; returns the manifest.
 
-    Each line is the compact ``json.dumps`` form of its record, formatted
-    straight from the columns.
+    Each line is the canonical record ``{"target":T,"seq":[a,b],"label":L}``,
+    the compact ``json.dumps`` form. A line is a run of tokens: the head
+    ``{"target":T,"seq":[``, one ``,id`` per history entry (the first
+    without its comma) and the tail ``],"label":L}`` plus newline. Each
+    token is a row of a byte table with one row per distinct value, and
+    the lines are gathered from it a bounded number of tokens at a time.
     """
     split = as_split(samples)
-    manifest = f"n_samples={len(split)} positives={int(split.labels.sum())} seed={seed}"
-    offsets = split.offsets.tolist()
-    # One row's ids at a time become Python ints: the whole split's would
-    # cost tens of MB.
-    seqs = (",".join(map(str, split.ids[offsets[i]:offsets[i + 1]].tolist()))
-            for i in range(len(split)))
-    with atomic_write(path) as fh:
-        fh.write(f"# {manifest}\n")
-        fh.writelines(f'{{"target":{target},"seq":[{seq}],"label":{label}}}\n'
-                      for target, seq, label in zip(split.targets.tolist(), seqs,
-                                                    split.labels.astype(np.int64).tolist()))
+    n = len(split)
+    labels = split.labels.astype(np.int64)
+    manifest = f"n_samples={n} positives={int(split.labels.sum())} seed={seed}"
+    heads, head_of = _token_table(split.targets, '{"target":%d,"seq":[')
+    seps, id_of = _token_table(split.ids, ",%d")
+    tails, tail_of = _token_table(labels, '],"label":%d}\n')
+    tokens = heads + seps + tails
+    size = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    start = np.zeros(len(tokens), dtype=np.int64)
+    np.cumsum(size[:-1], out=start[1:])
+    table = np.frombuffer(b"".join(tokens), dtype=np.uint8)
+    offsets = split.offsets
+    # Tokens before row i: a head and a tail per earlier row, plus its ids.
+    before = offsets + 2 * np.arange(n + 1)
+    with atomic_write(path, "wb") as fh:
+        fh.write(f"# {manifest}\n".encode())
+        r0 = 0
+        while r0 < n:
+            r1 = int(np.searchsorted(before, before[r0] + WRITE_TOKENS, side="right")) - 1
+            r1 = min(max(r1, r0 + 1), n)
+            at = before[r0:r1 + 1] - before[r0]
+            head_at, tail_at = at[:-1], at[1:] - 1
+            row = np.empty(at[-1], dtype=np.int64)
+            is_id = np.ones(row.size, dtype=bool)
+            is_id[head_at] = is_id[tail_at] = False
+            row[head_at] = head_of(split.targets[r0:r1])
+            row[is_id] = id_of(split.ids[offsets[r0]:offsets[r1]]) + len(heads)
+            row[tail_at] = tail_of(labels[r0:r1]) + len(heads) + len(seps)
+            src, length = start[row], size[row]
+            first = head_at[tail_at - head_at > 1] + 1
+            src[first] += 1
+            length[first] -= 1
+            end = np.cumsum(length)
+            fh.write(table[np.arange(end[-1]) + np.repeat(src - (end - length), length)])
+            r0 = r1
     return manifest
 
 
@@ -121,51 +188,151 @@ def parse_manifest(line: str) -> dict:
     return out
 
 
-def parse_dataset(path: str, n_items: int, max_seq_len: int) -> tuple[Split, dict | None]:
-    """Parse and validate records into a Split; returns (split, manifest dict or None).
+def read_bytes(path: str, what: str) -> bytes:
+    """The whole file; DataError if it cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot open {what} {path}: {exc}") from exc
 
-    Each line is checked in order (well-formed, label, length, id range),
-    so the error names the first bad line and its first problem.
+
+def numbered_lines(path: str, data: bytes) -> Iterator[tuple[int, str]]:
+    """The file's non-blank lines, stripped, with their numbers from 1.
+
+    Lines end as in text mode, at ``\\n``, ``\\r\\n`` or ``\\r``. A line that
+    is not UTF-8 raises DataError naming it.
+    """
+    # Bytes that are not UTF-8 become lone surrogates, which do not encode.
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    for lineno, line in enumerate(text, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataError(f"{path}:{lineno}: line is not UTF-8 text") from None
+        yield lineno, line
+
+
+def _record(line: str) -> tuple[int, list[int], int]:
+    """(target, seq, label) of one record line; ValueError if a field has the wrong JSON type."""
+    rec = json.loads(line)
+    target, seq, label = rec["target"], rec["seq"], rec["label"]
+    if type(seq) is not list:
+        raise ValueError(f"seq must be a JSON array, got {json.dumps(seq)[:40]}")
+    for what, values in (("target", (target,)), ("seq entry", seq), ("label", (label,))):
+        # Exactly int: neither a bool nor a float such as 1.0.
+        if not set(map(type, values)) <= {int}:
+            bad = next(v for v in values if type(v) is not int)
+            raise ValueError(f"{what} must be a JSON integer, got {json.dumps(bad)[:40]}")
+    return target, seq, label
+
+
+def _as_split(targets, labels, lengths, ids) -> Split:
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return Split(targets=targets, labels=labels.astype(FLOAT), offsets=offsets, ids=ids)
+
+
+def _parse_lines(path: str, data: bytes, n_items: int,
+                 max_seq_len: int) -> tuple[Split, dict | None]:
+    """The per-line parser: the statement of the grammar and of every error.
+
+    Each line is checked in order (UTF-8, well-formed, label, length, id
+    range), so the error names the first bad line and its first problem.
     """
     targets, labels, lengths, ids = array("q"), array("q"), array("q"), array("q")
     manifest = None
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open dataset {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if lineno == 1:
+    for lineno, line in numbered_lines(path, data):
+        if line.startswith("#"):
+            if lineno == 1:
+                try:
                     manifest = parse_manifest(line)
-                continue
-            try:
-                rec = json.loads(line)
-                target = int(rec["target"])
-                seq = list(map(int, rec["seq"]))
-                label = int(rec["label"])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed record ({exc})") from exc
-            if label not in (0, 1):
-                raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
-            if len(seq) > max_seq_len:
-                raise DataError(
-                    f"{path}:{lineno}: sequence length {len(seq)} exceeds limit {max_seq_len}")
-            if not 0 <= target < n_items or (seq and not 0 <= min(seq) <= max(seq) < n_items):
-                item = next(v for v in (target, *seq) if not 0 <= v < n_items)
-                raise DataError(f"{path}:{lineno}: item id {item} out of range [0, {n_items})")
-            targets.append(target)
-            labels.append(label)
-            lengths.append(len(seq))
-            ids.extend(seq)
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(np.frombuffer(lengths, dtype=np.int64), out=offsets[1:])
-    return Split(targets=np.frombuffer(targets, dtype=np.int64),
-                 labels=np.frombuffer(labels, dtype=np.int64).astype(FLOAT),
-                 offsets=offsets, ids=np.frombuffer(ids, dtype=np.int64)), manifest
+                except ValueError as exc:
+                    raise DataError(f"{path}:1: bad manifest ({exc})") from exc
+            continue
+        try:
+            target, seq, label = _record(line)
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise DataError(f"{path}:{lineno}: malformed record ({exc})") from exc
+        if label not in (0, 1):
+            raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
+        if len(seq) > max_seq_len:
+            raise DataError(
+                f"{path}:{lineno}: sequence length {len(seq)} exceeds limit {max_seq_len}")
+        if not 0 <= target < n_items or (seq and not 0 <= min(seq) <= max(seq) < n_items):
+            item = next(v for v in (target, *seq) if not 0 <= v < n_items)
+            raise DataError(f"{path}:{lineno}: item id {item} out of range [0, {n_items})")
+        targets.append(target)
+        labels.append(label)
+        lengths.append(len(seq))
+        ids.extend(seq)
+    return _as_split(*(np.frombuffer(col, dtype=np.int64)
+                       for col in (targets, labels, lengths, ids))), manifest
+
+
+def _parse_canonical(data: bytes, n_items: int,
+                     max_seq_len: int) -> tuple[Split, dict | None] | None:
+    """The bulk parser: the columns of a file of canonical lines, else None.
+
+    A canonical file is an optional manifest line and then lines exactly
+    as write_dataset writes them. It also returns None when a record fails
+    the length or id-range check, so that the per-line parser reports it.
+    """
+    match = _CANONICAL_FILE.fullmatch(data)
+    if match is None:
+        return None
+    manifest, pos = None, 0
+    if match["manifest"] is not None:
+        try:
+            manifest = parse_manifest(match["manifest"].decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError included
+            return None
+        pos = match.end("manifest")
+    n = data.count(b"\n", pos)
+    # A line with k >= 1 ids holds k + 1 commas; one with none holds 2 and "[]".
+    ids = np.empty(data.count(b",", pos) - n - data.count(b"[]", pos), dtype=np.int64)
+    targets, labels, lengths = (np.empty(n, dtype=np.int64) for _ in range(3))
+    row = at = 0
+    while pos < len(data):
+        end = data.find(b"\n", min(pos + READ_BYTES, len(data)) - 1) + 1
+        chunk = np.frombuffer(data, dtype=np.uint8, count=end - pos, offset=pos)
+        line_ends = np.flatnonzero(chunk == ord("\n"))
+        commas = np.searchsorted(np.flatnonzero(chunk == ord(",")), line_ends)
+        count = np.diff(commas, prepend=0) - 1
+        count -= chunk[np.flatnonzero(chunk == ord("[")) + 1] == ord("]")
+        # Each line's numbers in order: its target, its ids, its label.
+        numbers = np.fromstring(data[pos:end].translate(_DIGITS_ONLY), dtype=np.int64,
+                                sep=" ")
+        target_at = np.zeros(len(count), dtype=np.int64)
+        np.cumsum(count[:-1] + 2, out=target_at[1:])
+        label_at = target_at + count + 1
+        is_id = np.ones(numbers.size, dtype=bool)
+        is_id[target_at] = is_id[label_at] = False
+        rows, live = slice(row, row + len(count)), numbers[is_id]
+        targets[rows], labels[rows], lengths[rows] = (
+            numbers[target_at], numbers[label_at], count)
+        ids[at:at + live.size] = live
+        row, at, pos = rows.stop, at + live.size, end
+    if (lengths.max(initial=0) > max_seq_len or targets.max(initial=0) >= n_items
+            or ids.max(initial=0) >= n_items):
+        return None
+    return _as_split(targets, labels, lengths, ids), manifest
+
+
+def parse_dataset(path: str, n_items: int, max_seq_len: int) -> tuple[Split, dict | None]:
+    """Parse and validate records into a Split; returns (split, manifest dict or None).
+
+    A file of canonical lines, as write_dataset writes them, is cut into
+    columns in bulk. Any other file, or one with a record that fails a
+    check, goes through the per-line parser, which names the first bad
+    line and its first problem.
+    """
+    data = read_bytes(path, "dataset")
+    parsed = _parse_canonical(data, n_items, max_seq_len)
+    return parsed if parsed is not None else _parse_lines(path, data, n_items, max_seq_len)
 
 
 def read_dataset(path: str, n_items: int, max_seq_len: int):

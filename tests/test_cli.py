@@ -1,4 +1,5 @@
 import filecmp
+import shutil
 
 import numpy as np
 import pytest
@@ -136,6 +137,22 @@ def test_eval_zero_head_gives_tie_auc(tiny_data, tmp_path, capsys):
 def test_eval_missing_data_exit_3(tmp_path, capsys):
     assert main(["eval", "--data", str(tmp_path / "absent"), "--ckpt",
                  str(tmp_path / "x.ckpt"), *TINY_MODEL]) == 3
+
+
+@pytest.mark.parametrize("bad_line", [
+    b'{"target": 1, "seq": [0], "label": 1}\xff',
+    b'{"target": 1, "seq": [0], "label": true}',
+    b"[" * 100_000,
+])
+def test_train_malformed_dataset_exit_3(tiny_data, tmp_path, capsys, bad_line):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_data, data)
+    train_file = data / "train.jsonl"
+    train_file.write_bytes(train_file.read_bytes() + bad_line + b"\n")
+    lineno = len(train_file.read_bytes().splitlines())
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                 *TINY_MODEL]) == 3
+    assert f"train.jsonl:{lineno}:" in capsys.readouterr().err
 
 
 def test_eval_checkpoint_shape_mismatch_exit_3(tiny_data, tmp_path):

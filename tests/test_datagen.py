@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import os
 
@@ -281,3 +282,44 @@ def test_chunked_generator_byte_identical_to_per_sample_loop(tmp_path, min_seq_l
         name = os.path.basename(path)
         assert (tmp_path / "chunked" / name).read_bytes() == \
             (tmp_path / "reference" / name).read_bytes(), name
+
+
+# sha256 of generate(GenConfig()): the frozen default data the acceptance
+# criteria and the benchmark's desk numbers are measured on.
+DEFAULT_DIGESTS = {
+    "embeddings.qemb": "e81fa880ed112fba90d1d459a98d3972a1ba6ce57dd110bd09681b0f13e4bb92",
+    "train.jsonl": "3f96533c3e51d003b6756a2c8cf78d6f723f5a1729b80420d8a19131a2f35059",
+    "valid.jsonl": "8cc81a30d1642448b1e3819883cb947ef1f35c2c56ed8983a88f3eb76db01bab",
+    "truth.txt": "2dd8aa36868ec1f6743d9633034a564ef4e44ce0d9cb4be97e4149b0307a7a1f",
+}
+
+
+def test_default_dataset_bytes_are_frozen(default_dataset):
+    out_dir = os.path.dirname(default_dataset.train_path)
+    for name, digest in DEFAULT_DIGESTS.items():
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("content, where, problem", [
+    (b"# n_samples=2\n0.5\nnan\n", 3, "probability nan is not in"),
+    (b"0.5\ninf\n", 2, "probability inf is not in"),
+    (b"0.5\n-inf\n", 2, "probability -inf is not in"),
+    (b"1.5\n", 1, r"probability 1\.5 is not in"),
+    (b"0.25\n-0.01\n", 2, r"probability -0\.01 is not in"),
+    (b"0.5\n0.\xff5\n", 2, "line is not UTF-8 text"),
+    (b"0.5\nhalf\n", 2, "bad probability"),
+])
+def test_read_truth_rejects_non_probabilities(tmp_path, content, where, problem):
+    path = tmp_path / "truth.txt"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match=rf"truth\.txt:{where}: {problem}"):
+        read_truth(str(path))
+
+
+def test_read_truth_accepts_the_closed_unit_interval(tmp_path):
+    path = tmp_path / "truth.txt"
+    path.write_text("# n_samples=4 seed=1\n0\n1\n0.25\n\n1e-300\n")
+    assert read_truth(str(path)).tolist() == [0.0, 1.0, 0.25, 1e-300]
+    with pytest.raises(DataError, match="cannot open truth file"):
+        read_truth(str(tmp_path / "absent.txt"))

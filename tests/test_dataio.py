@@ -178,3 +178,59 @@ def test_file_writers_replace_atomically(tmp_path, monkeypatch, writer):
     WRITERS[writer](str(path))
     assert path.read_bytes() != b"previous" and os.listdir(tmp_path) == ["target"]
 
+
+
+@pytest.mark.parametrize("line, problem", [
+    ('{"target": 1.7, "seq": [0], "label": 1}', "target must be a JSON integer, got 1.7"),
+    ('{"target": "5", "seq": [0], "label": 1}', 'target must be a JSON integer, got "5"'),
+    ('{"target": true, "seq": [0], "label": 1}', "target must be a JSON integer, got true"),
+    ('{"target": 1, "seq": "123", "label": 1}', 'seq must be a JSON array, got "123"'),
+    ('{"target": 1, "seq": {"0": 1}, "label": 1}', 'seq must be a JSON array, got {"0": 1}'),
+    ('{"target": 1, "seq": [0, 2.0], "label": 1}', "seq entry must be a JSON integer, got 2.0"),
+    ('{"target": 1, "seq": [0, false], "label": 1}',
+     "seq entry must be a JSON integer, got false"),
+    ('{"target": 1, "seq": [0], "label": true}', "label must be a JSON integer, got true"),
+    ('{"target": 1, "seq": [0], "label": 1.5}', "label must be a JSON integer, got 1.5"),
+    ('{"target": 1, "seq": [0], "label": 1.0}', "label must be a JSON integer, got 1.0"),
+    ('{"target": Infinity, "seq": [0], "label": 1}',
+     "target must be a JSON integer, got Infinity"),
+    ('{"target": 1, "seq": [NaN], "label": 1}', "seq entry must be a JSON integer, got NaN"),
+])
+def test_parser_accepts_json_integers_only(tmp_path, line, problem):
+    path = tmp_path / "typed.jsonl"
+    path.write_text(record() + "\n" + line + "\n")
+    with pytest.raises(DataError) as exc:
+        parse_dataset(str(path), 10, 4)
+    assert str(exc.value) == f"{path}:2: malformed record ({problem})"
+
+
+@pytest.mark.parametrize("content, where, problem", [
+    (record().encode() + b"\n" + record().encode() + b"\xff\n", 2, "line is not UTF-8 text"),
+    (b"# n_samples=abc\n" + record().encode() + b"\n", 1, "bad manifest"),
+    (record().encode() + b"\n" + b"[" * 100_000 + b"\n", 2, "malformed record"),
+    (b'{"target": -Infinity, "seq": [0], "label": 1}\n', 1, "malformed record"),
+    (b'{"target": 1, "seq": [' + b"9" * 5000 + b'], "label": 1}\n', 1, "malformed record"),
+])
+def test_parser_raises_only_data_errors(tmp_path, content, where, problem):
+    """Undecodable bytes, a bad manifest, deep nesting and huge numbers are DataErrors."""
+    path = tmp_path / "raw.jsonl"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match=rf"raw\.jsonl:{where}: {problem}"):
+        parse_dataset(str(path), 10, 4)
+
+
+def test_parser_counts_lines_as_text_mode_does(tmp_path):
+    """\\r, \\r\\n and \\n all end a line, so the reported number is the editor's."""
+    path = tmp_path / "mixed.jsonl"
+    path.write_bytes(b"# n_samples=3\r" + record().encode() + b"\r\n" + record().encode()
+                     + b"\n\r" + record(label=5).encode() + b"\n")
+    with pytest.raises(DataError, match=r"mixed\.jsonl:5: label must be 0 or 1, got 5"):
+        parse_dataset(str(path), 10, 4)
+    path.write_bytes(path.read_bytes().replace(b'"label": 5', b'"label": 0'))
+    split, manifest = parse_dataset(str(path), 10, 4)
+    assert manifest == {"n_samples": 3} and list(split.labels) == [1.0, 1.0, 0.0]
+
+
+def test_parser_missing_file_is_data_error(tmp_path):
+    with pytest.raises(DataError, match="cannot open dataset"):
+        parse_dataset(str(tmp_path / "absent.jsonl"), 10, 4)
