@@ -79,7 +79,7 @@ class AttentionTrace:
     ids: np.ndarray          # (n, s) table row of each slot
     x_b_shape: tuple         # shape of the x_b argument, which d_x_b takes
     mask: np.ndarray         # (n, s)
-    drop_mask: np.ndarray | None  # (n, s) in {0,1} or None
+    drop_mask: np.ndarray | None  # (n, s) bool or {0, 1} keep-mask, or None
     softmax_w: np.ndarray | None  # (n, s) pre-dropout softmax weights
 
 
@@ -140,7 +140,7 @@ def asta_forward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
     Accepts one sample (x_t (d_t,), x_b (s, d_t)) or a batch with a leading
     n axis. With ids, x_b is an item table (rows, d_t) instead and ids
     (n, s) names the row behind each slot. drop_mask, when given, is the
-    {0,1} keep mask applied to the transformed weights with inverted
+    bool (or {0, 1}) keep mask applied to the transformed weights with inverted
     scaling (training mode only).
     """
     x_b_shape = np.shape(x_b)

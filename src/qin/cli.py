@@ -1,4 +1,4 @@
-"""Command-line interface: gen-data, train, eval, gradcheck, ablate.
+"""Command-line interface: gen-data, train, eval, inspect, gradcheck, ablate.
 
 stdout carries machine-parseable results only; diagnostics go to stderr.
 Exit codes: 0 success, 1 gradcheck failure, 2 config/usage error,
@@ -12,6 +12,8 @@ import math
 import os
 import statistics
 import sys
+
+import numpy as np
 
 from . import datagen
 from .config import (ITEM_WIDTH_KEYS, KEYS, PRESETS, GenConfig, HyperParams, TrainConfig,
@@ -109,6 +111,18 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def cmd_inspect(args) -> int:
+    """One line per checkpoint entry, then a total: name, shape, value count, L2 norm."""
+    params = load_checkpoint(args.ckpt)
+    for name, view in params.views.items():
+        shape = ",".join(map(str, view.shape))
+        print(f"name={name} shape=({shape}) values={view.size} "
+              f"l2={np.linalg.norm(view.ravel()):.17g}")
+    print(f"total entries={len(params.views)} values={params.flat.size} "
+          f"l2={np.linalg.norm(params.flat):.17g}")
+    return EXIT_OK
+
+
 def cmd_gradcheck(args) -> int:
     _check_positive(seeds=args.seeds, step=args.step, tol=args.tol)
     cfg = _resolve(args)
@@ -173,6 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="valid", choices=["train", "valid"])
     _add_config_flags(p)
     p.set_defaults(func=cmd_eval)
+
+    p = sub.add_parser("inspect", help="print a checkpoint's entries and their norms")
+    p.add_argument("ckpt", metavar="CKPT")
+    p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("gradcheck", help="certify analytic gradients")
     p.add_argument("--seeds", type=int, default=5)

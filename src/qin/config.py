@@ -133,7 +133,10 @@ class HyperParams:
     the frozen pretrained part of each item vector; the trainable
     id-embedding supplies the remaining d_t - d_frozen coordinates. vocab
     and d_frozen come from the embedding store, not from the config. The
-    interaction input width is 2 * d_t (target concat interest).
+    interaction input width is 2 * d_t (target concat interest). m, the
+    paper's QNN head count, is an init-scale and learning-rate multiplier:
+    each layer stores the sum of its m heads as one matrix, initialised as
+    the sum of m draws and trained at m times the learning rate.
     """
 
     d_t: int = _field(16, int, ">= 1")

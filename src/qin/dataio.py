@@ -1,9 +1,10 @@
 """Dataset file format, the columnar split, and mini-batching.
 
 A dataset file is line-delimited: an optional leading manifest comment
-``# n_samples=<k> positives=<k> seed=<k>`` followed by one JSON record per
-line, ``{"target": <id>, "seq": [<ids>], "label": 0|1}``. The target, the
-label and every history entry are JSON integers (not booleans, floats or
+``# n_samples=<k> positives=<k> seed=<k>``, whose counts must match the
+records, followed by one JSON record per line,
+``{"target": <id>, "seq": [<ids>], "label": 0|1}``. The target, the label
+and every history entry are JSON integers (not booleans, floats or
 strings) and ``seq`` is a JSON array. Ids are validated against the
 embedding store on load; a malformed line is reported with its number.
 
@@ -139,9 +140,14 @@ def write_dataset(samples: Split | list[Sample], path: str, seed: int) -> str:
     without its comma) and the tail ``],"label":L}`` plus newline. Each
     token is a row of a byte table with one row per distinct value, and
     the lines are gathered from it a bounded number of tokens at a time.
+    A label other than 0 or 1 raises DataError before the file is opened.
     """
     split = as_split(samples)
     n = len(split)
+    bad = np.flatnonzero((split.labels != 0) & (split.labels != 1))
+    if bad.size:
+        raise DataError(f"{path}: sample {bad[0]} has label {split.labels[bad[0]]!r}, "
+                        f"expected 0 or 1")
     labels = split.labels.astype(np.int64)
     manifest = f"n_samples={n} positives={int(split.labels.sum())} seed={seed}"
     heads, head_of = _token_table(split.targets, '{"target":%d,"seq":[')
@@ -328,11 +334,17 @@ def parse_dataset(path: str, n_items: int, max_seq_len: int) -> tuple[Split, dic
     A file of canonical lines, as write_dataset writes them, is cut into
     columns in bulk. Any other file, or one with a record that fails a
     check, goes through the per-line parser, which names the first bad
-    line and its first problem.
+    line and its first problem. A manifest's n_samples and positives, when
+    given, must match the records, else DataError names line 1.
     """
     data = read_bytes(path, "dataset")
     parsed = _parse_canonical(data, n_items, max_seq_len)
-    return parsed if parsed is not None else _parse_lines(path, data, n_items, max_seq_len)
+    split, manifest = parsed or _parse_lines(path, data, n_items, max_seq_len)
+    for key, count in (("n_samples", len(split)), ("positives", int(split.labels.sum()))):
+        if manifest is not None and key in manifest and manifest[key] != count:
+            raise DataError(f"{path}:1: manifest {key}={manifest[key]} but the records "
+                            f"give {count}")
+    return split, manifest
 
 
 def read_dataset(path: str, n_items: int, max_seq_len: int):

@@ -165,8 +165,9 @@ def build_random_instance(hp: HyperParams, seed: int, n: int = 4):
 
 def parameter_classes(params) -> dict[str, slice]:
     """Report name -> span of params.flat. Each class is a run of adjacent
-    tensors: the id table, each projection, each QNN slice stack, the PReLU
-    slopes, the whole MLP, the head."""
+    tensors: the id table, each projection, each QNN layer's (D, D) matrix
+    (its m heads folded into one; m only scales its init and learning
+    rate), the PReLU slopes, the whole MLP, the head."""
     spans: dict[str, slice] = {}
     for name, span in params.spans.items():
         if name.startswith(("mlp_", "head_")):

@@ -37,14 +37,17 @@ class ModelTrace:
 
 
 def draw_dropout_masks(hp: HyperParams, n: int, rng: np.random.Generator):
-    """Per-step keep masks, in a fixed draw order: attention first, then layers."""
+    """Per-step bool keep-masks, in a fixed draw order: attention first, then layers.
+
+    A float times a bool is the float times exactly 1.0 or 0.0, so the
+    masks scale as {0, 1} floats would, at a byte per entry.
+    """
     attn_mask = None
     if hp.attn_dropout and hp.attn_dropout_p > 0:
-        attn_mask = (rng.random((n, hp.seq_len)) >= hp.attn_dropout_p).astype(FLOAT)
+        attn_mask = rng.random((n, hp.seq_len)) >= hp.attn_dropout_p
     qnn_masks = None
     if hp.interaction == "qnn" and hp.dropout_p > 0:
-        qnn_masks = [(rng.random((n, hp.qnn_dim)) >= hp.dropout_p).astype(FLOAT)
-                     for _ in range(hp.depth)]
+        qnn_masks = [rng.random((n, hp.qnn_dim)) >= hp.dropout_p for _ in range(hp.depth)]
     return attn_mask, qnn_masks
 
 

@@ -6,16 +6,24 @@ the checkpoint entry order. A gradient is a zeroed ModelParams of the same
 layout, so Adam, the best-epoch copy, gradcheck and checkpoints each work
 on the buffer instead of tensor by tensor.
 
+Each QNN layer is one (D, D) matrix ``qnn_w_<l>``: the sum of the
+paper's m linear heads. The forward pass only uses that sum and every head
+gets the same gradient and Adam step, so m heads trained at rate lr are
+one matrix initialised as the sum of m draws and trained at rate m * lr
+(``lr_scale``). m is an init-scale and learning-rate multiplier.
+
 Checkpoint layout ("QINCKPT1"):
   8 bytes   magic b"QINCKPT1"
   u32 LE    number of entries
   entry*    u16 LE name length, utf-8 name, u8 ndim, ndim x u32 LE dims
   payload   per entry, in order: prod(dims) float64 little-endian values
 
-Round trips are bit-identical. Every malformed file raises a
-CheckpointError, a file with bytes after the payload included. Loading
-against a HyperParams validates the shape table and raises
-ShapeTableError on any disagreement.
+``qnn_w_<l>`` is written as (D, D). Files from before the fold hold it
+as (m, D, D); loading sums those heads, which is exact for inference:
+the forward pass summed them the same way. Round trips are otherwise
+bit-identical. Every malformed file raises a CheckpointError, a file with
+bytes after the payload included. Loading against a HyperParams validates
+the (folded) shape table and raises ShapeTableError on any disagreement.
 """
 
 from __future__ import annotations
@@ -68,7 +76,7 @@ class ModelParams:
             raise ShapeError(f"buffer of shape {self.flat.shape} for a layout of {ends[-1]} values")
         self.views = {name: self.flat[span].reshape(self.shapes[name])
                       for name, span in self.spans.items()}
-        self.qnn_w = self._listed("qnn_w_")   # depth x (m, D, D)
+        self.qnn_w = self._listed("qnn_w_")   # depth x (D, D)
         self.mlp_w = self._listed("mlp_w_")   # per layer (out, in)
         self.mlp_b = self._listed("mlp_b_")   # per layer (out,)
 
@@ -100,16 +108,32 @@ def init_params(hp: HyperParams, rng: np.random.Generator) -> ModelParams:
     Projection / interaction / head weights ~ Normal(0, sqrt(1/fan_in)),
     fan_in being the last dim; id embeddings ~ Normal(0, 0.01); PReLU
     slopes 0.25 (0 when the interaction activation is plain ReLU); all
-    biases 0, drawing nothing.
+    biases 0, drawing nothing. A QNN layer draws m (D, D) heads and stores
+    their sum.
     """
     params = ModelParams(expected_shapes(hp))
     for name, span in params.spans.items():
+        shape = params.shapes[name]
         if name == "prelu":
             params.flat[span] = 0.25 if hp.qnn_act == "prelu" else 0.0
+        elif name.startswith("qnn_w_"):
+            heads = rng_normal(rng, hp.m * math.prod(shape), 0.0, (1.0 / shape[-1]) ** 0.5)
+            params.views[name][...] = heads.reshape(hp.m, *shape).sum(axis=0)
         elif name != "head_b" and not name.startswith("mlp_b_"):
-            std = 0.01 if name == "id_embedding" else (1.0 / params.shapes[name][-1]) ** 0.5
+            std = 0.01 if name == "id_embedding" else (1.0 / shape[-1]) ** 0.5
             params.flat[span] = rng_normal(rng, span.stop - span.start, 0.0, std)
     return params
+
+
+def lr_scale(hp: HyperParams) -> dict[str, float]:
+    """Learning-rate multiplier per tensor name, 1 for every name not listed.
+
+    Each QNN layer trains at m times the rate: m heads that share one
+    gradient take m equal Adam steps, and their sum moves by m of them.
+    """
+    if hp.interaction != "qnn":
+        return {}
+    return {f"qnn_w_{i}": float(hp.m) for i in range(hp.depth)}
 
 
 def expected_shapes(hp: HyperParams) -> dict[str, tuple[int, ...]]:
@@ -123,7 +147,7 @@ def expected_shapes(hp: HyperParams) -> dict[str, tuple[int, ...]]:
     }
     if hp.interaction == "qnn":
         for i in range(hp.depth):
-            shapes[f"qnn_w_{i}"] = (hp.m, dim, dim)
+            shapes[f"qnn_w_{i}"] = (dim, dim)
         shapes["prelu"] = (hp.depth,)
     else:
         widths = [dim, *hp.mlp_dims]
@@ -157,7 +181,8 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 def load_checkpoint(path: str, hp: HyperParams | None = None) -> ModelParams:
     """Rebuild ModelParams from a checkpoint; validate shapes against hp if given.
 
-    Without hp the file's own shape table is the layout.
+    Without hp the file's own shape table, folded, is the layout. A stacked
+    (m, D, D) ``qnn_w_<l>`` entry is folded to the (D, D) sum of its heads.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -183,11 +208,22 @@ def load_checkpoint(path: str, hp: HyperParams | None = None) -> ModelParams:
         if n_bytes < left:
             raise CheckpointError(f"{path}: {left - n_bytes} surplus bytes after the "
                                   f"{n_bytes}-byte payload")
-        if hp is not None and shapes != (want := expected_shapes(hp)):
-            diff = {k: (shapes.get(k), want.get(k)) for k in sorted({*shapes, *want})
-                    if shapes.get(k) != want.get(k)}
+        stacked = {name for name, dims in shapes.items()
+                   if name.startswith("qnn_w_") and len(dims) == 3}
+        if any(shapes[name][0] == 0 for name in stacked):
+            raise ShapeTableError(f"{path}: a stacked qnn_w entry has no heads")
+        folded = {name: dims[1:] if name in stacked else dims for name, dims in shapes.items()}
+        if hp is not None and folded != (want := expected_shapes(hp)):
+            diff = {k: (folded.get(k), want.get(k)) for k in sorted({*folded, *want})
+                    if folded.get(k) != want.get(k)}
             raise ShapeTableError(f"{path}: shape table mismatch, entry: (file, expected) {diff}")
         flat = np.empty(n_bytes // 8, dtype="<f8")
         if fh.readinto(flat) != n_bytes:
             raise TruncatedFileError(f"{path}: checkpoint ended while reading the payload")
-    return ModelParams(shapes, flat.astype(FLOAT, copy=False))
+    params = ModelParams(shapes, flat.astype(FLOAT, copy=False))
+    if not stacked:
+        return params
+    out = ModelParams(folded)
+    for name, view in params.views.items():
+        out.views[name][...] = view.sum(axis=0) if name in stacked else view
+    return out

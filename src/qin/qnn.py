@@ -1,13 +1,16 @@
 """Quadratic feature-interaction stack and the MLP ablation alternative.
 
 Each quadratic layer maps x to x + dropout(act(h)) where
-h[i] = x[i] * sum_m sum_j w[m, i, j] * x[j]: an elementwise product between
-the input and the summed outputs of m linear heads, so every h[i] is a
-quadratic form spanning all dim^2 input pairs x_i * x_j. Depth squares the
-reachable polynomial degree; capacity m adds independent weight slices
-inside the form. The activation is PReLU with one learnable slope per
-layer (plain ReLU for the no-PReLU ablation), applied after the product by
-default or to the head sum before it (mid-activation variant).
+h[i] = x[i] * sum_j w[i, j] * x[j]: an elementwise product between the input
+and a linear transform of it, so every h[i] is a quadratic form spanning all
+dim^2 input pairs x_i * x_j. Depth squares the reachable polynomial degree.
+The paper's m linear heads enter only through their sum, and every head gets
+the same gradient, so a layer stores that sum as one (dim, dim) matrix; m is
+an init-scale and learning-rate multiplier (see ``params.lr_scale``). The
+layer functions also take a stacked (m, dim, dim) weight and sum it, as the
+brute-force oracle does. The activation is PReLU with one learnable slope
+per layer (plain ReLU for the no-PReLU ablation), applied after the product
+by default or to the transform before it (mid-activation variant).
 
 The elementwise chain has no select on the sign of the pre-activation:
 PReLU, its derivative and the slope gradient are max/min arithmetic (see
@@ -43,9 +46,9 @@ class QnnConfig:
 @dataclass
 class QnnLayerTrace:
     x: np.ndarray               # (n, dim) layer input
-    t: np.ndarray               # (n, dim) head sum
+    t: np.ndarray               # (n, dim) x @ w.T
     h: np.ndarray               # (n, dim) pre-activation of the branch
-    drop_mask: np.ndarray | None
+    drop_mask: np.ndarray | None   # (n, dim) bool or {0, 1} keep-mask
 
 
 @dataclass
@@ -65,12 +68,21 @@ def assemble_x1(x_t, o, dim: int) -> np.ndarray:
     return x1
 
 
+def _folded(w: np.ndarray, cfg: QnnConfig) -> np.ndarray:
+    """The layer's (dim, dim) matrix: w itself, or the head sum of a stacked w."""
+    if w.shape == (cfg.dim, cfg.dim):
+        return w
+    if w.shape == (cfg.m, cfg.dim, cfg.dim):
+        return w.sum(axis=0)
+    raise ShapeError(f"layer weight of shape {w.shape} does not match dim={cfg.dim} m={cfg.m}")
+
+
 def qnn_layer_forward(w: np.ndarray, slope: float, x: np.ndarray, cfg: QnnConfig,
                       drop_mask: np.ndarray | None = None):
-    """One quadratic layer on a (n, dim) batch."""
-    if x.shape[-1] != cfg.dim or w.shape != (cfg.m, cfg.dim, cfg.dim):
-        raise ShapeError(f"layer shapes x={x.shape} w={w.shape} do not match dim={cfg.dim}")
-    t = x @ w.sum(axis=0).T
+    """One quadratic layer on a (n, dim) batch; w is (dim, dim) or (m, dim, dim)."""
+    if x.shape[-1] != cfg.dim:
+        raise ShapeError(f"layer input of shape {x.shape} does not match dim={cfg.dim}")
+    t = x @ _folded(w, cfg).T
     if cfg.mid_act:
         h = t
         branch = prelu(t, slope)
@@ -90,8 +102,8 @@ def qnn_layer_backward(w: np.ndarray, slope: float, cfg: QnnConfig,
                        trace: QnnLayerTrace, d_out: np.ndarray):
     """Gradients of one layer; returns (d_w, d_slope, d_x).
 
-    Every head gets the same (dim, dim) gradient, so d_w is a read-only
-    broadcast view of it; callers add it into their own arrays.
+    d_w has the shape of w. For a stacked w every head gets the same
+    (dim, dim) gradient, so d_w is then a read-only broadcast view of it.
     """
     d_branch = d_out
     if trace.drop_mask is not None:
@@ -112,8 +124,10 @@ def qnn_layer_backward(w: np.ndarray, slope: float, cfg: QnnConfig,
         # branch = act(x * t)
         d_x = d_h * trace.t
         d_t = np.multiply(d_h, x, out=d_h)
-    d_w = np.broadcast_to(d_t.T @ x, w.shape)
-    np.add(d_x, d_t @ w.sum(axis=0), out=d_x)
+    d_w = d_t.T @ x
+    if w.ndim == 3:
+        d_w = np.broadcast_to(d_w, w.shape)
+    np.add(d_x, d_t @ _folded(w, cfg), out=d_x)
     if cfg.residual:
         np.add(d_x, d_out, out=d_x)
     return d_w, d_slope, d_x
@@ -121,7 +135,10 @@ def qnn_layer_backward(w: np.ndarray, slope: float, cfg: QnnConfig,
 
 def brute_force_expansion(w: np.ndarray, slope: float, x: np.ndarray,
                           cfg: QnnConfig) -> np.ndarray:
-    """Oracle: one layer on one sample, summing every x_i*x_j monomial explicitly."""
+    """Oracle: one layer on one sample, summing every x_i*x_j monomial explicitly.
+
+    w is stacked, (m, dim, dim): each coefficient is summed over the heads.
+    """
     d = cfg.dim
     h = [0.0] * d
     t = [0.0] * d
@@ -145,7 +162,7 @@ def brute_force_expansion(w: np.ndarray, slope: float, x: np.ndarray,
 
 def qnn_forward(ws: list, slopes: np.ndarray, x1: np.ndarray, cfg: QnnConfig,
                 drop_masks: list | None = None):
-    """Run the full stack; drop_masks is one (n, dim) {0,1} mask per layer or None."""
+    """Run the full stack; drop_masks is one (n, dim) keep-mask per layer or None."""
     x = np.asarray(x1, dtype=FLOAT)
     single = x.ndim == 1
     if single:

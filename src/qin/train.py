@@ -23,7 +23,7 @@ from .errors import NonFiniteLossError, ShapeError, SingleClassError
 from .linalg import FLOAT, spawn_rng
 from .metrics import auc, bce_loss
 from .model import loss_and_grads, predict_probs
-from .params import ModelParams, copy_params
+from .params import ModelParams, copy_params, lr_scale
 
 # Substream tags for the run seed, so shuffling and dropout never collide.
 _SHUFFLE_STREAM = 1
@@ -48,13 +48,15 @@ ADAM_CHUNK = 32_768
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
-              cfg: TrainConfig) -> None:
+              cfg: TrainConfig, lr_factors: dict[str, float] | None = None) -> None:
     """In-place Adam update with bias correction, over the flat buffers.
 
     Weight decay is coupled (g <- g + lambda * theta) and restricted to the
-    embedding table's span; every other parameter is undecayed. The update
-    runs chunk by chunk; each entry sees the same arithmetic as a
-    tensor-by-tensor loop, so the result is the same to the bit.
+    embedding table's span; every other parameter is undecayed. lr_factors
+    maps a tensor name to a multiplier of cfg.lr for its span; every other
+    span steps at cfg.lr. The update runs chunk by chunk; each entry sees
+    the same arithmetic as a tensor-by-tensor loop, so the result is the
+    same to the bit.
     """
     if grads.shapes != params.shapes:
         raise ShapeError("params and grads disagree on the parameter layout")
@@ -62,19 +64,23 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     bc1 = 1.0 - cfg.adam_beta1 ** state.step
     bc2 = 1.0 - cfg.adam_beta2 ** state.step
     decay = params.spans["id_embedding"] if cfg.emb_weight_decay > 0 else slice(0, 0)
+    scaled = [(params.spans[name], cfg.lr * factor) for name, factor in (lr_factors or {}).items()]
     n = params.flat.size
-    edges = sorted({*range(0, n, ADAM_CHUNK), decay.start, decay.stop, n})
+    edges = sorted({*range(0, n, ADAM_CHUNK), decay.start, decay.stop, n,
+                    *(edge for span, _ in scaled for edge in (span.start, span.stop))})
     for start, stop in zip(edges, edges[1:]):
         theta, g = params.flat[start:stop], grads.flat[start:stop]
         if decay.start <= start and stop <= decay.stop:
             g = g + cfg.emb_weight_decay * theta
+        lr = next((lr for span, lr in scaled if span.start <= start and stop <= span.stop),
+                  cfg.lr)
         m, v = state.m[start:stop], state.v[start:stop]
         m *= cfg.adam_beta1
         m += (1.0 - cfg.adam_beta1) * g
         v *= cfg.adam_beta2
         v += (1.0 - cfg.adam_beta2) * (g * g)
         update = (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
-        theta -= cfg.lr * update
+        theta -= lr * update
 
 
 @dataclass
@@ -132,6 +138,7 @@ def train(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
         raise SingleClassError("validation split must contain both classes")
 
     state = AdamState.for_params(params)
+    factors = lr_scale(hp)
     shuffle_rng = spawn_rng(cfg.seed, _SHUFFLE_STREAM)
     result = TrainResult(params=copy_params(params))
     best_auc = -np.inf
@@ -148,7 +155,7 @@ def train(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
             if not np.isfinite(loss):
                 raise NonFiniteLossError(
                     f"non-finite loss {loss} at epoch {epoch} step {global_step}")
-            adam_step(params, grads, state, cfg)
+            adam_step(params, grads, state, cfg, factors)
             total_loss += loss * batch.size
             global_step += 1
         epoch_loss = total_loss / len(data_train)

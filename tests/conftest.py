@@ -61,6 +61,27 @@ def lookup_sequence(store, id_table, seq_ids, mask):
     return x_b * mask[:, :, None]
 
 
+def stacked_params(params, hp, seed):
+    """params in the layout from before the QNN fold: each qnn_w_<l> as m (D, D) heads.
+
+    The heads are fresh draws at the init scale; every other tensor is a
+    copy of params'. The qnn functions accept a stacked weight, so the
+    result scores and trains like any ModelParams.
+    """
+    from qin.linalg import make_rng
+    from qin.params import ModelParams
+
+    rng = make_rng(seed)
+    stacked = ModelParams({name: (hp.m, *shape) if name.startswith("qnn_w_") else shape
+                           for name, shape in params.shapes.items()})
+    for name, view in stacked.views.items():
+        if name.startswith("qnn_w_"):
+            view[...] = rng.standard_normal(view.shape) / hp.qnn_dim ** 0.5
+        else:
+            view[...] = params.views[name]
+    return stacked
+
+
 def print_criterion(num: int, name: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[acceptance] criterion {num} ({name}): {status} - {detail}")

@@ -198,6 +198,39 @@ def test_eval_single_class_exit_4(tiny_data, tmp_path, capsys):
                  *TINY_MODEL]) == 4
 
 
+def test_inspect_prints_one_line_per_entry_and_a_total(tmp_path, capsys):
+    hp = HyperParams(d_t=8, seq_len=4, depth=2, m=3, vocab=10, d_frozen=4)
+    params = init_params(hp, make_rng(3))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(params, str(path))
+    assert main(["inspect", str(path)]) == 0
+    *entries, total = capsys.readouterr().out.strip().splitlines()
+    rows = [dict(tok.split("=", 1) for tok in line.split()) for line in entries]
+    assert [row["name"] for row in rows] == list(params.shapes)
+    for row in rows:
+        view = params.views[row["name"]]
+        assert row["shape"] == "(" + ",".join(map(str, view.shape)) + ")"
+        assert int(row["values"]) == view.size
+        assert float(row["l2"]) == np.linalg.norm(view.ravel())
+    assert rows[4]["name"] == "qnn_w_0" and rows[4]["shape"] == "(16,16)"
+    assert rows[-1]["name"] == "head_b" and rows[-1]["shape"] == "()"
+    word, *fields = total.split()
+    fields = dict(tok.split("=", 1) for tok in fields)
+    assert word == "total" and int(fields["entries"]) == len(rows)
+    assert int(fields["values"]) == params.flat.size == sum(int(r["values"]) for r in rows)
+    assert float(fields["l2"]) == np.linalg.norm(params.flat)
+
+
+@pytest.mark.parametrize("content", [None, b"NOTACKPT", b"QINCKPT1\x01"])
+def test_inspect_bad_file_exit_3(tmp_path, capsys, content):
+    path = tmp_path / "bad.ckpt"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["inspect", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("io error:") and captured.out == ""
+
+
 def test_gradcheck_cli_pass_and_sabotage(capsys):
     assert main(["gradcheck", "--seeds", "1"]) == 0
     out = capsys.readouterr().out

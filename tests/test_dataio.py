@@ -231,6 +231,41 @@ def test_parser_counts_lines_as_text_mode_does(tmp_path):
     assert manifest == {"n_samples": 3} and list(split.labels) == [1.0, 1.0, 0.0]
 
 
+@pytest.mark.parametrize("canonical", [True, False])
+def test_manifest_counts_must_match_the_records(tmp_path, canonical):
+    """A cut file keeps its manifest; both parsers refuse it instead of loading 5 of 10."""
+    samples = [Sample(target_id=i, seq_ids=[i + 1], label=int(i < 4)) for i in range(10)]
+    path = tmp_path / "cut.jsonl"
+    write_dataset(samples, str(path), seed=3)
+    lines = path.read_text().splitlines(keepends=True)
+    if not canonical:   # spaces after the colons send the file to the per-line parser
+        lines = [lines[0], *(line.replace(":", ": ") for line in lines[1:])]
+    path.write_text("".join(lines))
+    split, _ = parse_dataset(str(path), 20, 4)
+    assert len(split) == 10
+    path.write_text("".join(lines[:6]))
+    with pytest.raises(DataError, match=r"cut\.jsonl:1: manifest n_samples=10 but the "
+                                        r"records give 5"):
+        parse_dataset(str(path), 20, 4)
+    # Five records again, but the manifest now only disagrees on the positives.
+    path.write_text(lines[0].replace("n_samples=10", "n_samples=5") + "".join(lines[5:10]))
+    with pytest.raises(DataError, match=r"cut\.jsonl:1: manifest positives=4 but the "
+                                        r"records give 0"):
+        parse_dataset(str(path), 20, 4)
+
+
+@pytest.mark.parametrize("label", [2, 0.5, -1, float("nan")])
+def test_write_dataset_rejects_labels_outside_0_1(tmp_path, label):
+    samples = ragged_samples()
+    samples[3] = Sample(target_id=1, seq_ids=[2], label=label)
+    path = tmp_path / "labels.jsonl"
+    with pytest.raises(DataError, match=r"labels\.jsonl: sample 3 has label .*, expected 0 or 1"):
+        write_dataset(samples, str(path), seed=0)
+    with pytest.raises(DataError):
+        write_dataset(as_split(samples), str(path), seed=0)
+    assert os.listdir(tmp_path) == []
+
+
 def test_parser_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError, match="cannot open dataset"):
         parse_dataset(str(tmp_path / "absent.jsonl"), 10, 4)

@@ -7,6 +7,8 @@ The model sums only the trainable columns and adds the per-item rows to
 the target sum. Both must give the same bits for every gradient class.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,11 @@ from qin.dataio import build_batch
 from qin.embedding import EmbeddingStore, Sample
 from qin.linalg import make_rng, segment_sum, spawn_rng
 from qin.metrics import bce_backward, bce_loss
-from qin.model import (attention_config, loss_and_grads, model_forward, qnn_config)
+from qin import model
+from qin.model import (attention_config, draw_dropout_masks, loss_and_grads, model_forward,
+                       qnn_config)
 from qin.params import init_params, named_arrays, zero_gradients
-from qin.qnn import qnn_backward
+from qin.qnn import qnn_backward, qnn_layer_backward, qnn_layer_forward
 
 KINDS = ("relu", "softmax", "relu2", "silu")
 D_T = 8
@@ -124,3 +128,51 @@ def test_pooling_backward_frozen_columns_are_a_slice(kind, with_ids, frozen):
         assert got.tobytes() == ref.tobytes()
     assert part[-1].shape == full[-1].shape[:-1] + (D_T - frozen,)
     assert part[-1].tobytes() == np.ascontiguousarray(full[-1][..., frozen:]).tobytes()
+
+
+def as_floats(masks):
+    attn_mask, qnn_masks = masks
+    return attn_mask.astype(float), [m.astype(float) for m in qnn_masks]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bool_keep_masks_match_float_masks_bit_for_bit(kind, monkeypatch):
+    # A float times a bool is the float times exactly 0.0 or 1.0.
+    hp, params, store, batch = instance("asta", kind, True, 2)
+    masks = draw_dropout_masks(hp, batch.size, spawn_rng(5, 2, 0))
+    assert masks[0].dtype == bool and all(m.dtype == bool for m in masks[1])
+    floats = as_floats(masks)
+    rng = make_rng(45)
+
+    table = rng.standard_normal((hp.vocab, D_T))
+    x_t = rng.standard_normal((batch.size, D_T))
+    d_o = rng.standard_normal((batch.size, D_T))
+    w = (params.w_q, params.w_k, params.w_v)
+    results = []
+    for drop in (masks[0], floats[0]):
+        o, trace = asta_forward(*w, attention_config(hp), x_t, table, batch.mask,
+                                drop_mask=drop, ids=batch.seq_ids)
+        results.append((o, *asta_backward(*w, attention_config(hp), trace, d_o)))
+    for got, ref in zip(*results):
+        assert got.tobytes() == ref.tobytes()
+
+    x = rng.standard_normal((batch.size, hp.qnn_dim))
+    d_out = rng.standard_normal((batch.size, hp.qnn_dim))
+    for mid_act in (False, True):
+        cfg = dataclasses.replace(qnn_config(hp), mid_act=mid_act)
+        results = []
+        for drop in (masks[1][0], floats[1][0]):
+            out, trace = qnn_layer_forward(params.qnn_w[0], 0.25, x, cfg, drop)
+            d_w, d_slope, d_x = qnn_layer_backward(params.qnn_w[0], 0.25, cfg, trace, d_out)
+            results.append((out.tobytes(), d_w.tobytes(), d_slope, d_x.tobytes()))
+        assert results[0] == results[1]
+
+    # The whole training step, with the masks drawn as {0, 1} floats instead.
+    loss, grads, probs = loss_and_grads(params, hp, store, batch, training=True,
+                                        dropout_rng=spawn_rng(5, 2, 0))
+    monkeypatch.setattr(model, "draw_dropout_masks",
+                        lambda *args: as_floats(draw_dropout_masks(*args)))
+    f_loss, f_grads, f_probs = loss_and_grads(params, hp, store, batch, training=True,
+                                              dropout_rng=spawn_rng(5, 2, 0))
+    assert loss == f_loss and probs.tobytes() == f_probs.tobytes()
+    assert grads.flat.tobytes() == f_grads.flat.tobytes()

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from qin.config import HyperParams
+from qin.embedding import EmbeddingStore, Sample
 from qin.errors import (BadMagicError, CheckpointError, ConfigError, ShapeError,
                         ShapeTableError, TruncatedFileError)
 from qin.linalg import make_rng, rng_normal
-from qin.params import (copy_params, expected_shapes, init_params, load_checkpoint,
-                        named_arrays, params_equal, save_checkpoint, zero_gradients)
+from qin.params import (ModelParams, copy_params, expected_shapes, init_params,
+                        load_checkpoint, named_arrays, params_equal, save_checkpoint,
+                        zero_gradients)
+from qin.train import evaluate
 
 
 def small_hp(**kw):
@@ -59,6 +64,25 @@ def test_expected_shapes_match_init():
         assert {k: v.shape for k, v in named_arrays(p).items()} == expected_shapes(hp)
 
 
+def test_qnn_init_stores_the_sum_of_m_head_draws():
+    # The same draws, from the same stream position, as m stacked heads:
+    # every later tensor draws the same values too.
+    hp = small_hp(m=3)
+    p = init_params(hp, make_rng(7))
+    rng = make_rng(7)
+    for name, shape in expected_shapes(hp).items():
+        if name in ("prelu", "head_b"):
+            continue
+        std = 0.01 if name == "id_embedding" else (1.0 / shape[-1]) ** 0.5
+        if name.startswith("qnn_w_"):
+            heads = rng_normal(rng, hp.m * math.prod(shape), 0.0, std).reshape(hp.m, *shape)
+            assert shape == (hp.qnn_dim, hp.qnn_dim)
+            assert np.array_equal(p.views[name], heads.sum(axis=0)), name
+        else:
+            assert np.array_equal(p.views[name].ravel(),
+                                  rng_normal(rng, math.prod(shape), 0.0, std)), name
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     for seed in range(10):
         hp = small_hp() if seed % 2 == 0 else small_hp(interaction="mlp", mlp_dims=(6, 5))
@@ -67,6 +91,40 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         save_checkpoint(p, str(path))
         loaded = load_checkpoint(str(path), hp)
         assert params_equal(p, loaded)
+
+
+def test_stacked_checkpoint_loads_folded_and_scores_the_same(tmp_path):
+    """A file written before the fold, with (m, D, D) qnn_w entries, loads as their sum."""
+    from conftest import stacked_params
+
+    hp = small_hp(m=3)
+    stacked = stacked_params(init_params(hp, make_rng(11)), hp, seed=12)
+    path = tmp_path / "stacked.ckpt"
+    save_checkpoint(stacked, str(path))
+    loaded = load_checkpoint(str(path), hp)
+    assert loaded.shapes == expected_shapes(hp)
+    for name, view in stacked.views.items():
+        want = view.sum(axis=0) if name.startswith("qnn_w_") else view
+        assert np.array_equal(loaded.views[name], want), name
+    assert params_equal(load_checkpoint(str(path)), loaded)
+
+    rng = make_rng(13)
+    store = EmbeddingStore(rng.standard_normal((hp.vocab, hp.d_frozen)))
+    samples = [Sample(target_id=int(rng.integers(0, hp.vocab)),
+                      seq_ids=[int(v) for v in rng.integers(0, hp.vocab, rng.integers(0, 5))],
+                      label=i % 2) for i in range(40)]
+    folded_metrics = evaluate(loaded, hp, store, samples)
+    stacked_metrics = evaluate(stacked, hp, store, samples)
+    assert np.array_equal(folded_metrics["probs"], stacked_metrics["probs"])
+    assert folded_metrics["auc"] == stacked_metrics["auc"]
+    assert folded_metrics["logloss"] == stacked_metrics["logloss"]
+
+
+def test_stacked_entry_without_heads_raises_shape_table_error(tmp_path):
+    path = tmp_path / "no_heads.ckpt"
+    save_checkpoint(ModelParams({"qnn_w_0": (0, 4, 4), "head_b": ()}), str(path))
+    with pytest.raises(ShapeTableError, match="no heads"):
+        load_checkpoint(str(path))
 
 
 def test_checkpoint_bad_magic(tmp_path):

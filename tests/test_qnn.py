@@ -306,6 +306,29 @@ def test_layer_matches_where_reference_bit_for_bit(n, act, mid_act, dropout, res
     assert np.array_equal(x, x_before) and np.array_equal(d_out, d_out_before)
 
 
+@pytest.mark.parametrize("mid_act", [False, True])
+def test_folded_weight_matches_stacked_bit_for_bit(mid_act):
+    # The model passes each layer's (dim, dim) head sum; the stacked form
+    # sums its heads in the same order, so every result is the same number.
+    rng = make_rng(70)
+    dim, m, n = 6, 3, 33
+    cfg = QnnConfig(depth=1, m=m, dim=dim, dropout_p=0.2, mid_act=mid_act)
+    w = rng.standard_normal((m, dim, dim))
+    x = rng.standard_normal((n, dim))
+    keep = rng.random((n, dim)) >= 0.2
+    d_out = rng.standard_normal((n, dim))
+    results = []
+    for layer_w in (w, w.sum(axis=0)):
+        out, trace = qnn_layer_forward(layer_w, 0.3, x, cfg, keep)
+        d_w, d_slope, d_x = qnn_layer_backward(layer_w, 0.3, cfg, trace, d_out)
+        assert d_w.shape == layer_w.shape
+        results.append((out.tobytes(), d_w[-1].tobytes() if d_w.ndim == 3 else d_w.tobytes(),
+                        d_slope, d_x.tobytes()))
+    assert results[0] == results[1]
+    with pytest.raises(ShapeError):
+        qnn_layer_forward(w[:2], 0.3, x, cfg)
+
+
 def test_mlp_zero_weights():
     ws = [np.zeros((3, 4)), np.zeros((2, 3))]
     bs = [np.zeros(3), np.zeros(2)]

@@ -11,8 +11,8 @@ from qin.errors import SingleClassError
 from qin.linalg import make_rng
 from qin.metrics import auc as rank_auc
 from qin.model import predict_probs
-from qin.params import (copy_params, init_params, named_arrays, params_equal,
-                        zero_gradients)
+from qin.params import (ModelParams, copy_params, expected_shapes, init_params, lr_scale,
+                        named_arrays, params_equal, zero_gradients)
 from qin.train import ADAM_CHUNK, AdamState, adam_step, evaluate, train
 
 HP = HyperParams(d_t=8, d_b=8, d_a=8, seq_len=6, depth=2, m=2, dropout_p=0.1,
@@ -135,6 +135,43 @@ def test_flat_adam_matches_per_name_loop_bit_for_bit(hp, decay):
     assert np.array_equal(state.v, np.concatenate([a.ravel() for a in v.values()]))
 
 
+@pytest.mark.parametrize("decay", [0.0, 0.05])
+def test_folded_layer_at_m_times_lr_tracks_per_head_adam(decay):
+    # m heads that share one gradient, each stepped by Adam at lr, sum to
+    # the folded matrix stepped at m * lr: equal in exact arithmetic.
+    from conftest import stacked_params
+
+    hp = dataclasses.replace(HP, m=3)
+    stacked = stacked_params(init_params(hp, make_rng(50)), hp, seed=51)
+    folded = ModelParams(expected_shapes(hp))
+    for name, view in folded.views.items():
+        heads = stacked.views[name]
+        view[...] = heads.sum(axis=0) if name in lr_scale(hp) else heads
+    assert set(lr_scale(hp)) == {"qnn_w_0", "qnn_w_1"}
+    stacked_state, folded_state = AdamState.for_params(stacked), AdamState.for_params(folded)
+    cfg = TrainConfig(lr=0.01, emb_weight_decay=decay)
+    grad_rng = make_rng(52)
+    for t in range(1, 21):
+        folded_grads = zero_gradients(folded)
+        folded_grads.flat[:] = grad_rng.standard_normal(folded_grads.flat.size)
+        stacked_grads = zero_gradients(stacked)
+        for name, view in stacked_grads.views.items():
+            view[...] = folded_grads.views[name]   # every head gets its layer's gradient
+        adam_step(stacked, stacked_grads, stacked_state, cfg)
+        adam_step(folded, folded_grads, folded_state, cfg, lr_scale(hp))
+        for name, view in folded.views.items():
+            if name in lr_scale(hp):
+                heads = stacked.views[name].sum(axis=0)
+                assert np.max(np.abs(view - heads)) <= 1e-12 * np.max(np.abs(heads)), (t, name)
+            else:
+                assert np.array_equal(view, stacked.views[name]), (t, name)
+
+
+def test_lr_scale_names_only_the_qnn_layers():
+    assert lr_scale(HP) == {"qnn_w_0": 2.0, "qnn_w_1": 2.0}
+    assert lr_scale(dataclasses.replace(HP, interaction="mlp", mlp_dims=(6, 5))) == {}
+
+
 def test_train_epochs_zero_returns_init():
     store, samples = tiny_world()
     params = init_params(HP, make_rng(3))
@@ -251,7 +288,7 @@ def test_paper_preset_dims_forward_backward():
     loss, grads, probs = loss_and_grads(params, hp, store, batch, training=False)
     assert np.isfinite(loss)
     assert probs.shape == (4,)
-    assert grads.qnn_w[3].shape == (4, 256, 256)
+    assert grads.qnn_w[3].shape == (256, 256)
     assert all(np.all(np.isfinite(a)) for a in named_arrays(grads).values())
 
 
