@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import datagen
-from .config import (ITEM_WIDTH_KEYS, KEYS, PRESETS, GenConfig, HyperParams, TrainConfig,
+from .config import (KEYS, PRESETS, GenConfig, HyperParams, TrainConfig,
                      build, parse_value, read_config_file, resolve_config)
 from .dataio import load_dataset
 from .errors import (CheckpointError, ConfigError, DataError, QinError,
@@ -38,18 +38,18 @@ ABLATION_VARIANTS = [
     ("qin_wo_asta_mean", {"pooling": "mean"}),
     ("asta_softmax", {"attn_kind": "softmax"}),
     ("qnn_relu_act", {"qnn_act": "relu"}),
-    ("asta_dropout", {"attn_dropout": True}),
+    ("asta_dropout", {"attn_dropout_p": 0.1}),
 ]
-
-# One --flag per config key, d_b and d_a included.
-FLAG_KEYS = (*KEYS, *ITEM_WIDTH_KEYS)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    # Whole flags only: a prefix such as --attn-dropout must not pass for
+    # --attn-dropout-p.
+    parser.allow_abbrev = False
     parser.add_argument("--config", metavar="FILE", help="key=value config file")
     parser.add_argument("--preset", choices=sorted(PRESETS), help="named preset")
     group = parser.add_argument_group("config overrides")
-    for key in FLAG_KEYS:
+    for key in KEYS:
         group.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}",
                            metavar="V", help=argparse.SUPPRESS)
 
@@ -57,7 +57,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _resolve(args) -> dict:
     file_values = read_config_file(args.config) if args.config else None
     flag_values = {}
-    for key in FLAG_KEYS:
+    for key in KEYS:
         raw = getattr(args, f"cfg_{key}", None)
         if raw is not None:
             flag_values[key] = parse_value(key, raw)

@@ -14,8 +14,8 @@ A run is configured by a flat key=value namespace. Resolution order is
 defaults < preset < config file < command-line flags; unknown keys are
 rejected, and ``resolve_config`` validates the result by building the three
 configs. Targets and behaviors share one item vector and the attention
-residual adds the target back, so d_t is the only item width: the ``d_b``
-and ``d_a`` keys are accepted only when equal to it and are not kept.
+residual adds the target back, so d_t is the only item width and the only
+width key. Attention dropout is off at ``attn_dropout_p = 0``, the default.
 ``desk`` is the default preset (small dims, minutes on one CPU); ``paper``
 pins the reference hyperparameters (lr 2e-3, embedding weight decay 2e-4,
 batch 8192, dim 128, depth = capacity = 4, dropout 0.1).
@@ -50,20 +50,7 @@ RULES = {
 KINDS = {
     "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
     "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
-    "bool": lambda v: isinstance(v, bool),
 }
-
-# Keys accepted but not kept: each must equal d_t, which HyperParams checks.
-ITEM_WIDTH_KEYS = ("d_b", "d_a")
-
-
-def _parse_bool(s: str) -> bool:
-    v = s.strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
 
 
 def _parse_int_list(s: str) -> list[int]:
@@ -128,15 +115,17 @@ class HyperParams:
     """Model dimensions and architectural switches.
 
     d_t is the width of every item vector, target and behavior alike, and
-    of the attention output that the residual adds the target onto; d_b
-    and d_a are accepted only when equal to it. d_frozen is the width of
-    the frozen pretrained part of each item vector; the trainable
-    id-embedding supplies the remaining d_t - d_frozen coordinates. vocab
-    and d_frozen come from the embedding store, not from the config. The
-    interaction input width is 2 * d_t (target concat interest). m, the
-    paper's QNN head count, is an init-scale and learning-rate multiplier:
-    each layer stores the sum of its m heads as one matrix, initialised as
-    the sum of m draws and trained at m times the learning rate.
+    of the attention output that the residual adds the target onto; the
+    d_b and d_a arguments, which are not config keys, are accepted only
+    when equal to it. attn_dropout_p = 0 turns attention dropout off.
+    d_frozen is the width of the frozen pretrained part of each item
+    vector; the trainable id-embedding supplies the remaining d_t -
+    d_frozen coordinates. vocab and d_frozen come from the embedding store,
+    not from the config. The interaction input width is 2 * d_t (target
+    concat interest). m, the paper's QNN head count, is an init-scale and
+    learning-rate multiplier: each layer stores the sum of its m heads as
+    one matrix, initialised as the sum of m draws and trained at m times
+    the learning rate.
     """
 
     d_t: int = _field(16, int, ">= 1")
@@ -147,14 +136,11 @@ class HyperParams:
     m: int = _field(2, int, ">= 1", key="qnn_m")
     dropout_p: float = _field(0.1, float, "in [0, 1)")
     attn_kind: str = _field("relu", str, ATTN_KINDS)
-    attn_dropout: bool = _field(False, _parse_bool)
-    attn_dropout_p: float = _field(0.1, float, "in [0, 1)")
+    attn_dropout_p: float = _field(0.0, float, "in [0, 1)")
     pooling: str = _field("asta", str, POOLINGS)
     interaction: str = _field("qnn", str, INTERACTIONS)
     mlp_dims: tuple[int, ...] = _field((64, 32), _parse_int_list, ">= 1")
     qnn_act: str = _field("prelu", str, QNN_ACTS)
-    qnn_residual: bool = _field(True, _parse_bool)
-    qnn_mid_act: bool = _field(False, _parse_bool)
     vocab: int = _field(0, rule=">= 1")
     d_frozen: int = _field(0, rule=">= 0")
 
@@ -269,12 +255,9 @@ def build(cls, cfg: dict, **extra):
 
 
 def parse_value(key: str, raw: str):
-    if key in ITEM_WIDTH_KEYS:
-        parser = int
-    elif key in KEYS:
-        parser = KEYS[key].metadata["parse"]
-    else:
+    if key not in KEYS:
         raise ConfigError(f"unknown config key: {key!r}")
+    parser = KEYS[key].metadata["parse"]
     try:
         return parser(raw)
     except (ValueError, TypeError) as exc:
@@ -282,44 +265,42 @@ def parse_value(key: str, raw: str):
 
 
 def read_config_file(path: str) -> dict:
-    """Parse a key=value file; '#' starts a comment, blank lines ignored."""
-    out = {}
+    """Parse a UTF-8 key=value file; '#' starts a comment, blank lines ignored."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, raw = line.split("=", 1)
-                out[key.strip()] = parse_value(key.strip(), raw.strip())
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    out = {}
+    for lineno, blob in enumerate(data.splitlines(), start=1):
+        try:
+            line = blob.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}:{lineno}: not UTF-8 ({exc.reason} at byte "
+                              f"{exc.start})") from None
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, raw = line.split("=", 1)
+        out[key.strip()] = parse_value(key.strip(), raw.strip())
     return out
 
 
 def resolve_config(preset: str | None = None,
                    file_values: dict | None = None,
                    flag_values: dict | None = None) -> dict:
-    """Merge defaults < preset < file < flags; building the configs validates it.
-
-    The result holds every key except d_b and d_a, which are checked
-    against the resolved d_t and dropped.
-    """
+    """Merge defaults < preset < file < flags; building the configs validates it."""
     if preset is not None and preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     cfg = {key: f.default for key, f in KEYS.items()}
-    widths = {}
     for layer in (PRESETS.get(preset), file_values, flag_values):
         for key, value in (layer or {}).items():
-            if key in ITEM_WIDTH_KEYS:
-                widths[key] = value
-            elif key in KEYS:
-                cfg[key] = value
-            else:
+            if key not in KEYS:
                 raise ConfigError(f"unknown config key: {key!r}")
-    build(HyperParams, cfg, vocab=1, d_frozen=0, **widths)
+            cfg[key] = value
+    build(HyperParams, cfg, vocab=1, d_frozen=0)
     build(TrainConfig, cfg)
     build(GenConfig, cfg)
     return cfg

@@ -125,7 +125,7 @@ def collect_kink_preacts(trace, hp: HyperParams) -> np.ndarray:
         pieces.append(trace.pool_trace.scores[live].ravel())
     if hp.interaction == "qnn":
         for layer in trace.inter_trace.layers:
-            pieces.append((layer.t if hp.qnn_mid_act else layer.h).ravel())
+            pieces.append(layer.h.ravel())
     else:
         for pre in trace.inter_trace.pre:
             pieces.append(pre.ravel())
@@ -133,13 +133,11 @@ def collect_kink_preacts(trace, hp: HyperParams) -> np.ndarray:
 
 
 def gradcheck_hyperparams(attn_kind: str = "relu", pooling: str = "asta",
-                          interaction: str = "qnn", vocab: int = 24,
-                          mid_act: bool = False) -> HyperParams:
+                          interaction: str = "qnn", vocab: int = 24) -> HyperParams:
     """Small instance: d=16, seq len 8, depth = capacity = 2, dropout off."""
-    return HyperParams(d_t=16, seq_len=8, depth=2, m=2,
-                       dropout_p=0.0, attn_kind=attn_kind, attn_dropout=False,
+    return HyperParams(d_t=16, seq_len=8, depth=2, m=2, dropout_p=0.0, attn_kind=attn_kind,
                        pooling=pooling, interaction=interaction, mlp_dims=(12, 8),
-                       qnn_mid_act=mid_act, vocab=vocab, d_frozen=8)
+                       vocab=vocab, d_frozen=8)
 
 
 def build_random_instance(hp: HyperParams, seed: int, n: int = 4):

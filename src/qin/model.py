@@ -23,7 +23,7 @@ def attention_config(hp: HyperParams) -> AttentionConfig:
 
 def qnn_config(hp: HyperParams) -> QnnConfig:
     return QnnConfig(depth=hp.depth, m=hp.m, dim=hp.qnn_dim, dropout_p=hp.dropout_p,
-                     residual=hp.qnn_residual, mid_act=hp.qnn_mid_act, act=hp.qnn_act)
+                     act=hp.qnn_act)
 
 
 @dataclass
@@ -43,7 +43,7 @@ def draw_dropout_masks(hp: HyperParams, n: int, rng: np.random.Generator):
     masks scale as {0, 1} floats would, at a byte per entry.
     """
     attn_mask = None
-    if hp.attn_dropout and hp.attn_dropout_p > 0:
+    if hp.attn_dropout_p > 0:
         attn_mask = rng.random((n, hp.seq_len)) >= hp.attn_dropout_p
     qnn_masks = None
     if hp.interaction == "qnn" and hp.dropout_p > 0:

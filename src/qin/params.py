@@ -18,12 +18,11 @@ Checkpoint layout ("QINCKPT1"):
   entry*    u16 LE name length, utf-8 name, u8 ndim, ndim x u32 LE dims
   payload   per entry, in order: prod(dims) float64 little-endian values
 
-``qnn_w_<l>`` is written as (D, D). Files from before the fold hold it
-as (m, D, D); loading sums those heads, which is exact for inference:
-the forward pass summed them the same way. Round trips are otherwise
-bit-identical. Every malformed file raises a CheckpointError, a file with
-bytes after the payload included. Loading against a HyperParams validates
-the (folded) shape table and raises ShapeTableError on any disagreement.
+Round trips are bit-identical. Every malformed file raises a
+CheckpointError, a file with bytes after the payload included. Loading
+against a HyperParams validates the shape table, entry order included, and
+raises ShapeTableError on any disagreement: the layout is the file's entry
+order, so a reordered file would bind tensors to the wrong layers.
 """
 
 from __future__ import annotations
@@ -99,7 +98,8 @@ def copy_params(params: ModelParams) -> ModelParams:
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
-    return a.shapes == b.shapes and np.array_equal(a.flat, b.flat)
+    """Same entries in the same order, and the same values bit for bit."""
+    return list(a.shapes.items()) == list(b.shapes.items()) and np.array_equal(a.flat, b.flat)
 
 
 def init_params(hp: HyperParams, rng: np.random.Generator) -> ModelParams:
@@ -181,8 +181,7 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 def load_checkpoint(path: str, hp: HyperParams | None = None) -> ModelParams:
     """Rebuild ModelParams from a checkpoint; validate shapes against hp if given.
 
-    Without hp the file's own shape table, folded, is the layout. A stacked
-    (m, D, D) ``qnn_w_<l>`` entry is folded to the (D, D) sum of its heads.
+    Without hp the file's own shape table is the layout.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -208,22 +207,13 @@ def load_checkpoint(path: str, hp: HyperParams | None = None) -> ModelParams:
         if n_bytes < left:
             raise CheckpointError(f"{path}: {left - n_bytes} surplus bytes after the "
                                   f"{n_bytes}-byte payload")
-        stacked = {name for name, dims in shapes.items()
-                   if name.startswith("qnn_w_") and len(dims) == 3}
-        if any(shapes[name][0] == 0 for name in stacked):
-            raise ShapeTableError(f"{path}: a stacked qnn_w entry has no heads")
-        folded = {name: dims[1:] if name in stacked else dims for name, dims in shapes.items()}
-        if hp is not None and folded != (want := expected_shapes(hp)):
-            diff = {k: (folded.get(k), want.get(k)) for k in sorted({*folded, *want})
-                    if folded.get(k) != want.get(k)}
-            raise ShapeTableError(f"{path}: shape table mismatch, entry: (file, expected) {diff}")
+        if hp is not None and list(shapes.items()) != list((want := expected_shapes(hp)).items()):
+            diff = {k: (shapes.get(k), want.get(k)) for k in sorted({*shapes, *want})
+                    if shapes.get(k) != want.get(k)}
+            raise ShapeTableError(f"{path}: shape table mismatch, " + (
+                f"entry: (file, expected) {diff}" if diff
+                else f"entry order {list(shapes)}, expected {list(want)}"))
         flat = np.empty(n_bytes // 8, dtype="<f8")
         if fh.readinto(flat) != n_bytes:
             raise TruncatedFileError(f"{path}: checkpoint ended while reading the payload")
-    params = ModelParams(shapes, flat.astype(FLOAT, copy=False))
-    if not stacked:
-        return params
-    out = ModelParams(folded)
-    for name, view in params.views.items():
-        out.views[name][...] = view.sum(axis=0) if name in stacked else view
-    return out
+    return ModelParams(shapes, flat.astype(FLOAT, copy=False))

@@ -7,10 +7,11 @@ dim^2 input pairs x_i * x_j. Depth squares the reachable polynomial degree.
 The paper's m linear heads enter only through their sum, and every head gets
 the same gradient, so a layer stores that sum as one (dim, dim) matrix; m is
 an init-scale and learning-rate multiplier (see ``params.lr_scale``). The
-layer functions also take a stacked (m, dim, dim) weight and sum it, as the
-brute-force oracle does. The activation is PReLU with one learnable slope
-per layer (plain ReLU for the no-PReLU ablation), applied after the product
-by default or to the transform before it (mid-activation variant).
+forward layer also takes a stacked (m, dim, dim) weight and sums it, so the
+brute-force oracle's heads can be checked against it; the backward layer
+takes only the (dim, dim) matrix. The activation is PReLU with one
+learnable slope per layer (plain ReLU for the no-PReLU ablation), applied
+after the product.
 
 The elementwise chain has no select on the sign of the pre-activation:
 PReLU, its derivative and the slope gradient are max/min arithmetic (see
@@ -39,7 +40,6 @@ class QnnConfig:
     dim: int
     dropout_p: float = 0.0
     residual: bool = True
-    mid_act: bool = False
     act: str = "prelu"   # "relu" pins all slopes to 0 and freezes them
 
 
@@ -83,13 +83,8 @@ def qnn_layer_forward(w: np.ndarray, slope: float, x: np.ndarray, cfg: QnnConfig
     if x.shape[-1] != cfg.dim:
         raise ShapeError(f"layer input of shape {x.shape} does not match dim={cfg.dim}")
     t = x @ _folded(w, cfg).T
-    if cfg.mid_act:
-        h = t
-        branch = prelu(t, slope)
-        np.multiply(x, branch, out=branch)
-    else:
-        h = x * t
-        branch = prelu(h, slope)
+    h = x * t
+    branch = prelu(h, slope)
     if drop_mask is not None:
         branch *= drop_mask
         branch /= 1.0 - cfg.dropout_p
@@ -100,34 +95,22 @@ def qnn_layer_forward(w: np.ndarray, slope: float, x: np.ndarray, cfg: QnnConfig
 
 def qnn_layer_backward(w: np.ndarray, slope: float, cfg: QnnConfig,
                        trace: QnnLayerTrace, d_out: np.ndarray):
-    """Gradients of one layer; returns (d_w, d_slope, d_x).
-
-    d_w has the shape of w. For a stacked w every head gets the same
-    (dim, dim) gradient, so d_w is then a read-only broadcast view of it.
-    """
+    """Gradients of one layer with a (dim, dim) w; returns (d_w, d_slope, d_x)."""
+    if w.shape != (cfg.dim, cfg.dim):
+        raise ShapeError(f"layer weight of shape {w.shape} is not ({cfg.dim}, {cfg.dim})")
     d_branch = d_out
     if trace.drop_mask is not None:
         d_branch = d_out * trace.drop_mask
         d_branch /= 1.0 - cfg.dropout_p
 
-    x, h = trace.x, trace.h   # under mid_act h is t itself
-    d_act = d_branch * x if cfg.mid_act else d_branch   # gradient at act's output
-    d_slope = 0.0 if cfg.act == "relu" else prelu_slope_grad(h, d_act)
+    x, h = trace.x, trace.h
+    d_slope = 0.0 if cfg.act == "relu" else prelu_slope_grad(h, d_branch)
     d_h = prelu_grad(h, slope)
-    np.multiply(d_act, d_h, out=d_h)
-    if cfg.mid_act:
-        # branch = x * act(t)
-        d_x = prelu(h, slope)
-        np.multiply(d_branch, d_x, out=d_x)
-        d_t = d_h
-    else:
-        # branch = act(x * t)
-        d_x = d_h * trace.t
-        d_t = np.multiply(d_h, x, out=d_h)
+    np.multiply(d_branch, d_h, out=d_h)
+    d_x = d_h * trace.t
+    d_t = np.multiply(d_h, x, out=d_h)
     d_w = d_t.T @ x
-    if w.ndim == 3:
-        d_w = np.broadcast_to(d_w, w.shape)
-    np.add(d_x, d_t @ _folded(w, cfg), out=d_x)
+    np.add(d_x, d_t @ w, out=d_x)
     if cfg.residual:
         np.add(d_x, d_out, out=d_x)
     return d_w, d_slope, d_x
@@ -141,21 +124,15 @@ def brute_force_expansion(w: np.ndarray, slope: float, x: np.ndarray,
     """
     d = cfg.dim
     h = [0.0] * d
-    t = [0.0] * d
     for i in range(d):
         for j in range(d):
             coeff = 0.0
             for m in range(cfg.m):
                 coeff += float(w[m, i, j])
-            t[i] += coeff * float(x[j])
             h[i] += coeff * float(x[i]) * float(x[j])
     out = np.empty(d, dtype=FLOAT)
     for i in range(d):
-        if cfg.mid_act:
-            ti = t[i] if t[i] >= 0 else slope * t[i]
-            branch = float(x[i]) * ti
-        else:
-            branch = h[i] if h[i] >= 0 else slope * h[i]
+        branch = h[i] if h[i] >= 0 else slope * h[i]
         out[i] = (float(x[i]) + branch) if cfg.residual else branch
     return out
 

@@ -62,11 +62,13 @@ def lookup_sequence(store, id_table, seq_ids, mask):
 
 
 def stacked_params(params, hp, seed):
-    """params in the layout from before the QNN fold: each qnn_w_<l> as m (D, D) heads.
+    """params with each qnn_w_<l> as m (D, D) heads, for per-head references.
 
     The heads are fresh draws at the init scale; every other tensor is a
-    copy of params'. The qnn functions accept a stacked weight, so the
-    result scores and trains like any ModelParams.
+    copy of params'. Adam steps it like any ModelParams, so it is the
+    per-head reference for a layer trained at m times the learning rate.
+    Against a config it is a shape mismatch: only the forward layer takes
+    stacked heads.
     """
     from qin.linalg import make_rng
     from qin.params import ModelParams

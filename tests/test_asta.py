@@ -350,7 +350,7 @@ def test_per_item_path_matches_per_slot_reference(pooling, kind, attn_dropout):
     from qin.params import init_params, named_arrays
 
     hp = HyperParams(d_t=8, d_b=8, d_a=8, seq_len=6, vocab=9, d_frozen=3, pooling=pooling,
-                     attn_kind=kind, attn_dropout=attn_dropout, attn_dropout_p=0.3)
+                     attn_kind=kind, attn_dropout_p=0.3 if attn_dropout else 0.0)
     rng = make_rng(41)
     params = init_params(hp, rng)
     params.id_embedding = rng.standard_normal(params.id_embedding.shape) * 0.5

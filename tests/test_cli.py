@@ -11,9 +11,8 @@ from qin.linalg import make_rng
 
 TINY_GEN = ["--n-samples", "400", "--n-items", "60", "--n-users", "30",
             "--emb-dim", "4", "--max-seq-len", "6", "--min-seq-len", "6",
-            "--d-t", "8", "--d-b", "8", "--d-a", "8"]
-TINY_MODEL = ["--d-t", "8", "--d-b", "8", "--d-a", "8", "--max-seq-len", "6",
-              "--batch-size", "64"]
+            "--d-t", "8"]
+TINY_MODEL = ["--d-t", "8", "--max-seq-len", "6", "--batch-size", "64"]
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +72,7 @@ def test_paper_preset_pins():
     assert cfg["lr"] == 2e-3
     assert cfg["emb_weight_decay"] == 2e-4
     assert cfg["batch_size"] == 8192
-    assert cfg["d_t"] == 128 and "d_b" not in cfg and "d_a" not in cfg
+    assert cfg["d_t"] == 128
     assert cfg["qnn_depth"] == cfg["qnn_m"] == 4
     assert cfg["dropout_p"] == 0.1
     assert cfg["mlp_dims"] == [1024, 512, 256]

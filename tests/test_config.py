@@ -3,8 +3,7 @@ import dataclasses
 import pytest
 
 from qin.cli import _resolve, build_parser, main
-from qin.config import (ITEM_WIDTH_KEYS, KEYS, GenConfig, HyperParams, TrainConfig, build,
-                        resolve_config)
+from qin.config import KEYS, GenConfig, HyperParams, TrainConfig, build, resolve_config
 from qin.errors import ConfigError
 
 NAN, INF = float("nan"), float("inf")
@@ -22,10 +21,9 @@ CLI_CASES = {
     "adam_beta2_one": ["train", "--adam-beta2", "1"],
     "lr_inf": ["train", "--lr", "inf"],
     "adam_eps_zero": ["train", "--adam-eps", "0", "--qnn-act", "relu"],
-    "d_b_not_d_t": ["train", "--d-t", "8", "--d-b", "16"],
 }
 CONSTRUCTOR_CASES = {
-    "attn_dropout_p_one": lambda: HyperParams(vocab=5, attn_dropout=True, attn_dropout_p=1.0),
+    "attn_dropout_p_one": lambda: HyperParams(vocab=5, attn_dropout_p=1.0),
     "hp_mlp_dims_zero": lambda: HyperParams(vocab=5, interaction="mlp", mlp_dims=(8, 0)),
     "hp_d_a_not_d_t": lambda: HyperParams(vocab=5, d_t=8, d_a=16),
     "train_seed_negative": lambda: TrainConfig(seed=-1),
@@ -38,7 +36,7 @@ CONSTRUCTOR_CASES = {
     "noise_std_nan": lambda: GenConfig(noise_std=NAN),
     "quad_strength_inf": lambda: GenConfig(quad_strength=INF),
     "depth_float": lambda: HyperParams(vocab=3, depth=2.5),
-    "attn_dropout_str": lambda: HyperParams(vocab=3, attn_dropout="no"),
+    "attn_dropout_p_str": lambda: HyperParams(vocab=3, attn_dropout_p="0.1"),
     "batch_size_float": lambda: TrainConfig(batch_size=2.5),
     "epochs_str": lambda: TrainConfig(epochs="3"),
     "lr_str": lambda: TrainConfig(lr="0.1"),
@@ -64,13 +62,12 @@ def test_bad_values_raise_config_error(case, tmp_path, capsys):
 
 # key -> (flag value, the value it parses to); every one differs from the default.
 NON_DEFAULT = {
-    "d_t": ("12", 12), "d_b": ("12", 12), "d_a": ("12", 12),
+    "d_t": ("12", 12),
     "max_seq_len": ("5", 5), "qnn_depth": ("3", 3), "qnn_m": ("4", 4),
     "dropout_p": ("0.25", 0.25), "attn_kind": ("softmax", "softmax"),
-    "attn_dropout": ("yes", True), "attn_dropout_p": ("0.2", 0.2),
+    "attn_dropout_p": ("0.2", 0.2),
     "pooling": ("mean", "mean"), "interaction": ("mlp", "mlp"),
     "mlp_dims": ("9,4", (9, 4)), "qnn_act": ("relu", "relu"),
-    "qnn_residual": ("off", False), "qnn_mid_act": ("1", True),
     "lr": ("0.01", 0.01), "emb_weight_decay": ("0.001", 0.001),
     "batch_size": ("17", 17), "epochs": ("4", 4), "patience": ("1", 1),
     "seed": ("11", 11), "adam_beta1": ("0.8", 0.8), "adam_beta2": ("0.99", 0.99),
@@ -98,17 +95,13 @@ def resolve_flags(*flags) -> dict:
 
 
 def test_every_key_reaches_its_config_fields():
-    assert set(NON_DEFAULT) == set(KEYS) | set(ITEM_WIDTH_KEYS)
+    assert set(NON_DEFAULT) == set(KEYS)
     flags = [arg for key, (raw, _) in NON_DEFAULT.items()
              for arg in (f"--{key.replace('_', '-')}", raw)]
     cfg = resolve_flags(*flags)
     built = {HyperParams: build(HyperParams, cfg, vocab=300, d_frozen=5),
              TrainConfig: build(TrainConfig, cfg), GenConfig: build(GenConfig, cfg)}
     for key, (_, value) in NON_DEFAULT.items():
-        if key in ITEM_WIDTH_KEYS:
-            # Checked against d_t, then dropped: nothing downstream reads them.
-            assert key not in cfg
-            continue
         targets = FEEDS.get(key) or [(cls, key) for cls in built if key in defaults(cls)]
         assert len(targets) == 1 or key in FEEDS, key
         for cls, name in targets:
@@ -127,6 +120,35 @@ def test_every_key_reaches_its_config_fields():
     with pytest.raises(ConfigError):
         GenConfig(min_seq_len=0)
 
-    # d_t alone sets the one item width; d_b/d_a are only checked against it.
+    # d_t alone sets the one item width.
     assert build(HyperParams, resolve_flags("--d-t", "8"), vocab=3).qnn_dim == 16
-    assert "d_a" not in resolve_flags("--d-t", "8", "--d-a", "8")
+
+
+# Keys that no preset, ablation variant or benchmark set: d_b and d_a had to
+# equal d_t, attn_dropout repeated attn_dropout_p = 0, and the QNN residual
+# and mid-activation switches selected layer forms the model never runs.
+RETIRED_KEYS = ("d_b", "d_a", "attn_dropout", "qnn_residual", "qnn_mid_act")
+
+
+@pytest.mark.parametrize("key", RETIRED_KEYS)
+def test_retired_keys_exit_2(key, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--out", out, f"--{key.replace('_', '-')}", "16"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+    cfg_file = tmp_path / "retired.cfg"
+    cfg_file.write_text(f"{key}=16\n")
+    assert main(["gen-data", "--out", out, "--config", str(cfg_file)]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_bytes(b"# fine\nd_t=1\xff6\n")
+    assert main(["gen-data", "--out", str(tmp_path / "out"), "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{cfg_file}:2:" in err and "UTF-8" in err
+    assert not (tmp_path / "out").exists()

@@ -105,12 +105,6 @@ def test_model_gradcheck_mean_pool_and_mlp():
         assert report.max_rel_err < 1e-4, report.line()
 
 
-def test_model_gradcheck_mid_activation():
-    hp = gradcheck_hyperparams(mid_act=True)
-    for report in run_model_gradcheck(17, hp=hp):
-        assert report.max_rel_err < 1e-4, report.line()
-
-
 def test_sabotage_self_test():
     reports = {r.name: r for r in run_model_gradcheck(7, sabotage="head")}
     assert reports["head"].max_rel_err > 1e-4

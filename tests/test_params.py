@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from qin.config import HyperParams
-from qin.embedding import EmbeddingStore, Sample
 from qin.errors import (BadMagicError, CheckpointError, ConfigError, ShapeError,
                         ShapeTableError, TruncatedFileError)
 from qin.linalg import make_rng, rng_normal
 from qin.params import (ModelParams, copy_params, expected_shapes, init_params,
                         load_checkpoint, named_arrays, params_equal, save_checkpoint,
                         zero_gradients)
-from qin.train import evaluate
 
 
 def small_hp(**kw):
@@ -93,38 +91,41 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert params_equal(p, loaded)
 
 
-def test_stacked_checkpoint_loads_folded_and_scores_the_same(tmp_path):
-    """A file written before the fold, with (m, D, D) qnn_w entries, loads as their sum."""
+def test_stacked_checkpoint_is_a_shape_mismatch(tmp_path, capsys):
+    """(m, D, D) qnn_w entries fail against the config like any other shape."""
     from conftest import stacked_params
+    from qin.cli import main
 
     hp = small_hp(m=3)
     stacked = stacked_params(init_params(hp, make_rng(11)), hp, seed=12)
     path = tmp_path / "stacked.ckpt"
     save_checkpoint(stacked, str(path))
-    loaded = load_checkpoint(str(path), hp)
-    assert loaded.shapes == expected_shapes(hp)
-    for name, view in stacked.views.items():
-        want = view.sum(axis=0) if name.startswith("qnn_w_") else view
-        assert np.array_equal(loaded.views[name], want), name
-    assert params_equal(load_checkpoint(str(path)), loaded)
-
-    rng = make_rng(13)
-    store = EmbeddingStore(rng.standard_normal((hp.vocab, hp.d_frozen)))
-    samples = [Sample(target_id=int(rng.integers(0, hp.vocab)),
-                      seq_ids=[int(v) for v in rng.integers(0, hp.vocab, rng.integers(0, 5))],
-                      label=i % 2) for i in range(40)]
-    folded_metrics = evaluate(loaded, hp, store, samples)
-    stacked_metrics = evaluate(stacked, hp, store, samples)
-    assert np.array_equal(folded_metrics["probs"], stacked_metrics["probs"])
-    assert folded_metrics["auc"] == stacked_metrics["auc"]
-    assert folded_metrics["logloss"] == stacked_metrics["logloss"]
+    with pytest.raises(ShapeTableError, match="qnn_w_0"):
+        load_checkpoint(str(path), hp)
+    # Without a config the file's own table is the layout, heads and all.
+    assert params_equal(load_checkpoint(str(path)), stacked)
+    assert main(["inspect", str(path)]) == 0
+    assert "name=qnn_w_0 shape=(3,16,16) values=768 " in capsys.readouterr().out
 
 
-def test_stacked_entry_without_heads_raises_shape_table_error(tmp_path):
-    path = tmp_path / "no_heads.ckpt"
-    save_checkpoint(ModelParams({"qnn_w_0": (0, 4, 4), "head_b": ()}), str(path))
-    with pytest.raises(ShapeTableError, match="no heads"):
-        load_checkpoint(str(path))
+def test_entry_order_is_part_of_the_layout(tmp_path):
+    # The layers are listed in file order, so a file holding qnn_w_1 before
+    # qnn_w_0 would hand each layer the other's matrix.
+    hp = small_hp()
+    p = init_params(hp, make_rng(14))
+    names = list(p.shapes)
+    i, j = names.index("qnn_w_0"), names.index("qnn_w_1")
+    names[i], names[j] = names[j], names[i]
+    swapped = ModelParams({name: p.shapes[name] for name in names})
+    for name, view in swapped.views.items():
+        view[...] = p.views[name]
+    path = tmp_path / "swapped.ckpt"
+    save_checkpoint(swapped, str(path))
+    with pytest.raises(ShapeTableError, match="order"):
+        load_checkpoint(str(path), hp)
+    assert params_equal(load_checkpoint(str(path)), swapped)
+    # Same entries and the same buffer, in another order: not equal.
+    assert not params_equal(ModelParams(swapped.shapes, p.flat.copy()), p)
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -8,9 +8,8 @@ from qin.qnn import (QnnConfig, assemble_x1, brute_force_expansion, mlp_backward
                      qnn_layer_forward)
 
 
-def cfg_for(dim, m=1, depth=1, residual=True, mid_act=False, dropout_p=0.0):
-    return QnnConfig(depth=depth, m=m, dim=dim, dropout_p=dropout_p,
-                     residual=residual, mid_act=mid_act)
+def cfg_for(dim, m=1, depth=1, residual=True, dropout_p=0.0):
+    return QnnConfig(depth=depth, m=m, dim=dim, dropout_p=dropout_p, residual=residual)
 
 
 def test_assemble_layout():
@@ -64,19 +63,20 @@ def test_brute_force_zero_weights():
     assert np.array_equal(brute_force_expansion(np.zeros((3, 4, 4)), 0.3, x, cfg), x)
 
 
-@pytest.mark.parametrize("mid_act", [False, True])
-def test_oracle_equivalence_sweep(mid_act):
-    # 100 random instances with dim <= 5, m <= 3 agree within 1e-12
+@pytest.mark.parametrize("stacked", [False, True])
+def test_oracle_equivalence_sweep(stacked):
+    # 100 random instances with dim <= 5, m <= 3 agree within 1e-12, whether
+    # the layer gets the oracle's m heads or their (dim, dim) sum.
     rng = make_rng(3)
     for trial in range(100):
         dim = int(rng.integers(1, 6))
         m = int(rng.integers(1, 4))
         residual = bool(rng.integers(0, 2))
-        cfg = cfg_for(dim, m=m, residual=residual, mid_act=mid_act)
+        cfg = cfg_for(dim, m=m, residual=residual)
         w = rng.standard_normal((m, dim, dim))
         slope = float(rng.uniform(0.0, 1.0))
         x = rng.standard_normal(dim)
-        fast, _ = qnn_layer_forward(w, slope, x[None, :], cfg)
+        fast, _ = qnn_layer_forward(w if stacked else w.sum(axis=0), slope, x[None, :], cfg)
         oracle = brute_force_expansion(w, slope, x, cfg)
         assert np.max(np.abs(fast[0] - oracle)) < 1e-12
 
@@ -139,7 +139,7 @@ def test_stack_depth_zero_passthrough():
 def test_stack_zero_upstream():
     rng = make_rng(7)
     cfg = cfg_for(3, m=2, depth=2)
-    ws = [rng.standard_normal((2, 3, 3)) for _ in range(2)]
+    ws = [rng.standard_normal((3, 3)) for _ in range(2)]
     slopes = np.array([0.25, 0.25])
     _, trace = qnn_forward(ws, slopes, rng.standard_normal(3), cfg)
     d_ws, d_slopes, d_x1 = qnn_backward(ws, slopes, cfg, trace, np.zeros(3))
@@ -148,12 +148,12 @@ def test_stack_zero_upstream():
     assert np.array_equal(d_x1, np.zeros(3))
 
 
-def qnn_fd_worst(seed, mid_act=False, act="prelu", dropout=False):
+def qnn_fd_worst(seed, residual=True, act="prelu", dropout=False):
     rng = make_rng(seed)
     dim, m, depth = 4, 2, 2
     cfg = QnnConfig(depth=depth, m=m, dim=dim, dropout_p=0.1 if dropout else 0.0,
-                    residual=True, mid_act=mid_act, act=act)
-    ws = [rng.standard_normal((m, dim, dim)) * 0.5 for _ in range(depth)]
+                    residual=residual, act=act)
+    ws = [(rng.standard_normal((m, dim, dim)) * 0.5).sum(axis=0) for _ in range(depth)]
     slopes = np.array([0.25, 0.4]) if act == "prelu" else np.zeros(depth)
     x1 = rng.standard_normal(dim)
     r = rng.standard_normal(dim)
@@ -215,10 +215,10 @@ def qnn_fd_worst(seed, mid_act=False, act="prelu", dropout=False):
     return worst
 
 
-@pytest.mark.parametrize("mid_act", [False, True])
-def test_stack_backward_matches_finite_differences(mid_act):
+@pytest.mark.parametrize("residual", [False, True])
+def test_stack_backward_matches_finite_differences(residual):
     for seed in range(3):
-        assert qnn_fd_worst(40 + seed, mid_act=mid_act) < 1e-4
+        assert qnn_fd_worst(40 + seed, residual=residual) < 1e-4
 
 
 def test_stack_backward_relu_act_and_dropout():
@@ -229,7 +229,7 @@ def test_stack_backward_relu_act_and_dropout():
 def test_relu_act_freezes_slope_gradient():
     rng = make_rng(52)
     cfg = QnnConfig(depth=1, m=1, dim=3, act="relu")
-    ws = [rng.standard_normal((1, 3, 3))]
+    ws = [rng.standard_normal((3, 3))]
     slopes = np.zeros(1)
     _, trace = qnn_forward(ws, slopes, rng.standard_normal(3), cfg)
     _, d_slopes, _ = qnn_backward(ws, slopes, cfg, trace, np.ones(3))
@@ -242,12 +242,9 @@ def where_prelu(x, slope):
 
 def where_layer(w, slope, x, cfg, drop_mask, d_out):
     """The layer as written with np.where selects: forward output, d_w, d_slope, d_x."""
-    t = x @ w.sum(axis=0).T
-    if cfg.mid_act:
-        branch = x * where_prelu(t, slope)
-    else:
-        h = x * t
-        branch = where_prelu(h, slope)
+    t = x @ w.T
+    h = x * t
+    branch = where_prelu(h, slope)
     if drop_mask is not None:
         branch = branch * drop_mask / (1.0 - cfg.dropout_p)
     out = x + branch if cfg.residual else branch
@@ -255,18 +252,12 @@ def where_layer(w, slope, x, cfg, drop_mask, d_out):
     d_branch = d_out
     if drop_mask is not None:
         d_branch = d_branch * drop_mask / (1.0 - cfg.dropout_p)
-    if cfg.mid_act:
-        d_x = d_branch * where_prelu(t, slope)
-        d_act = d_branch * x
-        d_t = d_act * np.where(t >= 0.0, 1.0, slope)
-        d_slope = float(np.sum(np.where(t < 0, d_act * t, 0.0)))
-    else:
-        d_h = d_branch * np.where(h >= 0.0, 1.0, slope)
-        d_slope = float(np.sum(np.where(h < 0, d_branch * h, 0.0)))
-        d_x = d_h * t
-        d_t = d_h * x
+    d_h = d_branch * np.where(h >= 0.0, 1.0, slope)
+    d_slope = float(np.sum(np.where(h < 0, d_branch * h, 0.0)))
+    d_x = d_h * t
+    d_t = d_h * x
     d_w = d_t.T @ x
-    d_x = d_x + d_t @ w.sum(axis=0)
+    d_x = d_x + d_t @ w
     if cfg.residual:
         d_x = d_x + d_out
     if cfg.act == "relu":
@@ -276,57 +267,53 @@ def where_layer(w, slope, x, cfg, drop_mask, d_out):
 
 @pytest.mark.parametrize("n", [1, 257])
 @pytest.mark.parametrize("act", ["prelu", "relu"])
-@pytest.mark.parametrize("mid_act", [False, True])
+@pytest.mark.parametrize("stacked", [False, True])
 @pytest.mark.parametrize("dropout", [False, True])
 @pytest.mark.parametrize("residual", [False, True])
-def test_layer_matches_where_reference_bit_for_bit(n, act, mid_act, dropout, residual):
+def test_layer_matches_where_reference_bit_for_bit(n, act, stacked, dropout, residual):
+    # The forward pass gets the m heads (as the brute-force oracle does) or
+    # their (dim, dim) sum (as the model does); the backward pass the sum.
     rng = make_rng(60 + n)
     dim, m = 8, 3
     cfg = QnnConfig(depth=1, m=m, dim=dim, dropout_p=0.3 if dropout else 0.0,
-                    residual=residual, mid_act=mid_act, act=act)
-    w = rng.standard_normal((m, dim, dim))
+                    residual=residual, act=act)
+    heads = rng.standard_normal((m, dim, dim))
+    w = heads.sum(axis=0)
     slope = 0.0 if act == "relu" else float(rng.uniform(-1.0, 1.0))
     x = rng.standard_normal((n, dim))
     drop_mask = (rng.uniform(size=(n, dim)) > 0.3).astype(float) if dropout else None
     d_out = rng.standard_normal((n, dim))
     x_before, d_out_before = x.copy(), d_out.copy()
 
-    out, trace = qnn_layer_forward(w, slope, x, cfg, drop_mask)
+    out, trace = qnn_layer_forward(heads if stacked else w, slope, x, cfg, drop_mask)
     d_w, d_slope, d_x = qnn_layer_backward(w, slope, cfg, trace, d_out)
     ref_out, ref_d_w, ref_d_slope, ref_d_x = where_layer(w, slope, x, cfg, drop_mask, d_out)
 
     assert np.array_equal(out, ref_out)
-    assert np.array_equal(d_w, np.broadcast_to(ref_d_w, w.shape))
+    assert np.array_equal(d_w, ref_d_w)
     assert d_slope == ref_d_slope
     assert np.array_equal(d_x, ref_d_x)
     # Mixed signs, so both sides of the activation are exercised.
-    h = trace.t if mid_act else trace.h
-    assert np.any(h < 0) and np.any(h > 0)
+    assert np.any(trace.h < 0) and np.any(trace.h > 0)
     # In-place arithmetic never writes into the caller's arrays.
     assert np.array_equal(x, x_before) and np.array_equal(d_out, d_out_before)
 
 
-@pytest.mark.parametrize("mid_act", [False, True])
-def test_folded_weight_matches_stacked_bit_for_bit(mid_act):
-    # The model passes each layer's (dim, dim) head sum; the stacked form
-    # sums its heads in the same order, so every result is the same number.
+def test_layer_weight_shapes():
+    # The forward pass takes the (dim, dim) matrix or m stacked heads; the
+    # backward pass only the matrix, so its gradient is never a stacked view.
     rng = make_rng(70)
-    dim, m, n = 6, 3, 33
-    cfg = QnnConfig(depth=1, m=m, dim=dim, dropout_p=0.2, mid_act=mid_act)
-    w = rng.standard_normal((m, dim, dim))
+    dim, m, n = 6, 3, 5
+    cfg = QnnConfig(depth=1, m=m, dim=dim)
+    heads = rng.standard_normal((m, dim, dim))
     x = rng.standard_normal((n, dim))
-    keep = rng.random((n, dim)) >= 0.2
-    d_out = rng.standard_normal((n, dim))
-    results = []
-    for layer_w in (w, w.sum(axis=0)):
-        out, trace = qnn_layer_forward(layer_w, 0.3, x, cfg, keep)
-        d_w, d_slope, d_x = qnn_layer_backward(layer_w, 0.3, cfg, trace, d_out)
-        assert d_w.shape == layer_w.shape
-        results.append((out.tobytes(), d_w[-1].tobytes() if d_w.ndim == 3 else d_w.tobytes(),
-                        d_slope, d_x.tobytes()))
-    assert results[0] == results[1]
     with pytest.raises(ShapeError):
-        qnn_layer_forward(w[:2], 0.3, x, cfg)
+        qnn_layer_forward(heads[:2], 0.3, x, cfg)
+    _, trace = qnn_layer_forward(heads, 0.3, x, cfg)
+    with pytest.raises(ShapeError):
+        qnn_layer_backward(heads, 0.3, cfg, trace, np.ones((n, dim)))
+    d_w, _, _ = qnn_layer_backward(heads.sum(axis=0), 0.3, cfg, trace, np.ones((n, dim)))
+    assert d_w.shape == (dim, dim)
 
 
 def test_mlp_zero_weights():

@@ -341,7 +341,7 @@ def test_train_same_bits_from_list_and_split(tmp_path):
     from qin.dataio import as_split
     from qin.params import save_checkpoint
 
-    hp = dataclasses.replace(HP, attn_dropout=True)   # the dropout mask stream too
+    hp = dataclasses.replace(HP, attn_dropout_p=0.1)   # the dropout mask stream too
     store, samples = tiny_world(seed=43)
     runs = []
     for convert in (list, as_split):
