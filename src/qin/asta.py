@@ -3,9 +3,11 @@
 The target item is the query, the behavior sequence supplies keys and
 values. Scores are Q.K^T scaled by 1/sqrt(d_t); the score transform is
 ReLU by default, which yields non-normalized, exactly sparse weights.
-SoftMax, squared-ReLU and SiLU transforms are kept for ablations. The
+SoftMax, squared-ReLU and SiLU transforms are kept for ablations, and the
+``mean`` kind is the paper's "w/o ASTA" ablation: fixed weights of
+1 / live count on every unmasked slot, with no query, key or score. The
 target embedding is added back to the weighted value sum for every kind,
-so ablations isolate the score transform alone. Because of that residual
+so ablations isolate the weight rule alone. Because of that residual
 and because targets and behaviors share one item vector, every width in
 the block is the item width d_t.
 
@@ -22,6 +24,8 @@ The backward pass mirrors this: every projection gradient is a product of
 per-sample (n, d) arrays, and the behavior-row gradient is one segment sum
 whose slot entry is d_score * qk + weight * W_v^T d_o, over columns
 frozen: only; the first `frozen` columns are the store, which never trains.
+Under ``mean`` there is no score gradient: the slot entry is the weight
+term alone, and W_q and W_k get exact-zero gradients.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ class AttentionConfig:
     kind: str
     d_t: int
     seq_len: int
-    dropout_p: float = 0.1
+    dropout_p: float = 0.0
     d_a: InitVar[int | None] = None
     d_b: InitVar[int | None] = None
 
@@ -66,14 +70,15 @@ class AttentionTrace:
     """Everything the backward pass replays, per batch row.
 
     Only per-sample vectors and the gathered behavior rows are kept; no
-    per-slot key or value exists in either pass.
+    per-slot key or value exists in either pass. Kind ``mean`` forms no
+    query or score, so q, qk and scores are None.
     """
 
-    q: np.ndarray            # (n, d_t)
-    qk: np.ndarray           # (n, d_t) query mapped into item space, W_k^T q
+    q: np.ndarray | None     # (n, d_t)
+    qk: np.ndarray | None    # (n, d_t) query mapped into item space, W_k^T q
     x_b: np.ndarray          # (n, s, d_t) behavior row of each slot
     pooled: np.ndarray       # (n, d_t) weighted sum of the behavior rows
-    scores: np.ndarray       # (n, s) raw scaled scores
+    scores: np.ndarray | None  # (n, s) raw scaled scores
     weights: np.ndarray      # (n, s) transformed, masked, post-dropout
     x_t: np.ndarray          # (n, d_t)
     ids: np.ndarray          # (n, s) table row of each slot
@@ -83,15 +88,21 @@ class AttentionTrace:
     softmax_w: np.ndarray | None  # (n, s) pre-dropout softmax weights
 
 
-def attention_weights(scores: np.ndarray, mask: np.ndarray, kind: str) -> np.ndarray:
-    """Score transform plus masking; no dropout.
+def attention_weights(scores: np.ndarray | None, mask: np.ndarray, kind: str) -> np.ndarray:
+    """The weight rule: score transform plus masking; no dropout.
 
+    mean ignores the scores (None will do): each unmasked slot weighs
+    1 / the row's live count, and an all-masked row weighs nothing.
     softmax rows normalize over unmasked positions (all-masked rows yield
     all-zero weights); the other kinds transform pointwise then zero the
     masked slots.
     """
-    scores = np.asarray(scores, dtype=FLOAT)
     mask = np.asarray(mask, dtype=FLOAT)
+    if kind == "mean":
+        counts = mask.sum(axis=-1)
+        inv_len = np.where(counts > 0, 1.0 / np.where(counts > 0, counts, 1.0), 0.0)
+        return mask * inv_len[..., None]
+    scores = np.asarray(scores, dtype=FLOAT)
     if scores.shape != mask.shape:
         raise ShapeError(f"scores/mask shape mismatch: {scores.shape} vs {mask.shape}")
     if kind == "softmax":
@@ -137,6 +148,9 @@ def asta_forward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
                  drop_mask: np.ndarray | None = None, ids=None):
     """Interest vector o = transform(Q.K^T / sqrt(d_t)) V + x_t.
 
+    Under kind mean the weights are the masked mean's, o = W_v . mean(x_b) + x_t,
+    and w_q, w_k are not used.
+
     Accepts one sample (x_t (d_t,), x_b (s, d_t)) or a batch with a leading
     n axis. With ids, x_b is an item table (rows, d_t) instead and ids
     (n, s) names the row behind each slot. drop_mask, when given, is the
@@ -154,9 +168,12 @@ def asta_forward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
     if any(w.shape != (d, d) for w in (w_q, w_k, w_v)):
         raise ShapeError("attention projection shapes do not match config")
 
-    q = x_t @ w_q.T                                         # (n, d_t)
-    qk = q @ w_k                                            # (n, d_t)
-    scores = (x_b @ qk[:, :, None])[:, :, 0] * cfg.scale
+    if cfg.kind == "mean":
+        q = qk = scores = None
+    else:
+        q = x_t @ w_q.T                                     # (n, d_t)
+        qk = q @ w_k                                        # (n, d_t)
+        scores = (x_b @ qk[:, :, None])[:, :, 0] * cfg.scale
 
     weights = attention_weights(scores, mask, cfg.kind)
     softmax_w = weights if cfg.kind == "softmax" else None
@@ -182,7 +199,8 @@ def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
     but holding only columns frozen: of each row. Each slot's behavior-row
     gradient is summed per table row by one segment sum. ReLU subgradient
     at 0 is 0; the residual contributes identity to d_x_t; dropout masks
-    are replayed from the trace.
+    are replayed from the trace. Kind mean has no score gradient, so its
+    d_w_q and d_w_k are exact zeros.
     """
     d_o = np.asarray(d_o, dtype=FLOAT)
     single = d_o.ndim == 1
@@ -193,79 +211,40 @@ def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
 
     d_x_t = d_o.copy()                                      # residual path
     d_v = d_o @ w_v                                         # (n, d_t) d_o in item space
-    d_w = (trace.x_b @ d_v[:, :, None])[:, :, 0]            # d loss / d weights
-
-    if trace.drop_mask is not None:
-        d_w = d_w * trace.drop_mask / (1.0 - cfg.dropout_p)
-
-    if cfg.kind == "softmax":
-        p = trace.softmax_w
-        d_scores = p * (d_w - (d_w * p).sum(axis=1)[:, None])
-    elif cfg.kind == "relu":
-        d_scores = d_w * relu_grad(trace.scores) * trace.mask
-    elif cfg.kind == "relu2":
-        d_scores = d_w * relu2_grad(trace.scores) * trace.mask
-    else:
-        d_scores = d_w * silu_grad(trace.scores) * trace.mask
-    d_scores = d_scores * cfg.scale
-
-    px = (d_scores[:, None, :] @ trace.x_b)[:, 0, :]       # (n, d_t)
-    d_q = px @ w_k.T
-    d_w_q = d_q.T @ trace.x_t
-    d_x_t += d_q @ w_q
-    d_w_k = trace.q.T @ px
     d_w_v = d_o.T @ trace.pooled
-
     # Slot (r, j) adds d_scores[r, j] * qk[r] + weights[r, j] * d_v[r] to
-    # the gradient of its table row.
+    # the gradient of its table row; fixed mean weights have no d_scores.
+    value_term = (d_v[:, frozen:], trace.weights)
+    if cfg.kind == "mean":
+        d_w_q, d_w_k = np.zeros(w_q.shape), np.zeros(w_k.shape)
+        terms = [value_term]
+    else:
+        d_w = (trace.x_b @ d_v[:, :, None])[:, :, 0]        # d loss / d weights
+        if trace.drop_mask is not None:
+            d_w = d_w * trace.drop_mask / (1.0 - cfg.dropout_p)
+
+        if cfg.kind == "softmax":
+            p = trace.softmax_w
+            d_scores = p * (d_w - (d_w * p).sum(axis=1)[:, None])
+        elif cfg.kind == "relu":
+            d_scores = d_w * relu_grad(trace.scores) * trace.mask
+        elif cfg.kind == "relu2":
+            d_scores = d_w * relu2_grad(trace.scores) * trace.mask
+        else:
+            d_scores = d_w * silu_grad(trace.scores) * trace.mask
+        d_scores = d_scores * cfg.scale
+
+        px = (d_scores[:, None, :] @ trace.x_b)[:, 0, :]   # (n, d_t)
+        d_q = px @ w_k.T
+        d_w_q = d_q.T @ trace.x_t
+        d_x_t += d_q @ w_q
+        d_w_k = trace.q.T @ px
+        terms = [(trace.qk[:, frozen:], d_scores), value_term]
+
     rows = int(np.prod(trace.x_b_shape[:-1]))
-    d_x_b = segment_sum(trace.ids, rows, (trace.qk[:, frozen:], d_scores),
-                        (d_v[:, frozen:], trace.weights))
+    d_x_b = segment_sum(trace.ids, rows, *terms)
     d_x_b = d_x_b.reshape(*trace.x_b_shape[:-1], d_x_b.shape[1])
 
     if single:
         return d_w_q, d_w_k, d_w_v, d_x_t[0], d_x_b
     return d_w_q, d_w_k, d_w_v, d_x_t, d_x_b
-
-
-@dataclass
-class MeanPoolTrace:
-    ids: np.ndarray       # (n, s) table row of each slot
-    x_b_shape: tuple      # shape of the x_b argument, which d_x_b takes
-    share: np.ndarray     # (n, s) weight of each slot in the mean: mask / seq_len
-    mean: np.ndarray      # (n, d_t) masked mean of behavior rows
-
-
-def mean_pool_forward(w_v: np.ndarray, x_t, x_b, mask, ids=None):
-    """Ablation pooling: o = W_v . mean(unmasked x_b) + x_t.
-
-    x_b and ids are read as in asta_forward.
-    """
-    x_b_shape = np.shape(x_b)
-    x_t, x_b, ids, mask, single = _promote(x_t, x_b, mask, ids)
-    counts = mask.sum(axis=1)
-    inv_len = np.where(counts > 0, 1.0 / np.where(counts > 0, counts, 1.0), 0.0)
-    share = mask * inv_len[:, None]
-    mean = (share[:, None, :] @ x_b)[:, 0, :]
-    o = mean @ w_v.T + x_t
-    trace = MeanPoolTrace(ids=ids, x_b_shape=x_b_shape, share=share, mean=mean)
-    if single:
-        return o[0], trace
-    return o, trace
-
-
-def mean_pool_backward(w_v: np.ndarray, trace: MeanPoolTrace, d_o, frozen: int = 0):
-    """(d_w_v, d_x_t, d_x_b), d_x_b as in asta_backward."""
-    d_o = np.asarray(d_o, dtype=FLOAT)
-    single = d_o.ndim == 1
-    if single:
-        d_o = d_o[None]
-    d_x_t = d_o.copy()
-    d_w_v = d_o.T @ trace.mean
-    d_mean = d_o @ w_v
-    rows = int(np.prod(trace.x_b_shape[:-1]))
-    d_x_b = segment_sum(trace.ids, rows, (d_mean[:, frozen:], trace.share))
-    d_x_b = d_x_b.reshape(*trace.x_b_shape[:-1], d_x_b.shape[1])
-    if single:
-        return d_w_v, d_x_t[0], d_x_b
-    return d_w_v, d_x_t, d_x_b

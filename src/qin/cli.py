@@ -35,7 +35,7 @@ EXIT_SINGLE_CLASS = 4
 ABLATION_VARIANTS = [
     ("qin_full", {}),
     ("qin_wo_qnn_mlp", {"interaction": "mlp"}),
-    ("qin_wo_asta_mean", {"pooling": "mean"}),
+    ("qin_wo_asta_mean", {"attn_kind": "mean"}),
     ("asta_softmax", {"attn_kind": "softmax"}),
     ("qnn_relu_act", {"qnn_act": "relu"}),
     ("asta_dropout", {"attn_dropout_p": 0.1}),
@@ -126,8 +126,7 @@ def cmd_inspect(args) -> int:
 def cmd_gradcheck(args) -> int:
     _check_positive(seeds=args.seeds, step=args.step, tol=args.tol)
     cfg = _resolve(args)
-    hp = gradcheck_hyperparams(attn_kind=cfg["attn_kind"], pooling=cfg["pooling"],
-                               interaction=cfg["interaction"])
+    hp = gradcheck_hyperparams(attn_kind=cfg["attn_kind"], interaction=cfg["interaction"])
     reports = [report for i in range(args.seeds)
                for report in run_model_gradcheck(cfg["seed"] + i, hp=hp, step=args.step,
                                                  sabotage=args.sabotage, rel_tol=args.tol)]

@@ -120,7 +120,7 @@ def check(forward, analytic_grad: np.ndarray, point: np.ndarray,
 def collect_kink_preacts(trace, hp: HyperParams) -> np.ndarray:
     """Pre-activation values whose sign changes would invalidate a central diff."""
     pieces = []
-    if hp.pooling == "asta" and hp.attn_kind in ("relu", "relu2"):
+    if hp.attn_kind in ("relu", "relu2"):
         live = trace.pool_trace.mask > 0
         pieces.append(trace.pool_trace.scores[live].ravel())
     if hp.interaction == "qnn":
@@ -132,12 +132,11 @@ def collect_kink_preacts(trace, hp: HyperParams) -> np.ndarray:
     return np.concatenate(pieces) if pieces else np.zeros(0, dtype=FLOAT)
 
 
-def gradcheck_hyperparams(attn_kind: str = "relu", pooling: str = "asta",
-                          interaction: str = "qnn", vocab: int = 24) -> HyperParams:
+def gradcheck_hyperparams(attn_kind: str = "relu", interaction: str = "qnn",
+                          vocab: int = 24) -> HyperParams:
     """Small instance: d=16, seq len 8, depth = capacity = 2, dropout off."""
     return HyperParams(d_t=16, seq_len=8, depth=2, m=2, dropout_p=0.0, attn_kind=attn_kind,
-                       pooling=pooling, interaction=interaction, mlp_dims=(12, 8),
-                       vocab=vocab, d_frozen=8)
+                       interaction=interaction, mlp_dims=(12, 8), vocab=vocab, d_frozen=8)
 
 
 def build_random_instance(hp: HyperParams, seed: int, n: int = 4):

@@ -1,4 +1,8 @@
-"""Whole-model forward/backward: embeddings -> pooling -> interaction -> head."""
+"""Whole-model forward/backward: embeddings -> pooling -> interaction -> head.
+
+The pooling is the attention block for every attn_kind, the "w/o ASTA"
+mean pooling included (attn_kind mean).
+"""
 
 from __future__ import annotations
 
@@ -6,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asta import (AttentionConfig, asta_backward, asta_forward,
-                   mean_pool_backward, mean_pool_forward)
+from .asta import AttentionConfig, asta_backward, asta_forward
 from .config import HyperParams
 from .embedding import Batch, EmbeddingStore, embedding_grad_accumulate, item_table, lookup_target
 from .linalg import FLOAT
@@ -61,13 +64,9 @@ def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
     table = item_table(store, params.id_embedding, batch.seq_ids)
     x_t = lookup_target(store, params.id_embedding, batch.target_ids)
 
-    if hp.pooling == "asta":
-        o, pool_trace = asta_forward(params.w_q, params.w_k, params.w_v,
-                                     attention_config(hp), x_t, table, batch.mask,
-                                     drop_mask=attn_mask, ids=batch.seq_ids)
-    else:
-        o, pool_trace = mean_pool_forward(params.w_v, x_t, table, batch.mask,
-                                          ids=batch.seq_ids)
+    o, pool_trace = asta_forward(params.w_q, params.w_k, params.w_v,
+                                 attention_config(hp), x_t, table, batch.mask,
+                                 drop_mask=attn_mask, ids=batch.seq_ids)
 
     x1 = assemble_x1(x_t, o, hp.qnn_dim)
     if hp.interaction == "qnn":
@@ -104,17 +103,12 @@ def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
 
     d_o = d_x1[:, hp.d_t:]
 
-    if hp.pooling == "asta":
-        d_w_q, d_w_k, d_w_v, d_x_t_pool, d_table = asta_backward(
-            params.w_q, params.w_k, params.w_v, attention_config(hp),
-            trace.pool_trace, d_o, frozen=hp.d_frozen)
-        grads.w_q += d_w_q
-        grads.w_k += d_w_k
-        grads.w_v += d_w_v
-    else:
-        d_w_v, d_x_t_pool, d_table = mean_pool_backward(
-            params.w_v, trace.pool_trace, d_o, frozen=hp.d_frozen)
-        grads.w_v += d_w_v
+    d_w_q, d_w_k, d_w_v, d_x_t_pool, d_table = asta_backward(
+        params.w_q, params.w_k, params.w_v, attention_config(hp),
+        trace.pool_trace, d_o, frozen=hp.d_frozen)
+    grads.w_q += d_w_q
+    grads.w_k += d_w_k
+    grads.w_v += d_w_v
     d_x_t = d_x1[:, :hp.d_t] + d_x_t_pool
 
     embedding_grad_accumulate(grads, hp.d_frozen, trace.batch.target_ids, d_x_t, d_table)

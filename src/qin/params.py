@@ -22,7 +22,9 @@ Round trips are bit-identical. Every malformed file raises a
 CheckpointError, a file with bytes after the payload included. Loading
 against a HyperParams validates the shape table, entry order included, and
 raises ShapeTableError on any disagreement: the layout is the file's entry
-order, so a reordered file would bind tensors to the wrong layers.
+order, so a reordered file would bind tensors to the wrong layers. It also
+raises CheckpointError, naming the entry, when a value is NaN or inf: such
+a model scores NaN, which ranks as a number and yields an AUC.
 """
 
 from __future__ import annotations
@@ -179,9 +181,11 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 
 def load_checkpoint(path: str, hp: HyperParams | None = None) -> ModelParams:
-    """Rebuild ModelParams from a checkpoint; validate shapes against hp if given.
+    """Rebuild ModelParams from a checkpoint; validate it against hp if given.
 
-    Without hp the file's own shape table is the layout.
+    Against hp the shape table must match and every value be finite.
+    Without hp the file's own shape table is the layout and the values load
+    as stored, so a non-finite entry can still be inspected.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -216,4 +220,8 @@ def load_checkpoint(path: str, hp: HyperParams | None = None) -> ModelParams:
         flat = np.empty(n_bytes // 8, dtype="<f8")
         if fh.readinto(flat) != n_bytes:
             raise TruncatedFileError(f"{path}: checkpoint ended while reading the payload")
-    return ModelParams(shapes, flat.astype(FLOAT, copy=False))
+    params = ModelParams(shapes, flat.astype(FLOAT, copy=False))
+    if hp is not None and not np.isfinite(params.flat).all():
+        name = next(name for name, view in params.views.items() if not np.isfinite(view).all())
+        raise CheckpointError(f"{path}: entry {name!r} holds a non-finite value")
+    return params

@@ -87,3 +87,15 @@ def stacked_params(params, hp, seed):
 def print_criterion(num: int, name: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[acceptance] criterion {num} ({name}): {status} - {detail}")
+
+
+def attention_case_id(kind: str, attn_dropout) -> str:
+    """Test id ``<pooling>-<kind>-<dropout>`` of an attention case.
+
+    The form dates from when mean pooling had a ``pooling`` key of its own;
+    the mean cases keep ``relu``, the attn_kind default they then ran under,
+    so a case keeps its id across versions.
+    """
+    if kind == "mean":
+        return f"mean-relu-{attn_dropout}"
+    return f"asta-{kind}-{attn_dropout}"

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from qin.asta import (AttentionConfig, asta_backward, asta_forward, attention_weights,
-                      mean_pool_backward, mean_pool_forward)
+from conftest import attention_case_id
+from qin.asta import (AttentionConfig, _promote, asta_backward, asta_forward,
+                      attention_weights)
 from qin.errors import ShapeError
-from qin.linalg import make_rng
+from qin.linalg import make_rng, segment_sum
 
-KINDS = ("relu", "softmax", "relu2", "silu")
+KINDS = ("relu", "softmax", "relu2", "silu", "mean")
 
 
 def cfg_for(d_a, d_b, s, kind="relu"):
@@ -236,56 +237,124 @@ def test_dropout_inverted_scaling():
     assert np.all(trace.weights > 0)
 
 
+def mean_cfg(d, s):
+    return AttentionConfig(kind="mean", d_t=d, seq_len=s)
+
+
 def test_mean_pool_single_row():
     rng = make_rng(10)
-    w_v = rng.standard_normal((3, 3))
+    w_q, w_k, w_v = (rng.standard_normal((3, 3)) for _ in range(3))
     x_t = rng.standard_normal(3)
     row = rng.standard_normal(3)
     x_b = np.stack([row, np.zeros(3)])
-    o, _ = mean_pool_forward(w_v, x_t, x_b, np.array([1.0, 0.0]))
+    o, trace = asta_forward(w_q, w_k, w_v, mean_cfg(3, 2), x_t, x_b, np.array([1.0, 0.0]))
     assert np.allclose(o, w_v @ row + x_t)
+    assert trace.q is None and trace.qk is None and trace.scores is None
+    assert np.array_equal(trace.weights, np.array([[1.0, 0.0]]))
 
 
 def test_mean_pool_idempotent_on_duplicates():
     rng = make_rng(11)
-    w_v = rng.standard_normal((3, 3))
+    w_q, w_k, w_v = (rng.standard_normal((3, 3)) for _ in range(3))
     x_t = rng.standard_normal(3)
     row = rng.standard_normal(3)
-    one, _ = mean_pool_forward(w_v, x_t, row[None, :], np.ones(1))
-    two, _ = mean_pool_forward(w_v, x_t, np.stack([row, row]), np.ones(2))
+    one, _ = asta_forward(w_q, w_k, w_v, mean_cfg(3, 1), x_t, row[None, :], np.ones(1))
+    two, _ = asta_forward(w_q, w_k, w_v, mean_cfg(3, 2), x_t, np.stack([row, row]), np.ones(2))
     assert np.allclose(one, two)
 
 
 def test_mean_pool_empty_history():
     rng = make_rng(12)
-    w_v = rng.standard_normal((3, 3))
+    w_q, w_k, w_v = (rng.standard_normal((3, 3)) for _ in range(3))
     x_t = rng.standard_normal(3)
-    o, _ = mean_pool_forward(w_v, x_t, rng.standard_normal((2, 3)), np.zeros(2))
+    o, trace = asta_forward(w_q, w_k, w_v, mean_cfg(3, 2), x_t, rng.standard_normal((2, 3)),
+                            np.zeros(2))
     assert np.array_equal(o, x_t)
+    assert np.array_equal(trace.weights, np.zeros((1, 2)))
 
 
 def test_mean_pool_backward_finite_differences():
     rng = make_rng(13)
     d, s = 3, 4
-    w_v = rng.standard_normal((d, d))
+    cfg = mean_cfg(d, s)
+    w_q, w_k, w_v = (rng.standard_normal((d, d)) for _ in range(3))
     x_t = rng.standard_normal(d)
     x_b = rng.standard_normal((s, d))
     mask = np.array([1.0, 1.0, 1.0, 0.0])
     r = rng.standard_normal(d)
-    _, trace = mean_pool_forward(w_v, x_t, x_b, mask)
-    d_w_v, d_x_t, d_x_b = mean_pool_backward(w_v, trace, r)
+    _, trace = asta_forward(w_q, w_k, w_v, cfg, x_t, x_b, mask)
+    d_w_q, d_w_k, d_w_v, d_x_t, d_x_b = asta_backward(w_q, w_k, w_v, cfg, trace, r)
+    assert d_w_q.tobytes() == d_w_k.tobytes() == np.zeros((d, d)).tobytes()
     h = 1e-6
     for param, grad in ((w_v, d_w_v), (x_t, d_x_t), (x_b, d_x_b)):
         flat = param.ravel()
         for i in range(flat.size):
             old = flat[i]
             flat[i] = old + h
-            f_plus = float(r @ mean_pool_forward(w_v, x_t, x_b, mask)[0])
+            f_plus = float(r @ asta_forward(w_q, w_k, w_v, cfg, x_t, x_b, mask)[0])
             flat[i] = old - h
-            f_minus = float(r @ mean_pool_forward(w_v, x_t, x_b, mask)[0])
+            f_minus = float(r @ asta_forward(w_q, w_k, w_v, cfg, x_t, x_b, mask)[0])
             flat[i] = old
             numeric = (f_plus - f_minus) / (2 * h)
             assert abs(grad.ravel()[i] - numeric) < 1e-6
+
+
+def reference_mean_pool_forward(w_v, x_t, x_b, mask, ids=None):
+    """The separate mean-pooling forward that kind mean replaced, kept as its oracle."""
+    x_b_shape = np.shape(x_b)
+    x_t, x_b, ids, mask, single = _promote(x_t, x_b, mask, ids)
+    counts = mask.sum(axis=1)
+    inv_len = np.where(counts > 0, 1.0 / np.where(counts > 0, counts, 1.0), 0.0)
+    share = mask * inv_len[:, None]
+    mean = (share[:, None, :] @ x_b)[:, 0, :]
+    o = mean @ w_v.T + x_t
+    trace = (ids, x_b_shape, share, mean)
+    return (o[0] if single else o), trace
+
+
+def reference_mean_pool_backward(w_v, trace, d_o, frozen=0):
+    """(d_w_v, d_x_t, d_x_b) of reference_mean_pool_forward."""
+    ids, x_b_shape, share, mean = trace
+    d_o = np.asarray(d_o, dtype=float)
+    single = d_o.ndim == 1
+    if single:
+        d_o = d_o[None]
+    d_x_t = d_o.copy()
+    d_w_v = d_o.T @ mean
+    d_mean = d_o @ w_v
+    rows = int(np.prod(x_b_shape[:-1]))
+    d_x_b = segment_sum(ids, rows, (d_mean[:, frozen:], share))
+    d_x_b = d_x_b.reshape(*x_b_shape[:-1], d_x_b.shape[1])
+    return d_w_v, (d_x_t[0] if single else d_x_t), d_x_b
+
+
+@pytest.mark.parametrize("frozen", [0, 1, 5])
+@pytest.mark.parametrize("single", [False, True])
+@pytest.mark.parametrize("with_ids", [False, True])
+def test_mean_kind_matches_mean_pool_bit_for_bit(with_ids, single, frozen):
+    d, s, vocab = 6, 5, 9
+    cfg = mean_cfg(d, s)
+    rng = make_rng(62)
+    w_q, w_k, w_v = (rng.standard_normal((d, d)) for _ in range(3))
+    table = rng.standard_normal((vocab, d))
+    # Repeated ids, a padded history, an all-masked row and a full one.
+    ids = np.array([[3, 3, 1, 0, 0], [0, 0, 0, 0, 0], [2, 5, 3, 3, 5], [6, 8, 7, 0, 0]])
+    mask = np.array([[1, 1, 1, 0, 0], [0, 0, 0, 0, 0], [1, 1, 1, 1, 1], [1, 1, 1, 0, 0]],
+                    dtype=float)
+    x_t = rng.standard_normal((len(ids), d))
+    d_o = rng.standard_normal((len(ids), d))
+    if single:
+        ids, mask, x_t, d_o = ids[2], mask[2], x_t[2], d_o[2]
+    x_b, call_ids = (table, ids) if with_ids else (table[ids], None)
+
+    o_ref, trace_ref = reference_mean_pool_forward(w_v, x_t, x_b, mask, ids=call_ids)
+    o, trace = asta_forward(w_q, w_k, w_v, cfg, x_t, x_b, mask, ids=call_ids)
+    assert o.tobytes() == o_ref.tobytes()
+    d_w_q, d_w_k, *got = asta_backward(w_q, w_k, w_v, cfg, trace, d_o, frozen=frozen)
+    ref = reference_mean_pool_backward(w_v, trace_ref, d_o, frozen=frozen)
+    assert d_w_q.tobytes() == d_w_k.tobytes() == np.zeros((d, d)).tobytes()
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape and g.tobytes() == r.tobytes()
 
 
 def test_shape_errors():
@@ -313,22 +382,16 @@ def per_slot_reference(params, hp, store, batch, dropout_rng):
     x_t = lookup_target(store, params.id_embedding, batch.target_ids)
     x_b = lookup_sequence(store, params.id_embedding, batch.seq_ids, batch.mask)
     cfg = attention_config(hp)
-    if hp.pooling == "asta":
-        o, pool = asta_forward(params.w_q, params.w_k, params.w_v, cfg, x_t, x_b,
-                               batch.mask, drop_mask=attn_mask)
-    else:
-        o, pool = mean_pool_forward(params.w_v, x_t, x_b, batch.mask)
+    o, pool = asta_forward(params.w_q, params.w_k, params.w_v, cfg, x_t, x_b,
+                           batch.mask, drop_mask=attn_mask)
     x_last, inter = qnn_forward(params.qnn_w, params.prelu, assemble_x1(x_t, o, hp.qnn_dim),
                                 qnn_config(hp), qnn_masks)
     _, probs = head_forward(params.head_w, params.head_b, x_last)
     d_x_last = np.multiply.outer(bce_backward(probs, batch.labels), params.head_w)
     _, _, d_x1 = qnn_backward(params.qnn_w, params.prelu, qnn_config(hp), inter, d_x_last)
     grads = {}
-    if hp.pooling == "asta":
-        grads["w_q"], grads["w_k"], grads["w_v"], d_x_t, d_x_b = asta_backward(
-            params.w_q, params.w_k, params.w_v, cfg, pool, d_x1[:, hp.d_t:])
-    else:
-        grads["w_v"], d_x_t, d_x_b = mean_pool_backward(params.w_v, pool, d_x1[:, hp.d_t:])
+    grads["w_q"], grads["w_k"], grads["w_v"], d_x_t, d_x_b = asta_backward(
+        params.w_q, params.w_k, params.w_v, cfg, pool, d_x1[:, hp.d_t:])
     d_x_t = d_x_t + d_x1[:, :hp.d_t]
     d_id = np.zeros_like(params.id_embedding)
     np.add.at(d_id, batch.target_ids, d_x_t[:, hp.d_frozen:])
@@ -338,10 +401,12 @@ def per_slot_reference(params, hp, store, batch, dropout_rng):
     return bce_loss(probs, batch.labels), probs, grads
 
 
-@pytest.mark.parametrize("pooling,kind,attn_dropout",
-                         [("asta", kind, drop) for kind in KINDS for drop in (False, True)]
-                         + [("mean", "relu", False)])
-def test_per_item_path_matches_per_slot_reference(pooling, kind, attn_dropout):
+PER_SLOT_CASES = [(kind, drop) for kind in KINDS for drop in (False, True)]
+
+
+@pytest.mark.parametrize("kind,attn_dropout", PER_SLOT_CASES,
+                         ids=[attention_case_id(*case) for case in PER_SLOT_CASES])
+def test_per_item_path_matches_per_slot_reference(kind, attn_dropout):
     from qin.config import HyperParams
     from qin.dataio import build_batch
     from qin.embedding import EmbeddingStore, Sample
@@ -349,7 +414,7 @@ def test_per_item_path_matches_per_slot_reference(pooling, kind, attn_dropout):
     from qin.model import loss_and_grads
     from qin.params import init_params, named_arrays
 
-    hp = HyperParams(d_t=8, d_b=8, d_a=8, seq_len=6, vocab=9, d_frozen=3, pooling=pooling,
+    hp = HyperParams(d_t=8, d_b=8, d_a=8, seq_len=6, vocab=9, d_frozen=3,
                      attn_kind=kind, attn_dropout_p=0.3 if attn_dropout else 0.0)
     rng = make_rng(41)
     params = init_params(hp, rng)
@@ -376,6 +441,9 @@ def test_per_item_path_matches_per_slot_reference(pooling, kind, attn_dropout):
     assert close(probs, ref_probs)
     named = named_arrays(grads)
     for name, ref in ref_grads.items():
+        if kind == "mean" and name in ("w_q", "w_k"):   # fixed weights: no score gradient
+            assert not named[name].any() and not ref.any(), name
+            continue
         assert np.max(np.abs(ref)) > 0, name
         assert close(named[name], ref), name
 
@@ -392,6 +460,9 @@ def direct_attention(w_q, w_k, w_v, cfg, x_t, x_b, mask, drop, d_o):
         ex = np.where(mask > 0, np.exp(scores - scores.max(axis=1, keepdims=True)), 0.0)
         denom = ex.sum(axis=1, keepdims=True)
         p = np.where(denom > 0, ex / np.where(denom > 0, denom, 1.0), 0.0)
+    elif cfg.kind == "mean":
+        counts = mask.sum(axis=1, keepdims=True)
+        p, dp = np.where(counts > 0, mask / np.maximum(counts, 1.0), 0.0), 0.0 * mask
     elif cfg.kind == "relu":
         p, dp = np.maximum(scores, 0.0) * mask, (scores > 0) * mask
     elif cfg.kind == "relu2":

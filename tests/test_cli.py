@@ -181,6 +181,23 @@ def test_eval_checkpoint_surplus_bytes_exit_3(tiny_data, tmp_path, capsys):
     assert "40 surplus bytes" in capsys.readouterr().err
 
 
+def test_eval_non_finite_checkpoint_exit_3_and_inspect_shows_it(tiny_data, tmp_path, capsys):
+    hp = HyperParams(d_t=8, seq_len=6, vocab=60, d_frozen=4)
+    params = init_params(hp, make_rng(2))
+    params.head_w[3] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(params, str(ckpt))
+    assert main(["eval", "--data", str(tiny_data), "--ckpt", str(ckpt), *TINY_MODEL]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("io error:") and "'head_w'" in captured.err
+    assert captured.out == ""
+    assert main(["inspect", str(ckpt)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [l for l in lines if l.endswith("l2=nan")] == \
+        ["name=head_w shape=(16) values=16 l2=nan",
+         f"total entries={len(params.views)} values={params.flat.size} l2=nan"]
+
+
 def test_eval_single_class_exit_4(tiny_data, tmp_path, capsys):
     # rewrite the valid split with one class only
     single = tmp_path / "single"
@@ -237,6 +254,17 @@ def test_gradcheck_cli_pass_and_sabotage(capsys):
     assert main(["gradcheck", "--seeds", "1", "--sabotage", "head"]) == 1
     out = capsys.readouterr().out
     assert "class=head" in out and "status=FAIL" in out
+
+
+@pytest.mark.parametrize("interaction", ["qnn", "mlp"])
+def test_gradcheck_cli_mean_pooling(interaction, capsys):
+    flags = ["--seeds", "1", "--attn-kind", "mean", "--interaction", interaction]
+    assert main(["gradcheck", *flags]) == 0
+    out = capsys.readouterr().out
+    assert "class=w_v" in out and "status=FAIL" not in out
+    assert main(["gradcheck", *flags, "--sabotage", "w_v"]) == 1
+    out = capsys.readouterr().out
+    assert [l.split()[0] for l in out.splitlines() if "status=FAIL" in l] == ["class=w_v"]
 
 
 def test_gradcheck_multi_seed_reports_worst(capsys):

@@ -66,7 +66,7 @@ NON_DEFAULT = {
     "max_seq_len": ("5", 5), "qnn_depth": ("3", 3), "qnn_m": ("4", 4),
     "dropout_p": ("0.25", 0.25), "attn_kind": ("softmax", "softmax"),
     "attn_dropout_p": ("0.2", 0.2),
-    "pooling": ("mean", "mean"), "interaction": ("mlp", "mlp"),
+    "interaction": ("mlp", "mlp"),
     "mlp_dims": ("9,4", (9, 4)), "qnn_act": ("relu", "relu"),
     "lr": ("0.01", 0.01), "emb_weight_decay": ("0.001", 0.001),
     "batch_size": ("17", 17), "epochs": ("4", 4), "patience": ("1", 1),
@@ -127,7 +127,8 @@ def test_every_key_reaches_its_config_fields():
 # Keys that no preset, ablation variant or benchmark set: d_b and d_a had to
 # equal d_t, attn_dropout repeated attn_dropout_p = 0, and the QNN residual
 # and mid-activation switches selected layer forms the model never runs.
-RETIRED_KEYS = ("d_b", "d_a", "attn_dropout", "qnn_residual", "qnn_mid_act")
+# pooling=mean is attn_kind=mean, the attention block with mean weights.
+RETIRED_KEYS = ("d_b", "d_a", "attn_dropout", "qnn_residual", "qnn_mid_act", "pooling")
 
 
 @pytest.mark.parametrize("key", RETIRED_KEYS)

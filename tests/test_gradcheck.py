@@ -100,7 +100,7 @@ def test_model_gradcheck_attention_kinds(kind):
 
 
 def test_model_gradcheck_mean_pool_and_mlp():
-    hp = gradcheck_hyperparams(pooling="mean", interaction="mlp")
+    hp = gradcheck_hyperparams(attn_kind="mean", interaction="mlp")
     for report in run_model_gradcheck(13, hp=hp):
         assert report.max_rel_err < 1e-4, report.line()
 
@@ -112,12 +112,12 @@ def test_sabotage_self_test():
     assert all(r.max_rel_err < 1e-4 for r in clean)
 
 
-@pytest.mark.parametrize("pooling", ["asta", "mean"])
+@pytest.mark.parametrize("attn_kind", ["relu", "mean"], ids=["asta", "mean"])
 @pytest.mark.parametrize("d_frozen", [0, 15])
-def test_model_gradcheck_embeddings_at_column_edges(pooling, d_frozen):
+def test_model_gradcheck_embeddings_at_column_edges(attn_kind, d_frozen):
     # No frozen column, and a single trainable one: the id-table gradient
     # is certified whatever its share of the item vector.
-    hp = dataclasses.replace(gradcheck_hyperparams(pooling=pooling), d_frozen=d_frozen)
+    hp = dataclasses.replace(gradcheck_hyperparams(attn_kind=attn_kind), d_frozen=d_frozen)
     assert hp.d_id == hp.d_t - d_frozen
     reports = {r.name: r for r in run_model_gradcheck(7, hp=hp)}
     emb = reports["embeddings"]

@@ -10,7 +10,8 @@ the target sum. Both must give the same bits for every gradient class.
 import numpy as np
 import pytest
 
-from qin.asta import asta_backward, asta_forward, mean_pool_backward, mean_pool_forward
+from conftest import attention_case_id
+from qin.asta import asta_backward, asta_forward
 from qin.config import HyperParams
 from qin.dataio import build_batch
 from qin.embedding import EmbeddingStore, Sample
@@ -22,7 +23,7 @@ from qin.model import (attention_config, draw_dropout_masks, loss_and_grads, mod
 from qin.params import init_params, named_arrays, zero_gradients
 from qin.qnn import qnn_backward, qnn_layer_backward, qnn_layer_forward
 
-KINDS = ("relu", "softmax", "relu2", "silu")
+KINDS = ("relu", "softmax", "relu2", "silu", "mean")
 D_T = 8
 
 
@@ -40,16 +41,12 @@ def two_scatter_model_backward(params, hp, trace, d_logits):
 
     d_x_t = d_x1[:, :hp.d_t].copy()
     d_o = d_x1[:, hp.d_t:]
-    if hp.pooling == "asta":
-        d_w_q, d_w_k, d_w_v, d_x_t_pool, d_table = asta_backward(
-            params.w_q, params.w_k, params.w_v, attention_config(hp),
-            trace.pool_trace, d_o)
-        grads.w_q += d_w_q
-        grads.w_k += d_w_k
-        grads.w_v += d_w_v
-    else:
-        d_w_v, d_x_t_pool, d_table = mean_pool_backward(params.w_v, trace.pool_trace, d_o)
-        grads.w_v += d_w_v
+    d_w_q, d_w_k, d_w_v, d_x_t_pool, d_table = asta_backward(
+        params.w_q, params.w_k, params.w_v, attention_config(hp),
+        trace.pool_trace, d_o)
+    grads.w_q += d_w_q
+    grads.w_k += d_w_k
+    grads.w_v += d_w_v
     d_x_t += d_x_t_pool
 
     # The second scatter: targets, then every vocab row under the identity index.
@@ -60,8 +57,8 @@ def two_scatter_model_backward(params, hp, trace, d_logits):
     return grads
 
 
-def instance(pooling, kind, attn_dropout, d_frozen):
-    hp = HyperParams(d_t=D_T, seq_len=6, vocab=9, d_frozen=d_frozen, pooling=pooling,
+def instance(kind, attn_dropout, d_frozen):
+    hp = HyperParams(d_t=D_T, seq_len=6, vocab=9, d_frozen=d_frozen,
                      attn_kind=kind, attn_dropout_p=0.3 if attn_dropout else 0.0)
     rng = make_rng(43)
     params = init_params(hp, rng)
@@ -77,14 +74,14 @@ def instance(pooling, kind, attn_dropout, d_frozen):
     return hp, params, store, build_batch(samples, hp.seq_len)
 
 
-CASES = ([("asta", kind, drop) for kind in KINDS for drop in (False, True)]
-         + [("mean", "relu", False)])
+CASES = [(kind, drop) for kind in KINDS for drop in (False, True)]
 
 
 @pytest.mark.parametrize("d_frozen", [0, 1, D_T - 1])
-@pytest.mark.parametrize("pooling,kind,attn_dropout", CASES)
-def test_loss_and_grads_match_two_scatter_reference(pooling, kind, attn_dropout, d_frozen):
-    hp, params, store, batch = instance(pooling, kind, attn_dropout, d_frozen)
+@pytest.mark.parametrize("kind,attn_dropout", CASES,
+                         ids=[attention_case_id(*case) for case in CASES])
+def test_loss_and_grads_match_two_scatter_reference(kind, attn_dropout, d_frozen):
+    hp, params, store, batch = instance(kind, attn_dropout, d_frozen)
     loss, grads, probs = loss_and_grads(params, hp, store, batch, training=True,
                                         dropout_rng=spawn_rng(5, 2, 0))
     trace = model_forward(params, hp, store, batch, training=True,
@@ -102,30 +99,36 @@ def test_loss_and_grads_match_two_scatter_reference(pooling, kind, attn_dropout,
 
 @pytest.mark.parametrize("frozen", [0, 1, D_T - 1])
 @pytest.mark.parametrize("with_ids", [False, True])
-@pytest.mark.parametrize("kind", KINDS + ("mean",))
+@pytest.mark.parametrize("kind", KINDS)
 def test_pooling_backward_frozen_columns_are_a_slice(kind, with_ids, frozen):
-    hp, params, _, batch = instance("asta", "relu", True, 2)
+    hp, params, _, batch = instance("relu", True, 2)
     rng = make_rng(44)
     table = rng.standard_normal((hp.vocab, D_T))
     x_t = rng.standard_normal((batch.size, D_T))
     d_o = rng.standard_normal((batch.size, D_T))
     x_b, ids = (table, batch.seq_ids) if with_ids else (table[batch.seq_ids], None)
-    if kind == "mean":
-        _, trace = mean_pool_forward(params.w_v, x_t, x_b, batch.mask, ids=ids)
-        full = mean_pool_backward(params.w_v, trace, d_o)
-        part = mean_pool_backward(params.w_v, trace, d_o, frozen=frozen)
-    else:
-        cfg = attention_config(HyperParams(d_t=D_T, seq_len=6, vocab=9, attn_kind=kind,
-                                           attn_dropout_p=0.3))
-        drop = (rng.random(batch.mask.shape) >= 0.3).astype(float)
-        w = (params.w_q, params.w_k, params.w_v)
-        _, trace = asta_forward(*w, cfg, x_t, x_b, batch.mask, drop_mask=drop, ids=ids)
-        full = asta_backward(*w, cfg, trace, d_o)
-        part = asta_backward(*w, cfg, trace, d_o, frozen=frozen)
+    cfg = attention_config(HyperParams(d_t=D_T, seq_len=6, vocab=9, attn_kind=kind,
+                                       attn_dropout_p=0.3))
+    drop = (rng.random(batch.mask.shape) >= 0.3).astype(float)
+    w = (params.w_q, params.w_k, params.w_v)
+    _, trace = asta_forward(*w, cfg, x_t, x_b, batch.mask, drop_mask=drop, ids=ids)
+    full = asta_backward(*w, cfg, trace, d_o)
+    part = asta_backward(*w, cfg, trace, d_o, frozen=frozen)
     for got, ref in zip(part[:-1], full[:-1]):
         assert got.tobytes() == ref.tobytes()
     assert part[-1].shape == full[-1].shape[:-1] + (D_T - frozen,)
     assert part[-1].tobytes() == np.ascontiguousarray(full[-1][..., frozen:]).tobytes()
+
+
+def test_attention_dropout_reaches_mean_pooling():
+    hp, params, store, batch = instance("mean", True, 2)
+    trace = model_forward(params, hp, store, batch, training=True,
+                          dropout_rng=spawn_rng(5, 2, 0))
+    keep, _ = draw_dropout_masks(hp, batch.size, spawn_rng(5, 2, 0))
+    assert not keep[batch.mask > 0].all()   # some live slot is dropped
+    share = batch.mask * (1.0 / np.maximum(batch.mask.sum(axis=1), 1.0))[:, None]
+    expected = share * keep / (1.0 - hp.attn_dropout_p)
+    assert trace.pool_trace.weights.tobytes() == expected.tobytes()
 
 
 def as_floats(masks):
@@ -136,7 +139,7 @@ def as_floats(masks):
 @pytest.mark.parametrize("kind", KINDS)
 def test_bool_keep_masks_match_float_masks_bit_for_bit(kind, monkeypatch):
     # A float times a bool is the float times exactly 0.0 or 1.0.
-    hp, params, store, batch = instance("asta", kind, True, 2)
+    hp, params, store, batch = instance(kind, True, 2)
     masks = draw_dropout_masks(hp, batch.size, spawn_rng(5, 2, 0))
     assert masks[0].dtype == bool and all(m.dtype == bool for m in masks[1])
     floats = as_floats(masks)

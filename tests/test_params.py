@@ -263,3 +263,23 @@ def test_malformed_names_raise_shape_table_error(tmp_path):
     path.write_bytes(data[:at] + b"w_q" + data[at + 3:])
     with pytest.raises(ShapeTableError, match="twice"):
         load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_raises_against_a_config(tmp_path, bad):
+    hp = small_hp()
+    params = init_params(hp, make_rng(11))
+    params.views["qnn_w_1"][2, 3] = bad
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(params, str(path))
+    with pytest.raises(CheckpointError, match="entry 'qnn_w_1' holds a non-finite value"):
+        load_checkpoint(str(path), hp)
+    # Without a config the file loads as stored, so the entry can be inspected.
+    assert load_checkpoint(str(path)).flat.tobytes() == params.flat.tobytes()
+
+    # The first bad entry in layout order is the one named.
+    params.head_w[0] = bad
+    params.w_k[1, 1] = bad
+    save_checkpoint(params, str(path))
+    with pytest.raises(CheckpointError, match="entry 'w_k'"):
+        load_checkpoint(str(path), hp)
