@@ -18,7 +18,8 @@ residual adds the target back, so d_t is the only item width and the only
 width key. ``attn_kind`` is the attention weight rule; ``mean`` is the
 "w/o ASTA" ablation, fixed mean weights over the live history. Attention
 dropout is off at ``attn_dropout_p = 0``, the default, and applies to the
-pooled slots under every kind.
+pooled slots under every kind. Adam's beta1, beta2 and eps are not keys but
+constants in train.py, beside the chunk size.
 ``desk`` is the default preset (small dims, minutes on one CPU); ``paper``
 pins the reference hyperparameters (lr 2e-3, embedding weight decay 2e-4,
 batch 8192, dim 128, depth = capacity = 4, dropout 0.1).
@@ -181,9 +182,6 @@ class TrainConfig:
     epochs: int = _field(10, int, ">= 0")
     patience: int = _field(3, int, ">= 0")
     seed: int = _seed()
-    adam_beta1: float = _field(0.9, float, "in [0, 1)")
-    adam_beta2: float = _field(0.999, float, "in [0, 1)")
-    adam_eps: float = _field(1e-8, float, "> 0")
 
     def __post_init__(self):
         _check(self)

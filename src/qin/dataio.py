@@ -328,7 +328,7 @@ def _parse_canonical(data: bytes, n_items: int,
     return _as_split(targets, labels, lengths, ids), manifest
 
 
-def parse_dataset(path: str, n_items: int, max_seq_len: int) -> tuple[Split, dict | None]:
+def read_dataset(path: str, n_items: int, max_seq_len: int) -> tuple[Split, dict | None]:
     """Parse and validate records into a Split; returns (split, manifest dict or None).
 
     A file of canonical lines, as write_dataset writes them, is cut into
@@ -347,16 +347,10 @@ def parse_dataset(path: str, n_items: int, max_seq_len: int) -> tuple[Split, dic
     return split, manifest
 
 
-def read_dataset(path: str, n_items: int, max_seq_len: int):
-    """Parse and validate records; returns (samples, manifest dict or None)."""
-    split, manifest = parse_dataset(path, n_items, max_seq_len)
-    return list(split), manifest
-
-
 def load_dataset(path: str, embedding_path: str, hp: HyperParams):
     """Load one split, as a Split, plus its embedding store, cross-validated."""
     store = load_embeddings(embedding_path)
-    split, manifest = parse_dataset(path, store.count, hp.seq_len)
+    split, manifest = read_dataset(path, store.count, hp.seq_len)
     return split, store, manifest
 
 

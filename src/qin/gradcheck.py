@@ -124,7 +124,7 @@ def collect_kink_preacts(trace, hp: HyperParams) -> np.ndarray:
         live = trace.pool_trace.mask > 0
         pieces.append(trace.pool_trace.scores[live].ravel())
     if hp.interaction == "qnn":
-        for layer in trace.inter_trace.layers:
+        for layer in trace.inter_trace:
             pieces.append(layer.h.ravel())
     else:
         for pre in trace.inter_trace.pre:

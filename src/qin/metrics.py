@@ -3,6 +3,8 @@
 The fast AUC uses rank sums with average ranks on ties, which is
 algebraically identical to the O(N^2) pairwise count (wins plus half
 ties); ``auc_bruteforce`` keeps the pairwise definition as the oracle.
+Both give NaN when any score is NaN, as ``bce_loss`` does for a NaN
+probability: a NaN orders neither above nor below anything.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ def _split_classes(scores, labels):
 def auc(scores, labels) -> float:
     """Rank-based AUC, O(N log N), average ranks on ties."""
     scores, labels, n_pos, n_neg = _split_classes(scores, labels)
+    if np.isnan(scores).any():
+        return float("nan")
     order = np.argsort(scores, kind="stable")
     s = scores[order]
     # Average 1-based ranks within each tied group; every value is an exact
@@ -77,6 +81,8 @@ def auc(scores, labels) -> float:
 def auc_bruteforce(scores, labels) -> float:
     """Pairwise definition: P(score+ > score-) + 0.5 P(tie). Test-scale only."""
     scores, labels, n_pos, n_neg = _split_classes(scores, labels)
+    if np.isnan(scores).any():
+        return float("nan")
     pos = scores[labels == 1]
     neg = scores[labels == 0]
     wins = float(np.sum(pos[:, None] > neg[None, :]))

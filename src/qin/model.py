@@ -20,8 +20,7 @@ from .qnn import QnnConfig, assemble_x1, mlp_backward, mlp_forward, qnn_backward
 
 
 def attention_config(hp: HyperParams) -> AttentionConfig:
-    return AttentionConfig(kind=hp.attn_kind, d_t=hp.d_t, seq_len=hp.seq_len,
-                           dropout_p=hp.attn_dropout_p)
+    return AttentionConfig(kind=hp.attn_kind, d_t=hp.d_t, dropout_p=hp.attn_dropout_p)
 
 
 def qnn_config(hp: HyperParams) -> QnnConfig:

@@ -11,7 +11,8 @@ forward layer also takes a stacked (m, dim, dim) weight and sums it, so the
 brute-force oracle's heads can be checked against it; the backward layer
 takes only the (dim, dim) matrix. The activation is PReLU with one
 learnable slope per layer (plain ReLU for the no-PReLU ablation), applied
-after the product.
+after the product. Both stacks take a (n, dim) batch and raise ShapeError
+for any other input rank; one sample is a batch of one.
 
 The elementwise chain has no select on the sign of the pre-activation:
 PReLU, its derivative and the slope gradient are max/min arithmetic (see
@@ -51,12 +52,6 @@ class QnnLayerTrace:
     drop_mask: np.ndarray | None   # (n, dim) bool or {0, 1} keep-mask
 
 
-@dataclass
-class QnnTrace:
-    layers: list
-    single: bool
-
-
 def assemble_x1(x_t, o, dim: int) -> np.ndarray:
     """First interaction input: target embedding concat interest vector."""
     x_t = np.asarray(x_t, dtype=FLOAT)
@@ -80,8 +75,8 @@ def _folded(w: np.ndarray, cfg: QnnConfig) -> np.ndarray:
 def qnn_layer_forward(w: np.ndarray, slope: float, x: np.ndarray, cfg: QnnConfig,
                       drop_mask: np.ndarray | None = None):
     """One quadratic layer on a (n, dim) batch; w is (dim, dim) or (m, dim, dim)."""
-    if x.shape[-1] != cfg.dim:
-        raise ShapeError(f"layer input of shape {x.shape} does not match dim={cfg.dim}")
+    if x.ndim != 2 or x.shape[1] != cfg.dim:
+        raise ShapeError(f"layer input of shape {x.shape} is not (n, {cfg.dim})")
     t = x @ _folded(w, cfg).T
     h = x * t
     branch = prelu(h, slope)
@@ -139,35 +134,28 @@ def brute_force_expansion(w: np.ndarray, slope: float, x: np.ndarray,
 
 def qnn_forward(ws: list, slopes: np.ndarray, x1: np.ndarray, cfg: QnnConfig,
                 drop_masks: list | None = None):
-    """Run the full stack; drop_masks is one (n, dim) keep-mask per layer or None."""
+    """Run the full stack on a (n, dim) batch; drop_masks is one (n, dim)
+    keep-mask per layer or None. The trace is the list of layer traces."""
     x = np.asarray(x1, dtype=FLOAT)
-    single = x.ndim == 1
-    if single:
-        x = x[None]
     layers = []
     for l in range(cfg.depth):
         dm = drop_masks[l] if drop_masks is not None else None
         x, trace = qnn_layer_forward(ws[l], float(slopes[l]), x, cfg, dm)
         layers.append(trace)
-    out = x[0] if single else x
-    return out, QnnTrace(layers=layers, single=single)
+    return x, layers
 
 
 def qnn_backward(ws: list, slopes: np.ndarray, cfg: QnnConfig,
-                 trace: QnnTrace, d_out):
-    """Gradients through the full stack; returns (d_ws, d_slopes, d_x1)."""
+                 layers: list, d_out):
+    """Gradients through the full stack, given qnn_forward's layer traces;
+    returns (d_ws, d_slopes, d_x1)."""
     d_x = np.asarray(d_out, dtype=FLOAT)
-    if trace.single:
-        d_x = d_x[None]
     d_ws = [None] * cfg.depth
     d_slopes = np.zeros(cfg.depth, dtype=FLOAT)
     for l in range(cfg.depth - 1, -1, -1):
-        d_w, d_slope, d_x = qnn_layer_backward(ws[l], float(slopes[l]), cfg,
-                                               trace.layers[l], d_x)
+        d_w, d_slope, d_x = qnn_layer_backward(ws[l], float(slopes[l]), cfg, layers[l], d_x)
         d_ws[l] = d_w
         d_slopes[l] = d_slope
-    if trace.single:
-        d_x = d_x[0]
     return d_ws, d_slopes, d_x
 
 
@@ -175,31 +163,26 @@ def qnn_backward(ws: list, slopes: np.ndarray, cfg: QnnConfig,
 class MlpTrace:
     inputs: list    # per-layer input (n, in_dim)
     pre: list       # per-layer pre-activation (n, out_dim)
-    single: bool
 
 
 def mlp_forward(ws: list, bs: list, x1: np.ndarray):
-    """Affine + ReLU stack used by the no-QNN ablation."""
+    """Affine + ReLU stack on a (n, dim) batch, used by the no-QNN ablation."""
     x = np.asarray(x1, dtype=FLOAT)
-    single = x.ndim == 1
-    if single:
-        x = x[None]
+    if x.ndim != 2:
+        raise ShapeError(f"mlp input of shape {x.shape} is not a (n, dim) batch")
     inputs, pre = [], []
     for w, b in zip(ws, bs):
-        if x.shape[-1] != w.shape[1]:
-            raise ShapeError(f"mlp layer expects input width {w.shape[1]}, got {x.shape[-1]}")
+        if x.shape[1] != w.shape[1]:
+            raise ShapeError(f"mlp layer expects input width {w.shape[1]}, got {x.shape[1]}")
         inputs.append(x)
         a = x @ w.T + b
         pre.append(a)
         x = np.maximum(a, 0.0)
-    out = x[0] if single else x
-    return out, MlpTrace(inputs=inputs, pre=pre, single=single)
+    return x, MlpTrace(inputs=inputs, pre=pre)
 
 
 def mlp_backward(ws: list, bs: list, trace: MlpTrace, d_out):
     d_x = np.asarray(d_out, dtype=FLOAT)
-    if trace.single:
-        d_x = d_x[None]
     d_ws = [None] * len(ws)
     d_bs = [None] * len(ws)
     for l in range(len(ws) - 1, -1, -1):
@@ -207,6 +190,4 @@ def mlp_backward(ws: list, bs: list, trace: MlpTrace, d_out):
         d_ws[l] = d_a.T @ trace.inputs[l]
         d_bs[l] = d_a.sum(axis=0)
         d_x = d_a @ ws[l]
-    if trace.single:
-        d_x = d_x[0]
     return d_ws, d_bs, d_x

@@ -1,7 +1,8 @@
 """Adam with embedding-only weight decay, the epoch loop, and evaluation.
 
 Adam updates the flat parameter buffer (see params.py) in fixed-size
-chunks, with its moments in two arrays of the same layout.
+chunks, with its moments in two arrays of the same layout. Its beta1, beta2
+and eps are the module constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
 Determinism contract: the epoch shuffle and every dropout mask derive from
 the run seed (dropout from a per-step counter), parameters update in a
@@ -45,6 +46,8 @@ class AdamState:
 
 # Entries per Adam chunk: the temporaries of one chunk stay in cache.
 ADAM_CHUNK = 32_768
+# Adam's moment decays and denominator guard: the standard values, fixed.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
@@ -61,8 +64,8 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     if grads.shapes != params.shapes:
         raise ShapeError("params and grads disagree on the parameter layout")
     state.step += 1
-    bc1 = 1.0 - cfg.adam_beta1 ** state.step
-    bc2 = 1.0 - cfg.adam_beta2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     decay = params.spans["id_embedding"] if cfg.emb_weight_decay > 0 else slice(0, 0)
     scaled = [(params.spans[name], cfg.lr * factor) for name, factor in (lr_factors or {}).items()]
     n = params.flat.size
@@ -75,11 +78,11 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
         lr = next((lr for span, lr in scaled if span.start <= start and stop <= span.stop),
                   cfg.lr)
         m, v = state.m[start:stop], state.v[start:stop]
-        m *= cfg.adam_beta1
-        m += (1.0 - cfg.adam_beta1) * g
-        v *= cfg.adam_beta2
-        v += (1.0 - cfg.adam_beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         theta -= lr * update
 
 

@@ -10,14 +10,14 @@ from qin.linalg import make_rng, segment_sum
 KINDS = ("relu", "softmax", "relu2", "silu", "mean")
 
 
-def cfg_for(d_a, d_b, s, kind="relu"):
-    return AttentionConfig(kind=kind, d_a=d_a, d_t=d_a, d_b=d_b, seq_len=s, dropout_p=0.1)
+def cfg_for(d_a, d_b, kind="relu"):
+    return AttentionConfig(kind=kind, d_a=d_a, d_t=d_a, d_b=d_b, dropout_p=0.1)
 
 
 def test_hand_case_relu():
     # d = 1: K rows [1, -1], V rows [3, -3], x_t = 2.
     # Scores 2 and -2, relu keeps [2, 0], output 2*3 + residual 2 = 8.
-    cfg = cfg_for(1, 1, 2)
+    cfg = cfg_for(1, 1)
     w_q = np.eye(1)
     w_k = np.array([[1.0]])
     w_v = np.array([[3.0]])
@@ -32,7 +32,7 @@ def test_hand_case_relu():
 
 
 def test_all_negative_scores_return_exact_residual():
-    cfg = cfg_for(3, 3, 4)
+    cfg = cfg_for(3, 3)
     rng = make_rng(0)
     w_q = np.eye(3)
     w_k = np.eye(3)
@@ -90,7 +90,7 @@ def test_silu_weights_masked_zero_negatives_allowed():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_empty_history_returns_target(kind):
-    cfg = cfg_for(3, 3, 4, kind=kind)
+    cfg = cfg_for(3, 3, kind=kind)
     rng = make_rng(1)
     w_q, w_k, w_v = (rng.standard_normal((3, 3)) for _ in range(3))
     x_t = rng.standard_normal(3)
@@ -101,7 +101,7 @@ def test_empty_history_returns_target(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_masked_positions_cannot_influence_output(kind):
-    cfg = cfg_for(4, 4, 6, kind=kind)
+    cfg = cfg_for(4, 4, kind=kind)
     rng = make_rng(2)
     w_q, w_k, w_v = (rng.standard_normal((4, 4)) for _ in range(3))
     x_t = rng.standard_normal(4)
@@ -115,7 +115,7 @@ def test_masked_positions_cannot_influence_output(kind):
 
 
 def test_permutation_invariance_exact_on_integers():
-    cfg = cfg_for(2, 2, 4)
+    cfg = cfg_for(2, 2)
     w = np.eye(2)
     x_t = np.array([1.0, 2.0])
     x_b = np.array([[3.0, 1.0], [-2.0, 1.0], [0.0, 5.0], [1.0, 1.0]])
@@ -127,7 +127,7 @@ def test_permutation_invariance_exact_on_integers():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_permutation_invariance_float(kind):
-    cfg = cfg_for(4, 4, 5, kind=kind)
+    cfg = cfg_for(4, 4, kind=kind)
     rng = make_rng(3)
     w_q, w_k, w_v = (rng.standard_normal((4, 4)) for _ in range(3))
     x_t = rng.standard_normal(4)
@@ -155,7 +155,7 @@ def test_relu_sparsity_fraction():
 
 
 def test_backward_zero_upstream():
-    cfg = cfg_for(3, 3, 4)
+    cfg = cfg_for(3, 3)
     rng = make_rng(5)
     w_q, w_k, w_v = (rng.standard_normal((3, 3)) for _ in range(3))
     _, trace = asta_forward(w_q, w_k, w_v, cfg, rng.standard_normal(3),
@@ -166,7 +166,7 @@ def test_backward_zero_upstream():
 
 
 def test_backward_residual_only_when_weights_dead():
-    cfg = cfg_for(2, 2, 3)
+    cfg = cfg_for(2, 2)
     w = np.eye(2)
     x_t = np.array([1.0, 1.0])
     x_b = -np.abs(make_rng(6).standard_normal((3, 2))) - 1.0
@@ -181,7 +181,7 @@ def test_backward_residual_only_when_weights_dead():
 def finite_diff_attention(kind, seed, with_dropout=False):
     """Max relative FD error across every parameter and input of a random instance."""
     d, s = 2, 3
-    cfg = cfg_for(d, d, s, kind=kind)
+    cfg = cfg_for(d, d, kind=kind)
     rng = make_rng(seed)
     w_q, w_k, w_v = (rng.standard_normal((d, d)) for _ in range(3))
     x_t = rng.standard_normal(d)
@@ -225,7 +225,7 @@ def test_backward_with_dropout_mask_replay():
 
 
 def test_dropout_inverted_scaling():
-    cfg = cfg_for(2, 2, 2)
+    cfg = cfg_for(2, 2)
     w = np.eye(2)
     x_t = np.array([1.0, 1.0])
     x_b = np.abs(make_rng(8).standard_normal((2, 2))) + 0.5
@@ -237,8 +237,8 @@ def test_dropout_inverted_scaling():
     assert np.all(trace.weights > 0)
 
 
-def mean_cfg(d, s):
-    return AttentionConfig(kind="mean", d_t=d, seq_len=s)
+def mean_cfg(d):
+    return AttentionConfig(kind="mean", d_t=d)
 
 
 def test_mean_pool_single_row():
@@ -247,7 +247,7 @@ def test_mean_pool_single_row():
     x_t = rng.standard_normal(3)
     row = rng.standard_normal(3)
     x_b = np.stack([row, np.zeros(3)])
-    o, trace = asta_forward(w_q, w_k, w_v, mean_cfg(3, 2), x_t, x_b, np.array([1.0, 0.0]))
+    o, trace = asta_forward(w_q, w_k, w_v, mean_cfg(3), x_t, x_b, np.array([1.0, 0.0]))
     assert np.allclose(o, w_v @ row + x_t)
     assert trace.q is None and trace.qk is None and trace.scores is None
     assert np.array_equal(trace.weights, np.array([[1.0, 0.0]]))
@@ -258,8 +258,8 @@ def test_mean_pool_idempotent_on_duplicates():
     w_q, w_k, w_v = (rng.standard_normal((3, 3)) for _ in range(3))
     x_t = rng.standard_normal(3)
     row = rng.standard_normal(3)
-    one, _ = asta_forward(w_q, w_k, w_v, mean_cfg(3, 1), x_t, row[None, :], np.ones(1))
-    two, _ = asta_forward(w_q, w_k, w_v, mean_cfg(3, 2), x_t, np.stack([row, row]), np.ones(2))
+    one, _ = asta_forward(w_q, w_k, w_v, mean_cfg(3), x_t, row[None, :], np.ones(1))
+    two, _ = asta_forward(w_q, w_k, w_v, mean_cfg(3), x_t, np.stack([row, row]), np.ones(2))
     assert np.allclose(one, two)
 
 
@@ -267,7 +267,7 @@ def test_mean_pool_empty_history():
     rng = make_rng(12)
     w_q, w_k, w_v = (rng.standard_normal((3, 3)) for _ in range(3))
     x_t = rng.standard_normal(3)
-    o, trace = asta_forward(w_q, w_k, w_v, mean_cfg(3, 2), x_t, rng.standard_normal((2, 3)),
+    o, trace = asta_forward(w_q, w_k, w_v, mean_cfg(3), x_t, rng.standard_normal((2, 3)),
                             np.zeros(2))
     assert np.array_equal(o, x_t)
     assert np.array_equal(trace.weights, np.zeros((1, 2)))
@@ -276,7 +276,7 @@ def test_mean_pool_empty_history():
 def test_mean_pool_backward_finite_differences():
     rng = make_rng(13)
     d, s = 3, 4
-    cfg = mean_cfg(d, s)
+    cfg = mean_cfg(d)
     w_q, w_k, w_v = (rng.standard_normal((d, d)) for _ in range(3))
     x_t = rng.standard_normal(d)
     x_b = rng.standard_normal((s, d))
@@ -333,7 +333,7 @@ def reference_mean_pool_backward(w_v, trace, d_o, frozen=0):
 @pytest.mark.parametrize("with_ids", [False, True])
 def test_mean_kind_matches_mean_pool_bit_for_bit(with_ids, single, frozen):
     d, s, vocab = 6, 5, 9
-    cfg = mean_cfg(d, s)
+    cfg = mean_cfg(d)
     rng = make_rng(62)
     w_q, w_k, w_v = (rng.standard_normal((d, d)) for _ in range(3))
     table = rng.standard_normal((vocab, d))
@@ -358,7 +358,7 @@ def test_mean_kind_matches_mean_pool_bit_for_bit(with_ids, single, frozen):
 
 
 def test_shape_errors():
-    cfg = cfg_for(3, 3, 4)
+    cfg = cfg_for(3, 3)
     w = np.eye(3)
     with pytest.raises(ShapeError):
         asta_forward(w, w, w, cfg, np.zeros(2), np.zeros((4, 3)), np.ones(4))
@@ -495,7 +495,7 @@ def direct_attention(w_q, w_k, w_v, cfg, x_t, x_b, mask, drop, d_o):
 @pytest.mark.parametrize("kind", KINDS)
 def test_attention_matches_direct_key_value_algebra(kind, with_dropout):
     d_a, d_b, s, vocab = 4, 4, 5, 7
-    cfg = cfg_for(d_a, d_b, s, kind=kind)
+    cfg = cfg_for(d_a, d_b, kind=kind)
     rng = make_rng(61)
     w_q = rng.standard_normal((d_a, d_a))
     w_k, w_v = rng.standard_normal((d_a, d_b)), rng.standard_normal((d_a, d_b))

@@ -9,7 +9,10 @@ from qin.errors import ConfigError
 NAN, INF = float("nan"), float("inf")
 
 # Each bad value exits 2 with a config error from the CLI ("gen-data" or
-# "train"), and raises ConfigError from the constructor.
+# "train"), and raises ConfigError from the constructor. Adam's beta1, beta2
+# and eps are constants in train.py, not keys: a config file line or a
+# resolved config that sets one names an unknown key (their retired flags
+# are in test_retired_keys_exit_2). A "--config" case gives the file's line.
 CLI_CASES = {
     "gen_seed_negative": ["gen-data", "--seed", "-1"],
     "train_seed_negative": ["train", "--seed", "-1"],
@@ -17,20 +20,20 @@ CLI_CASES = {
     "mlp_dims_negative": ["train", "--interaction", "mlp", "--mlp-dims", "-3"],
     "temperature_nan": ["gen-data", "--temperature", "nan"],
     "noise_std_nan": ["gen-data", "--noise-std", "nan"],
-    "adam_beta1_one": ["train", "--adam-beta1", "1"],
-    "adam_beta2_one": ["train", "--adam-beta2", "1"],
+    "adam_beta1_one": ["train", "--config", "adam_beta1=1"],
+    "adam_beta2_one": ["train", "--config", "adam_beta2=1"],
     "lr_inf": ["train", "--lr", "inf"],
-    "adam_eps_zero": ["train", "--adam-eps", "0", "--qnn-act", "relu"],
+    "adam_eps_zero": ["train", "--qnn-act", "relu", "--config", "adam_eps=0"],
 }
 CONSTRUCTOR_CASES = {
     "attn_dropout_p_one": lambda: HyperParams(vocab=5, attn_dropout_p=1.0),
     "hp_mlp_dims_zero": lambda: HyperParams(vocab=5, interaction="mlp", mlp_dims=(8, 0)),
     "hp_d_a_not_d_t": lambda: HyperParams(vocab=5, d_t=8, d_a=16),
     "train_seed_negative": lambda: TrainConfig(seed=-1),
-    "adam_beta1_one": lambda: TrainConfig(adam_beta1=1.0),
-    "adam_beta2_one": lambda: TrainConfig(adam_beta2=1.0),
+    "adam_beta1_one": lambda: resolve_config(file_values={"adam_beta1": 1.0}),
+    "adam_beta2_one": lambda: resolve_config(file_values={"adam_beta2": 1.0}),
     "lr_inf": lambda: TrainConfig(lr=INF),
-    "adam_eps_zero": lambda: TrainConfig(adam_eps=0.0),
+    "adam_eps_zero": lambda: resolve_config(flag_values={"adam_eps": 0.0}),
     "gen_seed_negative": lambda: GenConfig(seed=-1),
     "temperature_nan": lambda: GenConfig(temperature=NAN),
     "noise_std_nan": lambda: GenConfig(noise_std=NAN),
@@ -52,6 +55,10 @@ def test_bad_values_raise_config_error(case, tmp_path, capsys):
             CONSTRUCTOR_CASES[name]()
         return
     command, *flags = CLI_CASES[name]
+    if "--config" in flags:
+        at = flags.index("--config") + 1
+        (tmp_path / "case.cfg").write_text(flags[at] + "\n")
+        flags[at] = str(tmp_path / "case.cfg")
     places = ["--out", str(tmp_path / "out")]
     if command == "train":
         places += ["--data", str(tmp_path / "data")]
@@ -70,8 +77,7 @@ NON_DEFAULT = {
     "mlp_dims": ("9,4", (9, 4)), "qnn_act": ("relu", "relu"),
     "lr": ("0.01", 0.01), "emb_weight_decay": ("0.001", 0.001),
     "batch_size": ("17", 17), "epochs": ("4", 4), "patience": ("1", 1),
-    "seed": ("11", 11), "adam_beta1": ("0.8", 0.8), "adam_beta2": ("0.99", 0.99),
-    "adam_eps": ("1e-7", 1e-7),
+    "seed": ("11", 11),
     "n_items": ("300", 300), "n_users": ("120", 120), "n_samples": ("900", 900),
     "emb_dim": ("5", 5), "min_seq_len": ("2", 2), "quad_strength": ("2.5", 2.5),
     "linear_strength": ("0.5", 0.5), "noise_std": ("0.3", 0.3),
@@ -128,7 +134,9 @@ def test_every_key_reaches_its_config_fields():
 # equal d_t, attn_dropout repeated attn_dropout_p = 0, and the QNN residual
 # and mid-activation switches selected layer forms the model never runs.
 # pooling=mean is attn_kind=mean, the attention block with mean weights.
-RETIRED_KEYS = ("d_b", "d_a", "attn_dropout", "qnn_residual", "qnn_mid_act", "pooling")
+# Adam's beta1, beta2 and eps are constants in train.py.
+RETIRED_KEYS = ("d_b", "d_a", "attn_dropout", "qnn_residual", "qnn_mid_act", "pooling",
+                "adam_beta1", "adam_beta2", "adam_eps")
 
 
 @pytest.mark.parametrize("key", RETIRED_KEYS)

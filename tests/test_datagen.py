@@ -85,7 +85,7 @@ def test_empty_dataset_file_valid(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
     samples, manifest = read_dataset(str(path), 10, 8)
-    assert samples == [] and manifest is None
+    assert len(samples) == 0 and manifest is None
 
 
 def test_malformed_line_reports_lineno(tmp_path):

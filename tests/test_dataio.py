@@ -7,8 +7,7 @@ import pytest
 from qin import dataio, datagen, embedding, params, train
 from qin.atomic import atomic_write
 from qin.config import HyperParams
-from qin.dataio import (as_split, build_batch, make_batches, parse_dataset,
-                        read_dataset, write_dataset)
+from qin.dataio import Split, as_split, build_batch, make_batches, read_dataset, write_dataset
 from qin.embedding import Sample
 from qin.errors import DataError
 from qin.linalg import make_rng
@@ -33,15 +32,15 @@ def test_split_from_file_equals_split_from_samples(tmp_path):
     samples = ragged_samples()
     path = str(tmp_path / "ragged.jsonl")
     write_dataset(samples, path, seed=0)
-    parsed, manifest = parse_dataset(path, 50, SEQ_LEN)
+    parsed, manifest = read_dataset(path, 50, SEQ_LEN)
     converted = as_split(samples)
     assert manifest == {"n_samples": len(samples),
                         "positives": sum(s.label for s in samples), "seed": 0}
     for got, want, dtype in zip(columns(parsed), columns(converted),
                                 (np.int64, np.float64, np.int64, np.int64)):
         assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+    assert isinstance(parsed, Split)
     assert list(parsed) == samples and list(converted) == samples
-    assert read_dataset(path, 50, SEQ_LEN)[0] == samples
     assert as_split(parsed) is parsed
 
 
@@ -200,7 +199,7 @@ def test_parser_accepts_json_integers_only(tmp_path, line, problem):
     path = tmp_path / "typed.jsonl"
     path.write_text(record() + "\n" + line + "\n")
     with pytest.raises(DataError) as exc:
-        parse_dataset(str(path), 10, 4)
+        read_dataset(str(path), 10, 4)
     assert str(exc.value) == f"{path}:2: malformed record ({problem})"
 
 
@@ -216,7 +215,7 @@ def test_parser_raises_only_data_errors(tmp_path, content, where, problem):
     path = tmp_path / "raw.jsonl"
     path.write_bytes(content)
     with pytest.raises(DataError, match=rf"raw\.jsonl:{where}: {problem}"):
-        parse_dataset(str(path), 10, 4)
+        read_dataset(str(path), 10, 4)
 
 
 def test_parser_counts_lines_as_text_mode_does(tmp_path):
@@ -225,9 +224,9 @@ def test_parser_counts_lines_as_text_mode_does(tmp_path):
     path.write_bytes(b"# n_samples=3\r" + record().encode() + b"\r\n" + record().encode()
                      + b"\n\r" + record(label=5).encode() + b"\n")
     with pytest.raises(DataError, match=r"mixed\.jsonl:5: label must be 0 or 1, got 5"):
-        parse_dataset(str(path), 10, 4)
+        read_dataset(str(path), 10, 4)
     path.write_bytes(path.read_bytes().replace(b'"label": 5', b'"label": 0'))
-    split, manifest = parse_dataset(str(path), 10, 4)
+    split, manifest = read_dataset(str(path), 10, 4)
     assert manifest == {"n_samples": 3} and list(split.labels) == [1.0, 1.0, 0.0]
 
 
@@ -241,17 +240,17 @@ def test_manifest_counts_must_match_the_records(tmp_path, canonical):
     if not canonical:   # spaces after the colons send the file to the per-line parser
         lines = [lines[0], *(line.replace(":", ": ") for line in lines[1:])]
     path.write_text("".join(lines))
-    split, _ = parse_dataset(str(path), 20, 4)
+    split, _ = read_dataset(str(path), 20, 4)
     assert len(split) == 10
     path.write_text("".join(lines[:6]))
     with pytest.raises(DataError, match=r"cut\.jsonl:1: manifest n_samples=10 but the "
                                         r"records give 5"):
-        parse_dataset(str(path), 20, 4)
+        read_dataset(str(path), 20, 4)
     # Five records again, but the manifest now only disagrees on the positives.
     path.write_text(lines[0].replace("n_samples=10", "n_samples=5") + "".join(lines[5:10]))
     with pytest.raises(DataError, match=r"cut\.jsonl:1: manifest positives=4 but the "
                                         r"records give 0"):
-        parse_dataset(str(path), 20, 4)
+        read_dataset(str(path), 20, 4)
 
 
 @pytest.mark.parametrize("label", [2, 0.5, -1, float("nan")])
@@ -268,4 +267,4 @@ def test_write_dataset_rejects_labels_outside_0_1(tmp_path, label):
 
 def test_parser_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError, match="cannot open dataset"):
-        parse_dataset(str(tmp_path / "absent.jsonl"), 10, 4)
+        read_dataset(str(tmp_path / "absent.jsonl"), 10, 4)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qin import dataio
-from qin.dataio import as_split, parse_dataset, parse_manifest, write_dataset
+from qin.dataio import as_split, parse_manifest, read_dataset, write_dataset
 from qin.embedding import Sample
 from qin.errors import DataError
 from qin.linalg import FLOAT
@@ -93,7 +93,7 @@ def outcome(parse, path):
 
 
 def assert_same_outcome(path):
-    got, want = outcome(parse_dataset, path), outcome(reference_parse, path)
+    got, want = outcome(read_dataset, path), outcome(reference_parse, path)
     if isinstance(want, str):
         assert got == want
         return
@@ -252,7 +252,7 @@ def test_reader_reports_first_bad_line_across_chunks(tmp_path, monkeypatch):
     path.write_text("\n".join(lines) + "\n")
     monkeypatch.setattr(dataio, "READ_BYTES", 256)
     with pytest.raises(DataError, match=r"data\.jsonl:252: label must be 0 or 1, got 3"):
-        parse_dataset(str(path), N_ITEMS, SEQ_LEN)
+        read_dataset(str(path), N_ITEMS, SEQ_LEN)
 
 
 @pytest.mark.parametrize("manifest_end", ["\r", "\r\n", "\n\n", " \n"])
@@ -262,4 +262,4 @@ def test_reader_manifest_line_ends_as_in_text_mode(tmp_path, manifest_end):
     lines = write_canonical(str(path), [(1, [2, 3], 1), (4, [], 0)])
     path.write_bytes((lines[0] + manifest_end + "\n".join(lines[1:]) + "\n").encode())
     assert_same_outcome(str(path))
-    assert len(parse_dataset(str(path), N_ITEMS, SEQ_LEN)[0]) == 2
+    assert len(read_dataset(str(path), N_ITEMS, SEQ_LEN)[0]) == 2

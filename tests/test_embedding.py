@@ -233,7 +233,7 @@ def test_scatter_add_ignores_padded_positions():
     mask = np.array([[1.0, 1.0, 0.0, 0.0]])
     for kind in ("relu", "softmax", "mean"):
         got = []
-        cfg = AttentionConfig(kind=kind, d_t=6, seq_len=4)
+        cfg = AttentionConfig(kind=kind, d_t=6)
         for seq_ids in (np.array([[3, 1, 5, 6]]), np.array([[3, 1, 0, 0]])):
             grads = grads_for()
             _, trace = asta_forward(*w, cfg, x_t, table, mask, ids=seq_ids)

@@ -103,6 +103,16 @@ def test_auc_single_class_errors():
         auc_bruteforce(np.array([0.1, 0.2]), np.array([0, 0]))
 
 
+@pytest.mark.parametrize("scores", [[0.1, math.nan, 0.3, 0.2, 0.9, 0.5], [math.nan] * 6],
+                         ids=["one_nan", "all_nan"])
+def test_auc_nan_scores_give_nan(scores):
+    # A NaN compares false both ways, so a rank or pairwise count over it
+    # reads as a plausible AUC (0.778 and 0.444 for one NaN); both say NaN.
+    labels = np.array([0, 1, 0, 1, 1, 0])
+    assert math.isnan(auc(np.array(scores), labels))
+    assert math.isnan(auc_bruteforce(np.array(scores), labels))
+
+
 def test_auc_oracle_equivalence_sweep():
     rng = make_rng(2)
     for _ in range(100):

@@ -128,12 +128,12 @@ def test_branch_homogeneity_degree_two():
 
 def test_stack_depth_zero_passthrough():
     cfg = cfg_for(3, depth=0)
-    x1 = make_rng(6).standard_normal(3)
+    x1 = make_rng(6).standard_normal((1, 3))
     out, trace = qnn_forward([], np.zeros(0), x1, cfg)
     assert np.array_equal(out, x1)
-    d_ws, d_slopes, d_x1 = qnn_backward([], np.zeros(0), cfg, trace, np.ones(3))
+    d_ws, d_slopes, d_x1 = qnn_backward([], np.zeros(0), cfg, trace, np.ones((1, 3)))
     assert d_ws == []
-    assert np.array_equal(d_x1, np.ones(3))
+    assert np.array_equal(d_x1, np.ones((1, 3)))
 
 
 def test_stack_zero_upstream():
@@ -141,11 +141,11 @@ def test_stack_zero_upstream():
     cfg = cfg_for(3, m=2, depth=2)
     ws = [rng.standard_normal((3, 3)) for _ in range(2)]
     slopes = np.array([0.25, 0.25])
-    _, trace = qnn_forward(ws, slopes, rng.standard_normal(3), cfg)
-    d_ws, d_slopes, d_x1 = qnn_backward(ws, slopes, cfg, trace, np.zeros(3))
+    _, trace = qnn_forward(ws, slopes, rng.standard_normal((1, 3)), cfg)
+    d_ws, d_slopes, d_x1 = qnn_backward(ws, slopes, cfg, trace, np.zeros((1, 3)))
     assert all(np.array_equal(g, np.zeros_like(g)) for g in d_ws)
     assert np.array_equal(d_slopes, np.zeros(2))
-    assert np.array_equal(d_x1, np.zeros(3))
+    assert np.array_equal(d_x1, np.zeros((1, 3)))
 
 
 def qnn_fd_worst(seed, residual=True, act="prelu", dropout=False):
@@ -155,15 +155,15 @@ def qnn_fd_worst(seed, residual=True, act="prelu", dropout=False):
                     residual=residual, act=act)
     ws = [(rng.standard_normal((m, dim, dim)) * 0.5).sum(axis=0) for _ in range(depth)]
     slopes = np.array([0.25, 0.4]) if act == "prelu" else np.zeros(depth)
-    x1 = rng.standard_normal(dim)
-    r = rng.standard_normal(dim)
+    x1 = rng.standard_normal((1, dim))
+    r = rng.standard_normal((1, dim))
     masks = None
     if dropout:
         masks = [(rng.random((1, dim)) >= 0.1).astype(float) for _ in range(depth)]
 
     def loss(ws_, slopes_, x1_):
         out, _ = qnn_forward(ws_, slopes_, x1_, cfg, masks)
-        return float(r @ out)
+        return float(np.sum(r * out))
 
     _, trace = qnn_forward(ws, slopes, x1, cfg, masks)
     d_ws, d_slopes, d_x1 = qnn_backward(ws, slopes, cfg, trace, r)
@@ -202,16 +202,17 @@ def qnn_fd_worst(seed, residual=True, act="prelu", dropout=False):
             numeric = fd(move)
             worst = max(worst, abs(d_slopes[l] - numeric) / max(abs(d_slopes[l]), abs(numeric), 1e-6))
     for i in range(dim):
-        old = x1[i]
+        old = x1[0, i]
 
         def move(delta, i=i, old=old):
-            x1[i] = old + delta
+            x1[0, i] = old + delta
             v = loss(ws, slopes, x1)
-            x1[i] = old
+            x1[0, i] = old
             return v
 
         numeric = fd(move)
-        worst = max(worst, abs(d_x1[i] - numeric) / max(abs(d_x1[i]), abs(numeric), 1e-6))
+        worst = max(worst, abs(d_x1[0, i] - numeric)
+                    / max(abs(d_x1[0, i]), abs(numeric), 1e-6))
     return worst
 
 
@@ -231,8 +232,8 @@ def test_relu_act_freezes_slope_gradient():
     cfg = QnnConfig(depth=1, m=1, dim=3, act="relu")
     ws = [rng.standard_normal((3, 3))]
     slopes = np.zeros(1)
-    _, trace = qnn_forward(ws, slopes, rng.standard_normal(3), cfg)
-    _, d_slopes, _ = qnn_backward(ws, slopes, cfg, trace, np.ones(3))
+    _, trace = qnn_forward(ws, slopes, rng.standard_normal((1, 3)), cfg)
+    _, d_slopes, _ = qnn_backward(ws, slopes, cfg, trace, np.ones((1, 3)))
     assert np.array_equal(d_slopes, np.zeros(1))
 
 
@@ -319,33 +320,33 @@ def test_layer_weight_shapes():
 def test_mlp_zero_weights():
     ws = [np.zeros((3, 4)), np.zeros((2, 3))]
     bs = [np.zeros(3), np.zeros(2)]
-    out, _ = mlp_forward(ws, bs, np.ones(4))
-    assert np.array_equal(out, np.zeros(2))
+    out, _ = mlp_forward(ws, bs, np.ones((1, 4)))
+    assert np.array_equal(out, np.zeros((1, 2)))
 
 
 def test_mlp_identity_passthrough_positive():
     ws = [np.eye(3)]
     bs = [np.zeros(3)]
-    x = np.array([0.5, 1.0, 2.0])
+    x = np.array([[0.5, 1.0, 2.0]])
     out, _ = mlp_forward(ws, bs, x)
     assert np.array_equal(out, x)
 
 
 def test_mlp_dims_chain_error():
     with pytest.raises(ShapeError):
-        mlp_forward([np.zeros((3, 5))], [np.zeros(3)], np.ones(4))
+        mlp_forward([np.zeros((3, 5))], [np.zeros(3)], np.ones((1, 4)))
 
 
 def test_mlp_backward_finite_differences():
     rng = make_rng(60)
     ws = [rng.standard_normal((5, 4)), rng.standard_normal((3, 5))]
     bs = [rng.standard_normal(5), rng.standard_normal(3)]
-    x1 = rng.standard_normal(4)
-    r = rng.standard_normal(3)
+    x1 = rng.standard_normal((1, 4))
+    r = rng.standard_normal((1, 3))
 
     def loss():
         out, _ = mlp_forward(ws, bs, x1)
-        return float(r @ out)
+        return float(np.sum(r * out))
 
     _, trace = mlp_forward(ws, bs, x1)
     d_ws, d_bs, d_x1 = mlp_backward(ws, bs, trace, r)
@@ -363,3 +364,17 @@ def test_mlp_backward_finite_differences():
             flat[i] = old
             numeric = (f_plus - f_minus) / (2 * h)
             assert abs(gflat[i] - numeric) / max(abs(gflat[i]), abs(numeric), 1e-6) < 1e-4
+
+
+def test_one_dimensional_input_raises_shape_error():
+    # One sample is a (1, dim) batch. A 1-D input would make the weight
+    # gradient d_t.T @ x a scalar, so both stacks refuse it up front.
+    rng = make_rng(80)
+    cfg = cfg_for(4, depth=2)
+    ws = [rng.standard_normal((4, 4)) for _ in range(2)]
+    with pytest.raises(ShapeError):
+        qnn_forward(ws, np.full(2, 0.25), rng.standard_normal(4), cfg)
+    with pytest.raises(ShapeError):
+        qnn_layer_forward(ws[0], 0.25, rng.standard_normal(4), cfg)
+    with pytest.raises(ShapeError):
+        mlp_forward([rng.standard_normal((3, 4))], [np.zeros(3)], rng.standard_normal(4))

@@ -13,7 +13,8 @@ from qin.metrics import auc as rank_auc
 from qin.model import predict_probs
 from qin.params import (ModelParams, copy_params, expected_shapes, init_params, lr_scale,
                         named_arrays, params_equal, zero_gradients)
-from qin.train import ADAM_CHUNK, AdamState, adam_step, evaluate, train
+from qin.train import (ADAM_BETA1, ADAM_BETA2, ADAM_CHUNK, ADAM_EPS, AdamState, adam_step,
+                       evaluate, train)
 
 HP = HyperParams(d_t=8, d_b=8, d_a=8, seq_len=6, depth=2, m=2, dropout_p=0.1,
                  vocab=20, d_frozen=4)
@@ -90,18 +91,18 @@ def per_name_adam(params, grads, m, v, t, cfg):
     """Reference: the tensor-by-tensor Adam loop, moments kept per name."""
     p_named = named_arrays(params)
     g_named = named_arrays(grads)
-    bc1 = 1.0 - cfg.adam_beta1 ** t
-    bc2 = 1.0 - cfg.adam_beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name in p_named:
         theta = p_named[name]
         g = g_named[name]
         if name == "id_embedding" and cfg.emb_weight_decay > 0:
             g = g + cfg.emb_weight_decay * theta
-        m[name] *= cfg.adam_beta1
-        m[name] += (1.0 - cfg.adam_beta1) * g
-        v[name] *= cfg.adam_beta2
-        v[name] += (1.0 - cfg.adam_beta2) * (g * g)
-        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + cfg.adam_eps)
+        m[name] *= ADAM_BETA1
+        m[name] += (1.0 - ADAM_BETA1) * g
+        v[name] *= ADAM_BETA2
+        v[name] += (1.0 - ADAM_BETA2) * (g * g)
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPS)
         theta -= cfg.lr * update
 
 
@@ -114,6 +115,8 @@ WIDE_TABLE = HyperParams(d_t=16, seq_len=4, depth=2, m=2, vocab=9000, d_frozen=6
 @pytest.mark.parametrize("hp", [HP, dataclasses.replace(HP, interaction="mlp", mlp_dims=(6, 5)),
                                 WIDE_TABLE], ids=["qnn", "mlp", "wide_table"])
 def test_flat_adam_matches_per_name_loop_bit_for_bit(hp, decay):
+    # The values the retired adam_beta1/adam_beta2/adam_eps keys defaulted to.
+    assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
     params = init_params(hp, make_rng(30))
     if hp is WIDE_TABLE:
         assert params.flat.size > 2 * ADAM_CHUNK
@@ -224,6 +227,15 @@ def test_evaluate_deterministic_and_single_class_guard():
     ones = [s for s in samples if s.label == 1]
     with pytest.raises(SingleClassError):
         evaluate(params, HP, store, ones)
+
+
+def test_evaluate_nan_head_weight_reports_nan_auc():
+    store, samples = tiny_world(seed=10)
+    params = init_params(HP, make_rng(11))
+    params.head_w[0] = np.nan
+    metrics = evaluate(params, HP, store, samples)
+    assert np.isnan(metrics["probs"]).all()
+    assert math.isnan(metrics["auc"]) and math.isnan(metrics["logloss"])
 
 
 def test_train_rejects_single_class_validation():
