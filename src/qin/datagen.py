@@ -31,10 +31,10 @@ import numpy as np
 
 from .atomic import atomic_write
 from .config import GenConfig
-from .dataio import Split, numbered_lines, read_bytes, write_dataset
+from .dataio import Split, as_split, numbered_lines, read_bytes, write_dataset
 from .embedding import Sample, save_embeddings
 from .errors import DataError
-from .linalg import FLOAT, make_rng, sigmoid
+from .linalg import FLOAT, make_rng, segment_sum, sigmoid
 from .metrics import auc
 
 CHUNK = 512  # samples whose histories are drawn in one array
@@ -150,25 +150,35 @@ def bayes_auc(truth_probs: np.ndarray, labels: np.ndarray) -> float:
     return auc(truth_probs, labels)
 
 
-def affinity_features(samples: list[Sample], store_data: np.ndarray) -> np.ndarray:
+def history_means(split: Split, store_data: np.ndarray) -> np.ndarray:
+    """(n, dim) mean of each row's history rows of store_data; zeros for an empty one.
+
+    One segment sum over the flat history ids adds each row's entries in
+    history order, so every mean has the bits of
+    ``store_data[seq_ids].mean(axis=0)``.
+    """
+    lengths = split.lengths
+    rows = np.repeat(np.arange(len(split)), lengths)
+    sums = segment_sum(rows, len(split), (store_data[split.ids], None))
+    return sums / np.maximum(lengths, 1)[:, None]
+
+
+def affinity_features(samples: Split | list[Sample], store_data: np.ndarray) -> np.ndarray:
     """Raw affinity u . e_target per sample, from the frozen store."""
-    out = np.empty(len(samples), dtype=FLOAT)
-    for i, s in enumerate(samples):
-        u = store_data[np.asarray(s.seq_ids, dtype=np.int64)].mean(axis=0) \
-            if s.seq_ids else np.zeros(store_data.shape[1], dtype=FLOAT)
-        out[i] = u @ store_data[s.target_id]
-    return out
+    split = as_split(samples)
+    return np.sum(history_means(split, store_data) * store_data[split.targets], axis=1)
 
 
-def linear_baseline_auc(samples: list[Sample], store_data: np.ndarray) -> float:
+def linear_baseline_auc(samples: Split | list[Sample], store_data: np.ndarray) -> float:
     """AUC of a logistic regression on the scalar affinity feature.
 
     Newton iterations on (weight, bias); the affinity is the one scalar a
     linear model can extract, so this is the strongest linear baseline for
     the quadratic click model.
     """
-    x = affinity_features(samples, store_data)
-    y = np.array([s.label for s in samples], dtype=FLOAT)
+    split = as_split(samples)
+    x = affinity_features(split, store_data)
+    y = split.labels
     feats = np.stack([x, np.ones_like(x)], axis=1)
     beta = np.zeros(2, dtype=FLOAT)
     for _ in range(25):

@@ -6,6 +6,8 @@ mean pooling included (attn_kind mean).
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +18,24 @@ from .embedding import Batch, EmbeddingStore, embedding_grad_accumulate, item_ta
 from .linalg import FLOAT
 from .metrics import bce_backward, bce_loss, head_forward
 from .params import ModelParams, zero_gradients
-from .qnn import QnnConfig, assemble_x1, mlp_backward, mlp_forward, qnn_backward, qnn_forward
+from .qnn import (QnnConfig, assemble_x1, mlp_backward, mlp_forward, qnn_backward, qnn_forward,
+                  qnn_layer_forward)
+
+# QNN width (qnn_dim) from which predict_probs runs the QNN layers of each
+# batch as two row halves on two threads. Median paired split/serial ratio
+# of a scoring pass (2 000 rows in batches of 1 024, one BLAS thread, 2-core
+# VM, 41 pairs) at width 64 / 96 / 128: depth 4 with 4-item histories 1.54
+# / 1.37 / 1.41; depth 2 with 32-item histories 0.96 / 1.01 / 1.06; depth 2
+# with 1..64-item histories 0.98 / 1.01 / 1.06; width 32 lost 0.81-0.84 on
+# both depth-2 shapes. Below 96 the QNN is too small a share of a batch to
+# pay for the hand-off, and numpy's short calls fight over the GIL.
+QNN_SPLIT_MIN_DIM = 96
+# Fewest rows in a half; a batch under twice this runs whole. OpenBLAS
+# takes a small-matrix path for a GEMM of up to 37 rows at width 32, 12 at
+# 96 and 9 at 128, and a gemv for one row; either gives other last bits
+# than the whole batch's GEMM. From 10 rows on at width 128 a row block's
+# product has the whole batch's bits.
+QNN_SPLIT_MIN_ROWS = 128
 
 
 def attention_config(hp: HyperParams) -> AttentionConfig:
@@ -53,6 +72,17 @@ def draw_dropout_masks(hp: HyperParams, n: int, rng: np.random.Generator):
     return attn_mask, qnn_masks
 
 
+def interaction_input(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
+                      batch: Batch, attn_mask: np.ndarray | None = None):
+    """Lookup and attention: (target embeddings, pooling trace, x1)."""
+    table = item_table(store, params.id_embedding, batch.seq_ids)
+    x_t = lookup_target(store, params.id_embedding, batch.target_ids)
+    o, pool_trace = asta_forward(params.w_q, params.w_k, params.w_v,
+                                 attention_config(hp), x_t, table, batch.mask,
+                                 drop_mask=attn_mask, ids=batch.seq_ids)
+    return x_t, pool_trace, assemble_x1(x_t, o, hp.qnn_dim)
+
+
 def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
                   batch: Batch, training: bool = False,
                   dropout_rng: np.random.Generator | None = None) -> ModelTrace:
@@ -60,14 +90,7 @@ def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
     if training and dropout_rng is not None:
         attn_mask, qnn_masks = draw_dropout_masks(hp, batch.size, dropout_rng)
 
-    table = item_table(store, params.id_embedding, batch.seq_ids)
-    x_t = lookup_target(store, params.id_embedding, batch.target_ids)
-
-    o, pool_trace = asta_forward(params.w_q, params.w_k, params.w_v,
-                                 attention_config(hp), x_t, table, batch.mask,
-                                 drop_mask=attn_mask, ids=batch.seq_ids)
-
-    x1 = assemble_x1(x_t, o, hp.qnn_dim)
+    x_t, pool_trace, x1 = interaction_input(params, hp, store, batch, attn_mask)
     if hp.interaction == "qnn":
         x_last, inter_trace = qnn_forward(params.qnn_w, params.prelu, x1,
                                           qnn_config(hp), qnn_masks)
@@ -125,8 +148,66 @@ def loss_and_grads(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
     return loss, grads, trace.probs
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _qnn_rows(params: ModelParams, hp: HyperParams, x: np.ndarray) -> np.ndarray:
+    """The QNN stack on rows x, dropout off, each layer trace dropped.
+
+    It calls qnn_layer_forward, not qnn_forward, so the helper thread of
+    predict_probs never enters a function a profiler may have wrapped.
+    """
+    cfg = qnn_config(hp)
+    for l in range(hp.depth):
+        x = qnn_layer_forward(params.qnn_w[l], float(params.prelu[l]), x, cfg)[0]
+    return x
+
+
+def _helper_half(params: ModelParams, hp: HyperParams, x: np.ndarray) -> list:
+    """The helper's half in row blocks of QNN_SPLIT_MIN_ROWS to twice that.
+
+    A thread's temporaries come from its own malloc arena, which the free
+    pages of the main heap cannot serve, so smaller blocks hold less
+    memory: on wide_qnn_train, peak RSS rose 3.6% with 256-row blocks and
+    5.3% with whole halves.
+    """
+    blocks = -(-len(x) // (2 * QNN_SPLIT_MIN_ROWS))
+    return [_qnn_rows(params, hp, rows) for rows in np.array_split(x, blocks)]
+
+
+def _halved_probs(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
+                  batch: Batch, helper: ThreadPoolExecutor) -> np.ndarray:
+    _, _, x1 = interaction_input(params, hp, store, batch)
+    h = batch.size // 2
+    if h < QNN_SPLIT_MIN_ROWS:
+        x_last = _qnn_rows(params, hp, x1)
+    else:
+        second = helper.submit(_helper_half, params, hp, x1[h:])
+        x_last = np.concatenate([_qnn_rows(params, hp, x1[:h]), *second.result()])
+    return head_forward(params.head_w, params.head_b, x_last)[1]
+
+
 def predict_probs(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
                   batches) -> np.ndarray:
-    """Deterministic full-pass probabilities, dropout disabled, order preserved."""
-    outs = [model_forward(params, hp, store, b, training=False).probs for b in batches]
+    """Deterministic full-pass probabilities, dropout disabled, order preserved.
+
+    A QNN at least QNN_SPLIT_MIN_DIM wide, with two CPUs usable, runs its
+    layers on the two row halves of a batch at once: the first half in
+    the calling thread, the second in one helper thread that lives only
+    for this call. Lookup, attention and the head run on the whole batch
+    in the calling thread. Every layer op gives the same bits on a half
+    of at least QNN_SPLIT_MIN_ROWS rows as on the whole batch, so the
+    probabilities equal the one-thread pass to the bit; the head's gemv
+    does not, which is why it waits for the joined rows. An error in the
+    helper half reaches the caller with its own type.
+    """
+    if hp.interaction != "qnn" or hp.qnn_dim < QNN_SPLIT_MIN_DIM or usable_cpus() < 2:
+        outs = [model_forward(params, hp, store, b, training=False).probs for b in batches]
+    else:
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            outs = [_halved_probs(params, hp, store, b, helper) for b in batches]
     return np.concatenate(outs) if outs else np.zeros(0, dtype=FLOAT)

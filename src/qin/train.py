@@ -6,8 +6,10 @@ and eps are the module constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
 Determinism contract: the epoch shuffle and every dropout mask derive from
 the run seed (dropout from a per-step counter), parameters update in a
-fixed buffer order, and evaluation runs serially, so identical seeds give
-bit-identical histories and checkpoints.
+fixed buffer order, and training runs on one thread, so identical seeds
+give bit-identical histories and checkpoints. Evaluation may score a wide
+QNN's two row halves on two threads (see model.predict_probs); every
+probability is the one-thread pass's to the bit, whatever the CPU count.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from qin.config import GenConfig, HyperParams
-from qin.datagen import (affinity_features, bayes_auc, generate,
+from qin.datagen import (affinity_features, bayes_auc, generate, history_means,
                          linear_baseline_auc, read_truth)
-from qin.dataio import (build_batch, load_dataset, make_batches, read_dataset,
+from qin.dataio import (as_split, build_batch, load_dataset, make_batches, read_dataset,
                         write_dataset)
 from qin.embedding import Sample, load_embeddings
 from qin.errors import ConfigError, DataError
@@ -209,6 +209,23 @@ def test_affinity_features_empty_history_zero():
     store_data = make_rng(1).standard_normal((5, 3))
     feats = affinity_features([Sample(target_id=2, seq_ids=[], label=0)], store_data)
     assert feats[0] == 0.0
+
+
+def test_history_means_match_row_walk():
+    rng = make_rng(2)
+    store_data = rng.standard_normal((30, 4))
+    samples = [Sample(target_id=int(rng.integers(30)),
+                      seq_ids=[int(v) for v in rng.integers(0, 30, k)], label=k % 2)
+               for k in (3, 0, 1, 7, 0, 5, 32, 0)]
+    split = as_split(samples)
+    got = history_means(split, store_data)
+    assert got.shape == (len(samples), 4)
+    for row, s in zip(got, samples):
+        want = store_data[s.seq_ids].mean(axis=0) if s.seq_ids else np.zeros(4)
+        assert np.array_equal(row, want)
+    walk = [float(store_data[s.seq_ids].mean(axis=0) @ store_data[s.target_id])
+            if s.seq_ids else 0.0 for s in samples]
+    assert np.allclose(affinity_features(split, store_data), walk, rtol=1e-14, atol=0)
 
 
 def test_linear_baseline_blind_to_quadratic(tmp_path):
