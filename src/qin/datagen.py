@@ -31,8 +31,8 @@ import numpy as np
 
 from .atomic import atomic_write
 from .config import GenConfig
-from .dataio import Split, as_split, numbered_lines, read_bytes, write_dataset
-from .embedding import Sample, save_embeddings
+from .dataio import Split, numbered_lines, read_bytes, write_dataset
+from .embedding import save_embeddings
 from .errors import DataError
 from .linalg import FLOAT, make_rng, segment_sum, sigmoid
 from .metrics import auc
@@ -163,20 +163,18 @@ def history_means(split: Split, store_data: np.ndarray) -> np.ndarray:
     return sums / np.maximum(lengths, 1)[:, None]
 
 
-def affinity_features(samples: Split | list[Sample], store_data: np.ndarray) -> np.ndarray:
+def affinity_features(split: Split, store_data: np.ndarray) -> np.ndarray:
     """Raw affinity u . e_target per sample, from the frozen store."""
-    split = as_split(samples)
     return np.sum(history_means(split, store_data) * store_data[split.targets], axis=1)
 
 
-def linear_baseline_auc(samples: Split | list[Sample], store_data: np.ndarray) -> float:
+def linear_baseline_auc(split: Split, store_data: np.ndarray) -> float:
     """AUC of a logistic regression on the scalar affinity feature.
 
     Newton iterations on (weight, bias); the affinity is the one scalar a
     linear model can extract, so this is the strongest linear baseline for
     the quadratic click model.
     """
-    split = as_split(samples)
     x = affinity_features(split, store_data)
     y = split.labels
     feats = np.stack([x, np.ones_like(x)], axis=1)

@@ -16,19 +16,18 @@ the lines and their numbers are converted in one numpy call. Any other
 file, and any file with a record that fails a check, is read line by line
 by the parser that states the grammar and every error message.
 
-In memory a split is a :class:`Split`: four arrays, filled once by the
-parser (or by the generator) and held until batching, which gathers each
-batch from them by row index. Training batches are ``max_seq_len`` wide
-and follow the epoch shuffle. Evaluation batches follow the stable
-history-length order and are each cut to their longest history, so
-ragged data scores few padded slots; the caller puts the results back in
-input order.
+In memory a split is a :class:`Split`, the one data form the library
+takes: four arrays, filled once by a parser or the generator and held
+until batching, which gathers each batch from them by row index.
+Training batches are ``max_seq_len`` wide and follow the epoch shuffle.
+Evaluation batches follow the stable history-length order and are each
+cut to their longest history, so ragged data scores few padded slots;
+the caller puts the results back in input order.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 import json
 import operator
 import re
@@ -75,6 +74,18 @@ class Split(Sequence[Sample]):
         for column in (self.targets, self.labels, self.offsets, self.ids):
             column.flags.writeable = False
 
+    @classmethod
+    def from_lengths(cls, targets, labels, lengths, ids) -> "Split":
+        """Row i has targets[i], labels[i] and the next lengths[i] entries of ids.
+
+        Labels become float64 and every other column int64.
+        """
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return cls(targets=np.asarray(targets, dtype=np.int64),
+                   labels=np.asarray(labels, dtype=FLOAT), offsets=offsets,
+                   ids=np.asarray(ids, dtype=np.int64))
+
     @property
     def lengths(self) -> np.ndarray:
         return np.diff(self.offsets)
@@ -101,21 +112,6 @@ class Split(Sequence[Sample]):
                       label=int(self.labels[i]))
 
 
-def as_split(samples: Split | list[Sample]) -> Split:
-    """A Split as is; a list of Samples converted to columns once."""
-    if isinstance(samples, Split):
-        return samples
-    n = len(samples)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter((len(s.seq_ids) for s in samples), dtype=np.int64, count=n),
-              out=offsets[1:])
-    return Split(targets=np.fromiter((s.target_id for s in samples), dtype=np.int64, count=n),
-                 labels=np.fromiter((s.label for s in samples), dtype=FLOAT, count=n),
-                 offsets=offsets,
-                 ids=np.fromiter(itertools.chain.from_iterable(s.seq_ids for s in samples),
-                                 dtype=np.int64, count=int(offsets[-1])))
-
-
 def _token_table(values: np.ndarray, form: str):
     """(tokens, row_of): ``form % v`` as bytes for each distinct value v, and
     a function from an array of those values to their rows in that list.
@@ -131,7 +127,7 @@ def _token_table(values: np.ndarray, form: str):
     return [(form % key).encode() for key in keys.tolist()], keys.searchsorted
 
 
-def write_dataset(samples: Split | list[Sample], path: str, seed: int) -> str:
+def write_dataset(split: Split, path: str, seed: int) -> str:
     """Write records plus the manifest comment line; returns the manifest.
 
     Each line is the canonical record ``{"target":T,"seq":[a,b],"label":L}``,
@@ -142,7 +138,6 @@ def write_dataset(samples: Split | list[Sample], path: str, seed: int) -> str:
     the lines are gathered from it a bounded number of tokens at a time.
     A label other than 0 or 1 raises DataError before the file is opened.
     """
-    split = as_split(samples)
     n = len(split)
     bad = np.flatnonzero((split.labels != 0) & (split.labels != 1))
     if bad.size:
@@ -236,12 +231,6 @@ def _record(line: str) -> tuple[int, list[int], int]:
     return target, seq, label
 
 
-def _as_split(targets, labels, lengths, ids) -> Split:
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    return Split(targets=targets, labels=labels.astype(FLOAT), offsets=offsets, ids=ids)
-
-
 def _parse_lines(path: str, data: bytes, n_items: int,
                  max_seq_len: int) -> tuple[Split, dict | None]:
     """The per-line parser: the statement of the grammar and of every error.
@@ -275,8 +264,8 @@ def _parse_lines(path: str, data: bytes, n_items: int,
         labels.append(label)
         lengths.append(len(seq))
         ids.extend(seq)
-    return _as_split(*(np.frombuffer(col, dtype=np.int64)
-                       for col in (targets, labels, lengths, ids))), manifest
+    return Split.from_lengths(*(np.frombuffer(col, dtype=np.int64)
+                                for col in (targets, labels, lengths, ids))), manifest
 
 
 def _parse_canonical(data: bytes, n_items: int,
@@ -325,7 +314,7 @@ def _parse_canonical(data: bytes, n_items: int,
     if (lengths.max(initial=0) > max_seq_len or targets.max(initial=0) >= n_items
             or ids.max(initial=0) >= n_items):
         return None
-    return _as_split(targets, labels, lengths, ids), manifest
+    return Split.from_lengths(targets, labels, lengths, ids), manifest
 
 
 def read_dataset(path: str, n_items: int, max_seq_len: int) -> tuple[Split, dict | None]:
@@ -389,27 +378,25 @@ def _batches(split: Split, order: np.ndarray, batch_size: int,
         yield _gather(split, order[at:at + batch_size], width)
 
 
-def build_batch(samples: Split | list[Sample], max_seq_len: int) -> Batch:
-    """Pack samples (a Split or a list of Samples) into one max_seq_len-wide Batch."""
-    split = as_split(samples)
+def build_batch(split: Split, max_seq_len: int) -> Batch:
+    """Pack the split into one max_seq_len-wide Batch."""
     _check_batching(split, 1, max_seq_len)
     return _gather(split, np.arange(len(split)), max_seq_len)
 
 
-def make_batches(samples: Split | list[Sample], batch_size: int, max_seq_len: int,
+def make_batches(split: Split, batch_size: int, max_seq_len: int,
                  rng: np.random.Generator | None = None) -> Iterator[Batch]:
     """Optionally shuffled max_seq_len-wide batches; the final partial batch is kept.
 
-    samples is a Split or a list of Samples (converted once). Each batch is
-    gathered from the columns only when the returned iterator reaches it.
+    Each batch is gathered from the columns only when the returned iterator
+    reaches it.
     """
-    split = as_split(samples)
     _check_batching(split, batch_size, max_seq_len)
     order = rng.permutation(len(split)) if rng is not None else np.arange(len(split))
     return _batches(split, order, batch_size, max_seq_len)
 
 
-def length_sorted_batches(samples: Split | list[Sample], batch_size: int,
+def length_sorted_batches(split: Split, batch_size: int,
                           max_seq_len: int) -> tuple[np.ndarray, Iterator[Batch]]:
     """Batches in stable history-length order, each cut to its longest history.
 
@@ -417,7 +404,6 @@ def length_sorted_batches(samples: Split | list[Sample], batch_size: int,
     split rows order[0], order[1], ... When every history has the same
     length, the order is the identity and every batch is that wide.
     """
-    split = as_split(samples)
     _check_batching(split, batch_size, max_seq_len)
     order = np.argsort(split.lengths, kind="stable")
     return order, _batches(split, order, batch_size, None)

@@ -46,10 +46,6 @@ class Sample:
     seq_ids: list[int]
     label: int
 
-    @property
-    def seq_len(self) -> int:
-        return len(self.seq_ids)
-
 
 @dataclass
 class Batch:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import HyperParams
-from .dataio import build_batch
-from .embedding import EmbeddingStore, Sample
+from .dataio import Split, build_batch
+from .embedding import EmbeddingStore
 from .errors import ConfigError, QinError
 from .linalg import FLOAT, make_rng
 from .metrics import bce_loss
@@ -150,14 +150,15 @@ def build_random_instance(hp: HyperParams, seed: int, n: int = 4):
     params = init_params(hp, rng)
     params.id_embedding = rng.standard_normal(params.id_embedding.shape) * 0.5
     store = EmbeddingStore(rng.standard_normal((hp.vocab, hp.d_frozen)) * 0.5)
-    samples = []
+    # Each row draws its history length, its history, then its target; every
+    # report depends on that order.
+    lengths, histories, targets = np.empty(n, dtype=np.int64), [], np.empty(n, dtype=np.int64)
     for i in range(n):
-        seq_len = int(rng.integers(1, hp.seq_len + 1))
-        ids = rng.choice(hp.vocab, size=seq_len, replace=False)
-        samples.append(Sample(target_id=int(rng.integers(0, hp.vocab)),
-                              seq_ids=[int(v) for v in ids], label=int(i % 2)))
-    batch = build_batch(samples, hp.seq_len)
-    return params, store, batch
+        lengths[i] = rng.integers(1, hp.seq_len + 1)
+        histories.append(rng.choice(hp.vocab, size=lengths[i], replace=False))
+        targets[i] = rng.integers(0, hp.vocab)
+    split = Split.from_lengths(targets, np.arange(n) % 2, lengths, np.concatenate(histories))
+    return params, store, build_batch(split, hp.seq_len)
 
 
 def parameter_classes(params) -> dict[str, slice]:
@@ -188,7 +189,7 @@ def run_model_gradcheck(seed: int, hp: HyperParams | None = None,
     classes = parameter_classes(params)
     if sabotage is not None and sabotage not in classes:
         raise ConfigError(f"sabotage {sabotage!r} is not one of the classes {sorted(classes)}")
-    _, grads, _ = loss_and_grads(params, hp, store, batch, training=False)
+    _, grads, _ = loss_and_grads(params, hp, store, batch)
 
     reports = []
     for cls_name, span in classes.items():
@@ -199,7 +200,7 @@ def run_model_gradcheck(seed: int, hp: HyperParams | None = None,
         def forward(vec, span=span):
             trial = copy_params(params)
             trial.flat[span] = vec
-            trace = model_forward(trial, hp, store, batch, training=False)
+            trace = model_forward(trial, hp, store, batch)
             return bce_loss(trace.probs, batch.labels), collect_kink_preacts(trace, hp)
 
         reports.append(check(forward, analytic, params.flat[span], step=step,

@@ -84,10 +84,10 @@ def interaction_input(params: ModelParams, hp: HyperParams, store: EmbeddingStor
 
 
 def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-                  batch: Batch, training: bool = False,
-                  dropout_rng: np.random.Generator | None = None) -> ModelTrace:
+                  batch: Batch, dropout_rng: np.random.Generator | None = None) -> ModelTrace:
+    """The forward pass, with dropout if and only if dropout_rng is given."""
     attn_mask, qnn_masks = (None, None)
-    if training and dropout_rng is not None:
+    if dropout_rng is not None:
         attn_mask, qnn_masks = draw_dropout_masks(hp, batch.size, dropout_rng)
 
     x_t, pool_trace, x1 = interaction_input(params, hp, store, batch, attn_mask)
@@ -138,10 +138,10 @@ def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
 
 
 def loss_and_grads(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-                   batch: Batch, training: bool = True,
-                   dropout_rng: np.random.Generator | None = None):
-    """One batch: mean BCE loss, full gradients, and the predicted probabilities."""
-    trace = model_forward(params, hp, store, batch, training, dropout_rng)
+                   batch: Batch, dropout_rng: np.random.Generator | None = None):
+    """One batch: mean BCE loss, full gradients, and the predicted probabilities.
+    Dropout runs if and only if dropout_rng is given."""
+    trace = model_forward(params, hp, store, batch, dropout_rng)
     loss = bce_loss(trace.probs, batch.labels)
     d_logits = bce_backward(trace.probs, batch.labels)
     grads = model_backward(params, hp, trace, d_logits)
@@ -206,7 +206,7 @@ def predict_probs(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
     helper half reaches the caller with its own type.
     """
     if hp.interaction != "qnn" or hp.qnn_dim < QNN_SPLIT_MIN_DIM or usable_cpus() < 2:
-        outs = [model_forward(params, hp, store, b, training=False).probs for b in batches]
+        outs = [model_forward(params, hp, store, b).probs for b in batches]
     else:
         with ThreadPoolExecutor(max_workers=1) as helper:
             outs = [_halved_probs(params, hp, store, b, helper) for b in batches]

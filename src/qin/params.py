@@ -85,11 +85,6 @@ class ModelParams:
         return [view for name, view in self.views.items() if name.startswith(prefix)]
 
 
-def named_arrays(p: ModelParams) -> dict[str, np.ndarray]:
-    """Name -> view of a ModelParams (parameters or gradient), layout order."""
-    return dict(p.views)
-
-
 def zero_gradients(params: ModelParams) -> ModelParams:
     """A zeroed gradient: a ModelParams of the same layout."""
     return ModelParams(params.shapes)

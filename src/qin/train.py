@@ -1,5 +1,8 @@
 """Adam with embedding-only weight decay, the epoch loop, and evaluation.
 
+``train`` and ``evaluate`` take their data as a ``dataio.Split``, the one
+data form of the library.
+
 Adam updates the flat parameter buffer (see params.py) in fixed-size
 chunks, with its moments in two arrays of the same layout. Its beta1, beta2
 and eps are the module constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
@@ -20,8 +23,8 @@ import numpy as np
 
 from .config import HyperParams, TrainConfig
 from .atomic import atomic_write
-from .dataio import Split, as_split, length_sorted_batches, make_batches
-from .embedding import EmbeddingStore, Sample
+from .dataio import Split, length_sorted_batches, make_batches
+from .embedding import EmbeddingStore
 from .errors import NonFiniteLossError, ShapeError, SingleClassError
 from .linalg import FLOAT, spawn_rng
 from .metrics import auc, bce_loss
@@ -109,14 +112,13 @@ class TrainResult:
 
 
 def evaluate(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-             samples: Split | list[Sample], batch_size: int = 1024) -> dict:
+             split: Split, batch_size: int = 1024) -> dict:
     """Full-pass valid metrics, dropout disabled. Raises on single-class data.
 
     Rows are scored in stable history-length order, each batch cut to its
     longest history, so ragged histories score few padded slots; "probs"
     is returned in input order.
     """
-    split = as_split(samples)
     if not len(split):
         raise SingleClassError("cannot evaluate an empty dataset")
     order, batches = length_sorted_batches(split, batch_size, hp.seq_len)
@@ -127,16 +129,13 @@ def evaluate(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
 
 
 def train(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-          data_train: Split | list[Sample], data_valid: Split | list[Sample],
-          cfg: TrainConfig) -> TrainResult:
+          data_train: Split, data_valid: Split, cfg: TrainConfig) -> TrainResult:
     """Epoch loop with seeded shuffling and early stopping on valid AUC.
 
     Keeps the parameters of the best-validation epoch and stops after
     `patience` epochs without improvement. epochs=0 returns the initial
-    parameters untouched with an empty history. Lists of Samples are
-    converted to Splits once, here.
+    parameters untouched with an empty history.
     """
-    data_train, data_valid = as_split(data_train), as_split(data_valid)
     if not len(data_train):
         raise SingleClassError("training split is empty")
     if set(np.unique(data_valid.labels)) != {0, 1}:
@@ -155,8 +154,7 @@ def train(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
         total_loss = 0.0
         for batch in batches:
             dropout_rng = spawn_rng(cfg.seed, _DROPOUT_STREAM, global_step)
-            loss, grads, _ = loss_and_grads(params, hp, store, batch,
-                                            training=True, dropout_rng=dropout_rng)
+            loss, grads, _ = loss_and_grads(params, hp, store, batch, dropout_rng)
             if not np.isfinite(loss):
                 raise NonFiniteLossError(
                     f"non-finite loss {loss} at epoch {epoch} step {global_step}")

@@ -3,7 +3,7 @@ import pytest
 
 from qin.config import GenConfig, HyperParams, TrainConfig
 from qin.datagen import generate
-from qin.dataio import read_dataset
+from qin.dataio import Split, read_dataset
 from qin.embedding import _check_ids, load_embeddings
 
 
@@ -21,6 +21,15 @@ def default_splits(default_dataset):
     train_samples, _ = read_dataset(default_dataset.train_path, store.count, 32)
     valid_samples, _ = read_dataset(default_dataset.valid_path, store.count, 32)
     return store, train_samples, valid_samples
+
+
+def split_of(samples) -> Split:
+    """The Split of Samples written out by hand, through Split.from_lengths."""
+    samples = list(samples)
+    return Split.from_lengths(targets=[s.target_id for s in samples],
+                              labels=[s.label for s in samples],
+                              lengths=[len(s.seq_ids) for s in samples],
+                              ids=[v for s in samples for v in s.seq_ids])
 
 
 def make_hp(store, **overrides) -> HyperParams:

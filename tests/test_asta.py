@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import attention_case_id
+from conftest import attention_case_id, split_of
 from qin.asta import (AttentionConfig, _promote, asta_backward, asta_forward,
                       attention_weights)
 from qin.errors import ShapeError
@@ -412,7 +412,7 @@ def test_per_item_path_matches_per_slot_reference(kind, attn_dropout):
     from qin.embedding import EmbeddingStore, Sample
     from qin.linalg import spawn_rng
     from qin.model import loss_and_grads
-    from qin.params import init_params, named_arrays
+    from qin.params import init_params
 
     hp = HyperParams(d_t=8, d_b=8, d_a=8, seq_len=6, vocab=9, d_frozen=3,
                      attn_kind=kind, attn_dropout_p=0.3 if attn_dropout else 0.0)
@@ -422,14 +422,14 @@ def test_per_item_path_matches_per_slot_reference(kind, attn_dropout):
     store = EmbeddingStore(rng.standard_normal((hp.vocab, hp.d_frozen)))
     # Ids repeat within a history, across histories and between target and
     # history; histories are padded, one is empty and one is full.
-    samples = [Sample(target_id=2, seq_ids=[4, 4, 1], label=1),
-               Sample(target_id=4, seq_ids=[], label=0),
-               Sample(target_id=2, seq_ids=[2, 7, 4, 4, 7, 1], label=0),
-               Sample(target_id=8, seq_ids=[1], label=1),
-               Sample(target_id=0, seq_ids=[8, 8, 3, 0], label=1)]
-    batch = build_batch(samples, hp.seq_len)
+    split = split_of([Sample(target_id=2, seq_ids=[4, 4, 1], label=1),
+                      Sample(target_id=4, seq_ids=[], label=0),
+                      Sample(target_id=2, seq_ids=[2, 7, 4, 4, 7, 1], label=0),
+                      Sample(target_id=8, seq_ids=[1], label=1),
+                      Sample(target_id=0, seq_ids=[8, 8, 3, 0], label=1)])
+    batch = build_batch(split, hp.seq_len)
 
-    loss, grads, probs = loss_and_grads(params, hp, store, batch, training=True,
+    loss, grads, probs = loss_and_grads(params, hp, store, batch,
                                         dropout_rng=spawn_rng(5, 2, 0))
     ref_loss, ref_probs, ref_grads = per_slot_reference(params, hp, store, batch,
                                                         spawn_rng(5, 2, 0))
@@ -439,7 +439,7 @@ def test_per_item_path_matches_per_slot_reference(kind, attn_dropout):
 
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
     assert close(probs, ref_probs)
-    named = named_arrays(grads)
+    named = grads.views
     for name, ref in ref_grads.items():
         if kind == "mean" and name in ("w_q", "w_k"):   # fixed weights: no score gradient
             assert not named[name].any() and not ref.any(), name

@@ -5,12 +5,12 @@ import os
 
 import numpy as np
 import pytest
+from conftest import split_of
 
 from qin.config import GenConfig, HyperParams
 from qin.datagen import (affinity_features, bayes_auc, generate, history_means,
                          linear_baseline_auc, read_truth)
-from qin.dataio import (as_split, build_batch, load_dataset, make_batches, read_dataset,
-                        write_dataset)
+from qin.dataio import build_batch, load_dataset, make_batches, read_dataset, write_dataset
 from qin.embedding import Sample, load_embeddings
 from qin.errors import ConfigError, DataError
 from qin.linalg import make_rng
@@ -122,27 +122,27 @@ def test_load_dataset_bundles_store(tmp_path):
 
 
 def test_make_batches_partial_final():
-    samples = [Sample(target_id=i % 3, seq_ids=[0], label=i % 2) for i in range(10)]
-    batches = make_batches(samples, 4, 4, rng=None)
+    split = split_of(Sample(target_id=i % 3, seq_ids=[0], label=i % 2) for i in range(10))
+    batches = make_batches(split, 4, 4, rng=None)
     assert [b.size for b in batches] == [4, 4, 2]
 
 
 def test_make_batches_batch_one_preserves_multiset():
-    samples = [Sample(target_id=i, seq_ids=[i], label=i % 2) for i in range(7)]
-    batches = make_batches(samples, 1, 2, rng=make_rng(0))
+    split = split_of(Sample(target_id=i, seq_ids=[i], label=i % 2) for i in range(7))
+    batches = make_batches(split, 1, 2, rng=make_rng(0))
     seen = sorted(int(b.target_ids[0]) for b in batches)
     assert seen == list(range(7))
 
 
 def test_make_batches_rejects_bad_batch_size():
     with pytest.raises(DataError):
-        make_batches([Sample(target_id=0, seq_ids=[0], label=0)], 0, 4)
+        make_batches(split_of([Sample(target_id=0, seq_ids=[0], label=0)]), 0, 4)
 
 
 def test_make_batches_seeded_shuffle_deterministic():
-    samples = [Sample(target_id=i, seq_ids=[i], label=0) for i in range(50)]
-    a = make_batches(samples, 8, 2, rng=make_rng(9))
-    b = make_batches(samples, 8, 2, rng=make_rng(9))
+    split = split_of(Sample(target_id=i, seq_ids=[i], label=0) for i in range(50))
+    a = make_batches(split, 8, 2, rng=make_rng(9))
+    b = make_batches(split, 8, 2, rng=make_rng(9))
     for ba, bb in zip(a, b):
         assert np.array_equal(ba.target_ids, bb.target_ids)
 
@@ -156,8 +156,8 @@ def per_sample_batch(samples, max_seq_len):
     labels = np.zeros(n, dtype=float)
     for i, s in enumerate(samples):
         target_ids[i] = s.target_id
-        seq_ids[i, :s.seq_len] = s.seq_ids
-        mask[i, :s.seq_len] = 1.0
+        seq_ids[i, :len(s.seq_ids)] = s.seq_ids
+        mask[i, :len(s.seq_ids)] = 1.0
         labels[i] = s.label
     return target_ids, seq_ids, mask, labels
 
@@ -170,7 +170,7 @@ def test_make_batches_equal_per_sample_packing(shuffle_seed):
                       seq_ids=[int(v) for v in rng.integers(0, 50, k)], label=i % 2)
                for i, k in enumerate(lengths)]
     shuffle = None if shuffle_seed is None else make_rng(shuffle_seed)
-    batches = list(make_batches(samples, 4, 8, rng=shuffle))
+    batches = list(make_batches(split_of(samples), 4, 8, rng=shuffle))
     order = (np.arange(len(samples)) if shuffle_seed is None
              else make_rng(shuffle_seed).permutation(len(samples)))
     assert [b.size for b in batches] == [4, 4, 3]
@@ -183,12 +183,12 @@ def test_make_batches_equal_per_sample_packing(shuffle_seed):
 
 def test_build_batch_rejects_overlong_history():
     with pytest.raises(DataError, match="exceeds"):
-        build_batch([Sample(target_id=0, seq_ids=[1, 2, 3], label=0)], 2)
+        build_batch(split_of([Sample(target_id=0, seq_ids=[1, 2, 3], label=0)]), 2)
 
 
 def test_build_batch_mask_left_aligned():
-    batch = build_batch([Sample(target_id=1, seq_ids=[4, 5], label=1),
-                         Sample(target_id=2, seq_ids=[], label=0)], 4)
+    batch = build_batch(split_of([Sample(target_id=1, seq_ids=[4, 5], label=1),
+                                  Sample(target_id=2, seq_ids=[], label=0)]), 4)
     assert np.array_equal(batch.mask, [[1, 1, 0, 0], [0, 0, 0, 0]])
     assert np.array_equal(batch.seq_ids[0], [4, 5, 0, 0])
     assert np.array_equal(batch.labels, [1.0, 0.0])
@@ -207,7 +207,7 @@ def test_gen_config_validation():
 
 def test_affinity_features_empty_history_zero():
     store_data = make_rng(1).standard_normal((5, 3))
-    feats = affinity_features([Sample(target_id=2, seq_ids=[], label=0)], store_data)
+    feats = affinity_features(split_of([Sample(target_id=2, seq_ids=[], label=0)]), store_data)
     assert feats[0] == 0.0
 
 
@@ -217,7 +217,7 @@ def test_history_means_match_row_walk():
     samples = [Sample(target_id=int(rng.integers(30)),
                       seq_ids=[int(v) for v in rng.integers(0, 30, k)], label=k % 2)
                for k in (3, 0, 1, 7, 0, 5, 32, 0)]
-    split = as_split(samples)
+    split = split_of(samples)
     got = history_means(split, store_data)
     assert got.shape == (len(samples), 4)
     for row, s in zip(got, samples):

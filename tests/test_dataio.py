@@ -3,17 +3,20 @@ import os
 
 import numpy as np
 import pytest
+from conftest import split_of
 
 from qin import dataio, datagen, embedding, params, train
 from qin.atomic import atomic_write
 from qin.config import HyperParams
-from qin.dataio import Split, as_split, build_batch, make_batches, read_dataset, write_dataset
+from qin.dataio import Split, build_batch, make_batches, read_dataset, write_dataset
 from qin.embedding import Sample
 from qin.errors import DataError
 from qin.linalg import make_rng
 from qin.train import HistoryEntry
 
 SEQ_LEN = 8
+# Ragged histories, no rows, and rows whose histories are all empty.
+SPLIT_CASES = [(0, 8, 3, 8, 0, 1, 5, 7, 2, 8, 4), (), (0, 0, 0)]
 
 
 def ragged_samples(seed=4, lengths=(0, 8, 3, 8, 0, 1, 5, 7, 2, 8, 4)):
@@ -29,59 +32,63 @@ def columns(split):
 
 
 def test_split_from_file_equals_split_from_samples(tmp_path):
-    samples = ragged_samples()
-    path = str(tmp_path / "ragged.jsonl")
-    write_dataset(samples, path, seed=0)
-    parsed, manifest = read_dataset(path, 50, SEQ_LEN)
-    converted = as_split(samples)
-    assert manifest == {"n_samples": len(samples),
-                        "positives": sum(s.label for s in samples), "seed": 0}
-    for got, want, dtype in zip(columns(parsed), columns(converted),
-                                (np.int64, np.float64, np.int64, np.int64)):
-        assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
-    assert isinstance(parsed, Split)
-    assert list(parsed) == samples and list(converted) == samples
-    assert as_split(parsed) is parsed
+    for case, lengths in enumerate(SPLIT_CASES):
+        samples = ragged_samples(lengths=lengths)
+        built = split_of(samples)
+        path = str(tmp_path / f"case{case}.jsonl")
+        write_dataset(built, path, seed=0)
+        parsed, manifest = read_dataset(path, 50, SEQ_LEN)
+        assert manifest == {"n_samples": len(samples),
+                            "positives": sum(s.label for s in samples), "seed": 0}
+        for got, want, dtype in zip(columns(parsed), columns(built),
+                                    (np.int64, np.float64, np.int64, np.int64)):
+            assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+            assert not got.flags.writeable and not want.flags.writeable
+        assert parsed.offsets[0] == built.offsets[0] == 0
+        assert isinstance(parsed, Split)
+        assert list(parsed) == samples and list(built) == samples
 
 
 def test_split_is_a_read_only_sequence():
-    samples = ragged_samples()
-    split = as_split(samples)
-    assert len(split) == len(samples)
-    assert split[2] == samples[2] and split[-1] == samples[-1]
-    assert list(split[3:7]) == samples[3:7] and list(split[5:2]) == []
-    assert [s.label for s in split] == [s.label for s in samples]
-    assert np.array_equal(split.lengths, [len(s.seq_ids) for s in samples])
-    with pytest.raises(IndexError):
-        split[len(samples)]
-    with pytest.raises(ValueError):
-        split[::2]
-    with pytest.raises(ValueError):
-        split.ids[0] = 1
+    for lengths in SPLIT_CASES:
+        samples = ragged_samples(lengths=lengths)
+        split = split_of(samples)
+        n = len(samples)
+        assert len(split) == n
+        assert [split[i] for i in range(-n, n)] == samples + samples
+        assert list(split[3:7]) == samples[3:7] and list(split[5:2]) == []
+        assert [s.label for s in split] == [s.label for s in samples]
+        assert np.array_equal(split.lengths, [len(s.seq_ids) for s in samples])
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                split[index]
+        with pytest.raises(ValueError):
+            split[::2]
+        for column in columns(split):
+            with pytest.raises(ValueError):
+                column[...] = 1
 
 
 @pytest.mark.parametrize("shuffle_seed", [None, 9])
 def test_make_batches_same_bits_for_split_and_list(shuffle_seed):
+    """Each batch has the bits of build_batch on a split of just its rows, in order."""
     samples = ragged_samples()
-
-    def batches(data):
-        rng = None if shuffle_seed is None else make_rng(shuffle_seed)
-        return list(make_batches(data, 4, SEQ_LEN, rng=rng))
-
-    from_list, from_split = batches(samples), batches(as_split(samples))
-    assert [b.size for b in from_split] == [4, 4, 3]
-    for a, b in zip(from_list, from_split):
+    rng = None if shuffle_seed is None else make_rng(shuffle_seed)
+    batches = list(make_batches(split_of(samples), 4, SEQ_LEN, rng=rng))
+    order = (np.arange(len(samples)) if shuffle_seed is None
+             else make_rng(shuffle_seed).permutation(len(samples)))
+    assert [b.size for b in batches] == [4, 4, 3]
+    for at, b in zip(range(0, len(samples), 4), batches):
+        a = build_batch(split_of(samples[i] for i in order[at:at + 4]), SEQ_LEN)
         for field in ("target_ids", "seq_ids", "mask", "labels"):
             x, y = getattr(a, field), getattr(b, field)
             assert x.dtype == y.dtype and np.array_equal(x, y), field
             assert y.shape[-1] == SEQ_LEN or field in ("target_ids", "labels")
-    single = build_batch(as_split(samples), SEQ_LEN)
-    assert np.array_equal(single.seq_ids, build_batch(samples, SEQ_LEN).seq_ids)
 
 
 def test_length_sorted_batches_cut_to_longest_history():
     samples = ragged_samples(lengths=(3, 0, 2, 0, 0, 0, 5, 1, 0))
-    order, batches = dataio.length_sorted_batches(samples, 4, SEQ_LEN)
+    order, batches = dataio.length_sorted_batches(split_of(samples), 4, SEQ_LEN)
     batches = list(batches)
     lengths = [len(s.seq_ids) for s in samples]
     assert list(order) == sorted(range(len(samples)), key=lambda i: lengths[i])
@@ -89,7 +96,7 @@ def test_length_sorted_batches_cut_to_longest_history():
     assert [b.seq_ids.shape[1] for b in batches] == [1, 3, 5]
     assert not batches[0].mask.any()
     for at, batch in zip(range(0, len(samples), 4), batches):
-        full = build_batch([samples[i] for i in order[at:at + 4]], SEQ_LEN)
+        full = build_batch(split_of(samples[i] for i in order[at:at + 4]), SEQ_LEN)
         width = batch.seq_ids.shape[1]
         assert np.array_equal(batch.seq_ids, full.seq_ids[:, :width])
         assert np.array_equal(batch.mask, full.mask[:, :width])
@@ -97,7 +104,7 @@ def test_length_sorted_batches_cut_to_longest_history():
 
 
 def test_batching_rejects_overlong_history_in_split():
-    split = as_split(ragged_samples())
+    split = split_of(ragged_samples())
     with pytest.raises(DataError, match="exceeds"):
         make_batches(split, 4, SEQ_LEN - 1)
     with pytest.raises(DataError, match="exceeds"):
@@ -107,7 +114,7 @@ def test_batching_rejects_overlong_history_in_split():
 def test_write_dataset_lines_match_json_dumps(tmp_path):
     samples = ragged_samples()
     path = tmp_path / "out.jsonl"
-    write_dataset(as_split(samples), str(path), seed=3)
+    write_dataset(split_of(samples), str(path), seed=3)
     lines = path.read_text().splitlines()
     assert lines[1:] == [json.dumps({"target": s.target_id, "seq": s.seq_ids, "label": s.label},
                                     separators=(",", ":")) for s in samples]
@@ -150,7 +157,7 @@ def test_atomic_write_keeps_previous_file_when_writer_raises(tmp_path):
 
 
 WRITERS = {
-    "write_dataset": lambda p: write_dataset(ragged_samples(), p, seed=1),
+    "write_dataset": lambda p: write_dataset(split_of(ragged_samples()), p, seed=1),
     "write_truth": lambda p: datagen.write_truth(np.array([0.25, 0.5]), p, seed=1),
     "save_embeddings": lambda p: embedding.save_embeddings(np.ones((3, 2)), p),
     "write_history": lambda p: train.write_history(
@@ -235,7 +242,7 @@ def test_manifest_counts_must_match_the_records(tmp_path, canonical):
     """A cut file keeps its manifest; both parsers refuse it instead of loading 5 of 10."""
     samples = [Sample(target_id=i, seq_ids=[i + 1], label=int(i < 4)) for i in range(10)]
     path = tmp_path / "cut.jsonl"
-    write_dataset(samples, str(path), seed=3)
+    write_dataset(split_of(samples), str(path), seed=3)
     lines = path.read_text().splitlines(keepends=True)
     if not canonical:   # spaces after the colons send the file to the per-line parser
         lines = [lines[0], *(line.replace(":", ": ") for line in lines[1:])]
@@ -259,9 +266,7 @@ def test_write_dataset_rejects_labels_outside_0_1(tmp_path, label):
     samples[3] = Sample(target_id=1, seq_ids=[2], label=label)
     path = tmp_path / "labels.jsonl"
     with pytest.raises(DataError, match=r"labels\.jsonl: sample 3 has label .*, expected 0 or 1"):
-        write_dataset(samples, str(path), seed=0)
-    with pytest.raises(DataError):
-        write_dataset(as_split(samples), str(path), seed=0)
+        write_dataset(split_of(samples), str(path), seed=0)
     assert os.listdir(tmp_path) == []
 
 

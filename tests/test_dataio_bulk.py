@@ -15,11 +15,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import split_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qin import dataio
-from qin.dataio import as_split, parse_manifest, read_dataset, write_dataset
+from qin.dataio import parse_manifest, read_dataset, write_dataset
 from qin.embedding import Sample
 from qin.errors import DataError
 from qin.linalg import FLOAT
@@ -29,8 +30,7 @@ SEQ_LEN = 6
 FIELDS = ("targets", "labels", "offsets", "ids")
 
 
-def reference_write(samples, path, seed):
-    split = as_split(samples)
+def reference_write(split, path, seed):
     manifest = f"n_samples={len(split)} positives={int(split.labels.sum())} seed={seed}"
     offsets = split.offsets.tolist()
     seqs = (",".join(map(str, split.ids[offsets[i]:offsets[i + 1]].tolist()))
@@ -109,21 +109,19 @@ def rows(ids):
                     max_size=25)
 
 
-def samples_of(drawn):
-    return [Sample(target_id=t, seq_ids=seq, label=label) for t, seq, label in drawn]
+def split_drawn(drawn):
+    return split_of(Sample(target_id=t, seq_ids=seq, label=label) for t, seq, label in drawn)
 
 
 @settings(deadline=None, max_examples=150)
 @given(drawn=rows(st.one_of(st.integers(0, 60), st.integers(-2**63, 2**63 - 1))),
-       as_list=st.booleans(), cut=st.integers(0, 25), seed=st.integers(0, 2**31))
-def test_writer_byte_identical_to_reference(drawn, as_list, cut, seed):
-    samples = samples_of(drawn)
-    split = as_split(samples)
+       cut=st.integers(0, 25), seed=st.integers(0, 2**31))
+def test_writer_byte_identical_to_reference(drawn, cut, seed):
+    split = split_drawn(drawn)
     with tempfile.TemporaryDirectory() as tmp:
         got, want = os.path.join(tmp, "got.jsonl"), os.path.join(tmp, "want.jsonl")
         for part in (split[:cut], split[cut:]):
-            data = list(part) if as_list else part
-            assert write_dataset(data, got, seed) == reference_write(data, want, seed)
+            assert write_dataset(part, got, seed) == reference_write(part, want, seed)
             with open(got, "rb") as a, open(want, "rb") as b:
                 assert a.read() == b.read()
 
@@ -136,8 +134,8 @@ def test_writer_byte_identical_to_reference(drawn, as_list, cut, seed):
 ])
 def test_writer_edge_splits_match_reference(tmp_path, drawn):
     got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
-    write_dataset(samples_of(drawn), str(got), 5)
-    reference_write(samples_of(drawn), str(want), 5)
+    write_dataset(split_drawn(drawn), str(got), 5)
+    reference_write(split_drawn(drawn), str(want), 5)
     assert got.read_bytes() == want.read_bytes()
 
 
@@ -145,16 +143,16 @@ def test_writer_chunks_rows_across_writes(tmp_path, monkeypatch):
     """Rows split over many gathers, and a row longer than one gather, write the same bytes."""
     drawn = [(i % N_ITEMS, list(range(i % 9)), i % 2) for i in range(200)]
     want = tmp_path / "want.jsonl"
-    reference_write(samples_of(drawn), str(want), 1)
+    reference_write(split_drawn(drawn), str(want), 1)
     for tokens in (1, 7, 64):
         monkeypatch.setattr(dataio, "WRITE_TOKENS", tokens)
         got = tmp_path / f"got{tokens}.jsonl"
-        write_dataset(samples_of(drawn), str(got), 1)
+        write_dataset(split_drawn(drawn), str(got), 1)
         assert got.read_bytes() == want.read_bytes()
 
 
 def write_canonical(path, drawn, seed=0):
-    reference_write(samples_of(drawn), path, seed)
+    reference_write(split_drawn(drawn), path, seed)
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read().splitlines()
 

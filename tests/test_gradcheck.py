@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from qin.errors import QinError
-from qin.gradcheck import (check, gradcheck_hyperparams, run_model_gradcheck)
+from qin.gradcheck import (build_random_instance, check, gradcheck_hyperparams,
+                           run_model_gradcheck)
 from qin.linalg import make_rng
+from qin.params import init_params, params_equal
 
 
 def test_quadratic_bowl_near_exact():
@@ -84,6 +86,40 @@ def test_sign_flip_guard_catches_hidden_crossing():
 def test_non_finite_forward_rejected():
     with pytest.raises(QinError):
         check(lambda x: float("nan"), np.zeros(2), np.zeros(2))
+
+
+def reference_instance(hp, seed, n=4):
+    """The draws of a gradcheck instance, one sample at a time: the params,
+    the id table, the store, then per row its history length, its history
+    and its target. The batch is padded by hand."""
+    rng = make_rng(seed)
+    params = init_params(hp, rng)
+    params.id_embedding = rng.standard_normal(params.id_embedding.shape) * 0.5
+    store = rng.standard_normal((hp.vocab, hp.d_frozen)) * 0.5
+    target_ids = np.zeros(n, dtype=np.int64)
+    seq_ids = np.zeros((n, hp.seq_len), dtype=np.int64)
+    mask = np.zeros((n, hp.seq_len))
+    for i in range(n):
+        seq_len = int(rng.integers(1, hp.seq_len + 1))
+        seq_ids[i, :seq_len] = rng.choice(hp.vocab, size=seq_len, replace=False)
+        mask[i, :seq_len] = 1.0
+        target_ids[i] = int(rng.integers(0, hp.vocab))
+    return params, store, (target_ids, seq_ids, mask, np.arange(n) % 2.0)
+
+
+@pytest.mark.parametrize("hp", [gradcheck_hyperparams(), gradcheck_hyperparams(attn_kind="mean"),
+                                gradcheck_hyperparams(interaction="mlp")],
+                         ids=["relu", "mean", "mlp"])
+def test_random_instance_keeps_its_draws(hp):
+    """Every gradcheck report depends on these draws: a change moves them all."""
+    for seed in range(12):
+        params, store, batch = build_random_instance(hp, seed)
+        want_params, want_store, want_batch = reference_instance(hp, seed)
+        assert params_equal(params, want_params), seed
+        assert store.data.tobytes() == want_store.tobytes(), seed
+        got = (batch.target_ids, batch.seq_ids, batch.mask, batch.labels)
+        for g, w in zip(got, want_batch):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), seed
 
 
 def test_model_gradcheck_all_classes_pass():

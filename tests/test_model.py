@@ -10,7 +10,7 @@ the target sum. Both must give the same bits for every gradient class.
 import numpy as np
 import pytest
 
-from conftest import attention_case_id
+from conftest import attention_case_id, split_of
 from qin.asta import asta_backward, asta_forward
 from qin.config import HyperParams
 from qin.dataio import build_batch
@@ -20,7 +20,7 @@ from qin.metrics import bce_backward, bce_loss
 from qin import model
 from qin.model import (attention_config, draw_dropout_masks, loss_and_grads, model_forward,
                        qnn_config)
-from qin.params import init_params, named_arrays, zero_gradients
+from qin.params import init_params, zero_gradients
 from qin.qnn import qnn_backward, qnn_layer_backward, qnn_layer_forward
 
 KINDS = ("relu", "softmax", "relu2", "silu", "mean")
@@ -66,12 +66,12 @@ def instance(kind, attn_dropout, d_frozen):
     store = EmbeddingStore(rng.standard_normal((hp.vocab, hp.d_frozen)))
     # Target ids repeat across samples and appear in histories; histories
     # repeat ids, are padded, and one is empty and one full.
-    samples = [Sample(target_id=2, seq_ids=[4, 4, 1], label=1),
-               Sample(target_id=4, seq_ids=[], label=0),
-               Sample(target_id=2, seq_ids=[2, 7, 4, 4, 7, 1], label=0),
-               Sample(target_id=2, seq_ids=[1], label=1),
-               Sample(target_id=0, seq_ids=[8, 8, 3, 0], label=1)]
-    return hp, params, store, build_batch(samples, hp.seq_len)
+    split = split_of([Sample(target_id=2, seq_ids=[4, 4, 1], label=1),
+                      Sample(target_id=4, seq_ids=[], label=0),
+                      Sample(target_id=2, seq_ids=[2, 7, 4, 4, 7, 1], label=0),
+                      Sample(target_id=2, seq_ids=[1], label=1),
+                      Sample(target_id=0, seq_ids=[8, 8, 3, 0], label=1)])
+    return hp, params, store, build_batch(split, hp.seq_len)
 
 
 CASES = [(kind, drop) for kind in KINDS for drop in (False, True)]
@@ -82,18 +82,15 @@ CASES = [(kind, drop) for kind in KINDS for drop in (False, True)]
                          ids=[attention_case_id(*case) for case in CASES])
 def test_loss_and_grads_match_two_scatter_reference(kind, attn_dropout, d_frozen):
     hp, params, store, batch = instance(kind, attn_dropout, d_frozen)
-    loss, grads, probs = loss_and_grads(params, hp, store, batch, training=True,
-                                        dropout_rng=spawn_rng(5, 2, 0))
-    trace = model_forward(params, hp, store, batch, training=True,
-                          dropout_rng=spawn_rng(5, 2, 0))
+    loss, grads, probs = loss_and_grads(params, hp, store, batch, dropout_rng=spawn_rng(5, 2, 0))
+    trace = model_forward(params, hp, store, batch, dropout_rng=spawn_rng(5, 2, 0))
     ref = two_scatter_model_backward(params, hp, trace,
                                      bce_backward(trace.probs, batch.labels))
 
     assert loss == bce_loss(trace.probs, batch.labels)
     assert probs.tobytes() == trace.probs.tobytes()
-    ref_named = named_arrays(ref)
-    for name, got in named_arrays(grads).items():
-        assert got.tobytes() == ref_named[name].tobytes(), name
+    for name, got in grads.views.items():
+        assert got.tobytes() == ref.views[name].tobytes(), name
     assert np.count_nonzero(grads.id_embedding) > 0
 
 
@@ -122,8 +119,7 @@ def test_pooling_backward_frozen_columns_are_a_slice(kind, with_ids, frozen):
 
 def test_attention_dropout_reaches_mean_pooling():
     hp, params, store, batch = instance("mean", True, 2)
-    trace = model_forward(params, hp, store, batch, training=True,
-                          dropout_rng=spawn_rng(5, 2, 0))
+    trace = model_forward(params, hp, store, batch, dropout_rng=spawn_rng(5, 2, 0))
     keep, _ = draw_dropout_masks(hp, batch.size, spawn_rng(5, 2, 0))
     assert not keep[batch.mask > 0].all()   # some live slot is dropped
     share = batch.mask * (1.0 / np.maximum(batch.mask.sum(axis=1), 1.0))[:, None]
@@ -168,11 +164,10 @@ def test_bool_keep_masks_match_float_masks_bit_for_bit(kind, monkeypatch):
     assert results[0] == results[1]
 
     # The whole training step, with the masks drawn as {0, 1} floats instead.
-    loss, grads, probs = loss_and_grads(params, hp, store, batch, training=True,
-                                        dropout_rng=spawn_rng(5, 2, 0))
+    loss, grads, probs = loss_and_grads(params, hp, store, batch, dropout_rng=spawn_rng(5, 2, 0))
     monkeypatch.setattr(model, "draw_dropout_masks",
                         lambda *args: as_floats(draw_dropout_masks(*args)))
-    f_loss, f_grads, f_probs = loss_and_grads(params, hp, store, batch, training=True,
+    f_loss, f_grads, f_probs = loss_and_grads(params, hp, store, batch,
                                               dropout_rng=spawn_rng(5, 2, 0))
     assert loss == f_loss and probs.tobytes() == f_probs.tobytes()
     assert grads.flat.tobytes() == f_grads.flat.tobytes()

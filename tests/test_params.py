@@ -8,7 +8,7 @@ from qin.errors import (BadMagicError, CheckpointError, ConfigError, ShapeError,
                         ShapeTableError, TruncatedFileError)
 from qin.linalg import make_rng, rng_normal
 from qin.params import (ModelParams, copy_params, expected_shapes, init_params,
-                        load_checkpoint, named_arrays, params_equal, save_checkpoint,
+                        load_checkpoint, params_equal, save_checkpoint,
                         zero_gradients)
 
 
@@ -49,8 +49,7 @@ def test_param_grad_bijection():
     for hp in (small_hp(), small_hp(interaction="mlp", mlp_dims=(6, 5))):
         p = init_params(hp, make_rng(1))
         g = zero_gradients(p)
-        named_p = named_arrays(p)
-        named_g = named_arrays(g)
+        named_p, named_g = p.views, g.views
         assert named_p.keys() == named_g.keys()
         for key in named_p:
             assert named_p[key].shape == named_g[key].shape
@@ -59,7 +58,7 @@ def test_param_grad_bijection():
 def test_expected_shapes_match_init():
     for hp in (small_hp(), small_hp(interaction="mlp", mlp_dims=(6, 5))):
         p = init_params(hp, make_rng(2))
-        assert {k: v.shape for k, v in named_arrays(p).items()} == expected_shapes(hp)
+        assert {k: v.shape for k, v in p.views.items()} == expected_shapes(hp)
 
 
 def test_qnn_init_stores_the_sum_of_m_head_draws():
@@ -166,7 +165,7 @@ def test_checkpoint_loads_without_hp(tmp_path):
 def test_named_views_share_the_flat_buffer():
     for hp in (small_hp(), small_hp(interaction="mlp", mlp_dims=(6, 5))):
         p = init_params(hp, make_rng(6))
-        named = named_arrays(p)
+        named = p.views
         assert list(named) == list(expected_shapes(hp))
         assert p.flat.size == sum(a.size for a in named.values())
         for name, arr in named.items():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import split_of
 
 from qin.config import HyperParams, TrainConfig
 from qin.dataio import make_batches
@@ -12,7 +13,7 @@ from qin.linalg import make_rng
 from qin.metrics import auc as rank_auc
 from qin.model import predict_probs
 from qin.params import (ModelParams, copy_params, expected_shapes, init_params, lr_scale,
-                        named_arrays, params_equal, zero_gradients)
+                        params_equal, zero_gradients)
 from qin.train import (ADAM_BETA1, ADAM_BETA2, ADAM_CHUNK, ADAM_EPS, AdamState, adam_step,
                        evaluate, train)
 
@@ -21,7 +22,7 @@ HP = HyperParams(d_t=8, d_b=8, d_a=8, seq_len=6, depth=2, m=2, dropout_p=0.1,
 
 
 def tiny_world(seed=0, n=120, hp=HP, quad=True):
-    """Store plus a learnable toy dataset over hp.vocab items."""
+    """Store plus a learnable toy dataset, as a Split, over hp.vocab items."""
     rng = make_rng(seed)
     store = EmbeddingStore(rng.standard_normal((hp.vocab, hp.d_frozen)) * 0.6)
     samples = []
@@ -37,7 +38,7 @@ def tiny_world(seed=0, n=120, hp=HP, quad=True):
     labels = {s.label for s in samples}
     if labels != {0, 1}:
         samples[0].label = 1 - samples[0].label
-    return store, samples
+    return store, split_of(samples)
 
 
 def test_adam_first_step_closed_form():
@@ -75,12 +76,11 @@ def test_decay_scopes_to_embeddings_only():
         grad_rng = make_rng(77)
         for _ in range(5):
             grads = zero_gradients(params)
-            for arr in named_arrays(grads).values():
+            for arr in grads.views.values():
                 arr += grad_rng.standard_normal(arr.shape)
             adam_step(params, grads, state, cfg)
         runs[decay] = params
-    named0 = named_arrays(runs[0.0])
-    named1 = named_arrays(runs[0.1])
+    named0, named1 = runs[0.0].views, runs[0.1].views
     assert not np.array_equal(named0["id_embedding"], named1["id_embedding"])
     for name in named0:
         if name != "id_embedding":
@@ -89,8 +89,7 @@ def test_decay_scopes_to_embeddings_only():
 
 def per_name_adam(params, grads, m, v, t, cfg):
     """Reference: the tensor-by-tensor Adam loop, moments kept per name."""
-    p_named = named_arrays(params)
-    g_named = named_arrays(grads)
+    p_named, g_named = params.views, grads.views
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     for name in p_named:
@@ -123,8 +122,8 @@ def test_flat_adam_matches_per_name_loop_bit_for_bit(hp, decay):
         assert params.id_embedding.size > 2 * ADAM_CHUNK
         assert params.id_embedding.size % ADAM_CHUNK
     reference = copy_params(params)
-    m = {k: np.zeros_like(a) for k, a in named_arrays(reference).items()}
-    v = {k: np.zeros_like(a) for k, a in named_arrays(reference).items()}
+    m = {k: np.zeros_like(a) for k, a in reference.views.items()}
+    v = {k: np.zeros_like(a) for k, a in reference.views.items()}
     state = AdamState.for_params(params)
     cfg = TrainConfig(lr=0.01, emb_weight_decay=decay)
     grad_rng = make_rng(31)
@@ -224,7 +223,7 @@ def test_evaluate_deterministic_and_single_class_guard():
     a = evaluate(params, HP, store, samples)
     b = evaluate(params, HP, store, samples)
     assert a["auc"] == b["auc"] and a["logloss"] == b["logloss"]
-    ones = [s for s in samples if s.label == 1]
+    ones = split_of(s for s in samples if s.label == 1)
     with pytest.raises(SingleClassError):
         evaluate(params, HP, store, ones)
 
@@ -240,7 +239,7 @@ def test_evaluate_nan_head_weight_reports_nan_auc():
 
 def test_train_rejects_single_class_validation():
     store, samples = tiny_world(seed=12)
-    ones = [s for s in samples if s.label == 1]
+    ones = split_of(s for s in samples if s.label == 1)
     params = init_params(HP, make_rng(13))
     with pytest.raises(SingleClassError):
         train(params, HP, store, samples, ones, TrainConfig(epochs=1))
@@ -256,9 +255,9 @@ def test_padded_slot_content_cannot_reach_forward_output():
     store_data = rng.standard_normal((HP.vocab, HP.d_frozen))
     params = init_params(HP, make_rng(31))
     # item 0 is used only as the pad filler; real ids start at 1
-    samples = [Sample(target_id=3, seq_ids=[1, 2], label=1),
-               Sample(target_id=4, seq_ids=[5], label=0)]
-    batch = build_batch(samples, HP.seq_len)
+    split = split_of([Sample(target_id=3, seq_ids=[1, 2], label=1),
+                      Sample(target_id=4, seq_ids=[5], label=0)])
+    batch = build_batch(split, HP.seq_len)
     out1 = model_forward(params, HP, EmbeddingStore(store_data.copy()), batch).probs
     store_data[0] = rng.standard_normal(HP.d_frozen) * 100
     params2 = copy_params(params)
@@ -290,18 +289,18 @@ def test_paper_preset_dims_forward_backward():
                      vocab=30, d_frozen=64)
     rng = make_rng(21)
     store = EmbeddingStore(rng.standard_normal((30, 64)) * 0.3)
-    samples = [Sample(target_id=int(rng.integers(0, 30)),
-                      seq_ids=[int(v) for v in rng.choice(30, 4, replace=False)],
-                      label=i % 2) for i in range(4)]
+    split = split_of(Sample(target_id=int(rng.integers(0, 30)),
+                            seq_ids=[int(v) for v in rng.choice(30, 4, replace=False)],
+                            label=i % 2) for i in range(4))
     from qin.dataio import build_batch
     from qin.model import loss_and_grads
-    batch = build_batch(samples, hp.seq_len)
+    batch = build_batch(split, hp.seq_len)
     params = init_params(hp, make_rng(22))
-    loss, grads, probs = loss_and_grads(params, hp, store, batch, training=False)
+    loss, grads, probs = loss_and_grads(params, hp, store, batch)
     assert np.isfinite(loss)
     assert probs.shape == (4,)
     assert grads.qnn_w[3].shape == (256, 256)
-    assert all(np.all(np.isfinite(a)) for a in named_arrays(grads).values())
+    assert all(np.all(np.isfinite(a)) for a in grads.views.values())
 
 
 def test_evaluate_matches_independent_recompute():
@@ -333,17 +332,17 @@ def test_evaluate_matches_independent_recompute():
                          ids=["relu-asta", "softmax-asta", "relu2-asta", "silu-asta",
                               "relu-mean"])
 def test_length_ordered_evaluate_matches_full_width_pass(kind):
-    from qin.dataio import as_split
-
     hp = HyperParams(d_t=8, d_b=8, d_a=8, seq_len=6, depth=2, m=2, vocab=20, d_frozen=4,
                      attn_kind=kind)
-    store, samples = tiny_world(seed=40, n=60, hp=hp)
+    store, split = tiny_world(seed=40, n=60, hp=hp)
+    samples = list(split)
     # Nine empty histories: the first length-ordered batch of 8 is all empty.
     for s in samples[::7][:9]:
         s.seq_ids = []
+    samples = split_of(samples)
     params = init_params(hp, make_rng(41))
     params.id_embedding = make_rng(42).standard_normal(params.id_embedding.shape)
-    got = evaluate(params, hp, store, as_split(samples), batch_size=8)
+    got = evaluate(params, hp, store, samples, batch_size=8)
     reference = predict_probs(params, hp, store, make_batches(samples, 8, hp.seq_len))
     labels = np.array([s.label for s in samples])
     assert np.max(np.abs(got["probs"] - reference)) <= 1e-15
@@ -351,13 +350,23 @@ def test_length_ordered_evaluate_matches_full_width_pass(kind):
 
 
 def test_train_same_bits_from_list_and_split(tmp_path):
-    from qin.dataio import as_split
+    """Training on an in-memory Split and on its file round trip gives the same bits."""
+    from qin.dataio import read_dataset, write_dataset
     from qin.params import save_checkpoint
 
     hp = dataclasses.replace(HP, attn_dropout_p=0.1)   # the dropout mask stream too
     store, samples = tiny_world(seed=43)
+
+    def in_memory(split):
+        return split
+
+    def round_trip(split):
+        path = str(tmp_path / "split.jsonl")
+        write_dataset(split, path, seed=0)
+        return read_dataset(path, hp.vocab, hp.seq_len)[0]
+
     runs = []
-    for convert in (list, as_split):
+    for convert in (in_memory, round_trip):
         params = init_params(hp, make_rng(44))
         result = train(params, hp, store, convert(samples[:80]), convert(samples[80:]),
                        TrainConfig(epochs=3, seed=45))
