@@ -24,8 +24,8 @@ The backward pass mirrors this: every projection gradient is a product of
 per-sample (n, d) arrays, and the behavior-row gradient is one segment sum
 whose slot entry is d_score * qk + weight * W_v^T d_o, over columns
 frozen: only; the first `frozen` columns are the store, which never trains.
-Under ``mean`` there is no score gradient: the slot entry is the weight
-term alone, and W_q and W_k get exact-zero gradients.
+Under ``mean`` there is no score and no W_q or W_k: the slot entry is the
+weight term alone, and the block takes and returns None for them.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def asta_forward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
     """Interest vector o = transform(Q.K^T / sqrt(d_t)) V + x_t.
 
     Under kind mean the weights are the masked mean's, o = W_v . mean(x_b) + x_t,
-    and w_q, w_k are not used.
+    and w_q, w_k are not used (None will do).
 
     Accepts one sample (x_t (d_t,), x_b (s, d_t)) or a batch with a leading
     n axis. With ids, x_b is an item table (rows, d_t) instead and ids
@@ -167,7 +167,7 @@ def asta_forward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
         raise ShapeError(
             f"attention input shapes x_t={x_t.shape} x_b={x_b_shape} mask={mask.shape} "
             f"do not match config (d_t={d})")
-    if any(w.shape != (d, d) for w in (w_q, w_k, w_v)):
+    if any(np.shape(w) != (d, d) for w in ((w_v,) if cfg.kind == "mean" else (w_q, w_k, w_v))):
         raise ShapeError("attention projection shapes do not match config")
 
     if cfg.kind == "mean":
@@ -187,9 +187,7 @@ def asta_forward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
     trace = AttentionTrace(q=q, qk=qk, x_b=x_b, pooled=pooled, scores=scores,
                            weights=weights, x_t=x_t, ids=ids, x_b_shape=x_b_shape,
                            mask=mask, drop_mask=drop_mask, softmax_w=softmax_w)
-    if single:
-        return o[0], trace
-    return o, trace
+    return (o[0] if single else o), trace
 
 
 def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
@@ -201,8 +199,8 @@ def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
     but holding only columns frozen: of each row. Each slot's behavior-row
     gradient is summed per table row by one segment sum. ReLU subgradient
     at 0 is 0; the residual contributes identity to d_x_t; dropout masks
-    are replayed from the trace. Kind mean has no score gradient, so its
-    d_w_q and d_w_k are exact zeros.
+    are replayed from the trace. Kind mean has no w_q or w_k, so its d_w_q
+    and d_w_k are None.
     """
     d_o = np.asarray(d_o, dtype=FLOAT)
     single = d_o.ndim == 1
@@ -218,7 +216,7 @@ def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
     # the gradient of its table row; fixed mean weights have no d_scores.
     value_term = (d_v[:, frozen:], trace.weights)
     if cfg.kind == "mean":
-        d_w_q, d_w_k = np.zeros(w_q.shape), np.zeros(w_k.shape)
+        d_w_q = d_w_k = None
         terms = [value_term]
     else:
         d_w = (trace.x_b @ d_v[:, :, None])[:, :, 0]        # d loss / d weights
@@ -247,6 +245,4 @@ def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
     d_x_b = segment_sum(trace.ids, rows, *terms)
     d_x_b = d_x_b.reshape(*trace.x_b_shape[:-1], d_x_b.shape[1])
 
-    if single:
-        return d_w_q, d_w_k, d_w_v, d_x_t[0], d_x_b
-    return d_w_q, d_w_k, d_w_v, d_x_t, d_x_b
+    return d_w_q, d_w_k, d_w_v, (d_x_t[0] if single else d_x_t), d_x_b

@@ -22,9 +22,9 @@ from .config import HyperParams
 from .dataio import Split, build_batch
 from .embedding import EmbeddingStore
 from .errors import ConfigError, QinError
-from .linalg import FLOAT, make_rng
+from .linalg import FLOAT, make_rng, spawn_rng
 from .metrics import bce_loss
-from .model import loss_and_grads, model_forward
+from .model import draw_dropout_masks, loss_and_grads, model_forward
 from .params import copy_params, init_params
 
 
@@ -51,10 +51,7 @@ class GradReport:
 
 def _eval(forward, x):
     out = forward(x)
-    if isinstance(out, tuple):
-        value, preacts = out
-    else:
-        value, preacts = out, None
+    value, preacts = out if isinstance(out, tuple) else (out, None)
     if not np.isfinite(value):
         raise QinError(f"forward returned non-finite value {value}")
     return float(value), preacts
@@ -133,10 +130,11 @@ def collect_kink_preacts(trace, hp: HyperParams) -> np.ndarray:
 
 
 def gradcheck_hyperparams(attn_kind: str = "relu", interaction: str = "qnn",
-                          vocab: int = 24) -> HyperParams:
-    """Small instance: d=16, seq len 8, depth = capacity = 2, dropout off."""
-    return HyperParams(d_t=16, seq_len=8, depth=2, m=2, dropout_p=0.0, attn_kind=attn_kind,
-                       interaction=interaction, mlp_dims=(12, 8), vocab=vocab, d_frozen=8)
+                          dropout_p: float = 0.0, attn_dropout_p: float = 0.0) -> HyperParams:
+    """Small instance: d=16, seq len 8, depth = capacity = 2, vocab 24; dropout off by default."""
+    return HyperParams(d_t=16, seq_len=8, depth=2, m=2, mlp_dims=(12, 8), vocab=24, d_frozen=8,
+                       attn_kind=attn_kind, interaction=interaction, dropout_p=dropout_p,
+                       attn_dropout_p=attn_dropout_p)
 
 
 def build_random_instance(hp: HyperParams, seed: int, n: int = 4):
@@ -182,14 +180,16 @@ def run_model_gradcheck(seed: int, hp: HyperParams | None = None,
 
     sabotage flips the sign of the analytic gradient for the named class,
     one of this model's (else ConfigError); the run must then fail, which
-    self-tests the harness.
+    self-tests the harness. One keep-mask pair, drawn from substream 1 of
+    seed, serves the analytic pass and every perturbed forward.
     """
     hp = hp or gradcheck_hyperparams()
     params, store, batch = build_random_instance(hp, seed)
+    masks = draw_dropout_masks(hp, batch.size, spawn_rng(seed, 1))
     classes = parameter_classes(params)
     if sabotage is not None and sabotage not in classes:
         raise ConfigError(f"sabotage {sabotage!r} is not one of the classes {sorted(classes)}")
-    _, grads, _ = loss_and_grads(params, hp, store, batch)
+    _, grads, _ = loss_and_grads(params, hp, store, batch, masks)
 
     reports = []
     for cls_name, span in classes.items():
@@ -200,7 +200,7 @@ def run_model_gradcheck(seed: int, hp: HyperParams | None = None,
         def forward(vec, span=span):
             trial = copy_params(params)
             trial.flat[span] = vec
-            trace = model_forward(trial, hp, store, batch)
+            trace = model_forward(trial, hp, store, batch, masks)
             return bce_loss(trace.probs, batch.labels), collect_kink_preacts(trace, hp)
 
         reports.append(check(forward, analytic, params.flat[span], step=step,

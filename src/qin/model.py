@@ -1,7 +1,8 @@
 """Whole-model forward/backward: embeddings -> pooling -> interaction -> head.
 
 The pooling is the attention block for every attn_kind, the "w/o ASTA"
-mean pooling included (attn_kind mean).
+mean pooling included (attn_kind mean). The model draws nothing: the
+caller passes each step's keep-masks, drawn by draw_dropout_masks.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ def qnn_config(hp: HyperParams) -> QnnConfig:
 @dataclass
 class ModelTrace:
     batch: Batch
-    x_t: np.ndarray
     pool_trace: object
     inter_trace: object
     x_last: np.ndarray
@@ -74,23 +74,20 @@ def draw_dropout_masks(hp: HyperParams, n: int, rng: np.random.Generator):
 
 def interaction_input(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
                       batch: Batch, attn_mask: np.ndarray | None = None):
-    """Lookup and attention: (target embeddings, pooling trace, x1)."""
+    """Lookup and attention: (pooling trace, x1)."""
     table = item_table(store, params.id_embedding, batch.seq_ids)
     x_t = lookup_target(store, params.id_embedding, batch.target_ids)
     o, pool_trace = asta_forward(params.w_q, params.w_k, params.w_v,
                                  attention_config(hp), x_t, table, batch.mask,
                                  drop_mask=attn_mask, ids=batch.seq_ids)
-    return x_t, pool_trace, assemble_x1(x_t, o, hp.qnn_dim)
+    return pool_trace, assemble_x1(x_t, o, hp.qnn_dim)
 
 
 def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-                  batch: Batch, dropout_rng: np.random.Generator | None = None) -> ModelTrace:
-    """The forward pass, with dropout if and only if dropout_rng is given."""
-    attn_mask, qnn_masks = (None, None)
-    if dropout_rng is not None:
-        attn_mask, qnn_masks = draw_dropout_masks(hp, batch.size, dropout_rng)
-
-    x_t, pool_trace, x1 = interaction_input(params, hp, store, batch, attn_mask)
+                  batch: Batch, masks: tuple | None = None) -> ModelTrace:
+    """The forward pass under the keep-masks of draw_dropout_masks; None means no dropout."""
+    attn_mask, qnn_masks = masks or (None, None)
+    pool_trace, x1 = interaction_input(params, hp, store, batch, attn_mask)
     if hp.interaction == "qnn":
         x_last, inter_trace = qnn_forward(params.qnn_w, params.prelu, x1,
                                           qnn_config(hp), qnn_masks)
@@ -98,7 +95,7 @@ def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
         x_last, inter_trace = mlp_forward(params.mlp_w, params.mlp_b, x1)
 
     _, probs = head_forward(params.head_w, params.head_b, x_last)
-    return ModelTrace(batch=batch, x_t=x_t, pool_trace=pool_trace, inter_trace=inter_trace,
+    return ModelTrace(batch=batch, pool_trace=pool_trace, inter_trace=inter_trace,
                       x_last=x_last, probs=probs)
 
 
@@ -128,8 +125,9 @@ def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
     d_w_q, d_w_k, d_w_v, d_x_t_pool, d_table = asta_backward(
         params.w_q, params.w_k, params.w_v, attention_config(hp),
         trace.pool_trace, d_o, frozen=hp.d_frozen)
-    grads.w_q += d_w_q
-    grads.w_k += d_w_k
+    if d_w_q is not None:   # attn_kind mean has no w_q or w_k
+        grads.w_q += d_w_q
+        grads.w_k += d_w_k
     grads.w_v += d_w_v
     d_x_t = d_x1[:, :hp.d_t] + d_x_t_pool
 
@@ -138,10 +136,10 @@ def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
 
 
 def loss_and_grads(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-                   batch: Batch, dropout_rng: np.random.Generator | None = None):
-    """One batch: mean BCE loss, full gradients, and the predicted probabilities.
-    Dropout runs if and only if dropout_rng is given."""
-    trace = model_forward(params, hp, store, batch, dropout_rng)
+                   batch: Batch, masks: tuple | None = None):
+    """One batch: mean BCE loss, full gradients, and the predicted probabilities,
+    under the keep-masks of model_forward."""
+    trace = model_forward(params, hp, store, batch, masks)
     loss = bce_loss(trace.probs, batch.labels)
     d_logits = bce_backward(trace.probs, batch.labels)
     grads = model_backward(params, hp, trace, d_logits)
@@ -181,7 +179,7 @@ def _helper_half(params: ModelParams, hp: HyperParams, x: np.ndarray) -> list:
 
 def _halved_probs(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
                   batch: Batch, helper: ThreadPoolExecutor) -> np.ndarray:
-    _, _, x1 = interaction_input(params, hp, store, batch)
+    _, x1 = interaction_input(params, hp, store, batch)
     h = batch.size // 2
     if h < QNN_SPLIT_MIN_ROWS:
         x_last = _qnn_rows(params, hp, x1)

@@ -60,8 +60,8 @@ class ModelParams:
     """Every learnable tensor. Only the active interaction stack is stored."""
 
     id_embedding = _tensor("id_embedding")   # (vocab, d_id) trainable id table
-    w_q = _tensor("w_q")                     # (d_t, d_t)
-    w_k = _tensor("w_k")                     # (d_t, d_t)
+    w_q = _tensor("w_q")                     # (d_t, d_t); none under attn_kind mean
+    w_k = _tensor("w_k")                     # (d_t, d_t); none under attn_kind mean
     w_v = _tensor("w_v")                     # (d_t, d_t)
     prelu = _tensor("prelu")                 # (depth,) one slope per layer
     head_w = _tensor("head_w")               # (out_dim,)
@@ -136,12 +136,9 @@ def lr_scale(hp: HyperParams) -> dict[str, float]:
 def expected_shapes(hp: HyperParams) -> dict[str, tuple[int, ...]]:
     """Shape table implied by a HyperParams, in buffer, checkpoint and draw order."""
     dim = hp.qnn_dim
-    shapes = {
-        "id_embedding": (hp.vocab, hp.d_id),
-        "w_q": (hp.d_t, hp.d_t),
-        "w_k": (hp.d_t, hp.d_t),
-        "w_v": (hp.d_t, hp.d_t),
-    }
+    shapes = {"id_embedding": (hp.vocab, hp.d_id)}
+    for name in ("w_v",) if hp.attn_kind == "mean" else ("w_q", "w_k", "w_v"):
+        shapes[name] = (hp.d_t, hp.d_t)
     if hp.interaction == "qnn":
         for i in range(hp.depth):
             shapes[f"qnn_w_{i}"] = (dim, dim)

@@ -7,12 +7,12 @@ Adam updates the flat parameter buffer (see params.py) in fixed-size
 chunks, with its moments in two arrays of the same layout. Its beta1, beta2
 and eps are the module constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
-Determinism contract: the epoch shuffle and every dropout mask derive from
-the run seed (dropout from a per-step counter), parameters update in a
-fixed buffer order, and training runs on one thread, so identical seeds
-give bit-identical histories and checkpoints. Evaluation may score a wide
-QNN's two row halves on two threads (see model.predict_probs); every
-probability is the one-thread pass's to the bit, whatever the CPU count.
+Determinism contract: the epoch shuffle and the per-step dropout masks, which
+train draws and passes to the forward pass, derive from the run seed;
+parameters update in a fixed buffer order and training runs on one thread, so
+identical seeds give bit-identical histories and checkpoints. Evaluation may
+score a wide QNN's two row halves on two threads (see model.predict_probs);
+every probability is the one-thread pass's to the bit, whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -28,12 +28,14 @@ from .embedding import EmbeddingStore
 from .errors import NonFiniteLossError, ShapeError, SingleClassError
 from .linalg import FLOAT, spawn_rng
 from .metrics import auc, bce_loss
-from .model import loss_and_grads, predict_probs
+from .model import draw_dropout_masks, loss_and_grads, predict_probs
 from .params import ModelParams, copy_params, lr_scale
 
 # Substream tags for the run seed, so shuffling and dropout never collide.
 _SHUFFLE_STREAM = 1
 _DROPOUT_STREAM = 2
+
+EVAL_BATCH_SIZE = 1024   # rows per evaluation batch
 
 
 @dataclass
@@ -112,7 +114,7 @@ class TrainResult:
 
 
 def evaluate(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-             split: Split, batch_size: int = 1024) -> dict:
+             split: Split) -> dict:
     """Full-pass valid metrics, dropout disabled. Raises on single-class data.
 
     Rows are scored in stable history-length order, each batch cut to its
@@ -121,7 +123,7 @@ def evaluate(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
     """
     if not len(split):
         raise SingleClassError("cannot evaluate an empty dataset")
-    order, batches = length_sorted_batches(split, batch_size, hp.seq_len)
+    order, batches = length_sorted_batches(split, EVAL_BATCH_SIZE, hp.seq_len)
     probs = np.empty(len(split), dtype=FLOAT)
     probs[order] = predict_probs(params, hp, store, batches)
     return {"auc": auc(probs, split.labels.astype(int)), "logloss": bce_loss(probs, split.labels),
@@ -154,7 +156,8 @@ def train(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
         total_loss = 0.0
         for batch in batches:
             dropout_rng = spawn_rng(cfg.seed, _DROPOUT_STREAM, global_step)
-            loss, grads, _ = loss_and_grads(params, hp, store, batch, dropout_rng)
+            masks = draw_dropout_masks(hp, batch.size, dropout_rng)
+            loss, grads, _ = loss_and_grads(params, hp, store, batch, masks)
             if not np.isfinite(loss):
                 raise NonFiniteLossError(
                     f"non-finite loss {loss} at epoch {epoch} step {global_step}")

@@ -162,6 +162,17 @@ def test_eval_checkpoint_shape_mismatch_exit_3(tiny_data, tmp_path):
     assert main(["eval", "--data", str(tiny_data), "--ckpt", str(ckpt), *TINY_MODEL]) == 3
 
 
+def test_eval_mean_checkpoint_needs_attn_kind_mean(tiny_data, tmp_path, capsys):
+    # The mean layout has no w_q or w_k, so another kind cannot load it.
+    hp = HyperParams(d_t=8, seq_len=6, vocab=60, d_frozen=4, attn_kind="mean")
+    ckpt = tmp_path / "mean.ckpt"
+    save_checkpoint(init_params(hp, make_rng(1)), str(ckpt))
+    args = ["eval", "--data", str(tiny_data), "--ckpt", str(ckpt), *TINY_MODEL]
+    assert main(args) == 3
+    assert "'w_q': (None, (8, 8))" in capsys.readouterr().err
+    assert main([*args, "--attn-kind", "mean"]) == 0
+
+
 def test_eval_checkpoint_corrupted_name_exit_3(tiny_data, tmp_path):
     hp = HyperParams(d_t=8, seq_len=6, vocab=60, d_frozen=4)
     ckpt = tmp_path / "bad_name.ckpt"
@@ -262,6 +273,7 @@ def test_gradcheck_cli_mean_pooling(interaction, capsys):
     assert main(["gradcheck", *flags]) == 0
     out = capsys.readouterr().out
     assert "class=w_v" in out and "status=FAIL" not in out
+    assert "class=w_q" not in out and "class=w_k" not in out
     assert main(["gradcheck", *flags, "--sabotage", "w_v"]) == 1
     out = capsys.readouterr().out
     assert [l.split()[0] for l in out.splitlines() if "status=FAIL" in l] == ["class=w_v"]
@@ -286,6 +298,30 @@ def test_gradcheck_bad_flag_exit_2(flags, capsys):
     assert main(["gradcheck", "--seeds", "1", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:") and captured.out == ""
+
+
+def test_gradcheck_reads_the_dropout_keys_and_fixes_the_dims(monkeypatch, capsys):
+    import qin.cli
+    from qin.gradcheck import GradReport
+
+    seen = []
+
+    def fake(seed, hp, **kwargs):
+        seen.append(hp)
+        return [GradReport("head", 1e-9, 0, 3, 0, 0, 1e-5, seed)]
+
+    monkeypatch.setattr(qin.cli, "run_model_gradcheck", fake)
+    assert main(["gradcheck", "--seeds", "1"]) == 0
+    assert main(["gradcheck", "--seeds", "1", "--dropout-p", "0.5", "--attn-dropout-p", "0.25",
+                 "--d-t", "64", "--max-seq-len", "32"]) == 0
+    assert (seen[0].dropout_p, seen[0].attn_dropout_p) == (0.1, 0.0)   # the trained defaults
+    assert (seen[1].dropout_p, seen[1].attn_dropout_p) == (0.5, 0.25)
+    assert (seen[1].d_t, seen[1].seq_len) == (seen[0].d_t, seen[0].seq_len) == (16, 8)
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["gradcheck", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "seed, attn_kind, interaction, dropout_p, attn_dropout_p" in help_text
 
 
 def test_gradcheck_class_that_checked_nothing_fails(monkeypatch, capsys):

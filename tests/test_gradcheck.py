@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from qin import gradcheck
 from qin.errors import QinError
 from qin.gradcheck import (build_random_instance, check, gradcheck_hyperparams,
                            run_model_gradcheck)
@@ -146,6 +147,36 @@ def test_sabotage_self_test():
     assert reports["head"].max_rel_err > 1e-4
     clean = [r for name, r in reports.items() if name != "head"]
     assert all(r.max_rel_err < 1e-4 for r in clean)
+
+
+def dropout_hyperparams(**keys):
+    return gradcheck_hyperparams(dropout_p=0.3, attn_dropout_p=0.3, **keys)
+
+
+@pytest.mark.parametrize("interaction", ["qnn", "mlp"])
+@pytest.mark.parametrize("kind", ["relu", "softmax", "relu2", "silu", "mean"])
+def test_model_gradcheck_with_dropout(kind, interaction, monkeypatch):
+    # Record the masks of the analytic pass and of every perturbed forward.
+    seen = []
+    for name in ("loss_and_grads", "model_forward"):
+        real = getattr(gradcheck, name)
+        monkeypatch.setattr(gradcheck, name,
+                            lambda *args, real=real: seen.append(args[4]) or real(*args))
+    for report in run_model_gradcheck(7, hp=dropout_hyperparams(attn_kind=kind,
+                                                                interaction=interaction)):
+        assert report.n_checked > 0 and report.max_rel_err < 1e-4, (kind, report.line())
+    attn_mask, qnn_masks = seen[0]
+    assert not attn_mask.all()   # some slot is dropped
+    assert (qnn_masks is None) == (interaction == "mlp")
+    assert qnn_masks is None or not all(m.all() for m in qnn_masks)
+    assert len(seen) > 1 and all(masks is seen[0] for masks in seen)
+
+
+def test_sabotage_self_test_with_dropout():
+    reports = {r.name: r for r in run_model_gradcheck(7, hp=dropout_hyperparams(),
+                                                      sabotage="head")}
+    assert reports["head"].max_rel_err > 1e-4
+    assert all(r.max_rel_err < 1e-4 for name, r in reports.items() if name != "head")
 
 
 @pytest.mark.parametrize("attn_kind", ["relu", "mean"], ids=["asta", "mean"])

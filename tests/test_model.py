@@ -17,7 +17,6 @@ from qin.dataio import build_batch
 from qin.embedding import EmbeddingStore, Sample
 from qin.linalg import make_rng, segment_sum, spawn_rng
 from qin.metrics import bce_backward, bce_loss
-from qin import model
 from qin.model import (attention_config, draw_dropout_masks, loss_and_grads, model_forward,
                        qnn_config)
 from qin.params import init_params, zero_gradients
@@ -44,8 +43,9 @@ def two_scatter_model_backward(params, hp, trace, d_logits):
     d_w_q, d_w_k, d_w_v, d_x_t_pool, d_table = asta_backward(
         params.w_q, params.w_k, params.w_v, attention_config(hp),
         trace.pool_trace, d_o)
-    grads.w_q += d_w_q
-    grads.w_k += d_w_k
+    if d_w_q is not None:   # attn_kind mean has no w_q or w_k
+        grads.w_q += d_w_q
+        grads.w_k += d_w_k
     grads.w_v += d_w_v
     d_x_t += d_x_t_pool
 
@@ -74,6 +74,16 @@ def instance(kind, attn_dropout, d_frozen):
     return hp, params, store, build_batch(split, hp.seq_len)
 
 
+def step_masks(hp, batch):
+    """The keep-masks train would draw for step 0 of a seed-5 run."""
+    return draw_dropout_masks(hp, batch.size, spawn_rng(5, 2, 0))
+
+
+def bits(arrays):
+    """Each array's bytes; None, the gradient of a tensor the layout lacks, stays None."""
+    return [None if a is None else a.tobytes() for a in arrays]
+
+
 CASES = [(kind, drop) for kind in KINDS for drop in (False, True)]
 
 
@@ -82,8 +92,9 @@ CASES = [(kind, drop) for kind in KINDS for drop in (False, True)]
                          ids=[attention_case_id(*case) for case in CASES])
 def test_loss_and_grads_match_two_scatter_reference(kind, attn_dropout, d_frozen):
     hp, params, store, batch = instance(kind, attn_dropout, d_frozen)
-    loss, grads, probs = loss_and_grads(params, hp, store, batch, dropout_rng=spawn_rng(5, 2, 0))
-    trace = model_forward(params, hp, store, batch, dropout_rng=spawn_rng(5, 2, 0))
+    masks = step_masks(hp, batch)
+    loss, grads, probs = loss_and_grads(params, hp, store, batch, masks)
+    trace = model_forward(params, hp, store, batch, masks)
     ref = two_scatter_model_backward(params, hp, trace,
                                      bce_backward(trace.probs, batch.labels))
 
@@ -111,16 +122,16 @@ def test_pooling_backward_frozen_columns_are_a_slice(kind, with_ids, frozen):
     _, trace = asta_forward(*w, cfg, x_t, x_b, batch.mask, drop_mask=drop, ids=ids)
     full = asta_backward(*w, cfg, trace, d_o)
     part = asta_backward(*w, cfg, trace, d_o, frozen=frozen)
-    for got, ref in zip(part[:-1], full[:-1]):
-        assert got.tobytes() == ref.tobytes()
+    assert bits(part[:-1]) == bits(full[:-1])
     assert part[-1].shape == full[-1].shape[:-1] + (D_T - frozen,)
     assert part[-1].tobytes() == np.ascontiguousarray(full[-1][..., frozen:]).tobytes()
 
 
 def test_attention_dropout_reaches_mean_pooling():
     hp, params, store, batch = instance("mean", True, 2)
-    trace = model_forward(params, hp, store, batch, dropout_rng=spawn_rng(5, 2, 0))
-    keep, _ = draw_dropout_masks(hp, batch.size, spawn_rng(5, 2, 0))
+    masks = step_masks(hp, batch)
+    trace = model_forward(params, hp, store, batch, masks)
+    keep, _ = masks
     assert not keep[batch.mask > 0].all()   # some live slot is dropped
     share = batch.mask * (1.0 / np.maximum(batch.mask.sum(axis=1), 1.0))[:, None]
     expected = share * keep / (1.0 - hp.attn_dropout_p)
@@ -133,10 +144,10 @@ def as_floats(masks):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_bool_keep_masks_match_float_masks_bit_for_bit(kind, monkeypatch):
+def test_bool_keep_masks_match_float_masks_bit_for_bit(kind):
     # A float times a bool is the float times exactly 0.0 or 1.0.
     hp, params, store, batch = instance(kind, True, 2)
-    masks = draw_dropout_masks(hp, batch.size, spawn_rng(5, 2, 0))
+    masks = step_masks(hp, batch)
     assert masks[0].dtype == bool and all(m.dtype == bool for m in masks[1])
     floats = as_floats(masks)
     rng = make_rng(45)
@@ -149,9 +160,8 @@ def test_bool_keep_masks_match_float_masks_bit_for_bit(kind, monkeypatch):
     for drop in (masks[0], floats[0]):
         o, trace = asta_forward(*w, attention_config(hp), x_t, table, batch.mask,
                                 drop_mask=drop, ids=batch.seq_ids)
-        results.append((o, *asta_backward(*w, attention_config(hp), trace, d_o)))
-    for got, ref in zip(*results):
-        assert got.tobytes() == ref.tobytes()
+        results.append(bits((o, *asta_backward(*w, attention_config(hp), trace, d_o))))
+    assert results[0] == results[1]
 
     x = rng.standard_normal((batch.size, hp.qnn_dim))
     d_out = rng.standard_normal((batch.size, hp.qnn_dim))
@@ -163,11 +173,8 @@ def test_bool_keep_masks_match_float_masks_bit_for_bit(kind, monkeypatch):
         results.append((out.tobytes(), d_w.tobytes(), d_slope, d_x.tobytes()))
     assert results[0] == results[1]
 
-    # The whole training step, with the masks drawn as {0, 1} floats instead.
-    loss, grads, probs = loss_and_grads(params, hp, store, batch, dropout_rng=spawn_rng(5, 2, 0))
-    monkeypatch.setattr(model, "draw_dropout_masks",
-                        lambda *args: as_floats(draw_dropout_masks(*args)))
-    f_loss, f_grads, f_probs = loss_and_grads(params, hp, store, batch,
-                                              dropout_rng=spawn_rng(5, 2, 0))
+    # The whole training step, with the masks passed as {0, 1} floats instead.
+    loss, grads, probs = loss_and_grads(params, hp, store, batch, masks)
+    f_loss, f_grads, f_probs = loss_and_grads(params, hp, store, batch, floats)
     assert loss == f_loss and probs.tobytes() == f_probs.tobytes()
     assert grads.flat.tobytes() == f_grads.flat.tobytes()

@@ -331,7 +331,7 @@ def test_evaluate_matches_independent_recompute():
 @pytest.mark.parametrize("kind", ["relu", "softmax", "relu2", "silu", "mean"],
                          ids=["relu-asta", "softmax-asta", "relu2-asta", "silu-asta",
                               "relu-mean"])
-def test_length_ordered_evaluate_matches_full_width_pass(kind):
+def test_length_ordered_evaluate_matches_full_width_pass(kind, monkeypatch):
     hp = HyperParams(d_t=8, d_b=8, d_a=8, seq_len=6, depth=2, m=2, vocab=20, d_frozen=4,
                      attn_kind=kind)
     store, split = tiny_world(seed=40, n=60, hp=hp)
@@ -342,7 +342,8 @@ def test_length_ordered_evaluate_matches_full_width_pass(kind):
     samples = split_of(samples)
     params = init_params(hp, make_rng(41))
     params.id_embedding = make_rng(42).standard_normal(params.id_embedding.shape)
-    got = evaluate(params, hp, store, samples, batch_size=8)
+    monkeypatch.setattr("qin.train.EVAL_BATCH_SIZE", 8)
+    got = evaluate(params, hp, store, samples)
     reference = predict_probs(params, hp, store, make_batches(samples, 8, hp.seq_len))
     labels = np.array([s.label for s in samples])
     assert np.max(np.abs(got["probs"] - reference)) <= 1e-15
