@@ -36,8 +36,7 @@ import numpy as np
 
 from .config import ATTN_KINDS, check_item_width
 from .errors import ConfigError, ShapeError
-from .linalg import (FLOAT, relu, relu2, relu2_grad, relu_grad, segment_sum, silu,
-                     silu_grad)
+from .linalg import relu, relu2, relu2_grad, relu_grad, segment_sum, silu, silu_grad
 
 
 @dataclass(frozen=True)
@@ -99,12 +98,10 @@ def attention_weights(scores: np.ndarray | None, mask: np.ndarray, kind: str) ->
     all-zero weights); the other kinds transform pointwise then zero the
     masked slots.
     """
-    mask = np.asarray(mask, dtype=FLOAT)
     if kind == "mean":
         counts = mask.sum(axis=-1)
         inv_len = np.where(counts > 0, 1.0 / np.where(counts > 0, counts, 1.0), 0.0)
         return mask * inv_len[..., None]
-    scores = np.asarray(scores, dtype=FLOAT)
     if scores.shape != mask.shape:
         raise ShapeError(f"scores/mask shape mismatch: {scores.shape} vs {mask.shape}")
     if kind == "softmax":
@@ -129,15 +126,12 @@ def _promote(x_t, x_b, mask, ids):
     Without ids, x_b holds one row per slot, (n, s, d_t) or (s, d_t) for
     one sample, and is read as a table of n*s rows under the identity
     index. With ids, (n, s) or (s,), x_b is the item table and each
-    slot's row is gathered from it once.
+    slot's row is gathered from it once. The mask takes x_b's dtype.
     """
-    x_t = np.asarray(x_t, dtype=FLOAT)
-    x_b = np.asarray(x_b, dtype=FLOAT)
-    mask = np.asarray(mask, dtype=FLOAT)
+    mask = mask.astype(x_b.dtype, copy=False)
     if ids is None:
         ids = np.arange(int(np.prod(x_b.shape[:-1]))).reshape(x_b.shape[:-1])
     else:
-        ids = np.asarray(ids, dtype=np.int64)
         x_b = np.take(x_b, ids, axis=0)
     single = x_t.ndim == 1
     if single:
@@ -202,7 +196,6 @@ def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
     are replayed from the trace. Kind mean has no w_q or w_k, so its d_w_q
     and d_w_k are None.
     """
-    d_o = np.asarray(d_o, dtype=FLOAT)
     single = d_o.ndim == 1
     if single:
         d_o = d_o[None]

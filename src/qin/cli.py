@@ -42,7 +42,7 @@ ABLATION_VARIANTS = [
 ]
 
 # The config keys gradcheck reads besides seed; its instance's dims are fixed.
-GRADCHECK_KEYS = ("attn_kind", "interaction", "dropout_p", "attn_dropout_p")
+GRADCHECK_KEYS = ("attn_kind", "interaction", "dropout_p", "attn_dropout_p", "qnn_act")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

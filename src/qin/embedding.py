@@ -116,7 +116,6 @@ def lookup_target(store: EmbeddingStore, id_table: np.ndarray, target_ids: np.nd
     Ids are checked against the store only: item_table, which the model
     calls first, checks that the store and the id table have the same rows.
     """
-    target_ids = np.asarray(target_ids, dtype=np.int64)
     _check_ids(target_ids, store.count, "target")
     return np.concatenate([store.data[target_ids], id_table[target_ids]], axis=1)
 
@@ -130,7 +129,7 @@ def item_table(store: EmbeddingStore, id_table: np.ndarray, seq_ids: np.ndarray)
     """
     if store.count != id_table.shape[0]:
         raise ShapeError(f"embedding store has {store.count} items, id table {id_table.shape[0]}")
-    _check_ids(np.asarray(seq_ids), store.count, "sequence")
+    _check_ids(seq_ids, store.count, "sequence")
     return np.concatenate([store.data, id_table], axis=1)
 
 

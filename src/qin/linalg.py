@@ -1,7 +1,10 @@
-"""Dense float64 kernel helpers: segment sum, activations, and the seeded RNG.
+"""Dense kernel helpers: segment sum, activations, and the seeded RNG.
 
-Arrays are plain C-order ``numpy.ndarray`` with dtype float64 throughout;
-products are numpy's own ``@``.
+Arrays are plain C-order ``numpy.ndarray``; products are numpy's own ``@``.
+These kernels and the model's layers compute in the dtype of their
+inputs and re-cast none of them. The dtype is set where data enters: the
+parameter buffer, the checkpoint and embedding loaders, the ``Split``
+columns, the batch mask and the generator, each to ``FLOAT`` (float64).
 Randomness always flows through :func:`make_rng` (PCG64), which gives an
 identical draw stream for an identical seed on every platform.
 """
@@ -27,11 +30,6 @@ def spawn_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *stream))))
 
 
-def rng_normal(rng: np.random.Generator, n: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-    """n Gaussian draws; advances the stream by n. std=0 gives n copies of mean."""
-    return np.asarray(rng.normal(mean, std, n), dtype=FLOAT)
-
-
 def segment_sum(ids: np.ndarray, count: int, *terms) -> np.ndarray:
     """(count, d) table: row v sums the entries of ids equal to v.
 
@@ -41,15 +39,15 @@ def segment_sum(ids: np.ndarray, count: int, *terms) -> np.ndarray:
     column is one ordered np.bincount over per-entry values written into
     two buffers reused across columns: repeated ids accumulate in index
     order, the result is the same bits on every run, and no (n * s, d)
-    array of weighted rows is built. Ids must lie in [0, count).
+    array of weighted rows is built. Ids must lie in [0, count). The
+    result has the dtype of the first term's rows.
     """
-    ids = np.asarray(ids, dtype=np.int64)
     flat = ids.ravel()
     lead = (-1,) + (1,) * (ids.ndim - 1)
-    terms = [(np.asarray(rows, dtype=FLOAT), weights) for rows, weights in terms]
-    entry = np.empty(ids.shape, dtype=FLOAT)
-    extra = np.empty(ids.shape, dtype=FLOAT) if len(terms) > 1 else None
-    out = np.empty((terms[0][0].shape[1], count), dtype=FLOAT)
+    dtype = terms[0][0].dtype
+    entry = np.empty(ids.shape, dtype=dtype)
+    extra = np.empty(ids.shape, dtype=dtype) if len(terms) > 1 else None
+    out = np.empty((terms[0][0].shape[1], count), dtype=dtype)
     for c in range(len(out)):
         for t, (rows, weights) in enumerate(terms):
             column = rows[:, c].reshape(lead)
@@ -65,12 +63,12 @@ def segment_sum(ids: np.ndarray, count: int, *terms) -> np.ndarray:
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=FLOAT), 0.0)
+    return np.maximum(x, 0.0)
 
 
 def relu_grad(x: np.ndarray) -> np.ndarray:
     """Subgradient at 0 is defined as 0."""
-    return (np.asarray(x, dtype=FLOAT) > 0.0).astype(FLOAT)
+    return (x > 0.0).astype(x.dtype)
 
 
 def relu2(x: np.ndarray) -> np.ndarray:
@@ -83,7 +81,6 @@ def relu2_grad(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=FLOAT)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -93,13 +90,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=FLOAT)
     return x * sigmoid(x)
 
 
 def silu_grad(x: np.ndarray) -> np.ndarray:
     s = sigmoid(x)
-    return s * (1.0 + np.asarray(x, dtype=FLOAT) * (1.0 - s))
+    return s * (1.0 + x * (1.0 - s))
 
 
 def prelu(x: np.ndarray, slope: float) -> np.ndarray:
@@ -111,7 +107,6 @@ def prelu(x: np.ndarray, slope: float) -> np.ndarray:
     select's loop branches on each element and mispredicts about half of
     them.
     """
-    x = np.asarray(x, dtype=FLOAT)
     out = np.minimum(x, 0.0)
     out *= slope
     out += np.maximum(x, 0.0)
@@ -125,8 +120,8 @@ def prelu_grad(x: np.ndarray, slope: float) -> np.ndarray:
     ``x >= 0`` mask by arithmetic, not by a select: with the slope finite,
     0 * slope + 1 is exactly 1 and 1 * slope + 0 exactly slope.
     """
-    ge = np.greater_equal(np.asarray(x, dtype=FLOAT), 0.0)
-    g = np.logical_not(ge).astype(FLOAT)
+    ge = np.greater_equal(x, 0.0)
+    g = np.logical_not(ge).astype(x.dtype)
     g *= slope
     g += ge
     return g
@@ -139,6 +134,6 @@ def prelu_slope_grad(x: np.ndarray, upstream: np.ndarray) -> float:
     elsewhere, with no select on the sign of x. A NaN in x makes it NaN.
     The product is formed in a temporary this function frees on return.
     """
-    neg = np.minimum(np.asarray(x, dtype=FLOAT), 0.0)
+    neg = np.minimum(x, 0.0)
     np.multiply(upstream, neg, out=neg)
     return float(np.sum(neg))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError, SingleClassError
+from .errors import DataError, ShapeError, SingleClassError
 from .linalg import FLOAT, sigmoid
 
 PROB_CLAMP = 1e-12
@@ -19,17 +19,14 @@ PROB_CLAMP = 1e-12
 
 def head_forward(head_w: np.ndarray, head_b: np.ndarray, x_last):
     """logit = head_w . x + head_b; prob = sigmoid(logit). Batched or single."""
-    x = np.asarray(x_last, dtype=FLOAT)
-    if x.shape[-1] != head_w.shape[0]:
-        raise ShapeError(f"head expects width {head_w.shape[0]}, got {x.shape[-1]}")
-    logit = x @ head_w + float(head_b)
+    if x_last.shape[-1] != head_w.shape[0]:
+        raise ShapeError(f"head expects width {head_w.shape[0]}, got {x_last.shape[-1]}")
+    logit = x_last @ head_w + float(head_b)
     return logit, sigmoid(logit)
 
 
 def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean binary cross-entropy with probabilities clamped away from {0, 1}."""
-    probs = np.asarray(probs, dtype=FLOAT)
-    labels = np.asarray(labels, dtype=FLOAT)
     if probs.shape != labels.shape:
         raise ShapeError(f"probs/labels length mismatch: {probs.shape} vs {labels.shape}")
     p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -38,18 +35,21 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
 
 def bce_backward(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """d loss / d logit, computed from the unclamped probabilities: (p - y) / n."""
-    probs = np.asarray(probs, dtype=FLOAT)
-    labels = np.asarray(labels, dtype=FLOAT)
     if probs.shape != labels.shape:
         raise ShapeError(f"probs/labels length mismatch: {probs.shape} vs {labels.shape}")
     return (probs - labels) / probs.shape[0]
 
 
 def _split_classes(scores, labels):
+    """Scores as float64, labels as given; a label other than 0 or 1 is a DataError."""
     scores = np.asarray(scores, dtype=FLOAT)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise ShapeError(f"scores/labels length mismatch: {scores.shape} vs {labels.shape}")
+    other = (labels != 0) & (labels != 1)
+    if other.any():
+        at = int(np.argmax(other))
+        raise DataError(f"AUC labels must be 0 or 1, got {labels[at].item()!r} at row {at}")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:

@@ -16,11 +16,10 @@ import numpy as np
 from .asta import AttentionConfig, asta_backward, asta_forward
 from .config import HyperParams
 from .embedding import Batch, EmbeddingStore, embedding_grad_accumulate, item_table, lookup_target
-from .linalg import FLOAT
 from .metrics import bce_backward, bce_loss, head_forward
 from .params import ModelParams, zero_gradients
-from .qnn import (QnnConfig, assemble_x1, mlp_backward, mlp_forward, qnn_backward, qnn_forward,
-                  qnn_layer_forward)
+from .qnn import (QnnConfig, assemble_x1, layer_slopes, mlp_backward, mlp_forward, qnn_backward,
+                  qnn_forward, qnn_layer_forward)
 
 # QNN width (qnn_dim) from which predict_probs runs the QNN layers of each
 # batch as two row halves on two threads. Median paired split/serial ratio
@@ -112,7 +111,8 @@ def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
                                             qnn_config(hp), trace.inter_trace, d_x_last)
         for l in range(hp.depth):
             grads.qnn_w[l] += d_ws[l]
-        grads.prelu += d_slopes
+        if grads.prelu is not None:   # qnn_act relu has no slopes
+            grads.prelu += d_slopes
     else:
         d_ws, d_bs, d_x1 = mlp_backward(params.mlp_w, params.mlp_b,
                                         trace.inter_trace, d_x_last)
@@ -160,8 +160,8 @@ def _qnn_rows(params: ModelParams, hp: HyperParams, x: np.ndarray) -> np.ndarray
     predict_probs never enters a function a profiler may have wrapped.
     """
     cfg = qnn_config(hp)
-    for l in range(hp.depth):
-        x = qnn_layer_forward(params.qnn_w[l], float(params.prelu[l]), x, cfg)[0]
+    for w, slope in zip(params.qnn_w, layer_slopes(params.prelu, cfg)):
+        x = qnn_layer_forward(w, slope, x, cfg)[0]
     return x
 
 
@@ -201,11 +201,12 @@ def predict_probs(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
     of at least QNN_SPLIT_MIN_ROWS rows as on the whole batch, so the
     probabilities equal the one-thread pass to the bit; the head's gemv
     does not, which is why it waits for the joined rows. An error in the
-    helper half reaches the caller with its own type.
+    helper half reaches the caller with its own type. The probabilities
+    take the dtype of the parameters and the store.
     """
     if hp.interaction != "qnn" or hp.qnn_dim < QNN_SPLIT_MIN_DIM or usable_cpus() < 2:
         outs = [model_forward(params, hp, store, b).probs for b in batches]
     else:
         with ThreadPoolExecutor(max_workers=1) as helper:
             outs = [_halved_probs(params, hp, store, b, helper) for b in batches]
-    return np.concatenate(outs) if outs else np.zeros(0, dtype=FLOAT)
+    return np.concatenate(outs) if outs else np.zeros(0, dtype=params.flat.dtype)

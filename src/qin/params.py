@@ -40,7 +40,7 @@ from .atomic import atomic_write
 from .config import HyperParams
 from .errors import (BadMagicError, CheckpointError, ShapeError, ShapeTableError,
                      TruncatedFileError)
-from .linalg import FLOAT, rng_normal
+from .linalg import FLOAT
 
 MAGIC = b"QINCKPT1"
 
@@ -63,7 +63,7 @@ class ModelParams:
     w_q = _tensor("w_q")                     # (d_t, d_t); none under attn_kind mean
     w_k = _tensor("w_k")                     # (d_t, d_t); none under attn_kind mean
     w_v = _tensor("w_v")                     # (d_t, d_t)
-    prelu = _tensor("prelu")                 # (depth,) one slope per layer
+    prelu = _tensor("prelu")                 # (depth,) one slope per layer; none under relu
     head_w = _tensor("head_w")               # (out_dim,)
     head_b = _tensor("head_b")               # () scalar
 
@@ -104,21 +104,21 @@ def init_params(hp: HyperParams, rng: np.random.Generator) -> ModelParams:
 
     Projection / interaction / head weights ~ Normal(0, sqrt(1/fan_in)),
     fan_in being the last dim; id embeddings ~ Normal(0, 0.01); PReLU
-    slopes 0.25 (0 when the interaction activation is plain ReLU); all
-    biases 0, drawing nothing. A QNN layer draws m (D, D) heads and stores
-    their sum.
+    slopes 0.25 (a plain-ReLU model has none); all biases 0, drawing
+    nothing. A QNN layer draws m (D, D) heads and stores their sum. The
+    draws are ``rng.normal``'s float64, the buffer's dtype.
     """
     params = ModelParams(expected_shapes(hp))
     for name, span in params.spans.items():
         shape = params.shapes[name]
         if name == "prelu":
-            params.flat[span] = 0.25 if hp.qnn_act == "prelu" else 0.0
+            params.flat[span] = 0.25
         elif name.startswith("qnn_w_"):
-            heads = rng_normal(rng, hp.m * math.prod(shape), 0.0, (1.0 / shape[-1]) ** 0.5)
+            heads = rng.normal(0.0, (1.0 / shape[-1]) ** 0.5, hp.m * math.prod(shape))
             params.views[name][...] = heads.reshape(hp.m, *shape).sum(axis=0)
         elif name != "head_b" and not name.startswith("mlp_b_"):
             std = 0.01 if name == "id_embedding" else (1.0 / shape[-1]) ** 0.5
-            params.flat[span] = rng_normal(rng, span.stop - span.start, 0.0, std)
+            params.flat[span] = rng.normal(0.0, std, span.stop - span.start)
     return params
 
 
@@ -142,7 +142,8 @@ def expected_shapes(hp: HyperParams) -> dict[str, tuple[int, ...]]:
     if hp.interaction == "qnn":
         for i in range(hp.depth):
             shapes[f"qnn_w_{i}"] = (dim, dim)
-        shapes["prelu"] = (hp.depth,)
+        if hp.qnn_act == "prelu":
+            shapes["prelu"] = (hp.depth,)
     else:
         widths = [dim, *hp.mlp_dims]
         for i in range(len(hp.mlp_dims)):

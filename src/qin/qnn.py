@@ -10,9 +10,10 @@ an init-scale and learning-rate multiplier (see ``params.lr_scale``). The
 forward layer also takes a stacked (m, dim, dim) weight and sums it, so the
 brute-force oracle's heads can be checked against it; the backward layer
 takes only the (dim, dim) matrix. The activation is PReLU with one
-learnable slope per layer (plain ReLU for the no-PReLU ablation), applied
-after the product. Both stacks take a (n, dim) batch and raise ShapeError
-for any other input rank; one sample is a batch of one.
+learnable slope per layer (plain ReLU, with no slope, for the no-PReLU
+ablation), applied after the product. Both stacks take a (n, dim) batch
+and raise ShapeError for any other input rank; one sample is a batch of
+one. They compute in the dtype of their inputs.
 
 The elementwise chain has no select on the sign of the pre-activation:
 PReLU, its derivative and the slope gradient are max/min arithmetic (see
@@ -41,7 +42,7 @@ class QnnConfig:
     dim: int
     dropout_p: float = 0.0
     residual: bool = True
-    act: str = "prelu"   # "relu" pins all slopes to 0 and freezes them
+    act: str = "prelu"   # "relu": every slope is 0, and the model stores none
 
 
 @dataclass
@@ -52,10 +53,13 @@ class QnnLayerTrace:
     drop_mask: np.ndarray | None   # (n, dim) bool or {0, 1} keep-mask
 
 
+def layer_slopes(slopes, cfg: QnnConfig) -> list[float]:
+    """Each layer's PReLU slope; 0.0 under act relu, which has none (slopes may be None)."""
+    return [0.0] * cfg.depth if cfg.act == "relu" else [float(s) for s in slopes]
+
+
 def assemble_x1(x_t, o, dim: int) -> np.ndarray:
     """First interaction input: target embedding concat interest vector."""
-    x_t = np.asarray(x_t, dtype=FLOAT)
-    o = np.asarray(o, dtype=FLOAT)
     x1 = np.concatenate([x_t, o], axis=-1)
     if x1.shape[-1] != dim:
         raise ShapeError(
@@ -136,11 +140,11 @@ def qnn_forward(ws: list, slopes: np.ndarray, x1: np.ndarray, cfg: QnnConfig,
                 drop_masks: list | None = None):
     """Run the full stack on a (n, dim) batch; drop_masks is one (n, dim)
     keep-mask per layer or None. The trace is the list of layer traces."""
-    x = np.asarray(x1, dtype=FLOAT)
+    x = x1
     layers = []
-    for l in range(cfg.depth):
+    for l, slope in enumerate(layer_slopes(slopes, cfg)):
         dm = drop_masks[l] if drop_masks is not None else None
-        x, trace = qnn_layer_forward(ws[l], float(slopes[l]), x, cfg, dm)
+        x, trace = qnn_layer_forward(ws[l], slope, x, cfg, dm)
         layers.append(trace)
     return x, layers
 
@@ -148,12 +152,13 @@ def qnn_forward(ws: list, slopes: np.ndarray, x1: np.ndarray, cfg: QnnConfig,
 def qnn_backward(ws: list, slopes: np.ndarray, cfg: QnnConfig,
                  layers: list, d_out):
     """Gradients through the full stack, given qnn_forward's layer traces;
-    returns (d_ws, d_slopes, d_x1)."""
-    d_x = np.asarray(d_out, dtype=FLOAT)
+    returns (d_ws, d_slopes, d_x1); under act relu every d_slope is 0."""
+    d_x = d_out
     d_ws = [None] * cfg.depth
-    d_slopes = np.zeros(cfg.depth, dtype=FLOAT)
+    d_slopes = np.zeros(cfg.depth, dtype=d_out.dtype)
+    slope_of = layer_slopes(slopes, cfg)
     for l in range(cfg.depth - 1, -1, -1):
-        d_w, d_slope, d_x = qnn_layer_backward(ws[l], float(slopes[l]), cfg, layers[l], d_x)
+        d_w, d_slope, d_x = qnn_layer_backward(ws[l], slope_of[l], cfg, layers[l], d_x)
         d_ws[l] = d_w
         d_slopes[l] = d_slope
     return d_ws, d_slopes, d_x
@@ -167,7 +172,7 @@ class MlpTrace:
 
 def mlp_forward(ws: list, bs: list, x1: np.ndarray):
     """Affine + ReLU stack on a (n, dim) batch, used by the no-QNN ablation."""
-    x = np.asarray(x1, dtype=FLOAT)
+    x = x1
     if x.ndim != 2:
         raise ShapeError(f"mlp input of shape {x.shape} is not a (n, dim) batch")
     inputs, pre = [], []
@@ -182,7 +187,7 @@ def mlp_forward(ws: list, bs: list, x1: np.ndarray):
 
 
 def mlp_backward(ws: list, bs: list, trace: MlpTrace, d_out):
-    d_x = np.asarray(d_out, dtype=FLOAT)
+    d_x = d_out
     d_ws = [None] * len(ws)
     d_bs = [None] * len(ws)
     for l in range(len(ws) - 1, -1, -1):

@@ -126,7 +126,7 @@ def evaluate(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
     order, batches = length_sorted_batches(split, EVAL_BATCH_SIZE, hp.seq_len)
     probs = np.empty(len(split), dtype=FLOAT)
     probs[order] = predict_probs(params, hp, store, batches)
-    return {"auc": auc(probs, split.labels.astype(int)), "logloss": bce_loss(probs, split.labels),
+    return {"auc": auc(probs, split.labels), "logloss": bce_loss(probs, split.labels),
             "probs": probs}
 
 

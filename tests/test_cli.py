@@ -173,6 +173,18 @@ def test_eval_mean_checkpoint_needs_attn_kind_mean(tiny_data, tmp_path, capsys):
     assert main([*args, "--attn-kind", "mean"]) == 0
 
 
+@pytest.mark.parametrize("saved, other", [("relu", "prelu"), ("prelu", "relu")])
+def test_eval_qnn_act_mismatch_exit_3(tiny_data, tmp_path, capsys, saved, other):
+    # Only the PReLU layout holds slopes, so neither act can score the other's checkpoint.
+    hp = HyperParams(d_t=8, seq_len=6, vocab=60, d_frozen=4, qnn_act=saved)
+    ckpt = tmp_path / f"{saved}.ckpt"
+    save_checkpoint(init_params(hp, make_rng(1)), str(ckpt))
+    args = ["eval", "--data", str(tiny_data), "--ckpt", str(ckpt), *TINY_MODEL]
+    assert main([*args, "--qnn-act", other]) == 3
+    assert "'prelu'" in capsys.readouterr().err
+    assert main([*args, "--qnn-act", saved]) == 0
+
+
 def test_eval_checkpoint_corrupted_name_exit_3(tiny_data, tmp_path):
     hp = HyperParams(d_t=8, seq_len=6, vocab=60, d_frozen=4)
     ckpt = tmp_path / "bad_name.ckpt"
@@ -279,6 +291,15 @@ def test_gradcheck_cli_mean_pooling(interaction, capsys):
     assert [l.split()[0] for l in out.splitlines() if "status=FAIL" in l] == ["class=w_v"]
 
 
+def test_gradcheck_cli_relu_act_has_no_slope_class(capsys):
+    flags = ["--seeds", "1", "--qnn-act", "relu"]
+    assert main(["gradcheck", *flags]) == 0
+    out = capsys.readouterr().out
+    assert "class=qnn_w_0" in out and "status=FAIL" not in out
+    assert "class=prelu" not in out
+    assert main(["gradcheck", *flags, "--sabotage", "prelu"]) == 2
+
+
 def test_gradcheck_multi_seed_reports_worst(capsys):
     assert main(["gradcheck", "--seeds", "2"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
@@ -321,7 +342,7 @@ def test_gradcheck_reads_the_dropout_keys_and_fixes_the_dims(monkeypatch, capsys
     with pytest.raises(SystemExit):
         main(["gradcheck", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
-    assert "seed, attn_kind, interaction, dropout_p, attn_dropout_p" in help_text
+    assert "seed, attn_kind, interaction, dropout_p, attn_dropout_p, qnn_act;" in help_text
 
 
 def test_gradcheck_class_that_checked_nothing_fails(monkeypatch, capsys):

@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qin.linalg import (make_rng, prelu, prelu_grad, prelu_slope_grad, relu, relu2, rng_normal,
-                        segment_sum, sigmoid, silu, silu_grad)
+from qin.linalg import (make_rng, prelu, prelu_grad, prelu_slope_grad, relu, relu2, segment_sum,
+                        sigmoid, silu, silu_grad)
 
 
 def test_elementwise_definitions():
@@ -90,26 +90,26 @@ def test_prelu_slope_grad_matches_where_definition(data, shape):
 
 
 def test_rng_determinism():
-    a = rng_normal(make_rng(42), 5)
-    b = rng_normal(make_rng(42), 5)
+    a = make_rng(42).normal(0.0, 1.0, 5)
+    b = make_rng(42).normal(0.0, 1.0, 5)
     assert np.array_equal(a, b)
 
 
 def test_rng_std_zero_degenerate():
-    out = rng_normal(make_rng(1), 4, mean=2.5, std=0.0)
+    out = make_rng(1).normal(2.5, 0.0, 4)
     assert np.array_equal(out, np.full(4, 2.5))
 
 
 def test_rng_law_of_large_numbers():
-    draws = rng_normal(make_rng(99), 100_000)
+    draws = make_rng(99).normal(0.0, 1.0, 100_000)
     assert abs(draws.mean()) < 0.02
 
 
 def test_kernel_sequence_bit_determinism():
     def run():
         rng = make_rng(123)
-        a = rng_normal(rng, 16).reshape(4, 4)
-        b = rng_normal(rng, 16).reshape(4, 4)
+        a = rng.normal(0.0, 1.0, 16).reshape(4, 4)
+        b = rng.normal(0.0, 1.0, 16).reshape(4, 4)
         return relu(a) @ silu(b)
 
     assert np.array_equal(run(), run())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qin.errors import ShapeError, SingleClassError
+from qin.errors import DataError, ShapeError, SingleClassError
 from qin.linalg import make_rng, sigmoid
 from qin.metrics import auc, auc_bruteforce, bce_backward, bce_loss, head_forward
 
@@ -101,6 +101,16 @@ def test_auc_single_class_errors():
         auc(np.array([0.1, 0.2]), np.array([1, 1]))
     with pytest.raises(SingleClassError):
         auc_bruteforce(np.array([0.1, 0.2]), np.array([0, 0]))
+
+
+@pytest.mark.parametrize("fn", [auc, auc_bruteforce])
+@pytest.mark.parametrize("labels, first", [([0, 0, 1, 1, 2], "2"), ([0, 0.5, 1, 1, 0], "0.5"),
+                                           ([0, 1, -1, 1, 0], "-1"), ([0, 1, 1, math.nan, 0], "nan")])
+def test_auc_rejects_a_label_other_than_0_or_1(fn, labels, first):
+    # Counted as neither class, a label 2 made the rank AUC 1.25 while the
+    # pairwise count read 0.75; both now raise and name the label.
+    with pytest.raises(DataError, match=f"got {first} at row"):
+        fn(np.array([0.1, 0.4, 0.35, 0.8, 0.05]), np.array(labels))
 
 
 @pytest.mark.parametrize("scores", [[0.1, math.nan, 0.3, 0.2, 0.9, 0.5], [math.nan] * 6],

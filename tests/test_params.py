@@ -6,7 +6,7 @@ import pytest
 from qin.config import HyperParams
 from qin.errors import (BadMagicError, CheckpointError, ConfigError, ShapeError,
                         ShapeTableError, TruncatedFileError)
-from qin.linalg import make_rng, rng_normal
+from qin.linalg import make_rng
 from qin.params import (ModelParams, copy_params, expected_shapes, init_params,
                         load_checkpoint, params_equal, save_checkpoint,
                         zero_gradients)
@@ -32,7 +32,7 @@ def test_attention_dim_invariant_rejected():
 
 def test_fan_in_scaling():
     # std for fan_in=100 should be (1/100)^0.5 = 0.1
-    draws = rng_normal(make_rng(3), 10_000, 0.0, (1.0 / 100) ** 0.5)
+    draws = make_rng(3).normal(0.0, (1.0 / 100) ** 0.5, 10_000)
     assert abs(draws.std() - 0.1) / 0.1 < 0.15
 
 
@@ -43,6 +43,19 @@ def test_init_values_follow_scheme():
     assert abs(p.w_q.std() - (1 / 8) ** 0.5) / (1 / 8) ** 0.5 < 0.3
     assert np.array_equal(p.prelu, np.full(2, 0.25))
     assert float(p.head_b) == 0.0
+
+
+def test_relu_layout_has_no_slopes():
+    # Plain ReLU has no slope to use or train, so its layout stores none; the
+    # slopes draw nothing, so every other tensor gets the PReLU model's values.
+    hp = small_hp(qnn_act="relu")
+    assert "prelu" not in expected_shapes(hp)
+    p = init_params(hp, make_rng(9))
+    assert p.prelu is None and "prelu" not in p.views
+    with_slopes = init_params(small_hp(), make_rng(9))
+    assert [name for name in with_slopes.views if name != "prelu"] == list(p.views)
+    for name, view in p.views.items():
+        assert np.array_equal(view, with_slopes.views[name]), name
 
 
 def test_param_grad_bijection():
@@ -72,12 +85,12 @@ def test_qnn_init_stores_the_sum_of_m_head_draws():
             continue
         std = 0.01 if name == "id_embedding" else (1.0 / shape[-1]) ** 0.5
         if name.startswith("qnn_w_"):
-            heads = rng_normal(rng, hp.m * math.prod(shape), 0.0, std).reshape(hp.m, *shape)
+            heads = rng.normal(0.0, std, hp.m * math.prod(shape)).reshape(hp.m, *shape)
             assert shape == (hp.qnn_dim, hp.qnn_dim)
             assert np.array_equal(p.views[name], heads.sum(axis=0)), name
         else:
             assert np.array_equal(p.views[name].ravel(),
-                                  rng_normal(rng, math.prod(shape), 0.0, std)), name
+                                  rng.normal(0.0, std, math.prod(shape))), name
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

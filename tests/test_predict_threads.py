@@ -17,7 +17,7 @@ from qin.dataio import Split, make_batches
 from qin.embedding import EmbeddingStore
 from qin.errors import ShapeError
 from qin.linalg import make_rng
-from qin.params import copy_params, init_params
+from qin.params import ModelParams, copy_params, init_params
 from qin.train import evaluate, train
 
 KINDS = ("relu", "softmax", "relu2", "silu", "mean")
@@ -100,6 +100,26 @@ def test_split_evaluate_matches_one_thread(monkeypatch, kind):
     one, two = both_ways(monkeypatch, lambda: evaluate(params, hp, store, split))
     assert np.array_equal(one["probs"], two["probs"])
     assert (one["auc"], one["logloss"]) == (two["auc"], two["logloss"])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("interaction", ["qnn", "mlp"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_float32_copies_score_in_float32(monkeypatch, qnn_threads, kind, interaction, workers):
+    # No kernel re-casts its inputs, so float32 copies of the parameters and
+    # the store give float32 probabilities, on the serial and split paths.
+    hp = hyper(64, attn_kind=kind, interaction=interaction)
+    store, params, split = world(hp, 954, seed=17)
+    batches = list(make_batches(split, 512, hp.seq_len))   # 512 and 442 rows
+    cpus(monkeypatch, workers)
+    want = model.predict_probs(params, hp, store, batches)
+    qnn_threads.clear()
+    got = model.predict_probs(ModelParams(params.shapes, params.flat.astype(np.float32)), hp,
+                              EmbeddingStore(store.data.astype(np.float32)), batches)
+    assert want.dtype == np.float64 and got.dtype == np.float32
+    assert np.max(np.abs(got - want)) <= 1e-5
+    helper_ran = any(name != threading.current_thread().name for name in qnn_threads)
+    assert helper_ran == (workers == 2 and interaction == "qnn")
 
 
 def test_split_all_empty_histories(monkeypatch, qnn_threads):

@@ -6,9 +6,9 @@ import pytest
 from conftest import split_of
 
 from qin.config import HyperParams, TrainConfig
-from qin.dataio import make_batches
+from qin.dataio import Split, make_batches
 from qin.embedding import EmbeddingStore, Sample
-from qin.errors import SingleClassError
+from qin.errors import DataError, SingleClassError
 from qin.linalg import make_rng
 from qin.metrics import auc as rank_auc
 from qin.model import predict_probs
@@ -226,6 +226,18 @@ def test_evaluate_deterministic_and_single_class_guard():
     ones = split_of(s for s in samples if s.label == 1)
     with pytest.raises(SingleClassError):
         evaluate(params, HP, store, ones)
+
+
+def test_evaluate_rejects_a_label_other_than_0_or_1():
+    # Split.from_lengths takes any label; evaluate must not report an AUC for it.
+    store, split = tiny_world(seed=10)
+    params = init_params(HP, make_rng(11))
+    for bad in (2.0, 0.5):
+        labels = split.labels.copy()
+        labels[3] = bad
+        relabeled = Split.from_lengths(split.targets, labels, split.lengths, split.ids)
+        with pytest.raises(DataError, match=f"got {bad!r} at row 3"):
+            evaluate(params, HP, store, relabeled)
 
 
 def test_evaluate_nan_head_weight_reports_nan_auc():
