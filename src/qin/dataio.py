@@ -57,6 +57,13 @@ _CANONICAL_FILE = re.compile(
 _DIGITS_ONLY = bytes(c if chr(c) in "0123456789" else ord(" ") for c in range(256))
 
 
+def check_labels(labels: np.ndarray) -> None:
+    """Raise DataError naming the first label that is neither 0 nor 1; NaN is neither."""
+    bad = np.flatnonzero((labels != 0) & (labels != 1))
+    if bad.size:
+        raise DataError(f"sample {bad[0]} has label {labels[bad[0]].item()!r}, expected 0 or 1")
+
+
 @dataclass(frozen=True, eq=False)
 class Split(Sequence[Sample]):
     """One split as columns; row i's history is ``ids[offsets[i]:offsets[i + 1]]``.
@@ -78,13 +85,15 @@ class Split(Sequence[Sample]):
     def from_lengths(cls, targets, labels, lengths, ids) -> "Split":
         """Row i has targets[i], labels[i] and the next lengths[i] entries of ids.
 
-        Labels become float64 and every other column int64.
+        Labels become float64 and every other column int64. A label other
+        than 0 or 1 raises DataError (see check_labels).
         """
+        labels = np.asarray(labels, dtype=FLOAT)
+        check_labels(labels)
         offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        return cls(targets=np.asarray(targets, dtype=np.int64),
-                   labels=np.asarray(labels, dtype=FLOAT), offsets=offsets,
-                   ids=np.asarray(ids, dtype=np.int64))
+        return cls(targets=np.asarray(targets, dtype=np.int64), labels=labels,
+                   offsets=offsets, ids=np.asarray(ids, dtype=np.int64))
 
     @property
     def lengths(self) -> np.ndarray:
@@ -139,10 +148,10 @@ def write_dataset(split: Split, path: str, seed: int) -> str:
     A label other than 0 or 1 raises DataError before the file is opened.
     """
     n = len(split)
-    bad = np.flatnonzero((split.labels != 0) & (split.labels != 1))
-    if bad.size:
-        raise DataError(f"{path}: sample {bad[0]} has label {split.labels[bad[0]]!r}, "
-                        f"expected 0 or 1")
+    try:
+        check_labels(split.labels)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     labels = split.labels.astype(np.int64)
     manifest = f"n_samples={n} positives={int(split.labels.sum())} seed={seed}"
     heads, head_of = _token_table(split.targets, '{"target":%d,"seq":[')

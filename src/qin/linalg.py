@@ -98,42 +98,44 @@ def silu_grad(x: np.ndarray) -> np.ndarray:
     return s * (1.0 + x * (1.0 - s))
 
 
-def prelu(x: np.ndarray, slope: float) -> np.ndarray:
+def prelu(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
     """max(x, 0) + slope * min(x, 0): x where x >= 0, slope * x below, NaN stays NaN.
 
     Equal to ``np.where(x >= 0, x, slope * x)`` for any finite slope, up to
     the sign of a zero result. Two branch-free passes and an add cost a
     sixth of ``np.where`` on a (1024, 128) batch whose signs are mixed: the
     select's loop branches on each element and mispredicts about half of
-    them.
+    them. With out given, the result is written there.
     """
-    out = np.minimum(x, 0.0)
+    out = np.minimum(x, 0.0, out=out)
     out *= slope
     out += np.maximum(x, 0.0)
     return out
 
 
-def prelu_grad(x: np.ndarray, slope: float) -> np.ndarray:
+def prelu_grad(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
     """Derivative w.r.t. x: 1.0 where x >= 0 (so at exactly 0), slope elsewhere.
 
     NaN compares false and gets slope. The factor is built from the
     ``x >= 0`` mask by arithmetic, not by a select: with the slope finite,
-    0 * slope + 1 is exactly 1 and 1 * slope + 0 exactly slope.
+    0 * slope + 1 is exactly 1 and 1 * slope + 0 exactly slope. With out
+    given, the factor is written there.
     """
     ge = np.greater_equal(x, 0.0)
-    g = np.logical_not(ge).astype(x.dtype)
+    g = np.logical_not(ge, out=np.empty_like(x) if out is None else out)
     g *= slope
     g += ge
     return g
 
 
-def prelu_slope_grad(x: np.ndarray, upstream: np.ndarray) -> float:
-    """Derivative of sum(upstream * prelu(x, slope)) w.r.t. slope.
+def prelu_slope_terms(x: np.ndarray, upstream: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """The terms whose sum is the derivative of sum(upstream * prelu(x, slope)) w.r.t. slope.
 
-    That is sum(upstream * min(x, 0)): upstream * x where x < 0 and a zero
-    elsewhere, with no select on the sign of x. A NaN in x makes it NaN.
-    The product is formed in a temporary this function frees on return.
+    That is upstream * min(x, 0): upstream * x where x < 0 and a zero
+    elsewhere, with no select on the sign of x. A NaN in x makes its term
+    NaN. With out given, the terms are written there. The caller sums
+    them, so a batch can form its terms by row blocks and sum them whole.
     """
-    neg = np.minimum(x, 0.0)
-    np.multiply(upstream, neg, out=neg)
-    return float(np.sum(neg))
+    neg = np.minimum(x, 0.0, out=out)
+    return np.multiply(upstream, neg, out=neg)

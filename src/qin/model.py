@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,21 +22,23 @@ from .params import ModelParams, zero_gradients
 from .qnn import (QnnConfig, assemble_x1, layer_slopes, mlp_backward, mlp_forward, qnn_backward,
                   qnn_forward, qnn_layer_forward)
 
-# QNN width (qnn_dim) from which predict_probs runs the QNN layers of each
-# batch as two row halves on two threads. Median paired split/serial ratio
-# of a scoring pass (2 000 rows in batches of 1 024, one BLAS thread, 2-core
-# VM, 41 pairs) at width 64 / 96 / 128: depth 4 with 4-item histories 1.54
-# / 1.37 / 1.41; depth 2 with 32-item histories 0.96 / 1.01 / 1.06; depth 2
-# with 1..64-item histories 0.98 / 1.01 / 1.06; width 32 lost 0.81-0.84 on
-# both depth-2 shapes. Below 96 the QNN is too small a share of a batch to
-# pay for the hand-off, and numpy's short calls fight over the GIL.
+# QNN width (qnn_dim) from which scoring and training run the QNN layers of
+# each batch as two row halves on two threads (see qnn_helper). Median
+# paired split/serial ratio of a scoring pass (2 000 rows in batches of
+# 1 024, one BLAS thread, 2-core VM, 41 pairs) at width 64 / 96 / 128:
+# depth 4 with 4-item histories 1.54 / 1.37 / 1.41; depth 2 with 32-item
+# histories 0.96 / 1.01 / 1.06; depth 2 with 1..64-item histories 0.98 /
+# 1.01 / 1.06; width 32 lost 0.81-0.84 on both depth-2 shapes. (Taken
+# with whole row-block stacks on the helper; the per-layer split scores
+# about 5% slower at depth 4, width 128: ROADMAP item 11.) Of a
+# training step (loss_and_grads on 1 024 rows, m 4, dropout 0.1, same
+# machine, two rounds of 40 and 60 pairs) at width 64 / 96 / 128: depth 4
+# with 4-item histories 1.20-1.26 / 1.26-1.49 / 1.38-1.51; depth 2 with
+# 32-item histories 1.05-1.14 / 1.09-1.11 / 1.11-1.17; at width 32, depth 2
+# and 32 items, 0.81 at the desk batch of 256 and 0.95-1.04 at 1 024.
+# Below 96 the QNN is too small a share of a batch to pay for the hand-off,
+# and numpy's short calls fight over the GIL.
 QNN_SPLIT_MIN_DIM = 96
-# Fewest rows in a half; a batch under twice this runs whole. OpenBLAS
-# takes a small-matrix path for a GEMM of up to 37 rows at width 32, 12 at
-# 96 and 9 at 128, and a gemv for one row; either gives other last bits
-# than the whole batch's GEMM. From 10 rows on at width 128 a row block's
-# product has the whole batch's bits.
-QNN_SPLIT_MIN_ROWS = 128
 
 
 def attention_config(hp: HyperParams) -> AttentionConfig:
@@ -83,13 +86,16 @@ def interaction_input(params: ModelParams, hp: HyperParams, store: EmbeddingStor
 
 
 def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-                  batch: Batch, masks: tuple | None = None) -> ModelTrace:
-    """The forward pass under the keep-masks of draw_dropout_masks; None means no dropout."""
+                  batch: Batch, masks: tuple | None = None, helper=None) -> ModelTrace:
+    """The forward pass under the keep-masks of draw_dropout_masks; None means no dropout.
+
+    helper is qnn_helper's thread or None; see loss_and_grads.
+    """
     attn_mask, qnn_masks = masks or (None, None)
     pool_trace, x1 = interaction_input(params, hp, store, batch, attn_mask)
     if hp.interaction == "qnn":
-        x_last, inter_trace = qnn_forward(params.qnn_w, params.prelu, x1,
-                                          qnn_config(hp), qnn_masks)
+        x_last, inter_trace = qnn_forward(params.qnn_w, params.prelu, x1, qnn_config(hp),
+                                          qnn_masks, helper)
     else:
         x_last, inter_trace = mlp_forward(params.mlp_w, params.mlp_b, x1)
 
@@ -99,7 +105,8 @@ def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
 
 
 def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
-                   d_logits: np.ndarray) -> ModelParams:
+                   d_logits: np.ndarray, helper=None) -> ModelParams:
+    """Gradients of every parameter; helper as in model_forward."""
     grads = zero_gradients(params)
 
     grads.head_w += trace.x_last.T @ d_logits
@@ -107,8 +114,8 @@ def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
     d_x_last = np.multiply.outer(d_logits, params.head_w)
 
     if hp.interaction == "qnn":
-        d_ws, d_slopes, d_x1 = qnn_backward(params.qnn_w, params.prelu,
-                                            qnn_config(hp), trace.inter_trace, d_x_last)
+        d_ws, d_slopes, d_x1 = qnn_backward(params.qnn_w, params.prelu, qnn_config(hp),
+                                            trace.inter_trace, d_x_last, helper)
         for l in range(hp.depth):
             grads.qnn_w[l] += d_ws[l]
         if grads.prelu is not None:   # qnn_act relu has no slopes
@@ -136,13 +143,19 @@ def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
 
 
 def loss_and_grads(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-                   batch: Batch, masks: tuple | None = None):
+                   batch: Batch, masks: tuple | None = None, helper=None):
     """One batch: mean BCE loss, full gradients, and the predicted probabilities,
-    under the keep-masks of model_forward."""
-    trace = model_forward(params, hp, store, batch, masks)
+    under the keep-masks of model_forward.
+
+    helper is the thread of qnn_helper(hp), or None. With it, each QNN
+    layer of a batch of at least 2 * QNN_SPLIT_MIN_ROWS rows runs on two
+    row halves at once, forward and backward, and gives the same bits as
+    without it. Everything else runs whole in the calling thread.
+    """
+    trace = model_forward(params, hp, store, batch, masks, helper)
     loss = bce_loss(trace.probs, batch.labels)
     d_logits = bce_backward(trace.probs, batch.labels)
-    grads = model_backward(params, hp, trace, d_logits)
+    grads = model_backward(params, hp, trace, d_logits, helper)
     return loss, grads, trace.probs
 
 
@@ -153,60 +166,58 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _qnn_rows(params: ModelParams, hp: HyperParams, x: np.ndarray) -> np.ndarray:
-    """The QNN stack on rows x, dropout off, each layer trace dropped.
+@contextmanager
+def qnn_helper(hp: HyperParams):
+    """The one helper thread that runs half the rows of each QNN layer, for the with block.
 
-    It calls qnn_layer_forward, not qnn_forward, so the helper thread of
-    predict_probs never enters a function a profiler may have wrapped.
+    It exists for a QNN at least QNN_SPLIT_MIN_DIM wide with two CPUs
+    usable, and is None otherwise; a batch of fewer than
+    2 * QNN_SPLIT_MIN_ROWS rows runs whole even when it exists. Scoring
+    and training both take their helper from here. The helper runs QNN
+    layers only, never model_forward, qnn_forward or another function a
+    profiler may have wrapped.
+    """
+    if hp.interaction != "qnn" or hp.qnn_dim < QNN_SPLIT_MIN_DIM or usable_cpus() < 2:
+        yield None
+    else:
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            yield helper
+
+
+def _split_probs(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
+                 batch: Batch, helper: ThreadPoolExecutor) -> np.ndarray:
+    """model_forward's probabilities with the QNN layers split, each layer trace dropped.
+
+    It calls qnn_layer_forward, not model_forward or qnn_forward, so a
+    traced run counts the calls of a training step only, as on one thread.
     """
     cfg = qnn_config(hp)
+    _, x = interaction_input(params, hp, store, batch)
     for w, slope in zip(params.qnn_w, layer_slopes(params.prelu, cfg)):
-        x = qnn_layer_forward(w, slope, x, cfg)[0]
-    return x
-
-
-def _helper_half(params: ModelParams, hp: HyperParams, x: np.ndarray) -> list:
-    """The helper's half in row blocks of QNN_SPLIT_MIN_ROWS to twice that.
-
-    A thread's temporaries come from its own malloc arena, which the free
-    pages of the main heap cannot serve, so smaller blocks hold less
-    memory: on wide_qnn_train, peak RSS rose 3.6% with 256-row blocks and
-    5.3% with whole halves.
-    """
-    blocks = -(-len(x) // (2 * QNN_SPLIT_MIN_ROWS))
-    return [_qnn_rows(params, hp, rows) for rows in np.array_split(x, blocks)]
-
-
-def _halved_probs(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-                  batch: Batch, helper: ThreadPoolExecutor) -> np.ndarray:
-    _, x1 = interaction_input(params, hp, store, batch)
-    h = batch.size // 2
-    if h < QNN_SPLIT_MIN_ROWS:
-        x_last = _qnn_rows(params, hp, x1)
-    else:
-        second = helper.submit(_helper_half, params, hp, x1[h:])
-        x_last = np.concatenate([_qnn_rows(params, hp, x1[:h]), *second.result()])
-    return head_forward(params.head_w, params.head_b, x_last)[1]
+        x = qnn_layer_forward(w, slope, x, cfg, helper=helper)[0]
+    return head_forward(params.head_w, params.head_b, x)[1]
 
 
 def predict_probs(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-                  batches) -> np.ndarray:
+                  batches, helper=None) -> np.ndarray:
     """Deterministic full-pass probabilities, dropout disabled, order preserved.
 
-    A QNN at least QNN_SPLIT_MIN_DIM wide, with two CPUs usable, runs its
-    layers on the two row halves of a batch at once: the first half in
-    the calling thread, the second in one helper thread that lives only
-    for this call. Lookup, attention and the head run on the whole batch
-    in the calling thread. Every layer op gives the same bits on a half
-    of at least QNN_SPLIT_MIN_ROWS rows as on the whole batch, so the
-    probabilities equal the one-thread pass to the bit; the head's gemv
-    does not, which is why it waits for the joined rows. An error in the
-    helper half reaches the caller with its own type. The probabilities
-    take the dtype of the parameters and the store.
+    With qnn_helper's thread, a batch of at least 2 * QNN_SPLIT_MIN_ROWS
+    rows runs its QNN layers on its two row halves at once: the first half
+    in the calling thread, the second in the helper. helper is a thread
+    the caller holds from qnn_helper(hp), as train does; None starts one
+    for this call where qnn_helper gives one. Lookup, attention and the
+    head run on the whole batch in the calling thread. Every layer op
+    gives the same bits on a half of at least QNN_SPLIT_MIN_ROWS rows as
+    on the whole batch, so the probabilities equal the one-thread pass to
+    the bit; the head's gemv does not, which is why it waits for the
+    joined rows. An error in the helper half reaches the caller with its
+    own type. The probabilities take the dtype of the parameters and the
+    store.
     """
-    if hp.interaction != "qnn" or hp.qnn_dim < QNN_SPLIT_MIN_DIM or usable_cpus() < 2:
-        outs = [model_forward(params, hp, store, b).probs for b in batches]
-    else:
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            outs = [_halved_probs(params, hp, store, b, helper) for b in batches]
+    with qnn_helper(hp) if helper is None else nullcontext(helper) as helper:
+        if helper is None:
+            outs = [model_forward(params, hp, store, b).probs for b in batches]
+        else:
+            outs = [_split_probs(params, hp, store, b, helper) for b in batches]
     return np.concatenate(outs) if outs else np.zeros(0, dtype=params.flat.dtype)

@@ -17,10 +17,23 @@ one. They compute in the dtype of their inputs.
 
 The elementwise chain has no select on the sign of the pre-activation:
 PReLU, its derivative and the slope gradient are max/min arithmetic (see
-``linalg.prelu``, ``prelu_grad`` and ``prelu_slope_grad``). Dropout
-scaling, the residual add and the d_x accumulation run in place on
-temporaries the layer itself made, in the same operand order as the plain
+``linalg.prelu``, ``prelu_grad`` and ``prelu_slope_terms``). Dropout
+scaling, the residual add and the d_x accumulation run in place on arrays
+the layer itself made, in the same operand order as the plain
 expressions, so results are unchanged.
+
+Every layer function takes an optional ``helper``: an executor whose one
+thread works on the second row half of the batch while the calling thread
+works on the first, both writing into arrays the calling thread made. All
+but two of a layer's ops act row by row, and each gives the same bits on
+a block of at least QNN_SPLIT_MIN_ROWS rows as on the whole batch; a
+batch with fewer than twice that runs whole, helper or not. The two sums
+over rows, the weight gradient ``d_t.T @ x`` and the slope gradient's
+sum, run whole in the calling thread while the helper forms ``d_t @ w``
+for d_x. So a layer gives the same bits with a helper as without one.
+Without a split, a layer runs the same ops on the whole batch and
+allocates as it goes. The helper runs only code of this module and
+``linalg``.
 
 ``brute_force_expansion`` recomputes a layer monomial by monomial in pure
 Python and is the independent oracle for the vectorized path.
@@ -33,7 +46,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import FLOAT, prelu, prelu_grad, prelu_slope_grad
+from .linalg import FLOAT, prelu, prelu_grad, prelu_slope_terms
+
+# Fewest rows in a half; a batch under twice this runs whole. OpenBLAS
+# takes a small-matrix path for a GEMM of up to 37 rows at width 32, 12 at
+# 96 and 9 at 128, and a gemv for one row; either gives other last bits
+# than the whole batch's GEMM. From 10 rows on at width 128 a row block's
+# product has the whole batch's bits.
+QNN_SPLIT_MIN_ROWS = 128
+
 
 @dataclass(frozen=True)
 class QnnConfig:
@@ -76,40 +97,122 @@ def _folded(w: np.ndarray, cfg: QnnConfig) -> np.ndarray:
     raise ShapeError(f"layer weight of shape {w.shape} does not match dim={cfg.dim} m={cfg.m}")
 
 
-def qnn_layer_forward(w: np.ndarray, slope: float, x: np.ndarray, cfg: QnnConfig,
-                      drop_mask: np.ndarray | None = None):
-    """One quadratic layer on a (n, dim) batch; w is (dim, dim) or (m, dim, dim)."""
-    if x.ndim != 2 or x.shape[1] != cfg.dim:
-        raise ShapeError(f"layer input of shape {x.shape} is not (n, {cfg.dim})")
-    t = x @ _folded(w, cfg).T
-    h = x * t
-    branch = prelu(h, slope)
+def _both(helper, mine, theirs):
+    """mine() in this thread while the helper runs theirs().
+
+    Returns what mine() returns. Both are done before it returns or
+    raises, and an error in theirs() reaches the caller with its type.
+    """
+    future = helper.submit(theirs)
+    try:
+        return mine()
+    finally:
+        future.result()
+
+
+def split_helper(helper, n: int):
+    """helper if n rows split into two halves of QNN_SPLIT_MIN_ROWS rows or more, else None."""
+    return helper if n >= 2 * QNN_SPLIT_MIN_ROWS else None
+
+
+def _by_halves(helper, rows_fn, n: int) -> None:
+    """rows_fn(rows) over the first row half here and over the second in the helper."""
+    h = n // 2
+    _both(helper, lambda: rows_fn(slice(0, h)), lambda: rows_fn(slice(h, n)))
+
+
+def _rows(a: np.ndarray | None, r: slice) -> np.ndarray | None:
+    return None if a is None else a[r]
+
+
+def _forward_rows(x, w_t, slope: float, cfg: QnnConfig, drop_mask, t=None, h=None, out=None):
+    """The layer's ops on rows x, each row on its own; into t, h and out where given."""
+    t = np.matmul(x, w_t, out=t)
+    h = np.multiply(x, t, out=h)
+    branch = prelu(h, slope, out=out)
     if drop_mask is not None:
         branch *= drop_mask
         branch /= 1.0 - cfg.dropout_p
     if cfg.residual:
         np.add(x, branch, out=branch)
-    return branch, QnnLayerTrace(x=x, t=t, h=h, drop_mask=drop_mask)
+    return t, h, branch
+
+
+def qnn_layer_forward(w: np.ndarray, slope: float, x: np.ndarray, cfg: QnnConfig,
+                      drop_mask: np.ndarray | None = None, helper=None):
+    """One quadratic layer on a (n, dim) batch; w is (dim, dim) or (m, dim, dim).
+
+    With a helper, the second row half runs in the helper's thread.
+    """
+    if x.ndim != 2 or x.shape[1] != cfg.dim:
+        raise ShapeError(f"layer input of shape {x.shape} is not (n, {cfg.dim})")
+    w_t = _folded(w, cfg).T
+    helper = split_helper(helper, len(x))
+    if helper is None:
+        t, h, out = _forward_rows(x, w_t, slope, cfg, drop_mask)
+    else:
+        t, h, out = (np.empty(x.shape, dtype=np.result_type(x, w_t)) for _ in range(3))
+        _by_halves(helper, lambda r: _forward_rows(x[r], w_t, slope, cfg, _rows(drop_mask, r),
+                                                   t[r], h[r], out[r]), len(x))
+    return out, QnnLayerTrace(x=x, t=t, h=h, drop_mask=drop_mask)
+
+
+def _backward_rows(slope: float, cfg: QnnConfig, x, t, h, drop_mask, d_out,
+                   terms=None, d_x=None, d_t=None):
+    """The layer's row-wise gradient ops on rows of the trace and d_out.
+
+    Returns (d_slope, d_h * t, d_t); d_h * t is d_x before its d_t @ w
+    term. With terms given, the slope-gradient terms go there for the
+    caller to sum and d_slope is None; otherwise d_slope is their sum
+    (0.0 under act relu). The other two go into d_x and d_t where given.
+    """
+    d_branch = d_out
+    if drop_mask is not None:
+        d_branch = d_out * drop_mask
+        d_branch /= 1.0 - cfg.dropout_p
+    d_slope = 0.0
+    if terms is not None:
+        prelu_slope_terms(h, d_branch, out=terms)
+        d_slope = None
+    elif cfg.act != "relu":
+        d_slope = float(np.sum(prelu_slope_terms(h, d_branch)))
+    d_h = prelu_grad(h, slope, out=d_t)
+    np.multiply(d_branch, d_h, out=d_h)
+    d_x = np.multiply(d_h, t, out=d_x)
+    return d_slope, d_x, np.multiply(d_h, x, out=d_h)
 
 
 def qnn_layer_backward(w: np.ndarray, slope: float, cfg: QnnConfig,
-                       trace: QnnLayerTrace, d_out: np.ndarray):
-    """Gradients of one layer with a (dim, dim) w; returns (d_w, d_slope, d_x)."""
+                       trace: QnnLayerTrace, d_out: np.ndarray, helper=None):
+    """Gradients of one layer with a (dim, dim) w; returns (d_w, d_slope, d_x).
+
+    With a helper, the second row half of the row-wise ops runs in the
+    helper's thread, then the helper adds d_t @ w into d_x while this
+    thread forms d_w and the slope sum.
+    """
     if w.shape != (cfg.dim, cfg.dim):
         raise ShapeError(f"layer weight of shape {w.shape} is not ({cfg.dim}, {cfg.dim})")
-    d_branch = d_out
-    if trace.drop_mask is not None:
-        d_branch = d_out * trace.drop_mask
-        d_branch /= 1.0 - cfg.dropout_p
+    x, t, h, mask = trace.x, trace.t, trace.h, trace.drop_mask
+    helper = split_helper(helper, len(d_out))
+    if helper is None:
+        d_slope, d_x, d_t = _backward_rows(slope, cfg, x, t, h, mask, d_out)
+        d_w = d_t.T @ x
+        np.add(d_x, d_t @ w, out=d_x)
+    else:
+        terms = None if cfg.act == "relu" else np.empty_like(h)
+        d_x, d_t = np.empty_like(h), np.empty_like(h)
+        d_t_w = np.empty(h.shape, dtype=np.result_type(h, w))
+        _by_halves(helper, lambda r: _backward_rows(slope, cfg, x[r], t[r], h[r], _rows(mask, r),
+                                                    d_out[r], _rows(terms, r), d_x[r], d_t[r]),
+                   len(h))
 
-    x, h = trace.x, trace.h
-    d_slope = 0.0 if cfg.act == "relu" else prelu_slope_grad(h, d_branch)
-    d_h = prelu_grad(h, slope)
-    np.multiply(d_branch, d_h, out=d_h)
-    d_x = d_h * trace.t
-    d_t = np.multiply(d_h, x, out=d_h)
-    d_w = d_t.T @ x
-    np.add(d_x, d_t @ w, out=d_x)
+        def sums():
+            return d_t.T @ x, 0.0 if terms is None else float(np.sum(terms))
+
+        def input_grad():
+            np.add(d_x, np.matmul(d_t, w, out=d_t_w), out=d_x)
+
+        d_w, d_slope = _both(helper, sums, input_grad)
     if cfg.residual:
         np.add(d_x, d_out, out=d_x)
     return d_w, d_slope, d_x
@@ -137,28 +240,30 @@ def brute_force_expansion(w: np.ndarray, slope: float, x: np.ndarray,
 
 
 def qnn_forward(ws: list, slopes: np.ndarray, x1: np.ndarray, cfg: QnnConfig,
-                drop_masks: list | None = None):
+                drop_masks: list | None = None, helper=None):
     """Run the full stack on a (n, dim) batch; drop_masks is one (n, dim)
-    keep-mask per layer or None. The trace is the list of layer traces."""
+    keep-mask per layer or None, and helper splits each layer's rows (see
+    qnn_layer_forward). The trace is the list of layer traces."""
     x = x1
     layers = []
     for l, slope in enumerate(layer_slopes(slopes, cfg)):
         dm = drop_masks[l] if drop_masks is not None else None
-        x, trace = qnn_layer_forward(ws[l], slope, x, cfg, dm)
+        x, trace = qnn_layer_forward(ws[l], slope, x, cfg, dm, helper)
         layers.append(trace)
     return x, layers
 
 
 def qnn_backward(ws: list, slopes: np.ndarray, cfg: QnnConfig,
-                 layers: list, d_out):
+                 layers: list, d_out, helper=None):
     """Gradients through the full stack, given qnn_forward's layer traces;
-    returns (d_ws, d_slopes, d_x1); under act relu every d_slope is 0."""
+    returns (d_ws, d_slopes, d_x1); under act relu every d_slope is 0.
+    helper splits each layer's rows (see qnn_layer_backward)."""
     d_x = d_out
     d_ws = [None] * cfg.depth
     d_slopes = np.zeros(cfg.depth, dtype=d_out.dtype)
     slope_of = layer_slopes(slopes, cfg)
     for l in range(cfg.depth - 1, -1, -1):
-        d_w, d_slope, d_x = qnn_layer_backward(ws[l], slope_of[l], cfg, layers[l], d_x)
+        d_w, d_slope, d_x = qnn_layer_backward(ws[l], slope_of[l], cfg, layers[l], d_x, helper)
         d_ws[l] = d_w
         d_slopes[l] = d_slope
     return d_ws, d_slopes, d_x

@@ -8,11 +8,15 @@ chunks, with its moments in two arrays of the same layout. Its beta1, beta2
 and eps are the module constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
 Determinism contract: the epoch shuffle and the per-step dropout masks, which
-train draws and passes to the forward pass, derive from the run seed;
-parameters update in a fixed buffer order and training runs on one thread, so
-identical seeds give bit-identical histories and checkpoints. Evaluation may
-score a wide QNN's two row halves on two threads (see model.predict_probs);
-every probability is the one-thread pass's to the bit, whatever the CPU count.
+train draws and passes to the forward pass, derive from the run seed, and
+parameters update in a fixed buffer order, so identical seeds give
+bit-identical histories and checkpoints. A wide QNN's layers may run on two
+row halves at once, in the calling thread and one helper thread that train
+holds for the whole call and evaluation shares (see model.qnn_helper). Every
+row-wise op gives the one-thread pass's bits on a half, and the sums over
+rows (the weight and slope gradients) run whole in the calling thread, so
+histories, checkpoints and probabilities are the same to the bit whatever the
+CPU count.
 """
 
 from __future__ import annotations
@@ -23,12 +27,12 @@ import numpy as np
 
 from .config import HyperParams, TrainConfig
 from .atomic import atomic_write
-from .dataio import Split, length_sorted_batches, make_batches
+from .dataio import Split, check_labels, length_sorted_batches, make_batches
 from .embedding import EmbeddingStore
 from .errors import NonFiniteLossError, ShapeError, SingleClassError
 from .linalg import FLOAT, spawn_rng
 from .metrics import auc, bce_loss
-from .model import draw_dropout_masks, loss_and_grads, predict_probs
+from .model import draw_dropout_masks, loss_and_grads, predict_probs, qnn_helper
 from .params import ModelParams, copy_params, lr_scale
 
 # Substream tags for the run seed, so shuffling and dropout never collide.
@@ -114,18 +118,18 @@ class TrainResult:
 
 
 def evaluate(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-             split: Split) -> dict:
+             split: Split, helper=None) -> dict:
     """Full-pass valid metrics, dropout disabled. Raises on single-class data.
 
     Rows are scored in stable history-length order, each batch cut to its
     longest history, so ragged histories score few padded slots; "probs"
-    is returned in input order.
+    is returned in input order. helper is as in model.predict_probs.
     """
     if not len(split):
         raise SingleClassError("cannot evaluate an empty dataset")
     order, batches = length_sorted_batches(split, EVAL_BATCH_SIZE, hp.seq_len)
     probs = np.empty(len(split), dtype=FLOAT)
-    probs[order] = predict_probs(params, hp, store, batches)
+    probs[order] = predict_probs(params, hp, store, batches, helper)
     return {"auc": auc(probs, split.labels), "logloss": bce_loss(probs, split.labels),
             "probs": probs}
 
@@ -136,10 +140,12 @@ def train(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
 
     Keeps the parameters of the best-validation epoch and stops after
     `patience` epochs without improvement. epochs=0 returns the initial
-    parameters untouched with an empty history.
+    parameters untouched with an empty history. A training label other
+    than 0 or 1 raises DataError before any step.
     """
     if not len(data_train):
         raise SingleClassError("training split is empty")
+    check_labels(data_train.labels)
     if set(np.unique(data_valid.labels)) != {0, 1}:
         raise SingleClassError("validation split must contain both classes")
 
@@ -151,34 +157,35 @@ def train(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
     since_best = 0
     global_step = 0
 
-    for epoch in range(cfg.epochs):
-        batches = make_batches(data_train, cfg.batch_size, hp.seq_len, rng=shuffle_rng)
-        total_loss = 0.0
-        for batch in batches:
-            dropout_rng = spawn_rng(cfg.seed, _DROPOUT_STREAM, global_step)
-            masks = draw_dropout_masks(hp, batch.size, dropout_rng)
-            loss, grads, _ = loss_and_grads(params, hp, store, batch, masks)
-            if not np.isfinite(loss):
-                raise NonFiniteLossError(
-                    f"non-finite loss {loss} at epoch {epoch} step {global_step}")
-            adam_step(params, grads, state, cfg, factors)
-            total_loss += loss * batch.size
-            global_step += 1
-        epoch_loss = total_loss / len(data_train)
-        metrics = evaluate(params, hp, store, data_valid)
-        result.history.append(HistoryEntry(epoch=epoch, loss=epoch_loss,
-                                           val_auc=metrics["auc"],
-                                           val_logloss=metrics["logloss"]))
-        if metrics["auc"] > best_auc:
-            best_auc = metrics["auc"]
-            result.params = copy_params(params)
-            result.best_epoch = epoch
-            result.best_auc = best_auc
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
+    with qnn_helper(hp) as helper:
+        for epoch in range(cfg.epochs):
+            batches = make_batches(data_train, cfg.batch_size, hp.seq_len, rng=shuffle_rng)
+            total_loss = 0.0
+            for batch in batches:
+                dropout_rng = spawn_rng(cfg.seed, _DROPOUT_STREAM, global_step)
+                masks = draw_dropout_masks(hp, batch.size, dropout_rng)
+                loss, grads, _ = loss_and_grads(params, hp, store, batch, masks, helper)
+                if not np.isfinite(loss):
+                    raise NonFiniteLossError(
+                        f"non-finite loss {loss} at epoch {epoch} step {global_step}")
+                adam_step(params, grads, state, cfg, factors)
+                total_loss += loss * batch.size
+                global_step += 1
+            epoch_loss = total_loss / len(data_train)
+            metrics = evaluate(params, hp, store, data_valid, helper)
+            result.history.append(HistoryEntry(epoch=epoch, loss=epoch_loss,
+                                               val_auc=metrics["auc"],
+                                               val_logloss=metrics["logloss"]))
+            if metrics["auc"] > best_auc:
+                best_auc = metrics["auc"]
+                result.params = copy_params(params)
+                result.best_epoch = epoch
+                result.best_auc = best_auc
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= cfg.patience:
+                    break
     return result
 
 

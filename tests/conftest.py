@@ -1,10 +1,15 @@
+import threading
+
 import numpy as np
 import pytest
 
+from qin import model
 from qin.config import GenConfig, HyperParams, TrainConfig
 from qin.datagen import generate
 from qin.dataio import Split, read_dataset
-from qin.embedding import _check_ids, load_embeddings
+from qin.embedding import EmbeddingStore, _check_ids, load_embeddings
+from qin.linalg import make_rng
+from qin.params import init_params
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +35,59 @@ def split_of(samples) -> Split:
                               labels=[s.label for s in samples],
                               lengths=[len(s.seq_ids) for s in samples],
                               ids=[v for s in samples for v in s.seq_ids])
+
+
+def relabeled(split, row, label) -> Split:
+    """The split with one label replaced, through the constructor, which checks no label."""
+    labels = split.labels.copy()
+    labels[row] = label
+    return Split(targets=split.targets, labels=labels, offsets=split.offsets, ids=split.ids)
+
+
+def thread_hp(d_t, **overrides) -> HyperParams:
+    """A small model whose QNN is 2 * d_t wide, for the two-thread tests."""
+    kwargs = dict(d_t=d_t, d_b=d_t, d_a=d_t, seq_len=5, depth=3, m=2, vocab=40, d_frozen=4)
+    kwargs.update(overrides)
+    return HyperParams(**kwargs)
+
+
+def thread_world(hp, n, seed=0, empty=False):
+    """Store, params and an n-row split; a fifth of the histories (or all) are empty."""
+    rng = make_rng(seed)
+    store = EmbeddingStore(rng.standard_normal((hp.vocab, hp.d_frozen)) * 0.5)
+    lengths = rng.integers(1, hp.seq_len + 1, n)
+    lengths[::5] = 0
+    if empty:
+        lengths[:] = 0
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    labels = (rng.random(n) < 0.5).astype(float)
+    labels[:2] = (0.0, 1.0)[:n]
+    split = Split(targets=rng.integers(0, hp.vocab, n), labels=labels, offsets=offsets,
+                  ids=rng.integers(0, hp.vocab, int(offsets[-1])))
+    params = init_params(hp, rng)
+    params.id_embedding = rng.standard_normal(params.id_embedding.shape) * 0.5
+    return store, params, split
+
+
+def usable(monkeypatch, count):
+    """Lower the QNN width gate to 0 and report count usable CPUs."""
+    monkeypatch.setattr(model, "QNN_SPLIT_MIN_DIM", 0)
+    monkeypatch.setattr(model, "usable_cpus", lambda: count)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Threads started during the test, counted through Thread.start."""
+    starts = []
+    real = threading.Thread.start
+
+    def start(self):
+        starts.append(self.name)
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return starts
 
 
 def make_hp(store, **overrides) -> HyperParams:

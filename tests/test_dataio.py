@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from conftest import split_of
+from conftest import relabeled, split_of
 
 from qin import dataio, datagen, embedding, params, train
 from qin.atomic import atomic_write
@@ -262,12 +262,22 @@ def test_manifest_counts_must_match_the_records(tmp_path, canonical):
 
 @pytest.mark.parametrize("label", [2, 0.5, -1, float("nan")])
 def test_write_dataset_rejects_labels_outside_0_1(tmp_path, label):
-    samples = ragged_samples()
-    samples[3] = Sample(target_id=1, seq_ids=[2], label=label)
+    split = relabeled(split_of(ragged_samples()), 3, label)
     path = tmp_path / "labels.jsonl"
     with pytest.raises(DataError, match=r"labels\.jsonl: sample 3 has label .*, expected 0 or 1"):
-        write_dataset(split_of(samples), str(path), seed=0)
+        write_dataset(split, str(path), seed=0)
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("label", [2, 0.5, -1, float("nan")])
+def test_from_lengths_rejects_a_label_other_than_0_or_1(label):
+    samples = ragged_samples()
+    labels = [s.label for s in samples]
+    labels[3] = labels[6] = label
+    with pytest.raises(DataError, match=rf"^sample 3 has label {float(label)!r}, expected 0 or 1$"):
+        Split.from_lengths(targets=[s.target_id for s in samples], labels=labels,
+                           lengths=[len(s.seq_ids) for s in samples],
+                           ids=[v for s in samples for v in s.seq_ids])
 
 
 def test_parser_missing_file_is_data_error(tmp_path):

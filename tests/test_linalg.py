@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qin.linalg import (make_rng, prelu, prelu_grad, prelu_slope_grad, relu, relu2, segment_sum,
+from qin.linalg import (make_rng, prelu, prelu_grad, prelu_slope_terms, relu, relu2, segment_sum,
                         sigmoid, silu, silu_grad)
 
 
@@ -84,8 +84,11 @@ def test_prelu_slope_grad_matches_where_definition(data, shape):
     x = data.draw(arrays(np.float64, shape, elements=finite))
     upstream = data.draw(arrays(np.float64, shape, elements=finite))
     with np.errstate(all="ignore"):
-        want = float(np.sum(np.where(x < 0, upstream * x, 0.0)))
-        got = prelu_slope_grad(x, upstream)
+        want_terms = np.where(x < 0, upstream * x, 0.0)
+        want = float(np.sum(want_terms))
+        terms = prelu_slope_terms(x, upstream)
+        got = float(np.sum(terms))
+    assert np.array_equal(terms, want_terms, equal_nan=True)
     assert got == want or (np.isnan(got) and np.isnan(want))
 
 

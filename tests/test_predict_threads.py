@@ -10,68 +10,38 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import thread_hp, thread_world, usable
 
-from qin import model
-from qin.config import HyperParams, TrainConfig
-from qin.dataio import Split, make_batches
+from qin import model, qnn
+from qin.config import TrainConfig
+from qin.dataio import make_batches
 from qin.embedding import EmbeddingStore
 from qin.errors import ShapeError
-from qin.linalg import make_rng
-from qin.params import ModelParams, copy_params, init_params
+from qin.params import ModelParams, copy_params
 from qin.train import evaluate, train
 
 KINDS = ("relu", "softmax", "relu2", "silu", "mean")
 SIZES = (1, 2, 3, 954, 1023)
 
 
-def hyper(d_t, **overrides):
-    kwargs = dict(d_t=d_t, d_b=d_t, d_a=d_t, seq_len=5, depth=3, m=2, vocab=40, d_frozen=4)
-    kwargs.update(overrides)
-    return HyperParams(**kwargs)
-
-
-def world(hp, n, seed=0, empty=False):
-    """Store, params and an n-row split; a fifth of the histories (or all) are empty."""
-    rng = make_rng(seed)
-    store = EmbeddingStore(rng.standard_normal((hp.vocab, hp.d_frozen)) * 0.5)
-    lengths = rng.integers(1, hp.seq_len + 1, n)
-    lengths[::5] = 0
-    if empty:
-        lengths[:] = 0
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    labels = (rng.random(n) < 0.5).astype(float)
-    labels[:2] = (0.0, 1.0)[:n]
-    split = Split(targets=rng.integers(0, hp.vocab, n), labels=labels, offsets=offsets,
-                  ids=rng.integers(0, hp.vocab, int(offsets[-1])))
-    params = init_params(hp, rng)
-    params.id_embedding = rng.standard_normal(params.id_embedding.shape) * 0.5
-    return store, params, split
-
-
-def cpus(monkeypatch, count):
-    monkeypatch.setattr(model, "QNN_SPLIT_MIN_DIM", 0)
-    monkeypatch.setattr(model, "usable_cpus", lambda: count)
-
-
 @pytest.fixture
 def qnn_threads(monkeypatch):
-    """Names of the threads that ran a QNN row block, in call order."""
+    """Names of the threads that ran a QNN layer's row block, in call order."""
     names = []
-    real = model._qnn_rows
+    real = qnn.prelu
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         names.append(threading.current_thread().name)
-        return real(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(model, "_qnn_rows", spy)
+    monkeypatch.setattr(qnn, "prelu", spy)
     return names
 
 
 def both_ways(monkeypatch, fn):
-    cpus(monkeypatch, 1)
+    usable(monkeypatch, 1)
     one = fn()
-    cpus(monkeypatch, 2)
+    usable(monkeypatch, 2)
     return one, fn()
 
 
@@ -79,9 +49,9 @@ def both_ways(monkeypatch, fn):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("d_t", [16, 64])
 def test_split_probs_match_one_thread(monkeypatch, qnn_threads, d_t, kind, act):
-    hp = hyper(d_t, attn_kind=kind, qnn_act=act)
+    hp = thread_hp(d_t, attn_kind=kind, qnn_act=act)
     for n in SIZES:
-        store, params, split = world(hp, n, seed=n)
+        store, params, split = thread_world(hp, n, seed=n)
         batches = list(make_batches(split, n, hp.seq_len))
         qnn_threads.clear()
         one, two = both_ways(monkeypatch,
@@ -89,14 +59,14 @@ def test_split_probs_match_one_thread(monkeypatch, qnn_threads, d_t, kind, act):
         assert np.all(np.isfinite(one))
         assert np.array_equal(one, two), (n, np.max(np.abs(one - two)))
         helper_ran = any(name != threading.current_thread().name for name in qnn_threads)
-        assert helper_ran == (n >= 2 * model.QNN_SPLIT_MIN_ROWS), n
+        assert helper_ran == (n >= 2 * qnn.QNN_SPLIT_MIN_ROWS), n
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_split_evaluate_matches_one_thread(monkeypatch, kind):
     # Two length-sorted batches, 1024 and 976 rows, an all-empty run first.
-    hp = hyper(64, attn_kind=kind)
-    store, params, split = world(hp, 2000, seed=7)
+    hp = thread_hp(64, attn_kind=kind)
+    store, params, split = thread_world(hp, 2000, seed=7)
     one, two = both_ways(monkeypatch, lambda: evaluate(params, hp, store, split))
     assert np.array_equal(one["probs"], two["probs"])
     assert (one["auc"], one["logloss"]) == (two["auc"], two["logloss"])
@@ -108,10 +78,10 @@ def test_split_evaluate_matches_one_thread(monkeypatch, kind):
 def test_float32_copies_score_in_float32(monkeypatch, qnn_threads, kind, interaction, workers):
     # No kernel re-casts its inputs, so float32 copies of the parameters and
     # the store give float32 probabilities, on the serial and split paths.
-    hp = hyper(64, attn_kind=kind, interaction=interaction)
-    store, params, split = world(hp, 954, seed=17)
+    hp = thread_hp(64, attn_kind=kind, interaction=interaction)
+    store, params, split = thread_world(hp, 954, seed=17)
     batches = list(make_batches(split, 512, hp.seq_len))   # 512 and 442 rows
-    cpus(monkeypatch, workers)
+    usable(monkeypatch, workers)
     want = model.predict_probs(params, hp, store, batches)
     qnn_threads.clear()
     got = model.predict_probs(ModelParams(params.shapes, params.flat.astype(np.float32)), hp,
@@ -123,8 +93,8 @@ def test_float32_copies_score_in_float32(monkeypatch, qnn_threads, kind, interac
 
 
 def test_split_all_empty_histories(monkeypatch, qnn_threads):
-    hp = hyper(64)
-    store, params, split = world(hp, 954, seed=3, empty=True)
+    hp = thread_hp(64)
+    store, params, split = thread_world(hp, 954, seed=3, empty=True)
     batches = list(make_batches(split, 954, hp.seq_len))
     one, two = both_ways(monkeypatch, lambda: model.predict_probs(params, hp, store, batches))
     assert np.array_equal(one, two)
@@ -132,33 +102,19 @@ def test_split_all_empty_histories(monkeypatch, qnn_threads):
 
 
 def test_mlp_interaction_never_splits(monkeypatch):
-    hp = hyper(64, interaction="mlp", mlp_dims=(32, 16))
-    store, params, split = world(hp, 1023, seed=5)
+    hp = thread_hp(64, interaction="mlp", mlp_dims=(32, 16))
+    store, params, split = thread_world(hp, 1023, seed=5)
     batches = list(make_batches(split, 1023, hp.seq_len))
-    cpus(monkeypatch, 1)
+    usable(monkeypatch, 1)
     one = model.predict_probs(params, hp, store, batches)
-    cpus(monkeypatch, 2)
+    usable(monkeypatch, 2)
     monkeypatch.setattr(model, "ThreadPoolExecutor", None)   # any use would raise
     assert np.array_equal(one, model.predict_probs(params, hp, store, batches))
 
 
-@pytest.fixture
-def started(monkeypatch):
-    """Threads started during the test, counted through Thread.start."""
-    starts = []
-    real = threading.Thread.start
-
-    def start(self):
-        starts.append(self.name)
-        real(self)
-
-    monkeypatch.setattr(threading.Thread, "start", start)
-    return starts
-
-
 def test_one_cpu_starts_no_thread(monkeypatch, started):
-    hp = hyper(64)    # width 128: past the real gate
-    store, params, split = world(hp, 1023, seed=9)
+    hp = thread_hp(64)    # width 128: past the real gate
+    store, params, split = thread_world(hp, 1023, seed=9)
     batches = list(make_batches(split, 1023, hp.seq_len))
     monkeypatch.setattr(model, "usable_cpus", lambda: 1)
     before = threading.active_count()
@@ -168,8 +124,8 @@ def test_one_cpu_starts_no_thread(monkeypatch, started):
 
 
 def test_helper_thread_ends_with_the_call(monkeypatch, started):
-    hp = hyper(64)
-    store, params, split = world(hp, 2000, seed=9)
+    hp = thread_hp(64)
+    store, params, split = thread_world(hp, 2000, seed=9)
     batches = list(make_batches(split, 1000, hp.seq_len))
     monkeypatch.setattr(model, "usable_cpus", lambda: 2)
     before = threading.active_count()
@@ -179,28 +135,28 @@ def test_helper_thread_ends_with_the_call(monkeypatch, started):
 
 
 def test_helper_error_reaches_caller_with_its_type(monkeypatch):
-    hp = hyper(64)
-    store, params, split = world(hp, 1023, seed=11)
+    hp = thread_hp(64)
+    store, params, split = thread_world(hp, 1023, seed=11)
     batches = list(make_batches(split, 1023, hp.seq_len))
     caller = threading.current_thread()
-    real = model.qnn_layer_forward
+    real = qnn.prelu
 
-    def layer(w, slope, x, cfg, drop_mask=None):
+    def failing(*args, **kwargs):
         if threading.current_thread() is not caller:   # the helper's half only
-            w = w[:, :-1]
-        return real(w, slope, x, cfg, drop_mask)
+            raise ShapeError("helper half failed")
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(model, "qnn_layer_forward", layer)
+    monkeypatch.setattr(qnn, "prelu", failing)
     monkeypatch.setattr(model, "usable_cpus", lambda: 2)
     before = threading.active_count()
-    with pytest.raises(ShapeError, match="does not match dim"):
+    with pytest.raises(ShapeError, match="helper half failed"):
         model.predict_probs(params, hp, store, batches)
     assert threading.active_count() == before
 
 
 def test_wide_training_with_dropout_same_bits(monkeypatch):
-    hp = hyper(48, dropout_p=0.1, attn_dropout_p=0.1)   # width 96
-    store, params, data = world(hp, 900, seed=13)
+    hp = thread_hp(48, dropout_p=0.1, attn_dropout_p=0.1)   # width 96
+    store, params, data = thread_world(hp, 900, seed=13)
     cfg = TrainConfig(batch_size=128, epochs=2, patience=5, seed=4)
 
     def run():

@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import split_of
+from conftest import relabeled, split_of
 
 from qin.config import HyperParams, TrainConfig
-from qin.dataio import Split, make_batches
+from qin.dataio import make_batches
 from qin.embedding import EmbeddingStore, Sample
 from qin.errors import DataError, SingleClassError
 from qin.linalg import make_rng
@@ -229,15 +229,24 @@ def test_evaluate_deterministic_and_single_class_guard():
 
 
 def test_evaluate_rejects_a_label_other_than_0_or_1():
-    # Split.from_lengths takes any label; evaluate must not report an AUC for it.
+    # The Split constructor takes any label; evaluate must not report an AUC for it.
     store, split = tiny_world(seed=10)
     params = init_params(HP, make_rng(11))
     for bad in (2.0, 0.5):
-        labels = split.labels.copy()
-        labels[3] = bad
-        relabeled = Split.from_lengths(split.targets, labels, split.lengths, split.ids)
         with pytest.raises(DataError, match=f"got {bad!r} at row 3"):
-            evaluate(params, HP, store, relabeled)
+            evaluate(params, HP, store, relabeled(split, 3, bad))
+
+
+def test_train_refuses_a_label_other_than_0_or_1():
+    # The Split constructor takes any label; bce_loss would take 2.0 as a target.
+    store, split = tiny_world(seed=10)
+    params = init_params(HP, make_rng(11))
+    before = params.flat.copy()
+    cfg = TrainConfig(batch_size=16, epochs=1, patience=1, seed=0)
+    for bad in (2.0, 0.5, -1.0, float("nan")):
+        with pytest.raises(DataError, match=rf"sample 3 has label {bad!r}, expected 0 or 1$"):
+            train(params, HP, store, relabeled(split, 3, bad), split[:40], cfg)
+    assert np.array_equal(params.flat, before)
 
 
 def test_evaluate_nan_head_weight_reports_nan_auc():

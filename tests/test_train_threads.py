@@ -1,0 +1,204 @@
+"""Training with each QNN layer on two row halves, against one thread, bit for bit.
+
+The split is forced on by lowering QNN_SPLIT_MIN_DIM and reporting two
+usable CPUs, and forced off by reporting one (conftest.usable). Width 32
+is the widest span of small-matrix GEMM rows in OpenBLAS (up to 37), so
+a half there has the fewest rows to spare; width 128 runs under the real
+gate.
+"""
+
+import importlib.util
+import pathlib
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+from conftest import thread_hp, thread_world, usable
+
+from qin import model, qnn
+from qin.config import TrainConfig
+from qin.errors import ShapeError
+from qin.linalg import make_rng
+from qin.params import copy_params, save_checkpoint
+from qin.qnn import QNN_SPLIT_MIN_ROWS, QnnConfig, qnn_backward, qnn_forward
+from qin.train import train
+
+KINDS = ("relu", "softmax", "relu2", "silu", "mean")
+# Halves below, at and above QNN_SPLIT_MIN_ROWS, and a wide batch.
+BATCH_SIZES = (255, 256, 257, 1023)
+TRAIN_ROWS = 1100   # every batch size above leaves a short last batch
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "qinbench" / "tracing.py"
+
+
+@pytest.fixture
+def backward_threads(monkeypatch):
+    """Names of the threads that ran a backward row block; only training runs one."""
+    names = []
+    real = qnn.prelu_grad
+
+    def spy(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qnn, "prelu_grad", spy)
+    return names
+
+
+def helper_ran(names) -> bool:
+    return any(name != threading.current_thread().name for name in names)
+
+
+def trained(hp, store, params, data, batch_size, path):
+    """History lines and checkpoint bytes of a 2-epoch run."""
+    cfg = TrainConfig(batch_size=batch_size, epochs=2, patience=5, seed=4)
+    result = train(copy_params(params), hp, store, data[:TRAIN_ROWS], data[TRAIN_ROWS:], cfg)
+    save_checkpoint(result.params, str(path))
+    return [e.line() for e in result.history], path.read_bytes()
+
+
+@pytest.mark.parametrize("dropout_p", [0.0, 0.1])
+@pytest.mark.parametrize("act", ["prelu", "relu"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_split_training_matches_one_thread(monkeypatch, tmp_path, backward_threads, kind, act,
+                                           dropout_p):
+    hp = thread_hp(16, attn_kind=kind, qnn_act=act, dropout_p=dropout_p)
+    store, params, data = thread_world(hp, TRAIN_ROWS + 300, seed=21)
+    for batch_size in BATCH_SIZES:
+        usable(monkeypatch, 1)
+        one = trained(hp, store, params, data, batch_size, tmp_path / "one.ckpt")
+        backward_threads.clear()
+        usable(monkeypatch, 2)
+        two = trained(hp, store, params, data, batch_size, tmp_path / "two.ckpt")
+        assert one == two, batch_size
+        assert helper_ran(backward_threads) == (batch_size >= 2 * QNN_SPLIT_MIN_ROWS)
+
+
+@pytest.mark.parametrize("kind", ["softmax", "mean"])
+def test_wide_training_matches_one_thread_under_the_real_gate(monkeypatch, tmp_path,
+                                                              backward_threads, kind):
+    hp = thread_hp(64, attn_kind=kind, dropout_p=0.1, attn_dropout_p=0.1)   # width 128
+    store, params, data = thread_world(hp, TRAIN_ROWS + 300, seed=23)
+    runs = []
+    for count in (1, 2):
+        monkeypatch.setattr(model, "usable_cpus", lambda: count)
+        runs.append(trained(hp, store, params, data, 600, tmp_path / f"{count}.ckpt"))
+    assert runs[0] == runs[1]
+    assert helper_ran(backward_threads)
+
+
+class CountingHelper(ThreadPoolExecutor):
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+def stack_pass(ws, slopes, x1, cfg, masks, d_out, helper):
+    x_last, layers = qnn_forward(ws, slopes, x1, cfg, masks, helper)
+    d_ws, d_slopes, d_x1 = qnn_backward(ws, slopes, cfg, layers, d_out, helper)
+    arrays = [x_last, *d_ws, d_slopes, d_x1]
+    for layer in layers:
+        arrays += [layer.t, layer.h]
+    return arrays
+
+
+@pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+@pytest.mark.parametrize("act", ["prelu", "relu"])
+@pytest.mark.parametrize("residual", [True, False])
+def test_split_layers_match_one_thread(residual, act, dropout_p):
+    dim, depth = 128, 3
+    cfg = QnnConfig(depth=depth, m=2, dim=dim, dropout_p=dropout_p, residual=residual, act=act)
+    rng = make_rng(5)
+    ws = [rng.standard_normal((dim, dim)) * 0.05 for _ in range(depth)]
+    slopes = np.array([0.25, -0.1, 0.4])
+    with CountingHelper() as helper:
+        for n in (1, 2, 255, 256, 257, 954, 1023):
+            x1 = rng.standard_normal((n, dim)) * 0.5
+            masks = None
+            if dropout_p:
+                masks = [rng.random((n, dim)) >= dropout_p for _ in range(depth)]
+            d_out = rng.standard_normal((n, dim))
+            one = stack_pass(ws, slopes, x1, cfg, masks, d_out, None)
+            helper.submitted = 0
+            two = stack_pass(ws, slopes, x1, cfg, masks, d_out, helper)
+            assert all(np.all(np.isfinite(a)) for a in one)
+            assert all(np.array_equal(a, b) for a, b in zip(one, two)), n
+            # Forward: one hand-off per layer; backward: two.
+            split = n >= 2 * QNN_SPLIT_MIN_ROWS
+            assert helper.submitted == (3 * depth if split else 0), n
+
+
+def test_one_cpu_starts_no_thread_in_train(monkeypatch, started):
+    hp = thread_hp(64)    # width 128: past the real gate
+    store, params, data = thread_world(hp, TRAIN_ROWS + 300, seed=9)
+    monkeypatch.setattr(model, "usable_cpus", lambda: 1)
+    before = threading.active_count()
+    train(params, hp, store, data[:TRAIN_ROWS], data[TRAIN_ROWS:],
+          TrainConfig(batch_size=512, epochs=2, patience=5, seed=1))
+    assert started == []
+    assert threading.active_count() == before
+
+
+def test_helper_thread_ends_with_train(monkeypatch, started, backward_threads):
+    hp = thread_hp(64)
+    store, params, data = thread_world(hp, TRAIN_ROWS + 300, seed=9)
+    monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+    before = threading.active_count()
+    train(params, hp, store, data[:TRAIN_ROWS], data[TRAIN_ROWS:],
+          TrainConfig(batch_size=512, epochs=2, patience=5, seed=1))
+    assert len(started) == 1            # one helper for every step and evaluation
+    assert helper_ran(backward_threads)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("kernel", ["prelu", "prelu_grad"])   # forward, backward
+def test_helper_error_reaches_train_with_its_type(monkeypatch, kernel):
+    hp = thread_hp(64)
+    store, params, data = thread_world(hp, TRAIN_ROWS + 300, seed=11)
+    caller = threading.current_thread()
+    real = getattr(qnn, kernel)
+
+    def failing(*args, **kwargs):
+        if threading.current_thread() is not caller:   # the helper's half only
+            raise ShapeError("helper half failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qnn, kernel, failing)
+    monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(ShapeError, match="helper half failed"):
+        train(params, hp, store, data[:TRAIN_ROWS], data[TRAIN_ROWS:],
+              TrainConfig(batch_size=512, epochs=1, patience=5, seed=1))
+    assert threading.active_count() == before
+
+
+def test_helper_enters_no_traced_name(monkeypatch, backward_threads):
+    # The benchmark's tracer rebinds these names and keeps one span stack
+    # for all threads, so only the calling thread may enter them.
+    spec = importlib.util.spec_from_file_location("qinbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    entered = []
+    for module_name, attr, _, _ in tracing.SHIMS:
+        module = importlib.import_module(module_name)
+        if not hasattr(module, attr):
+            continue
+
+        def shim(*args, _fn=getattr(module, attr), _name=f"{module_name}.{attr}", **kwargs):
+            entered.append((_name, threading.current_thread().name))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, shim)
+    hp = thread_hp(64, dropout_p=0.1)
+    store, params, data = thread_world(hp, TRAIN_ROWS + 300, seed=13)
+    monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+    train(params, hp, store, data[:TRAIN_ROWS], data[TRAIN_ROWS:],
+          TrainConfig(batch_size=512, epochs=2, patience=5, seed=1))
+    assert helper_ran(backward_threads)
+    assert {"qin.model.qnn_forward", "qin.model.qnn_backward"} <= {n for n, _ in entered}
+    main = threading.current_thread().name
+    assert [(n, t) for n, t in entered if t != main] == []
