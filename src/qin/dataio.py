@@ -41,7 +41,7 @@ from .atomic import atomic_write
 from .config import HyperParams
 from .embedding import Batch, Sample, load_embeddings
 from .errors import DataError
-from .linalg import FLOAT
+from .linalg import FLOAT, TRAIN_FLOAT
 
 WRITE_TOKENS = 1 << 14  # line tokens gathered into bytes per write
 READ_BYTES = 1 << 18    # bytes of canonical lines cut into columns per step
@@ -377,8 +377,8 @@ def _gather(split: Split, rows: np.ndarray, width: int | None) -> Batch:
     # masked store is cheaper than gathering through the boolean mask.
     seq_ids = split.ids.take(at, mode="clip") if split.ids.size else np.zeros_like(at)
     seq_ids[~live] = 0
-    return Batch(target_ids=split.targets[rows], seq_ids=seq_ids, mask=live.astype(FLOAT),
-                 labels=split.labels[rows])
+    return Batch(target_ids=split.targets[rows], seq_ids=seq_ids, mask=live.astype(TRAIN_FLOAT),
+                 labels=split.labels[rows].astype(TRAIN_FLOAT))
 
 
 def _batches(split: Split, order: np.ndarray, batch_size: int,

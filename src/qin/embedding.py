@@ -49,12 +49,15 @@ class Sample:
 
 @dataclass
 class Batch:
-    """Padded id matrix plus left-aligned {0,1} mask; labels as float64."""
+    """Padded id matrix plus left-aligned {0,1} mask; mask and labels as float32.
+
+    {0, 1} is exact in float32, and the float64 paths widen it exactly.
+    """
 
     target_ids: np.ndarray  # (n,) int64
     seq_ids: np.ndarray     # (n, s) int64, zero-padded
-    mask: np.ndarray        # (n, s) float64
-    labels: np.ndarray      # (n,) float64
+    mask: np.ndarray        # (n, s) float32
+    labels: np.ndarray      # (n,) float32
 
     @property
     def size(self) -> int:

@@ -23,7 +23,7 @@ from .dataio import Split, build_batch
 from .embedding import EmbeddingStore
 from .errors import ConfigError, QinError
 from .linalg import FLOAT, make_rng, spawn_rng
-from .metrics import bce_loss
+from .metrics import bce_logit_loss
 from .model import draw_dropout_masks, loss_and_grads, model_forward
 from .params import copy_params, init_params
 
@@ -202,7 +202,7 @@ def run_model_gradcheck(seed: int, hp: HyperParams | None = None,
             trial = copy_params(params)
             trial.flat[span] = vec
             trace = model_forward(trial, hp, store, batch, masks)
-            return bce_loss(trace.probs, batch.labels), collect_kink_preacts(trace, hp)
+            return bce_logit_loss(trace.logits, batch.labels), collect_kink_preacts(trace, hp)
 
         reports.append(check(forward, analytic, params.flat[span], step=step,
                              rel_tol=rel_tol, name=cls_name, seed=seed))

@@ -4,7 +4,11 @@ Arrays are plain C-order ``numpy.ndarray``; products are numpy's own ``@``.
 These kernels and the model's layers compute in the dtype of their
 inputs and re-cast none of them. The dtype is set where data enters: the
 parameter buffer, the checkpoint and embedding loaders, the ``Split``
-columns, the batch mask and the generator, each to ``FLOAT`` (float64).
+columns and the generator take ``FLOAT`` (float64), the reference dtype
+of checkpoints, gradcheck and scoring. ``train`` takes ``TRAIN_FLOAT``
+(float32) copies of the parameters and the store at entry and trains on
+them, and a batch's mask and labels are ``TRAIN_FLOAT``: {0, 1} is exact
+in float32 and widens exactly, so the float64 paths keep their bits.
 Randomness always flows through :func:`make_rng` (PCG64), which gives an
 identical draw stream for an identical seed on every platform.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 FLOAT = np.float64
+TRAIN_FLOAT = np.float32
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -17,7 +17,7 @@ import numpy as np
 from .asta import AttentionConfig, asta_backward, asta_forward
 from .config import HyperParams
 from .embedding import Batch, EmbeddingStore, embedding_grad_accumulate, item_table, lookup_target
-from .metrics import bce_backward, bce_loss, head_forward
+from .metrics import bce_backward, bce_logit_loss, head_forward
 from .params import ModelParams, zero_gradients
 from .qnn import (QnnConfig, assemble_x1, layer_slopes, mlp_backward, mlp_forward, qnn_backward,
                   qnn_forward, qnn_layer_forward)
@@ -36,6 +36,11 @@ from .qnn import (QnnConfig, assemble_x1, layer_slopes, mlp_backward, mlp_forwar
 # with 4-item histories 1.20-1.26 / 1.26-1.49 / 1.38-1.51; depth 2 with
 # 32-item histories 1.05-1.14 / 1.09-1.11 / 1.11-1.17; at width 32, depth 2
 # and 32 items, 0.81 at the desk batch of 256 and 0.95-1.04 at 1 024.
+# Those steps ran in float64. In float32, the training dtype, the same
+# step with depth 4 and 4-item histories ran 1.01-1.03 / 1.15-1.19 /
+# 1.16-1.28 split at width 64 / 96 / 128, against 1.06-1.13 / 1.14-1.21 /
+# 1.27 in float64 in the same two rounds (40 and 60 alternating pairs);
+# depth 2 with 32-item histories at width 128, 1.08-1.09 against 1.11-1.14.
 # Below 96 the QNN is too small a share of a batch to pay for the hand-off,
 # and numpy's short calls fight over the GIL.
 QNN_SPLIT_MIN_DIM = 96
@@ -56,6 +61,7 @@ class ModelTrace:
     pool_trace: object
     inter_trace: object
     x_last: np.ndarray
+    logits: np.ndarray
     probs: np.ndarray
 
 
@@ -99,9 +105,9 @@ def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
     else:
         x_last, inter_trace = mlp_forward(params.mlp_w, params.mlp_b, x1)
 
-    _, probs = head_forward(params.head_w, params.head_b, x_last)
+    logits, probs = head_forward(params.head_w, params.head_b, x_last)
     return ModelTrace(batch=batch, pool_trace=pool_trace, inter_trace=inter_trace,
-                      x_last=x_last, probs=probs)
+                      x_last=x_last, logits=logits, probs=probs)
 
 
 def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
@@ -144,8 +150,11 @@ def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
 
 def loss_and_grads(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
                    batch: Batch, masks: tuple | None = None, helper=None):
-    """One batch: mean BCE loss, full gradients, and the predicted probabilities,
-    under the keep-masks of model_forward.
+    """One batch: mean BCE loss of the logits, full gradients, and the predicted
+    probabilities, under the keep-masks of model_forward.
+
+    Everything but the loss, which metrics.bce_logit_loss reports in
+    float64, computes in the dtype of the parameters and the store.
 
     helper is the thread of qnn_helper(hp), or None. With it, each QNN
     layer of a batch of at least 2 * QNN_SPLIT_MIN_ROWS rows runs on two
@@ -153,7 +162,7 @@ def loss_and_grads(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
     without it. Everything else runs whole in the calling thread.
     """
     trace = model_forward(params, hp, store, batch, masks, helper)
-    loss = bce_loss(trace.probs, batch.labels)
+    loss = bce_logit_loss(trace.logits, batch.labels)
     d_logits = bce_backward(trace.probs, batch.labels)
     grads = model_backward(params, hp, trace, d_logits, helper)
     return loss, grads, trace.probs

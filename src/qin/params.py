@@ -1,10 +1,12 @@
 """Learnable parameters in one flat buffer, and bit-exact checkpoints.
 
-ModelParams holds every tensor as a named view into one float64 buffer,
-``flat``, laid out in ``expected_shapes`` order: the init draw order and
-the checkpoint entry order. A gradient is a zeroed ModelParams of the same
-layout, so Adam, the best-epoch copy, gradcheck and checkpoints each work
-on the buffer instead of tensor by tensor.
+ModelParams holds every tensor as a named view into one buffer, ``flat``,
+laid out in ``expected_shapes`` order: the init draw order and the
+checkpoint entry order. The buffer is float64 wherever it is made here;
+train steps a float32 copy (see train.py). A gradient is a zeroed
+ModelParams of the same layout and dtype, so Adam, the best-epoch copy,
+gradcheck and checkpoints each work on the buffer instead of tensor by
+tensor.
 
 Each QNN layer is one (D, D) matrix ``qnn_w_<l>``: the sum of the
 paper's m linear heads. The forward pass only uses that sum and every head
@@ -86,8 +88,8 @@ class ModelParams:
 
 
 def zero_gradients(params: ModelParams) -> ModelParams:
-    """A zeroed gradient: a ModelParams of the same layout."""
-    return ModelParams(params.shapes)
+    """A zeroed gradient: a ModelParams of the same layout and dtype."""
+    return ModelParams(params.shapes, np.zeros_like(params.flat))
 
 
 def copy_params(params: ModelParams) -> ModelParams:

@@ -49,10 +49,14 @@ from .errors import ShapeError
 from .linalg import FLOAT, prelu, prelu_grad, prelu_slope_terms
 
 # Fewest rows in a half; a batch under twice this runs whole. OpenBLAS
-# takes a small-matrix path for a GEMM of up to 37 rows at width 32, 12 at
-# 96 and 9 at 128, and a gemv for one row; either gives other last bits
-# than the whole batch's GEMM. From 10 rows on at width 128 a row block's
-# product has the whole batch's bits.
+# 0.3.31 (AVX-512 Xeon, one thread) takes a small-matrix path for x @ w.T
+# of up to 37 rows at width 32, 18 at 64, 12 at 96, 9 at 128 and 4 at
+# 256, and a gemv for one row of d_t @ w; either gives other last bits
+# than the whole batch's GEMM. sgemm (float32, the training dtype) and
+# dgemm cut over at the same row counts: a row block of 1-299 rows at
+# offsets 0, 1, 511 and the end of a 1 024-row batch was compared with
+# the whole product in both dtypes. From 10 rows on at width 128 a row
+# block's product has the whole batch's bits.
 QNN_SPLIT_MIN_ROWS = 128
 
 

@@ -7,10 +7,19 @@ Adam updates the flat parameter buffer (see params.py) in fixed-size
 chunks, with its moments in two arrays of the same layout. Its beta1, beta2
 and eps are the module constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
+Training runs in float32 (TRAIN_FLOAT): train takes float32 copies of the
+parameters and the store at entry, so the gradients, the Adam moments,
+every trace and the per-epoch validation pass are float32 through kernels
+that follow their inputs. The kept parameters come back widened to
+float64, which is exact, so checkpoints, scoring and gradcheck stay
+float64. The loss is taken on the logits (metrics.bce_logit_loss), which
+stays finite where a float32 probability saturates to 1.0.
+
 Determinism contract: the epoch shuffle and the per-step dropout masks, which
 train draws and passes to the forward pass, derive from the run seed, and
-parameters update in a fixed buffer order, so identical seeds give
-bit-identical histories and checkpoints. A wide QNN's layers may run on two
+the float32 parameters update in a fixed buffer order, so identical seeds
+give bit-identical histories and checkpoints; the float64 checkpoint
+holds the float32 values exactly. A wide QNN's layers may run on two
 row halves at once, in the calling thread and one helper thread that train
 holds for the whole call and evaluation shares (see model.qnn_helper). Every
 row-wise op gives the one-thread pass's bits on a half, and the sums over
@@ -30,7 +39,7 @@ from .atomic import atomic_write
 from .dataio import Split, check_labels, length_sorted_batches, make_batches
 from .embedding import EmbeddingStore
 from .errors import NonFiniteLossError, ShapeError, SingleClassError
-from .linalg import FLOAT, spawn_rng
+from .linalg import FLOAT, TRAIN_FLOAT, spawn_rng
 from .metrics import auc, bce_loss
 from .model import draw_dropout_masks, loss_and_grads, predict_probs, qnn_helper
 from .params import ModelParams, copy_params, lr_scale
@@ -123,7 +132,9 @@ def evaluate(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
 
     Rows are scored in stable history-length order, each batch cut to its
     longest history, so ragged histories score few padded slots; "probs"
-    is returned in input order. helper is as in model.predict_probs.
+    is returned in input order and as float64, whatever the parameters'
+    dtype, and the metrics are taken on it. helper is as in
+    model.predict_probs.
     """
     if not len(split):
         raise SingleClassError("cannot evaluate an empty dataset")
@@ -138,10 +149,12 @@ def train(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
           data_train: Split, data_valid: Split, cfg: TrainConfig) -> TrainResult:
     """Epoch loop with seeded shuffling and early stopping on valid AUC.
 
-    Keeps the parameters of the best-validation epoch and stops after
-    `patience` epochs without improvement. epochs=0 returns the initial
-    parameters untouched with an empty history. A training label other
-    than 0 or 1 raises DataError before any step.
+    Steps float32 copies of params and store; the caller's params are not
+    changed. Keeps the parameters of the best-validation epoch, widened to
+    float64, and stops after `patience` epochs without improvement.
+    epochs=0 returns a copy of the initial parameters with an empty
+    history. A training label other than 0 or 1 raises DataError before
+    any step.
     """
     if not len(data_train):
         raise SingleClassError("training split is empty")
@@ -149,10 +162,12 @@ def train(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
     if set(np.unique(data_valid.labels)) != {0, 1}:
         raise SingleClassError("validation split must contain both classes")
 
+    result = TrainResult(params=copy_params(params))
+    params = ModelParams(params.shapes, params.flat.astype(TRAIN_FLOAT))
+    store = EmbeddingStore(store.data.astype(TRAIN_FLOAT))
     state = AdamState.for_params(params)
     factors = lr_scale(hp)
     shuffle_rng = spawn_rng(cfg.seed, _SHUFFLE_STREAM)
-    result = TrainResult(params=copy_params(params))
     best_auc = -np.inf
     since_best = 0
     global_step = 0
@@ -178,7 +193,7 @@ def train(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
                                                val_logloss=metrics["logloss"]))
             if metrics["auc"] > best_auc:
                 best_auc = metrics["auc"]
-                result.params = copy_params(params)
+                result.params = ModelParams(params.shapes, params.flat.astype(FLOAT))
                 result.best_epoch = epoch
                 result.best_auc = best_auc
                 since_best = 0

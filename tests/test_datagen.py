@@ -148,12 +148,12 @@ def test_make_batches_seeded_shuffle_deterministic():
 
 
 def per_sample_batch(samples, max_seq_len):
-    """Reference: the per-sample packing loop build_batch replaced."""
+    """Reference: the per-sample packing loop build_batch replaced; float32 mask and labels."""
     n = len(samples)
     target_ids = np.zeros(n, dtype=np.int64)
     seq_ids = np.zeros((n, max_seq_len), dtype=np.int64)
-    mask = np.zeros((n, max_seq_len), dtype=float)
-    labels = np.zeros(n, dtype=float)
+    mask = np.zeros((n, max_seq_len), dtype=np.float32)
+    labels = np.zeros(n, dtype=np.float32)
     for i, s in enumerate(samples):
         target_ids[i] = s.target_id
         seq_ids[i, :len(s.seq_ids)] = s.seq_ids

@@ -92,20 +92,21 @@ def test_non_finite_forward_rejected():
 def reference_instance(hp, seed, n=4):
     """The draws of a gradcheck instance, one sample at a time: the params,
     the id table, the store, then per row its history length, its history
-    and its target. The batch is padded by hand."""
+    and its target. The batch is padded by hand; its mask and labels are
+    float32, as every batch's are."""
     rng = make_rng(seed)
     params = init_params(hp, rng)
     params.id_embedding = rng.standard_normal(params.id_embedding.shape) * 0.5
     store = rng.standard_normal((hp.vocab, hp.d_frozen)) * 0.5
     target_ids = np.zeros(n, dtype=np.int64)
     seq_ids = np.zeros((n, hp.seq_len), dtype=np.int64)
-    mask = np.zeros((n, hp.seq_len))
+    mask = np.zeros((n, hp.seq_len), dtype=np.float32)
     for i in range(n):
         seq_len = int(rng.integers(1, hp.seq_len + 1))
         seq_ids[i, :seq_len] = rng.choice(hp.vocab, size=seq_len, replace=False)
         mask[i, :seq_len] = 1.0
         target_ids[i] = int(rng.integers(0, hp.vocab))
-    return params, store, (target_ids, seq_ids, mask, np.arange(n) % 2.0)
+    return params, store, (target_ids, seq_ids, mask, np.arange(n, dtype=np.float32) % 2)
 
 
 @pytest.mark.parametrize("hp", [gradcheck_hyperparams(), gradcheck_hyperparams(attn_kind="mean"),

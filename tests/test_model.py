@@ -16,7 +16,7 @@ from qin.config import HyperParams
 from qin.dataio import build_batch
 from qin.embedding import EmbeddingStore, Sample
 from qin.linalg import make_rng, segment_sum, spawn_rng
-from qin.metrics import bce_backward, bce_loss
+from qin.metrics import bce_backward, bce_logit_loss
 from qin.model import (attention_config, draw_dropout_masks, loss_and_grads, model_forward,
                        qnn_config)
 from qin.params import init_params, zero_gradients
@@ -98,7 +98,7 @@ def test_loss_and_grads_match_two_scatter_reference(kind, attn_dropout, d_frozen
     ref = two_scatter_model_backward(params, hp, trace,
                                      bce_backward(trace.probs, batch.labels))
 
-    assert loss == bce_loss(trace.probs, batch.labels)
+    assert loss == bce_logit_loss(trace.logits, batch.labels)
     assert probs.tobytes() == trace.probs.tobytes()
     for name, got in grads.views.items():
         assert got.tobytes() == ref.views[name].tobytes(), name
@@ -133,7 +133,9 @@ def test_attention_dropout_reaches_mean_pooling():
     trace = model_forward(params, hp, store, batch, masks)
     keep, _ = masks
     assert not keep[batch.mask > 0].all()   # some live slot is dropped
-    share = batch.mask * (1.0 / np.maximum(batch.mask.sum(axis=1), 1.0))[:, None]
+    mask = trace.pool_trace.mask   # the float32 batch mask, widened to the rows' float64
+    assert mask.dtype == np.float64 and np.array_equal(mask, batch.mask)
+    share = mask * (1.0 / np.maximum(mask.sum(axis=1), 1.0))[:, None]
     expected = share * keep / (1.0 - hp.attn_dropout_p)
     assert trace.pool_trace.weights.tobytes() == expected.tobytes()
 

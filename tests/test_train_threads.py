@@ -113,19 +113,25 @@ def test_split_layers_match_one_thread(residual, act, dropout_p):
     dim, depth = 128, 3
     cfg = QnnConfig(depth=depth, m=2, dim=dim, dropout_p=dropout_p, residual=residual, act=act)
     rng = make_rng(5)
-    ws = [rng.standard_normal((dim, dim)) * 0.05 for _ in range(depth)]
+    weights = [rng.standard_normal((dim, dim)) * 0.05 for _ in range(depth)]
     slopes = np.array([0.25, -0.1, 0.4])
+    # float64 over the sizes, then float32, the training dtype, at the
+    # smallest split and at an odd size above it.
+    cases = [(np.float64, n) for n in (1, 2, 255, 256, 257, 954, 1023)]
+    cases += [(np.float32, 2 * QNN_SPLIT_MIN_ROWS), (np.float32, 777)]
     with CountingHelper() as helper:
-        for n in (1, 2, 255, 256, 257, 954, 1023):
-            x1 = rng.standard_normal((n, dim)) * 0.5
+        for dtype, n in cases:
+            ws = [w.astype(dtype) for w in weights]
+            x1 = (rng.standard_normal((n, dim)) * 0.5).astype(dtype)
             masks = None
             if dropout_p:
                 masks = [rng.random((n, dim)) >= dropout_p for _ in range(depth)]
-            d_out = rng.standard_normal((n, dim))
-            one = stack_pass(ws, slopes, x1, cfg, masks, d_out, None)
+            d_out = rng.standard_normal((n, dim)).astype(dtype)
+            one = stack_pass(ws, slopes.astype(dtype), x1, cfg, masks, d_out, None)
             helper.submitted = 0
-            two = stack_pass(ws, slopes, x1, cfg, masks, d_out, helper)
+            two = stack_pass(ws, slopes.astype(dtype), x1, cfg, masks, d_out, helper)
             assert all(np.all(np.isfinite(a)) for a in one)
+            assert all(a.dtype == dtype for a in one if isinstance(a, np.ndarray)), n
             assert all(np.array_equal(a, b) for a, b in zip(one, two)), n
             # Forward: one hand-off per layer; backward: two.
             split = n >= 2 * QNN_SPLIT_MIN_ROWS
