@@ -182,7 +182,9 @@ def run_model_gradcheck(seed: int, hp: HyperParams | None = None,
     sabotage flips the sign of the analytic gradient for the named class,
     one of this model's (else ConfigError); the run must then fail, which
     self-tests the harness. One keep-mask pair, drawn from substream 1 of
-    seed, serves the analytic pass and every perturbed forward.
+    seed, serves the analytic pass and every perturbed forward. Each class
+    has one trial copy of the parameters; every forward overwrites the
+    class's whole span, so the rest stays at the instance's values.
     """
     hp = hp or gradcheck_hyperparams()
     params, store, batch = build_random_instance(hp, seed)
@@ -198,8 +200,7 @@ def run_model_gradcheck(seed: int, hp: HyperParams | None = None,
         if sabotage == cls_name:
             analytic = -analytic
 
-        def forward(vec, span=span):
-            trial = copy_params(params)
+        def forward(vec, span=span, trial=copy_params(params)):
             trial.flat[span] = vec
             trace = model_forward(trial, hp, store, batch, masks)
             return bce_logit_loss(trace.logits, batch.labels), collect_kink_preacts(trace, hp)

@@ -1,21 +1,18 @@
 """Prediction head, binary cross-entropy, and ranking metrics.
 
-Two losses, one per use. Training (``model.loss_and_grads``) and the
-gradient check take ``bce_logit_loss``, the mean of
-``logaddexp(0, z) - y z`` over the logits ``head_forward`` returns: it is
-finite for any finite logit and grows as |z| for a saturated wrong one.
-Evaluation has only probabilities and takes ``bce_loss``, which clamps
-them to [PROB_CLAMP, 1 - PROB_CLAMP]. Both losses and both AUCs widen
-their scores to float64, so a float32 probability of exactly 1.0 still
-meets a clamp below 1.0, and every reported number is a float64 sum.
-``bce_backward``'s ``(p - y) / n`` is the derivative of the logit loss
-and computes in the dtype of its inputs.
+One loss: ``bce_logit_loss``, the mean of ``logaddexp(0, z) - y z`` over
+the logits ``head_forward`` returns. Training (``model.loss_and_grads``),
+the gradient check and evaluation all take it. It is finite for any
+finite logit, grows as |z| for a saturated wrong one, and is NaN for a
+NaN logit. The loss and both AUCs widen their scores to float64, so every
+reported number is a float64 sum. ``bce_backward``'s ``(p - y) / n`` is
+the derivative of the loss and computes in the dtype of its inputs.
 
 The fast AUC uses rank sums with average ranks on ties, which is
 algebraically identical to the O(N^2) pairwise count (wins plus half
 ties); ``auc_bruteforce`` keeps the pairwise definition as the oracle.
-Both give NaN when any score is NaN, as ``bce_loss`` does for a NaN
-probability: a NaN orders neither above nor below anything.
+Both give NaN when any score is NaN: a NaN orders neither above nor
+below anything.
 """
 
 from __future__ import annotations
@@ -24,8 +21,6 @@ import numpy as np
 
 from .errors import DataError, ShapeError, SingleClassError
 from .linalg import FLOAT, sigmoid
-
-PROB_CLAMP = 1e-12
 
 
 def head_forward(head_w: np.ndarray, head_b: np.ndarray, x_last):
@@ -41,19 +36,12 @@ def bce_logit_loss(logits: np.ndarray, labels: np.ndarray) -> float:
     if logits.shape != labels.shape:
         raise ShapeError(f"logits/labels length mismatch: {logits.shape} vs {labels.shape}")
     z = np.asarray(logits, dtype=FLOAT)
-    return float(np.mean(np.logaddexp(0.0, z) - labels * z))
-
-
-def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean binary cross-entropy, in float64, with probabilities clamped away from {0, 1}."""
-    if probs.shape != labels.shape:
-        raise ShapeError(f"probs/labels length mismatch: {probs.shape} vs {labels.shape}")
-    p = np.clip(np.asarray(probs, dtype=FLOAT), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log1p(-p)))
+    with np.errstate(invalid="ignore"):   # a NaN logit gives a NaN loss, not a warning
+        return float(np.mean(np.logaddexp(0.0, z) - labels * z))
 
 
 def bce_backward(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d loss / d logit, computed from the unclamped probabilities: (p - y) / n."""
+    """d loss / d logit of bce_logit_loss, from the probabilities: (p - y) / n."""
     if probs.shape != labels.shape:
         raise ShapeError(f"probs/labels length mismatch: {probs.shape} vs {labels.shape}")
     return (probs - labels) / probs.shape[0]

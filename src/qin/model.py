@@ -3,6 +3,8 @@
 The pooling is the attention block for every attn_kind, the "w/o ASTA"
 mean pooling included (attn_kind mean). The model draws nothing: the
 caller passes each step's keep-masks, drawn by draw_dropout_masks.
+Training (loss_and_grads) and scoring (predict_logits) run the one
+forward pass, model_forward; scoring passes no masks.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from .config import HyperParams
 from .embedding import Batch, EmbeddingStore, embedding_grad_accumulate, item_table, lookup_target
 from .metrics import bce_backward, bce_logit_loss, head_forward
 from .params import ModelParams, zero_gradients
-from .qnn import (QnnConfig, assemble_x1, layer_slopes, mlp_backward, mlp_forward, qnn_backward,
-                  qnn_forward, qnn_layer_forward)
+from .qnn import QnnConfig, assemble_x1, mlp_backward, mlp_forward, qnn_backward, qnn_forward
 
 # QNN width (qnn_dim) from which scoring and training run the QNN layers of
 # each batch as two row halves on two threads (see qnn_helper). Median
@@ -80,17 +81,6 @@ def draw_dropout_masks(hp: HyperParams, n: int, rng: np.random.Generator):
     return attn_mask, qnn_masks
 
 
-def interaction_input(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-                      batch: Batch, attn_mask: np.ndarray | None = None):
-    """Lookup and attention: (pooling trace, x1)."""
-    table = item_table(store, params.id_embedding, batch.seq_ids)
-    x_t = lookup_target(store, params.id_embedding, batch.target_ids)
-    o, pool_trace = asta_forward(params.w_q, params.w_k, params.w_v,
-                                 attention_config(hp), x_t, table, batch.mask,
-                                 drop_mask=attn_mask, ids=batch.seq_ids)
-    return pool_trace, assemble_x1(x_t, o, hp.qnn_dim)
-
-
 def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
                   batch: Batch, masks: tuple | None = None, helper=None) -> ModelTrace:
     """The forward pass under the keep-masks of draw_dropout_masks; None means no dropout.
@@ -98,7 +88,12 @@ def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
     helper is qnn_helper's thread or None; see loss_and_grads.
     """
     attn_mask, qnn_masks = masks or (None, None)
-    pool_trace, x1 = interaction_input(params, hp, store, batch, attn_mask)
+    table = item_table(store, params.id_embedding, batch.seq_ids)
+    x_t = lookup_target(store, params.id_embedding, batch.target_ids)
+    o, pool_trace = asta_forward(params.w_q, params.w_k, params.w_v,
+                                 attention_config(hp), x_t, table, batch.mask,
+                                 drop_mask=attn_mask, ids=batch.seq_ids)
+    x1 = assemble_x1(x_t, o, hp.qnn_dim)
     if hp.interaction == "qnn":
         x_last, inter_trace = qnn_forward(params.qnn_w, params.prelu, x1, qnn_config(hp),
                                           qnn_masks, helper)
@@ -193,40 +188,17 @@ def qnn_helper(hp: HyperParams):
             yield helper
 
 
-def _split_probs(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-                 batch: Batch, helper: ThreadPoolExecutor) -> np.ndarray:
-    """model_forward's probabilities with the QNN layers split, each layer trace dropped.
+def predict_logits(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
+                   batches, helper=None) -> np.ndarray:
+    """model_forward's logits of every batch, dropout disabled, order preserved.
 
-    It calls qnn_layer_forward, not model_forward or qnn_forward, so a
-    traced run counts the calls of a training step only, as on one thread.
-    """
-    cfg = qnn_config(hp)
-    _, x = interaction_input(params, hp, store, batch)
-    for w, slope in zip(params.qnn_w, layer_slopes(params.prelu, cfg)):
-        x = qnn_layer_forward(w, slope, x, cfg, helper=helper)[0]
-    return head_forward(params.head_w, params.head_b, x)[1]
-
-
-def predict_probs(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-                  batches, helper=None) -> np.ndarray:
-    """Deterministic full-pass probabilities, dropout disabled, order preserved.
-
-    With qnn_helper's thread, a batch of at least 2 * QNN_SPLIT_MIN_ROWS
-    rows runs its QNN layers on its two row halves at once: the first half
-    in the calling thread, the second in the helper. helper is a thread
-    the caller holds from qnn_helper(hp), as train does; None starts one
-    for this call where qnn_helper gives one. Lookup, attention and the
-    head run on the whole batch in the calling thread. Every layer op
-    gives the same bits on a half of at least QNN_SPLIT_MIN_ROWS rows as
-    on the whole batch, so the probabilities equal the one-thread pass to
-    the bit; the head's gemv does not, which is why it waits for the
-    joined rows. An error in the helper half reaches the caller with its
-    own type. The probabilities take the dtype of the parameters and the
-    store.
+    helper is a thread the caller holds from qnn_helper(hp), as train
+    does; None starts one for this call where qnn_helper gives one. The
+    QNN layers split over it as in loss_and_grads, so the logits equal the
+    one-thread pass to the bit, and an error in the helper half reaches
+    the caller with its own type. The logits take the dtype of the
+    parameters and the store.
     """
     with qnn_helper(hp) if helper is None else nullcontext(helper) as helper:
-        if helper is None:
-            outs = [model_forward(params, hp, store, b).probs for b in batches]
-        else:
-            outs = [_split_probs(params, hp, store, b, helper) for b in batches]
+        outs = [model_forward(params, hp, store, b, helper=helper).logits for b in batches]
     return np.concatenate(outs) if outs else np.zeros(0, dtype=params.flat.dtype)

@@ -12,8 +12,9 @@ parameters and the store at entry, so the gradients, the Adam moments,
 every trace and the per-epoch validation pass are float32 through kernels
 that follow their inputs. The kept parameters come back widened to
 float64, which is exact, so checkpoints, scoring and gradcheck stay
-float64. The loss is taken on the logits (metrics.bce_logit_loss), which
-stays finite where a float32 probability saturates to 1.0.
+float64. Training and evaluation take one loss, on the logits
+(metrics.bce_logit_loss), which stays finite where a float32 probability
+saturates to 1.0.
 
 Determinism contract: the epoch shuffle and the per-step dropout masks, which
 train draws and passes to the forward pass, derive from the run seed, and
@@ -39,9 +40,9 @@ from .atomic import atomic_write
 from .dataio import Split, check_labels, length_sorted_batches, make_batches
 from .embedding import EmbeddingStore
 from .errors import NonFiniteLossError, ShapeError, SingleClassError
-from .linalg import FLOAT, TRAIN_FLOAT, spawn_rng
-from .metrics import auc, bce_loss
-from .model import draw_dropout_masks, loss_and_grads, predict_probs, qnn_helper
+from .linalg import FLOAT, TRAIN_FLOAT, sigmoid, spawn_rng
+from .metrics import auc, bce_logit_loss
+from .model import draw_dropout_masks, loss_and_grads, predict_logits, qnn_helper
 from .params import ModelParams, copy_params, lr_scale
 
 # Substream tags for the run seed, so shuffling and dropout never collide.
@@ -130,18 +131,22 @@ def evaluate(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
              split: Split, helper=None) -> dict:
     """Full-pass valid metrics, dropout disabled. Raises on single-class data.
 
-    Rows are scored in stable history-length order, each batch cut to its
-    longest history, so ragged histories score few padded slots; "probs"
-    is returned in input order and as float64, whatever the parameters'
-    dtype, and the metrics are taken on it. helper is as in
-    model.predict_probs.
+    Rows are scored by model.predict_logits in stable history-length
+    order, each batch cut to its longest history, so ragged histories
+    score few padded slots; helper is as there. "logloss" is
+    metrics.bce_logit_loss, the training loss, of the logits in input
+    order. "probs" is the head's sigmoid of those logits, in the
+    parameters' dtype, then widened to float64; its bits do not depend on
+    how the rows were batched, and the AUC is taken on it.
     """
     if not len(split):
         raise SingleClassError("cannot evaluate an empty dataset")
     order, batches = length_sorted_batches(split, EVAL_BATCH_SIZE, hp.seq_len)
-    probs = np.empty(len(split), dtype=FLOAT)
-    probs[order] = predict_probs(params, hp, store, batches, helper)
-    return {"auc": auc(probs, split.labels), "logloss": bce_loss(probs, split.labels),
+    scored = predict_logits(params, hp, store, batches, helper)
+    logits = np.empty_like(scored)
+    logits[order] = scored
+    probs = sigmoid(logits).astype(FLOAT)
+    return {"auc": auc(probs, split.labels), "logloss": bce_logit_loss(logits, split.labels),
             "probs": probs}
 
 
@@ -153,12 +158,13 @@ def train(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
     changed. Keeps the parameters of the best-validation epoch, widened to
     float64, and stops after `patience` epochs without improvement.
     epochs=0 returns a copy of the initial parameters with an empty
-    history. A training label other than 0 or 1 raises DataError before
-    any step.
+    history. A training or validation label other than 0 or 1 raises
+    DataError before any step.
     """
     if not len(data_train):
         raise SingleClassError("training split is empty")
     check_labels(data_train.labels)
+    check_labels(data_valid.labels)
     if set(np.unique(data_valid.labels)) != {0, 1}:
         raise SingleClassError("validation split must contain both classes")
 

@@ -1,3 +1,5 @@
+import importlib.util
+import pathlib
 import threading
 
 import numpy as np
@@ -74,6 +76,32 @@ def usable(monkeypatch, count):
     """Lower the QNN width gate to 0 and report count usable CPUs."""
     monkeypatch.setattr(model, "QNN_SPLIT_MIN_DIM", 0)
     monkeypatch.setattr(model, "usable_cpus", lambda: count)
+
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "qinbench" / "tracing.py"
+
+
+def spy_traced_names(monkeypatch) -> list:
+    """(name, thread name) of each call into a name the benchmark's tracer rebinds.
+
+    The tracer (qinbench/tracing.py, its SHIMS table) keeps one span stack
+    for all threads, so only the calling thread may enter these names.
+    """
+    spec = importlib.util.spec_from_file_location("qinbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    entered = []
+    for module_name, attr, _, _ in tracing.SHIMS:
+        module = importlib.import_module(module_name)
+        if not hasattr(module, attr):
+            continue
+
+        def shim(*args, _fn=getattr(module, attr), _name=f"{module_name}.{attr}", **kwargs):
+            entered.append((_name, threading.current_thread().name))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, shim)
+    return entered
 
 
 @pytest.fixture

@@ -377,7 +377,7 @@ def per_slot_reference(params, hp, store, batch, masks):
     """
     from conftest import lookup_sequence
     from qin.embedding import lookup_target
-    from qin.metrics import bce_backward, bce_loss, head_forward
+    from qin.metrics import bce_backward, bce_logit_loss, head_forward
     from qin.model import attention_config, qnn_config
     from qin.qnn import assemble_x1, qnn_backward, qnn_forward
 
@@ -389,7 +389,7 @@ def per_slot_reference(params, hp, store, batch, masks):
                            batch.mask, drop_mask=attn_mask)
     x_last, inter = qnn_forward(params.qnn_w, params.prelu, assemble_x1(x_t, o, hp.qnn_dim),
                                 qnn_config(hp), qnn_masks)
-    _, probs = head_forward(params.head_w, params.head_b, x_last)
+    logits, probs = head_forward(params.head_w, params.head_b, x_last)
     d_x_last = np.multiply.outer(bce_backward(probs, batch.labels), params.head_w)
     _, _, d_x1 = qnn_backward(params.qnn_w, params.prelu, qnn_config(hp), inter, d_x_last)
     grads = {}
@@ -401,7 +401,7 @@ def per_slot_reference(params, hp, store, batch, masks):
     live = batch.mask > 0
     np.add.at(d_id, batch.seq_ids[live], d_x_b[live][:, hp.d_frozen:])
     grads["id_embedding"] = d_id
-    return bce_loss(probs, batch.labels), probs, grads
+    return bce_logit_loss(logits, batch.labels), probs, grads
 
 
 PER_SLOT_CASES = [(kind, drop) for kind in KINDS for drop in (False, True)]

@@ -5,7 +5,7 @@ import pytest
 
 from qin.errors import DataError, ShapeError, SingleClassError
 from qin.linalg import make_rng, sigmoid
-from qin.metrics import auc, auc_bruteforce, bce_backward, bce_loss, head_forward
+from qin.metrics import auc, auc_bruteforce, bce_backward, bce_logit_loss, head_forward
 
 
 def test_head_zero_gives_half():
@@ -31,16 +31,21 @@ def test_head_shape_error():
 
 
 def test_bce_half_is_ln2():
-    assert abs(bce_loss(np.array([0.5]), np.array([1.0])) - math.log(2.0)) < 1e-12
+    assert abs(bce_logit_loss(np.array([0.0]), np.array([1.0])) - math.log(2.0)) < 1e-12
 
 
 def test_bce_perfect_prediction_tiny():
-    loss = bce_loss(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    logits = np.array([800.0, -800.0])
+    assert np.array_equal(sigmoid(logits), [1.0, 0.0])
+    loss = bce_logit_loss(logits, np.array([1.0, 0.0]))
     assert loss <= 1e-11
 
 
 def test_bce_two_sample_case():
-    loss = bce_loss(np.array([0.9, 0.2]), np.array([1.0, 0.0]))
+    # Probabilities 0.9 and 0.2, as logits log(p / (1 - p)).
+    logits = np.array([math.log(9.0), math.log(0.25)])
+    assert np.max(np.abs(sigmoid(logits) - [0.9, 0.2])) < 1e-15
+    loss = bce_logit_loss(logits, np.array([1.0, 0.0]))
     expected = -(math.log(0.9) + math.log(0.8)) / 2.0
     assert abs(loss - expected) < 1e-12
     assert abs(loss - 0.164252) < 1e-6
@@ -56,24 +61,29 @@ def test_bce_gradient_matches_finite_differences():
     for i in range(16):
         moved = logits.copy()
         moved[i] += h
-        f_plus = bce_loss(sigmoid(moved), labels)
+        f_plus = bce_logit_loss(moved, labels)
         moved[i] -= 2 * h
-        f_minus = bce_loss(sigmoid(moved), labels)
+        f_minus = bce_logit_loss(moved, labels)
         numeric = (f_plus - f_minus) / (2 * h)
         assert abs(grad[i] - numeric) / max(abs(grad[i]), abs(numeric), 1e-8) < 1e-6
 
 
 def test_bce_permutation_invariant():
     rng = make_rng(1)
-    probs = rng.random(20)
+    logits = rng.standard_normal(20) * 2
     labels = (rng.random(20) < 0.5).astype(float)
     perm = rng.permutation(20)
-    assert bce_loss(probs, labels) == pytest.approx(bce_loss(probs[perm], labels[perm]), abs=1e-15)
+    assert bce_logit_loss(logits, labels) == pytest.approx(
+        bce_logit_loss(logits[perm], labels[perm]), abs=1e-15)
+
+
+def test_bce_nan_logit_gives_nan():
+    assert math.isnan(bce_logit_loss(np.array([0.3, np.nan]), np.array([1.0, 0.0])))
 
 
 def test_bce_length_mismatch():
     with pytest.raises(ShapeError):
-        bce_loss(np.zeros(3), np.zeros(4))
+        bce_logit_loss(np.zeros(3), np.zeros(4))
 
 
 def test_auc_perfect_ranking():

@@ -1,4 +1,4 @@
-"""predict_probs with the QNN layers split over two threads, against one thread, bit for bit.
+"""predict_logits with the QNN layers split over two threads, against one thread, bit for bit.
 
 The split is forced on by lowering QNN_SPLIT_MIN_DIM and reporting two
 usable CPUs, and forced off by reporting one. Widths 32 and 128 bracket
@@ -7,16 +7,18 @@ rows, the widest span of rows whose bits differ from a big GEMM's.
 """
 
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import thread_hp, thread_world, usable
+from conftest import spy_traced_names, thread_hp, thread_world, usable
 
 from qin import model, qnn
 from qin.config import TrainConfig
 from qin.dataio import make_batches
 from qin.embedding import EmbeddingStore
 from qin.errors import ShapeError
+from qin.linalg import sigmoid
 from qin.params import ModelParams, copy_params
 from qin.train import evaluate, train
 
@@ -55,7 +57,7 @@ def test_split_probs_match_one_thread(monkeypatch, qnn_threads, d_t, kind, act):
         batches = list(make_batches(split, n, hp.seq_len))
         qnn_threads.clear()
         one, two = both_ways(monkeypatch,
-                             lambda: model.predict_probs(params, hp, store, batches))
+                             lambda: model.predict_logits(params, hp, store, batches))
         assert np.all(np.isfinite(one))
         assert np.array_equal(one, two), (n, np.max(np.abs(one - two)))
         helper_ran = any(name != threading.current_thread().name for name in qnn_threads)
@@ -77,26 +79,46 @@ def test_split_evaluate_matches_one_thread(monkeypatch, kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_float32_copies_score_in_float32(monkeypatch, qnn_threads, kind, interaction, workers):
     # No kernel re-casts its inputs, so float32 copies of the parameters and
-    # the store give float32 probabilities, on the serial and split paths.
+    # the store give float32 logits and probabilities, on the serial and
+    # split paths.
     hp = thread_hp(64, attn_kind=kind, interaction=interaction)
     store, params, split = thread_world(hp, 954, seed=17)
     batches = list(make_batches(split, 512, hp.seq_len))   # 512 and 442 rows
     usable(monkeypatch, workers)
-    want = model.predict_probs(params, hp, store, batches)
+    want = sigmoid(model.predict_logits(params, hp, store, batches))
     qnn_threads.clear()
-    got = model.predict_probs(ModelParams(params.shapes, params.flat.astype(np.float32)), hp,
-                              EmbeddingStore(store.data.astype(np.float32)), batches)
+    got = sigmoid(model.predict_logits(ModelParams(params.shapes, params.flat.astype(np.float32)),
+                                       hp, EmbeddingStore(store.data.astype(np.float32)),
+                                       batches))
     assert want.dtype == np.float64 and got.dtype == np.float32
     assert np.max(np.abs(got - want)) <= 1e-5
     helper_ran = any(name != threading.current_thread().name for name in qnn_threads)
     assert helper_ran == (workers == 2 and interaction == "qnn")
 
 
+def test_traced_names_do_not_depend_on_the_cpu_count(monkeypatch, qnn_threads):
+    # Scoring enters every name the benchmark's tracer rebinds the same
+    # number of times on one CPU as on two, all in the calling thread.
+    hp = thread_hp(64)    # width 128: past the real gate
+    store, params, split = thread_world(hp, 2000, seed=7)
+    entered = spy_traced_names(monkeypatch)
+    calls = []
+    for count in (1, 2):
+        monkeypatch.setattr(model, "usable_cpus", lambda: count)
+        entered.clear()
+        evaluate(params, hp, store, split)
+        assert {t for _, t in entered} == {threading.current_thread().name}, count
+        calls.append(Counter(name for name, _ in entered))
+    assert calls[0] == calls[1]
+    assert calls[0]["qin.model.model_forward"] == calls[0]["qin.model.qnn_forward"] == 2
+    assert len(set(qnn_threads)) == 2     # the helper ran half of each split layer
+
+
 def test_split_all_empty_histories(monkeypatch, qnn_threads):
     hp = thread_hp(64)
     store, params, split = thread_world(hp, 954, seed=3, empty=True)
     batches = list(make_batches(split, 954, hp.seq_len))
-    one, two = both_ways(monkeypatch, lambda: model.predict_probs(params, hp, store, batches))
+    one, two = both_ways(monkeypatch, lambda: model.predict_logits(params, hp, store, batches))
     assert np.array_equal(one, two)
     assert len(set(qnn_threads)) == 2
 
@@ -106,10 +128,10 @@ def test_mlp_interaction_never_splits(monkeypatch):
     store, params, split = thread_world(hp, 1023, seed=5)
     batches = list(make_batches(split, 1023, hp.seq_len))
     usable(monkeypatch, 1)
-    one = model.predict_probs(params, hp, store, batches)
+    one = model.predict_logits(params, hp, store, batches)
     usable(monkeypatch, 2)
     monkeypatch.setattr(model, "ThreadPoolExecutor", None)   # any use would raise
-    assert np.array_equal(one, model.predict_probs(params, hp, store, batches))
+    assert np.array_equal(one, model.predict_logits(params, hp, store, batches))
 
 
 def test_one_cpu_starts_no_thread(monkeypatch, started):
@@ -118,7 +140,7 @@ def test_one_cpu_starts_no_thread(monkeypatch, started):
     batches = list(make_batches(split, 1023, hp.seq_len))
     monkeypatch.setattr(model, "usable_cpus", lambda: 1)
     before = threading.active_count()
-    model.predict_probs(params, hp, store, batches)
+    model.predict_logits(params, hp, store, batches)
     assert started == []
     assert threading.active_count() == before
 
@@ -129,7 +151,7 @@ def test_helper_thread_ends_with_the_call(monkeypatch, started):
     batches = list(make_batches(split, 1000, hp.seq_len))
     monkeypatch.setattr(model, "usable_cpus", lambda: 2)
     before = threading.active_count()
-    model.predict_probs(params, hp, store, batches)
+    model.predict_logits(params, hp, store, batches)
     assert len(started) == 1            # one helper for both batches
     assert threading.active_count() == before
 
@@ -150,7 +172,7 @@ def test_helper_error_reaches_caller_with_its_type(monkeypatch):
     monkeypatch.setattr(model, "usable_cpus", lambda: 2)
     before = threading.active_count()
     with pytest.raises(ShapeError, match="helper half failed"):
-        model.predict_probs(params, hp, store, batches)
+        model.predict_logits(params, hp, store, batches)
     assert threading.active_count() == before
 
 

@@ -9,9 +9,9 @@ from qin.config import HyperParams, TrainConfig
 from qin.dataio import make_batches
 from qin.embedding import EmbeddingStore, Sample
 from qin.errors import DataError, SingleClassError
-from qin.linalg import make_rng
+from qin.linalg import make_rng, sigmoid
 from qin.metrics import auc as rank_auc
-from qin.model import predict_probs
+from qin.model import predict_logits
 from qin.params import (ModelParams, copy_params, expected_shapes, init_params, lr_scale,
                         params_equal, zero_gradients)
 from qin.train import (ADAM_BETA1, ADAM_BETA2, ADAM_CHUNK, ADAM_EPS, AdamState, adam_step,
@@ -238,7 +238,7 @@ def test_evaluate_rejects_a_label_other_than_0_or_1():
 
 
 def test_train_refuses_a_label_other_than_0_or_1():
-    # The Split constructor takes any label; bce_loss would take 2.0 as a target.
+    # The Split constructor takes any label; the loss would take 2.0 as a target.
     store, split = tiny_world(seed=10)
     params = init_params(HP, make_rng(11))
     before = params.flat.copy()
@@ -247,6 +247,17 @@ def test_train_refuses_a_label_other_than_0_or_1():
         with pytest.raises(DataError, match=rf"sample 3 has label {bad!r}, expected 0 or 1$"):
             train(params, HP, store, relabeled(split, 3, bad), split[:40], cfg)
     assert np.array_equal(params.flat, before)
+
+
+def test_train_refuses_a_validation_label_other_than_0_or_1():
+    # A bad validation label is a DataError naming its row, raised before the
+    # check that the split holds both classes.
+    store, split = tiny_world(seed=10)
+    params = init_params(HP, make_rng(11))
+    cfg = TrainConfig(batch_size=16, epochs=1, patience=1, seed=0)
+    for bad in (2.0, 0.5, -1.0, float("nan")):
+        with pytest.raises(DataError, match=rf"sample 3 has label {bad!r}, expected 0 or 1$"):
+            train(params, HP, store, split[40:], relabeled(split[:40], 3, bad), cfg)
 
 
 def test_evaluate_nan_head_weight_reports_nan_auc():
@@ -331,12 +342,12 @@ def test_evaluate_matches_independent_recompute():
     params = init_params(HP, make_rng(15))
     metrics = evaluate(params, HP, store, samples)
     batches = make_batches(samples, 1024, HP.seq_len, rng=None)
-    probs = predict_probs(params, HP, store, batches)
+    logits = predict_logits(params, HP, store, batches)
+    probs = sigmoid(logits)
     labels = np.array([s.label for s in samples], dtype=float)
 
-    clamped = np.clip(probs, 1e-12, 1 - 1e-12)
-    ll = -sum(y * math.log(p) + (1 - y) * math.log1p(-p)
-              for p, y in zip(clamped, labels)) / len(labels)
+    ll = sum(max(z, 0.0) + math.log1p(math.exp(-abs(z))) - y * z
+             for z, y in zip(logits, labels)) / len(labels)
     assert metrics["logloss"] == pytest.approx(ll, abs=1e-12)
 
     pos = probs[labels == 1]
@@ -365,7 +376,7 @@ def test_length_ordered_evaluate_matches_full_width_pass(kind, monkeypatch):
     params.id_embedding = make_rng(42).standard_normal(params.id_embedding.shape)
     monkeypatch.setattr("qin.train.EVAL_BATCH_SIZE", 8)
     got = evaluate(params, hp, store, samples)
-    reference = predict_probs(params, hp, store, make_batches(samples, 8, hp.seq_len))
+    reference = sigmoid(predict_logits(params, hp, store, make_batches(samples, 8, hp.seq_len)))
     labels = np.array([s.label for s in samples])
     assert np.max(np.abs(got["probs"] - reference)) <= 1e-15
     assert got["auc"] == rank_auc(reference, labels)

@@ -20,11 +20,13 @@ from qin import train as train_mod
 from qin.config import HyperParams, TrainConfig
 from qin.embedding import EmbeddingStore
 from qin.gradcheck import build_random_instance, gradcheck_hyperparams, parameter_classes
-from qin.metrics import PROB_CLAMP, bce_logit_loss, bce_loss
+from qin.metrics import bce_logit_loss
 from qin.model import loss_and_grads
 from qin.params import ModelParams, copy_params, params_equal, save_checkpoint
 
 KINDS = ("relu", "softmax", "relu2", "silu", "mean")
+# The most a probability loss clamped to [1e-12, 1 - 1e-12] charges a sample, 27.6.
+CLAMP_CAP = -math.log(1e-12)
 
 
 def float_arrays(obj, path="trace"):
@@ -42,9 +44,9 @@ def float_arrays(obj, path="trace"):
 
 def spied_train(monkeypatch, hp, store, params, data, n_train, batch_size):
     """One epoch of train; returns what the step and its evaluation saw."""
-    seen = {"traces": [], "grads": [], "adam": [], "probs": []}
+    seen = {"traces": [], "grads": [], "adam": [], "logits": []}
     real_backward, real_adam, real_predict = (model.model_backward, train_mod.adam_step,
-                                              train_mod.predict_probs)
+                                              train_mod.predict_logits)
 
     def backward(params, hp, trace, d_logits, helper=None):
         grads = real_backward(params, hp, trace, d_logits, helper)
@@ -57,13 +59,13 @@ def spied_train(monkeypatch, hp, store, params, data, n_train, batch_size):
         return real_adam(params, grads, state, cfg, factors)
 
     def predict(*args, **kwargs):
-        probs = real_predict(*args, **kwargs)
-        seen["probs"].append(probs)
-        return probs
+        logits = real_predict(*args, **kwargs)
+        seen["logits"].append(logits)
+        return logits
 
     monkeypatch.setattr(model, "model_backward", backward)
     monkeypatch.setattr(train_mod, "adam_step", adam)
-    monkeypatch.setattr(train_mod, "predict_probs", predict)
+    monkeypatch.setattr(train_mod, "predict_logits", predict)
     cfg = TrainConfig(batch_size=batch_size, epochs=1, patience=1, seed=3)
     result = train_mod.train(params, hp, store, data[:n_train], data[n_train:], cfg)
     return seen, result
@@ -101,7 +103,7 @@ def test_every_array_of_a_training_step_is_float32(monkeypatch, shape):
     arrays += [(f"grad.{name}", view) for name, view in seen["grads"][0].views.items()]
     flat, m, v = seen["adam"][0]
     arrays += [("params.flat", flat), ("adam.m", m), ("adam.v", v),
-               *(("valid probs", p) for p in seen["probs"])]
+               *(("valid logits", z) for z in seen["logits"])]
     wide = [path for path, a in arrays if a.dtype != np.float32]
     assert wide == []
     assert result.params.flat.dtype == np.float64
@@ -143,24 +145,20 @@ def test_logit_loss_stays_finite_where_probabilities_saturate(dtype):
             want = float(np.logaddexp(0.0, z) - y * z)
             assert math.isfinite(loss) and loss == want, (z, y)
             if (z > 0) != (y > 0):   # the wrong label costs about |z|, past the clamp's cap
-                assert abs(loss - abs(z)) < 1e-12 and loss > -math.log(PROB_CLAMP)
-    # Saturated float32 probabilities: the clamp applies in float64, below 1.0.
-    for p in (0.0, 1.0):
-        for y in (0.0, 1.0):
-            loss = bce_loss(np.array([p], dtype=np.float32), np.array([y], dtype=np.float32))
-            assert math.isfinite(loss), (p, y)
+                assert abs(loss - abs(z)) < 1e-12 and loss > CLAMP_CAP
 
 
 def test_saturated_float32_training_stays_finite():
-    # Logits in the hundreds: every float32 probability is 0.0 or 1.0.
+    # Logits in the hundreds: every float32 probability is 0.0 or 1.0, in
+    # the steps and in each epoch's validation pass.
     hp = HyperParams(vocab=40, d_frozen=8)
     store, params, data = thread_world(hp, 320, seed=4)
     params.head_w = params.head_w * 1e4
     result = train_mod.train(params, hp, store, data[:256], data[256:],
                              TrainConfig(batch_size=64, epochs=2, patience=2, seed=0))
     assert len(result.history) == 2
-    assert all(math.isfinite(e.loss) for e in result.history)
-    assert result.history[0].loss > -math.log(PROB_CLAMP)
+    assert all(math.isfinite(v) for e in result.history for v in (e.loss, e.val_logloss))
+    assert result.history[0].loss > CLAMP_CAP
 
 
 def test_desk_run_trains_in_float32_to_a_finite_history(trained_desk_model):

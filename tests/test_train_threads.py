@@ -7,14 +7,12 @@ a half there has the fewest rows to spare; width 128 runs under the real
 gate.
 """
 
-import importlib.util
-import pathlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import thread_hp, thread_world, usable
+from conftest import spy_traced_names, thread_hp, thread_world, usable
 
 from qin import model, qnn
 from qin.config import TrainConfig
@@ -28,7 +26,6 @@ KINDS = ("relu", "softmax", "relu2", "silu", "mean")
 # Halves below, at and above QNN_SPLIT_MIN_ROWS, and a wide batch.
 BATCH_SIZES = (255, 256, 257, 1023)
 TRAIN_ROWS = 1100   # every batch size above leaves a short last batch
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "qinbench" / "tracing.py"
 
 
 @pytest.fixture
@@ -183,22 +180,7 @@ def test_helper_error_reaches_train_with_its_type(monkeypatch, kernel):
 
 
 def test_helper_enters_no_traced_name(monkeypatch, backward_threads):
-    # The benchmark's tracer rebinds these names and keeps one span stack
-    # for all threads, so only the calling thread may enter them.
-    spec = importlib.util.spec_from_file_location("qinbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    entered = []
-    for module_name, attr, _, _ in tracing.SHIMS:
-        module = importlib.import_module(module_name)
-        if not hasattr(module, attr):
-            continue
-
-        def shim(*args, _fn=getattr(module, attr), _name=f"{module_name}.{attr}", **kwargs):
-            entered.append((_name, threading.current_thread().name))
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, attr, shim)
+    entered = spy_traced_names(monkeypatch)
     hp = thread_hp(64, dropout_p=0.1)
     store, params, data = thread_world(hp, TRAIN_ROWS + 300, seed=13)
     monkeypatch.setattr(model, "usable_cpus", lambda: 2)
