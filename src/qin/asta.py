@@ -38,6 +38,9 @@ from .config import ATTN_KINDS, check_item_width
 from .errors import ConfigError, ShapeError
 from .linalg import relu, relu2, relu2_grad, relu_grad, segment_sum, silu, silu_grad
 
+# The pointwise score transforms: kind -> (transform, derivative).
+_POINTWISE = {"relu": (relu, relu_grad), "relu2": (relu2, relu2_grad), "silu": (silu, silu_grad)}
+
 
 @dataclass(frozen=True)
 class AttentionConfig:
@@ -111,13 +114,10 @@ def attention_weights(scores: np.ndarray | None, mask: np.ndarray, kind: str) ->
         ex = np.where(mask > 0, np.exp(shifted), 0.0)
         denom = ex.sum(axis=-1)
         return np.where(live[..., None], ex / np.where(live, denom, 1.0)[..., None], 0.0)
-    if kind == "relu":
-        return relu(scores) * mask
-    if kind == "relu2":
-        return relu2(scores) * mask
-    if kind == "silu":
-        return silu(scores) * mask
-    raise ConfigError(f"unknown attention kind {kind!r}")
+    if kind not in _POINTWISE:
+        raise ConfigError(f"unknown attention kind {kind!r}")
+    transform, _ = _POINTWISE[kind]
+    return transform(scores) * mask
 
 
 def _promote(x_t, x_b, mask, ids):
@@ -219,12 +219,9 @@ def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
         if cfg.kind == "softmax":
             p = trace.softmax_w
             d_scores = p * (d_w - (d_w * p).sum(axis=1)[:, None])
-        elif cfg.kind == "relu":
-            d_scores = d_w * relu_grad(trace.scores) * trace.mask
-        elif cfg.kind == "relu2":
-            d_scores = d_w * relu2_grad(trace.scores) * trace.mask
         else:
-            d_scores = d_w * silu_grad(trace.scores) * trace.mask
+            _, derivative = _POINTWISE[cfg.kind]
+            d_scores = d_w * derivative(trace.scores) * trace.mask
         d_scores = d_scores * cfg.scale
 
         px = (d_scores[:, None, :] @ trace.x_b)[:, 0, :]   # (n, d_t)

@@ -192,7 +192,7 @@ def run_model_gradcheck(seed: int, hp: HyperParams | None = None,
     classes = parameter_classes(params)
     if sabotage is not None and sabotage not in classes:
         raise ConfigError(f"sabotage {sabotage!r} is not one of the classes {sorted(classes)}")
-    _, grads, _ = loss_and_grads(params, hp, store, batch, masks)
+    _, grads = loss_and_grads(params, hp, store, batch, masks)
 
     reports = []
     for cls_name, span in classes.items():

@@ -5,8 +5,9 @@ the logits ``head_forward`` returns. Training (``model.loss_and_grads``),
 the gradient check and evaluation all take it. It is finite for any
 finite logit, grows as |z| for a saturated wrong one, and is NaN for a
 NaN logit. The loss and both AUCs widen their scores to float64, so every
-reported number is a float64 sum. ``bce_backward``'s ``(p - y) / n`` is
-the derivative of the loss and computes in the dtype of its inputs.
+reported number is a float64 sum. ``bce_backward``'s
+``(sigmoid(z) - y) / n`` is the derivative of the loss and computes in the
+dtype of its inputs.
 
 The fast AUC uses rank sums with average ranks on ties, which is
 algebraically identical to the O(N^2) pairwise count (wins plus half
@@ -19,16 +20,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, ShapeError, SingleClassError
+from .dataio import check_labels
+from .errors import ShapeError, SingleClassError
 from .linalg import FLOAT, sigmoid
 
 
 def head_forward(head_w: np.ndarray, head_b: np.ndarray, x_last):
-    """logit = head_w . x + head_b; prob = sigmoid(logit). Batched or single."""
+    """logit = head_w . x + head_b. Batched or single."""
     if x_last.shape[-1] != head_w.shape[0]:
         raise ShapeError(f"head expects width {head_w.shape[0]}, got {x_last.shape[-1]}")
-    logit = x_last @ head_w + float(head_b)
-    return logit, sigmoid(logit)
+    return x_last @ head_w + float(head_b)
 
 
 def bce_logit_loss(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -40,11 +41,11 @@ def bce_logit_loss(logits: np.ndarray, labels: np.ndarray) -> float:
         return float(np.mean(np.logaddexp(0.0, z) - labels * z))
 
 
-def bce_backward(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d loss / d logit of bce_logit_loss, from the probabilities: (p - y) / n."""
-    if probs.shape != labels.shape:
-        raise ShapeError(f"probs/labels length mismatch: {probs.shape} vs {labels.shape}")
-    return (probs - labels) / probs.shape[0]
+def bce_backward(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """d loss / d logit of bce_logit_loss: (sigmoid(z) - y) / n."""
+    if logits.shape != labels.shape:
+        raise ShapeError(f"logits/labels length mismatch: {logits.shape} vs {labels.shape}")
+    return (sigmoid(logits) - labels) / logits.shape[0]
 
 
 def _split_classes(scores, labels):
@@ -53,10 +54,7 @@ def _split_classes(scores, labels):
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise ShapeError(f"scores/labels length mismatch: {scores.shape} vs {labels.shape}")
-    other = (labels != 0) & (labels != 1)
-    if other.any():
-        at = int(np.argmax(other))
-        raise DataError(f"AUC labels must be 0 or 1, got {labels[at].item()!r} at row {at}")
+    check_labels(labels)
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:

@@ -63,7 +63,6 @@ class ModelTrace:
     inter_trace: object
     x_last: np.ndarray
     logits: np.ndarray
-    probs: np.ndarray
 
 
 def draw_dropout_masks(hp: HyperParams, n: int, rng: np.random.Generator):
@@ -100,9 +99,9 @@ def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
     else:
         x_last, inter_trace = mlp_forward(params.mlp_w, params.mlp_b, x1)
 
-    logits, probs = head_forward(params.head_w, params.head_b, x_last)
+    logits = head_forward(params.head_w, params.head_b, x_last)
     return ModelTrace(batch=batch, pool_trace=pool_trace, inter_trace=inter_trace,
-                      x_last=x_last, logits=logits, probs=probs)
+                      x_last=x_last, logits=logits)
 
 
 def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
@@ -145,22 +144,23 @@ def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
 
 def loss_and_grads(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
                    batch: Batch, masks: tuple | None = None, helper=None):
-    """One batch: mean BCE loss of the logits, full gradients, and the predicted
-    probabilities, under the keep-masks of model_forward.
+    """One batch: (mean BCE loss of the logits, full gradients), under the
+    keep-masks of model_forward.
 
     Everything but the loss, which metrics.bce_logit_loss reports in
     float64, computes in the dtype of the parameters and the store.
 
-    helper is the thread of qnn_helper(hp), or None. With it, each QNN
-    layer of a batch of at least 2 * QNN_SPLIT_MIN_ROWS rows runs on two
-    row halves at once, forward and backward, and gives the same bits as
-    without it. Everything else runs whole in the calling thread.
+    helper is the thread of qnn_helper(hp), or None. Each QNN layer runs
+    its one body over row blocks: with the helper and a batch of at least
+    2 * QNN_SPLIT_MIN_ROWS rows, over two row halves at once, forward and
+    backward; otherwise over one block of all rows. Both give the same
+    bits. Everything else runs whole in the calling thread.
     """
     trace = model_forward(params, hp, store, batch, masks, helper)
     loss = bce_logit_loss(trace.logits, batch.labels)
-    d_logits = bce_backward(trace.probs, batch.labels)
+    d_logits = bce_backward(trace.logits, batch.labels)
     grads = model_backward(params, hp, trace, d_logits, helper)
-    return loss, grads, trace.probs
+    return loss, grads
 
 
 def usable_cpus() -> int:
@@ -193,11 +193,12 @@ def predict_logits(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
     """model_forward's logits of every batch, dropout disabled, order preserved.
 
     helper is a thread the caller holds from qnn_helper(hp), as train
-    does; None starts one for this call where qnn_helper gives one. The
-    QNN layers split over it as in loss_and_grads, so the logits equal the
-    one-thread pass to the bit, and an error in the helper half reaches
-    the caller with its own type. The logits take the dtype of the
-    parameters and the store.
+    does; None starts one for this call where qnn_helper gives one. Each
+    QNN layer runs on one row block or two halves as in loss_and_grads, so
+    the logits equal the one-thread pass to the bit, and an error in the
+    helper half reaches the caller with its own type. No probability is
+    formed here. The logits take the dtype of the parameters and the
+    store.
     """
     with qnn_helper(hp) if helper is None else nullcontext(helper) as helper:
         outs = [model_forward(params, hp, store, b, helper=helper).logits for b in batches]

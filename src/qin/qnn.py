@@ -22,17 +22,17 @@ scaling, the residual add and the d_x accumulation run in place on arrays
 the layer itself made, in the same operand order as the plain
 expressions, so results are unchanged.
 
-Every layer function takes an optional ``helper``: an executor whose one
-thread works on the second row half of the batch while the calling thread
-works on the first, both writing into arrays the calling thread made. All
-but two of a layer's ops act row by row, and each gives the same bits on
-a block of at least QNN_SPLIT_MIN_ROWS rows as on the whole batch; a
-batch with fewer than twice that runs whole, helper or not. The two sums
-over rows, the weight gradient ``d_t.T @ x`` and the slope gradient's
-sum, run whole in the calling thread while the helper forms ``d_t @ w``
-for d_x. So a layer gives the same bits with a helper as without one.
-Without a split, a layer runs the same ops on the whole batch and
-allocates as it goes. The helper runs only code of this module and
+A layer makes its outputs once and fills them from one row block or
+two. Every layer function takes an optional ``helper``: an executor
+whose one thread fills the second row half of the batch while the
+calling thread fills the first. All but two of a layer's ops act row by
+row, and each gives the same bits on a block of at least
+QNN_SPLIT_MIN_ROWS rows as on the whole batch; a batch with fewer than
+twice that, or a layer without a helper, runs as one block of all its
+rows. The two sums over rows, the weight gradient ``d_t.T @ x`` and the
+slope gradient's sum, run whole in the calling thread while the helper,
+if any, forms ``d_t @ w`` for d_x. So a layer gives the same bits with a
+helper as without one. The helper runs only code of this module and
 ``linalg``.
 
 ``brute_force_expansion`` recomputes a layer monomial by monomial in pure
@@ -102,11 +102,15 @@ def _folded(w: np.ndarray, cfg: QnnConfig) -> np.ndarray:
 
 
 def _both(helper, mine, theirs):
-    """mine() in this thread while the helper runs theirs().
+    """mine() in this thread while the helper runs theirs(); without a helper, both here.
 
     Returns what mine() returns. Both are done before it returns or
     raises, and an error in theirs() reaches the caller with its type.
     """
+    if helper is None:
+        result = mine()
+        theirs()
+        return result
     future = helper.submit(theirs)
     try:
         return mine()
@@ -120,26 +124,28 @@ def split_helper(helper, n: int):
 
 
 def _by_halves(helper, rows_fn, n: int) -> None:
-    """rows_fn(rows) over the first row half here and over the second in the helper."""
-    h = n // 2
-    _both(helper, lambda: rows_fn(slice(0, h)), lambda: rows_fn(slice(h, n)))
+    """rows_fn(rows) once over all n rows, or with a helper, per row half on two threads."""
+    if helper is None:
+        rows_fn(slice(0, n))
+    else:
+        h = n // 2
+        _both(helper, lambda: rows_fn(slice(0, h)), lambda: rows_fn(slice(h, n)))
 
 
 def _rows(a: np.ndarray | None, r: slice) -> np.ndarray | None:
     return None if a is None else a[r]
 
 
-def _forward_rows(x, w_t, slope: float, cfg: QnnConfig, drop_mask, t=None, h=None, out=None):
-    """The layer's ops on rows x, each row on its own; into t, h and out where given."""
-    t = np.matmul(x, w_t, out=t)
-    h = np.multiply(x, t, out=h)
-    branch = prelu(h, slope, out=out)
+def _forward_rows(x, w_t, slope: float, cfg: QnnConfig, drop_mask, t, h, out) -> None:
+    """The layer's ops on rows x, each row on its own, into t, h and out."""
+    np.matmul(x, w_t, out=t)
+    np.multiply(x, t, out=h)
+    prelu(h, slope, out=out)
     if drop_mask is not None:
-        branch *= drop_mask
-        branch /= 1.0 - cfg.dropout_p
+        out *= drop_mask
+        out /= 1.0 - cfg.dropout_p
     if cfg.residual:
-        np.add(x, branch, out=branch)
-    return t, h, branch
+        np.add(x, out, out=out)
 
 
 def qnn_layer_forward(w: np.ndarray, slope: float, x: np.ndarray, cfg: QnnConfig,
@@ -151,39 +157,31 @@ def qnn_layer_forward(w: np.ndarray, slope: float, x: np.ndarray, cfg: QnnConfig
     if x.ndim != 2 or x.shape[1] != cfg.dim:
         raise ShapeError(f"layer input of shape {x.shape} is not (n, {cfg.dim})")
     w_t = _folded(w, cfg).T
-    helper = split_helper(helper, len(x))
-    if helper is None:
-        t, h, out = _forward_rows(x, w_t, slope, cfg, drop_mask)
-    else:
-        t, h, out = (np.empty(x.shape, dtype=np.result_type(x, w_t)) for _ in range(3))
-        _by_halves(helper, lambda r: _forward_rows(x[r], w_t, slope, cfg, _rows(drop_mask, r),
-                                                   t[r], h[r], out[r]), len(x))
+    t, h, out = (np.empty(x.shape, dtype=np.result_type(x, w_t)) for _ in range(3))
+    _by_halves(split_helper(helper, len(x)),
+               lambda r: _forward_rows(x[r], w_t, slope, cfg, _rows(drop_mask, r),
+                                       t[r], h[r], out[r]), len(x))
     return out, QnnLayerTrace(x=x, t=t, h=h, drop_mask=drop_mask)
 
 
 def _backward_rows(slope: float, cfg: QnnConfig, x, t, h, drop_mask, d_out,
-                   terms=None, d_x=None, d_t=None):
+                   terms, d_x, d_t) -> None:
     """The layer's row-wise gradient ops on rows of the trace and d_out.
 
-    Returns (d_slope, d_h * t, d_t); d_h * t is d_x before its d_t @ w
-    term. With terms given, the slope-gradient terms go there for the
-    caller to sum and d_slope is None; otherwise d_slope is their sum
-    (0.0 under act relu). The other two go into d_x and d_t where given.
+    d_x gets d_h * t, d_x before its d_t @ w term, and d_t gets d_h * x.
+    terms, None under act relu, gets the slope gradient's terms for the
+    caller to sum.
     """
     d_branch = d_out
     if drop_mask is not None:
         d_branch = d_out * drop_mask
         d_branch /= 1.0 - cfg.dropout_p
-    d_slope = 0.0
     if terms is not None:
         prelu_slope_terms(h, d_branch, out=terms)
-        d_slope = None
-    elif cfg.act != "relu":
-        d_slope = float(np.sum(prelu_slope_terms(h, d_branch)))
     d_h = prelu_grad(h, slope, out=d_t)
     np.multiply(d_branch, d_h, out=d_h)
-    d_x = np.multiply(d_h, t, out=d_x)
-    return d_slope, d_x, np.multiply(d_h, x, out=d_h)
+    np.multiply(d_h, t, out=d_x)
+    np.multiply(d_h, x, out=d_h)
 
 
 def qnn_layer_backward(w: np.ndarray, slope: float, cfg: QnnConfig,
@@ -198,25 +196,20 @@ def qnn_layer_backward(w: np.ndarray, slope: float, cfg: QnnConfig,
         raise ShapeError(f"layer weight of shape {w.shape} is not ({cfg.dim}, {cfg.dim})")
     x, t, h, mask = trace.x, trace.t, trace.h, trace.drop_mask
     helper = split_helper(helper, len(d_out))
-    if helper is None:
-        d_slope, d_x, d_t = _backward_rows(slope, cfg, x, t, h, mask, d_out)
-        d_w = d_t.T @ x
-        np.add(d_x, d_t @ w, out=d_x)
-    else:
-        terms = None if cfg.act == "relu" else np.empty_like(h)
-        d_x, d_t = np.empty_like(h), np.empty_like(h)
-        d_t_w = np.empty(h.shape, dtype=np.result_type(h, w))
-        _by_halves(helper, lambda r: _backward_rows(slope, cfg, x[r], t[r], h[r], _rows(mask, r),
-                                                    d_out[r], _rows(terms, r), d_x[r], d_t[r]),
-                   len(h))
+    terms = None if cfg.act == "relu" else np.empty_like(h)
+    d_x, d_t = np.empty_like(h), np.empty_like(h)
+    d_t_w = np.empty(h.shape, dtype=np.result_type(h, w))
+    _by_halves(helper, lambda r: _backward_rows(slope, cfg, x[r], t[r], h[r], _rows(mask, r),
+                                                d_out[r], _rows(terms, r), d_x[r], d_t[r]),
+               len(h))
 
-        def sums():
-            return d_t.T @ x, 0.0 if terms is None else float(np.sum(terms))
+    def sums():
+        return d_t.T @ x, 0.0 if terms is None else float(np.sum(terms))
 
-        def input_grad():
-            np.add(d_x, np.matmul(d_t, w, out=d_t_w), out=d_x)
+    def input_grad():
+        np.add(d_x, np.matmul(d_t, w, out=d_t_w), out=d_x)
 
-        d_w, d_slope = _both(helper, sums, input_grad)
+    d_w, d_slope = _both(helper, sums, input_grad)
     if cfg.residual:
         np.add(d_x, d_out, out=d_x)
     return d_w, d_slope, d_x

@@ -185,7 +185,7 @@ def train(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
             for batch in batches:
                 dropout_rng = spawn_rng(cfg.seed, _DROPOUT_STREAM, global_step)
                 masks = draw_dropout_masks(hp, batch.size, dropout_rng)
-                loss, grads, _ = loss_and_grads(params, hp, store, batch, masks, helper)
+                loss, grads = loss_and_grads(params, hp, store, batch, masks, helper)
                 if not np.isfinite(loss):
                     raise NonFiniteLossError(
                         f"non-finite loss {loss} at epoch {epoch} step {global_step}")

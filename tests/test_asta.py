@@ -4,7 +4,7 @@ import pytest
 from conftest import attention_case_id, split_of
 from qin.asta import (AttentionConfig, _promote, asta_backward, asta_forward,
                       attention_weights)
-from qin.errors import ShapeError
+from qin.errors import ConfigError, ShapeError
 from qin.linalg import make_rng, segment_sum
 
 KINDS = ("relu", "softmax", "relu2", "silu", "mean")
@@ -86,6 +86,11 @@ def test_silu_weights_masked_zero_negatives_allowed():
     w = attention_weights(scores, mask, "silu")
     assert np.array_equal(w[mask == 0], np.zeros(int((mask == 0).sum())))
     assert np.any(w < 0)  # silu may emit negative weights by contract
+
+
+def test_unknown_weight_kind_is_a_config_error():
+    with pytest.raises(ConfigError, match="unknown attention kind 'gelu'"):
+        attention_weights(np.zeros((2, 3)), np.ones((2, 3)), "gelu")
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -389,8 +394,8 @@ def per_slot_reference(params, hp, store, batch, masks):
                            batch.mask, drop_mask=attn_mask)
     x_last, inter = qnn_forward(params.qnn_w, params.prelu, assemble_x1(x_t, o, hp.qnn_dim),
                                 qnn_config(hp), qnn_masks)
-    logits, probs = head_forward(params.head_w, params.head_b, x_last)
-    d_x_last = np.multiply.outer(bce_backward(probs, batch.labels), params.head_w)
+    logits = head_forward(params.head_w, params.head_b, x_last)
+    d_x_last = np.multiply.outer(bce_backward(logits, batch.labels), params.head_w)
     _, _, d_x1 = qnn_backward(params.qnn_w, params.prelu, qnn_config(hp), inter, d_x_last)
     grads = {}
     grads["w_q"], grads["w_k"], grads["w_v"], d_x_t, d_x_b = asta_backward(
@@ -401,7 +406,7 @@ def per_slot_reference(params, hp, store, batch, masks):
     live = batch.mask > 0
     np.add.at(d_id, batch.seq_ids[live], d_x_b[live][:, hp.d_frozen:])
     grads["id_embedding"] = d_id
-    return bce_logit_loss(logits, batch.labels), probs, grads
+    return bce_logit_loss(logits, batch.labels), logits, grads
 
 
 PER_SLOT_CASES = [(kind, drop) for kind in KINDS for drop in (False, True)]
@@ -414,7 +419,7 @@ def test_per_item_path_matches_per_slot_reference(kind, attn_dropout):
     from qin.dataio import build_batch
     from qin.embedding import EmbeddingStore, Sample
     from qin.linalg import spawn_rng
-    from qin.model import draw_dropout_masks, loss_and_grads
+    from qin.model import draw_dropout_masks, loss_and_grads, model_forward
     from qin.params import init_params
 
     hp = HyperParams(d_t=8, d_b=8, d_a=8, seq_len=6, vocab=9, d_frozen=3,
@@ -433,14 +438,15 @@ def test_per_item_path_matches_per_slot_reference(kind, attn_dropout):
     batch = build_batch(split, hp.seq_len)
 
     masks = draw_dropout_masks(hp, batch.size, spawn_rng(5, 2, 0))
-    loss, grads, probs = loss_and_grads(params, hp, store, batch, masks)
-    ref_loss, ref_probs, ref_grads = per_slot_reference(params, hp, store, batch, masks)
+    loss, grads = loss_and_grads(params, hp, store, batch, masks)
+    logits = model_forward(params, hp, store, batch, masks).logits
+    ref_loss, ref_logits, ref_grads = per_slot_reference(params, hp, store, batch, masks)
 
     def close(a, b):
         return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
-    assert close(probs, ref_probs)
+    assert close(logits, ref_logits)
     named = grads.views
     for name, ref in ref_grads.items():
         if kind == "mean" and name in ("w_q", "w_k"):   # fixed weights: no w_q or w_k

@@ -1,0 +1,52 @@
+"""Every name a package module imports is read in that module.
+
+No linter runs on this tree, so this is the check for an import that a
+deletion left behind. Names the package re-exports through
+``qin.__all__`` are exempt.
+"""
+
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "qin"
+
+
+def imports_and_reads(tree: ast.AST):
+    """(bound name, line) of each import but __future__'s, and the set of
+    names loaded anywhere in tree, those of quoted annotations included."""
+    imports, reads = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
+            annotation = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                reads |= imports_and_reads(ast.parse(annotation.value, mode="eval"))[1]
+        elif isinstance(node, ast.Import):
+            imports += [(a.asname or a.name.split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imports += [(a.asname or a.name, node.lineno) for a in node.names]
+    return imports, reads
+
+
+def exported(tree: ast.Module) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_imported_name_is_read():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) > 10
+    unused = {}
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imports, reads = imports_and_reads(tree)
+        reads |= exported(tree)
+        names = [(name, line) for name, line in imports if name not in reads]
+        if names:
+            unused[path.name] = names
+    assert unused == {}, f"imported but never read: {unused}"

@@ -9,20 +9,20 @@ from qin.metrics import auc, auc_bruteforce, bce_backward, bce_logit_loss, head_
 
 
 def test_head_zero_gives_half():
-    logit, prob = head_forward(np.zeros(3), np.zeros(()), np.ones(3))
+    logit = head_forward(np.zeros(3), np.zeros(()), np.ones(3))
     assert logit == 0.0
-    assert prob == 0.5
+    assert sigmoid(logit) == 0.5
 
 
 def test_head_bias_cancels():
-    logit, prob = head_forward(np.array([1.0, 0.0]), np.array(-3.0), np.array([3.0, 7.0]))
+    logit = head_forward(np.array([1.0, 0.0]), np.array(-3.0), np.array([3.0, 7.0]))
     assert logit == 0.0
-    assert prob == 0.5
+    assert sigmoid(logit) == 0.5
 
 
 def test_head_log3_quarters():
-    logit, prob = head_forward(np.array([1.0]), np.zeros(()), np.array([math.log(3.0)]))
-    assert abs(prob - 0.75) < 1e-12
+    logit = head_forward(np.array([1.0]), np.zeros(()), np.array([math.log(3.0)]))
+    assert abs(sigmoid(logit) - 0.75) < 1e-12
 
 
 def test_head_shape_error():
@@ -55,8 +55,7 @@ def test_bce_gradient_matches_finite_differences():
     rng = make_rng(0)
     logits = rng.standard_normal(16) * 2
     labels = (rng.random(16) < 0.5).astype(float)
-    probs = sigmoid(logits)
-    grad = bce_backward(probs, labels)
+    grad = bce_backward(logits, labels)
     h = 1e-6
     for i in range(16):
         moved = logits.copy()
@@ -119,7 +118,8 @@ def test_auc_single_class_errors():
 def test_auc_rejects_a_label_other_than_0_or_1(fn, labels, first):
     # Counted as neither class, a label 2 made the rank AUC 1.25 while the
     # pairwise count read 0.75; both now raise and name the label.
-    with pytest.raises(DataError, match=f"got {first} at row"):
+    row = next(i for i, y in enumerate(labels) if y not in (0, 1))
+    with pytest.raises(DataError, match=rf"sample {row} has label {first}, expected 0 or 1$"):
         fn(np.array([0.1, 0.4, 0.35, 0.8, 0.05]), np.array(labels))
 
 

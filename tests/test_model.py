@@ -93,13 +93,12 @@ CASES = [(kind, drop) for kind in KINDS for drop in (False, True)]
 def test_loss_and_grads_match_two_scatter_reference(kind, attn_dropout, d_frozen):
     hp, params, store, batch = instance(kind, attn_dropout, d_frozen)
     masks = step_masks(hp, batch)
-    loss, grads, probs = loss_and_grads(params, hp, store, batch, masks)
+    loss, grads = loss_and_grads(params, hp, store, batch, masks)
     trace = model_forward(params, hp, store, batch, masks)
     ref = two_scatter_model_backward(params, hp, trace,
-                                     bce_backward(trace.probs, batch.labels))
+                                     bce_backward(trace.logits, batch.labels))
 
     assert loss == bce_logit_loss(trace.logits, batch.labels)
-    assert probs.tobytes() == trace.probs.tobytes()
     for name, got in grads.views.items():
         assert got.tobytes() == ref.views[name].tobytes(), name
     assert np.count_nonzero(grads.id_embedding) > 0
@@ -176,7 +175,9 @@ def test_bool_keep_masks_match_float_masks_bit_for_bit(kind):
     assert results[0] == results[1]
 
     # The whole training step, with the masks passed as {0, 1} floats instead.
-    loss, grads, probs = loss_and_grads(params, hp, store, batch, masks)
-    f_loss, f_grads, f_probs = loss_and_grads(params, hp, store, batch, floats)
-    assert loss == f_loss and probs.tobytes() == f_probs.tobytes()
+    loss, grads = loss_and_grads(params, hp, store, batch, masks)
+    f_loss, f_grads = loss_and_grads(params, hp, store, batch, floats)
+    logits = model_forward(params, hp, store, batch, masks).logits
+    assert loss == f_loss
+    assert logits.tobytes() == model_forward(params, hp, store, batch, floats).logits.tobytes()
     assert grads.flat.tobytes() == f_grads.flat.tobytes()

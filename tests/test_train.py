@@ -233,7 +233,7 @@ def test_evaluate_rejects_a_label_other_than_0_or_1():
     store, split = tiny_world(seed=10)
     params = init_params(HP, make_rng(11))
     for bad in (2.0, 0.5):
-        with pytest.raises(DataError, match=f"got {bad!r} at row 3"):
+        with pytest.raises(DataError, match=rf"sample 3 has label {bad!r}, expected 0 or 1$"):
             evaluate(params, HP, store, relabeled(split, 3, bad))
 
 
@@ -290,11 +290,11 @@ def test_padded_slot_content_cannot_reach_forward_output():
     split = split_of([Sample(target_id=3, seq_ids=[1, 2], label=1),
                       Sample(target_id=4, seq_ids=[5], label=0)])
     batch = build_batch(split, HP.seq_len)
-    out1 = model_forward(params, HP, EmbeddingStore(store_data.copy()), batch).probs
+    out1 = model_forward(params, HP, EmbeddingStore(store_data.copy()), batch).logits
     store_data[0] = rng.standard_normal(HP.d_frozen) * 100
     params2 = copy_params(params)
     params2.id_embedding[0] = rng.standard_normal(HP.d_id) * 100
-    out2 = model_forward(params2, HP, EmbeddingStore(store_data), batch).probs
+    out2 = model_forward(params2, HP, EmbeddingStore(store_data), batch).logits
     assert np.array_equal(out1, out2)
 
 
@@ -306,7 +306,7 @@ def test_non_finite_loss_aborts_with_diagnostics(monkeypatch):
     params = init_params(HP, make_rng(33))
 
     def poisoned(*args, **kwargs):
-        return float("nan"), zero_gradients(params), None
+        return float("nan"), zero_gradients(params)
 
     monkeypatch.setattr(train_mod, "loss_and_grads", poisoned)
     with pytest.raises(NonFiniteLossError, match="epoch 0 step 0"):
@@ -325,12 +325,12 @@ def test_paper_preset_dims_forward_backward():
                             seq_ids=[int(v) for v in rng.choice(30, 4, replace=False)],
                             label=i % 2) for i in range(4))
     from qin.dataio import build_batch
-    from qin.model import loss_and_grads
+    from qin.model import loss_and_grads, model_forward
     batch = build_batch(split, hp.seq_len)
     params = init_params(hp, make_rng(22))
-    loss, grads, probs = loss_and_grads(params, hp, store, batch)
+    loss, grads = loss_and_grads(params, hp, store, batch)
     assert np.isfinite(loss)
-    assert probs.shape == (4,)
+    assert model_forward(params, hp, store, batch).logits.shape == (4,)
     assert grads.qnn_w[3].shape == (256, 256)
     assert all(np.all(np.isfinite(a)) for a in grads.views.values())
 

@@ -21,7 +21,7 @@ from qin.config import HyperParams, TrainConfig
 from qin.embedding import EmbeddingStore
 from qin.gradcheck import build_random_instance, gradcheck_hyperparams, parameter_classes
 from qin.metrics import bce_logit_loss
-from qin.model import loss_and_grads
+from qin.model import loss_and_grads, model_forward
 from qin.params import ModelParams, copy_params, params_equal, save_checkpoint
 
 KINDS = ("relu", "softmax", "relu2", "silu", "mean")
@@ -124,12 +124,13 @@ def test_float32_gradients_agree_with_float64(kind, interaction):
     hp = gradcheck_hyperparams(attn_kind=kind, interaction=interaction)
     for seed in range(3):
         params, store, batch = rounded_instance(hp, seed)
-        loss64, grads64, _ = loss_and_grads(params, hp, store, batch)
-        loss32, grads32, probs32 = loss_and_grads(
-            ModelParams(params.shapes, params.flat.astype(np.float32)), hp,
-            EmbeddingStore(store.data.astype(np.float32)), batch)
+        params32 = ModelParams(params.shapes, params.flat.astype(np.float32))
+        store32 = EmbeddingStore(store.data.astype(np.float32))
+        loss64, grads64 = loss_and_grads(params, hp, store, batch)
+        loss32, grads32 = loss_and_grads(params32, hp, store32, batch)
+        logits32 = model_forward(params32, hp, store32, batch).logits
         assert grads64.flat.dtype == np.float64
-        assert grads32.flat.dtype == probs32.dtype == np.float32
+        assert grads32.flat.dtype == logits32.dtype == np.float32
         assert abs(loss32 - loss64) <= 1e-5 * abs(loss64), seed
         for name, span in parameter_classes(params).items():
             want = grads64.flat[span]

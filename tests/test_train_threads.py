@@ -16,6 +16,7 @@ from conftest import spy_traced_names, thread_hp, thread_world, usable
 
 from qin import model, qnn
 from qin.config import TrainConfig
+from qin.dataio import build_batch
 from qin.errors import ShapeError
 from qin.linalg import make_rng
 from qin.params import copy_params, save_checkpoint
@@ -133,6 +134,56 @@ def test_split_layers_match_one_thread(residual, act, dropout_p):
             # Forward: one hand-off per layer; backward: two.
             split = n >= 2 * QNN_SPLIT_MIN_ROWS
             assert helper.submitted == (3 * depth if split else 0), n
+
+
+@pytest.fixture
+def row_blocks(monkeypatch):
+    """(row function, rows, ran in the calling thread) of each QNN row-block call."""
+    calls = []
+    caller = threading.current_thread()
+    for name in ("_forward_rows", "_backward_rows"):
+        def spy(*args, name=name, real=getattr(qnn, name)):
+            # Both take their row block's output last.
+            calls.append((name, len(args[-1]), threading.current_thread() is caller))
+            return real(*args)
+
+        monkeypatch.setattr(qnn, name, spy)
+    return calls
+
+
+def assert_blocks(calls, depth, n, split):
+    """Each layer ran each row function once on all n rows, or on its two halves."""
+    blocks = [n // 2, n - n // 2] if split else [n]
+    for name in ("_forward_rows", "_backward_rows"):
+        mine = [(rows, here) for fn, rows, here in calls if fn == name]
+        assert sorted(rows for rows, _ in mine) == sorted(blocks * depth), (name, n)
+        assert sum(not here for _, here in mine) == (depth if split else 0), (name, n)
+
+
+@pytest.mark.parametrize("n, with_helper", [(1023, False), (1, True), (255, True),
+                                            (256, True), (257, True), (1023, True)])
+def test_each_layer_runs_its_one_body_per_row_block(row_blocks, n, with_helper):
+    dim, depth = 128, 3
+    cfg = QnnConfig(depth=depth, m=2, dim=dim, dropout_p=0.3)
+    rng = make_rng(8)
+    ws = [rng.standard_normal((dim, dim)) * 0.05 for _ in range(depth)]
+    masks = [rng.random((n, dim)) >= 0.3 for _ in range(depth)]
+    x1, d_out = rng.standard_normal((2, n, dim))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        helper = pool if with_helper else None
+        stack_pass(ws, np.array([0.25, -0.1, 0.4]), x1, cfg, masks, d_out, helper)
+    assert_blocks(row_blocks, depth, n, with_helper and n >= 2 * QNN_SPLIT_MIN_ROWS)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_one_cpu_runs_each_layer_on_all_rows(monkeypatch, row_blocks, cpus):
+    hp = thread_hp(64)    # width 128: past the real gate
+    store, params, data = thread_world(hp, 512, seed=6)
+    batch = build_batch(data, hp.seq_len)
+    monkeypatch.setattr(model, "usable_cpus", lambda: cpus)
+    with model.qnn_helper(hp) as helper:
+        model.loss_and_grads(params, hp, store, batch, helper=helper)
+    assert_blocks(row_blocks, hp.depth, 512, cpus == 2)
 
 
 def test_one_cpu_starts_no_thread_in_train(monkeypatch, started):
