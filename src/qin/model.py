@@ -4,14 +4,14 @@ The pooling is the attention block for every attn_kind, the "w/o ASTA"
 mean pooling included (attn_kind mean). The model draws nothing: the
 caller passes each step's keep-masks, drawn by draw_dropout_masks.
 Training (loss_and_grads) and scoring (predict_logits) run the one
-forward pass, model_forward; scoring passes no masks.
+forward pass, model_forward; scoring passes no masks. A wide QNN's layers
+may run on two row halves at once, on the calling thread and the one
+second thread of the process. The split rule in qnn.py alone decides
+when, so nothing here knows of threads.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,29 +22,6 @@ from .embedding import Batch, EmbeddingStore, embedding_grad_accumulate, item_ta
 from .metrics import bce_backward, bce_logit_loss, head_forward
 from .params import ModelParams, zero_gradients
 from .qnn import QnnConfig, assemble_x1, mlp_backward, mlp_forward, qnn_backward, qnn_forward
-
-# QNN width (qnn_dim) from which scoring and training run the QNN layers of
-# each batch as two row halves on two threads (see qnn_helper). Median
-# paired split/serial ratio of a scoring pass (2 000 rows in batches of
-# 1 024, one BLAS thread, 2-core VM, 41 pairs) at width 64 / 96 / 128:
-# depth 4 with 4-item histories 1.54 / 1.37 / 1.41; depth 2 with 32-item
-# histories 0.96 / 1.01 / 1.06; depth 2 with 1..64-item histories 0.98 /
-# 1.01 / 1.06; width 32 lost 0.81-0.84 on both depth-2 shapes. (Taken
-# with whole row-block stacks on the helper; the per-layer split scores
-# about 5% slower at depth 4, width 128: ROADMAP item 11.) Of a
-# training step (loss_and_grads on 1 024 rows, m 4, dropout 0.1, same
-# machine, two rounds of 40 and 60 pairs) at width 64 / 96 / 128: depth 4
-# with 4-item histories 1.20-1.26 / 1.26-1.49 / 1.38-1.51; depth 2 with
-# 32-item histories 1.05-1.14 / 1.09-1.11 / 1.11-1.17; at width 32, depth 2
-# and 32 items, 0.81 at the desk batch of 256 and 0.95-1.04 at 1 024.
-# Those steps ran in float64. In float32, the training dtype, the same
-# step with depth 4 and 4-item histories ran 1.01-1.03 / 1.15-1.19 /
-# 1.16-1.28 split at width 64 / 96 / 128, against 1.06-1.13 / 1.14-1.21 /
-# 1.27 in float64 in the same two rounds (40 and 60 alternating pairs);
-# depth 2 with 32-item histories at width 128, 1.08-1.09 against 1.11-1.14.
-# Below 96 the QNN is too small a share of a batch to pay for the hand-off,
-# and numpy's short calls fight over the GIL.
-QNN_SPLIT_MIN_DIM = 96
 
 
 def attention_config(hp: HyperParams) -> AttentionConfig:
@@ -81,11 +58,8 @@ def draw_dropout_masks(hp: HyperParams, n: int, rng: np.random.Generator):
 
 
 def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-                  batch: Batch, masks: tuple | None = None, helper=None) -> ModelTrace:
-    """The forward pass under the keep-masks of draw_dropout_masks; None means no dropout.
-
-    helper is qnn_helper's thread or None; see loss_and_grads.
-    """
+                  batch: Batch, masks: tuple | None = None) -> ModelTrace:
+    """The forward pass under the keep-masks of draw_dropout_masks; None means no dropout."""
     attn_mask, qnn_masks = masks or (None, None)
     table = item_table(store, params.id_embedding, batch.seq_ids)
     x_t = lookup_target(store, params.id_embedding, batch.target_ids)
@@ -95,7 +69,7 @@ def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
     x1 = assemble_x1(x_t, o, hp.qnn_dim)
     if hp.interaction == "qnn":
         x_last, inter_trace = qnn_forward(params.qnn_w, params.prelu, x1, qnn_config(hp),
-                                          qnn_masks, helper)
+                                          qnn_masks)
     else:
         x_last, inter_trace = mlp_forward(params.mlp_w, params.mlp_b, x1)
 
@@ -105,8 +79,8 @@ def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
 
 
 def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
-                   d_logits: np.ndarray, helper=None) -> ModelParams:
-    """Gradients of every parameter; helper as in model_forward."""
+                   d_logits: np.ndarray) -> ModelParams:
+    """Gradients of every parameter."""
     grads = zero_gradients(params)
 
     grads.head_w += trace.x_last.T @ d_logits
@@ -115,7 +89,7 @@ def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
 
     if hp.interaction == "qnn":
         d_ws, d_slopes, d_x1 = qnn_backward(params.qnn_w, params.prelu, qnn_config(hp),
-                                            trace.inter_trace, d_x_last, helper)
+                                            trace.inter_trace, d_x_last)
         for l in range(hp.depth):
             grads.qnn_w[l] += d_ws[l]
         if grads.prelu is not None:   # qnn_act relu has no slopes
@@ -143,63 +117,34 @@ def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
 
 
 def loss_and_grads(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-                   batch: Batch, masks: tuple | None = None, helper=None):
+                   batch: Batch, masks: tuple | None = None):
     """One batch: (mean BCE loss of the logits, full gradients), under the
     keep-masks of model_forward.
 
     Everything but the loss, which metrics.bce_logit_loss reports in
     float64, computes in the dtype of the parameters and the store.
 
-    helper is the thread of qnn_helper(hp), or None. Each QNN layer runs
-    its one body over row blocks: with the helper and a batch of at least
-    2 * QNN_SPLIT_MIN_ROWS rows, over two row halves at once, forward and
-    backward; otherwise over one block of all rows. Both give the same
-    bits. Everything else runs whole in the calling thread.
+    Each QNN layer runs its one body over row blocks: where qnn's split
+    rule splits it, over two row halves at once, forward and backward;
+    otherwise over one block of all rows. Both give the same bits.
+    Everything else runs whole in the calling thread.
     """
-    trace = model_forward(params, hp, store, batch, masks, helper)
+    trace = model_forward(params, hp, store, batch, masks)
     loss = bce_logit_loss(trace.logits, batch.labels)
     d_logits = bce_backward(trace.logits, batch.labels)
-    grads = model_backward(params, hp, trace, d_logits, helper)
+    grads = model_backward(params, hp, trace, d_logits)
     return loss, grads
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@contextmanager
-def qnn_helper(hp: HyperParams):
-    """The one helper thread that runs half the rows of each QNN layer, for the with block.
-
-    It exists for a QNN at least QNN_SPLIT_MIN_DIM wide with two CPUs
-    usable, and is None otherwise; a batch of fewer than
-    2 * QNN_SPLIT_MIN_ROWS rows runs whole even when it exists. Scoring
-    and training both take their helper from here. The helper runs QNN
-    layers only, never model_forward, qnn_forward or another function a
-    profiler may have wrapped.
-    """
-    if hp.interaction != "qnn" or hp.qnn_dim < QNN_SPLIT_MIN_DIM or usable_cpus() < 2:
-        yield None
-    else:
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            yield helper
-
-
 def predict_logits(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-                   batches, helper=None) -> np.ndarray:
+                   batches) -> np.ndarray:
     """model_forward's logits of every batch, dropout disabled, order preserved.
 
-    helper is a thread the caller holds from qnn_helper(hp), as train
-    does; None starts one for this call where qnn_helper gives one. Each
-    QNN layer runs on one row block or two halves as in loss_and_grads, so
-    the logits equal the one-thread pass to the bit, and an error in the
-    helper half reaches the caller with its own type. No probability is
-    formed here. The logits take the dtype of the parameters and the
-    store.
+    Each QNN layer runs on one row block or two halves as in
+    loss_and_grads, so the logits equal the one-thread pass to the bit,
+    and an error in the second thread's half reaches the caller with its
+    own type. No probability is formed here. The logits take the dtype of
+    the parameters and the store.
     """
-    with qnn_helper(hp) if helper is None else nullcontext(helper) as helper:
-        outs = [model_forward(params, hp, store, b, helper=helper).logits for b in batches]
+    outs = [model_forward(params, hp, store, b).logits for b in batches]
     return np.concatenate(outs) if outs else np.zeros(0, dtype=params.flat.dtype)

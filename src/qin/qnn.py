@@ -23,17 +23,18 @@ the layer itself made, in the same operand order as the plain
 expressions, so results are unchanged.
 
 A layer makes its outputs once and fills them from one row block or
-two. Every layer function takes an optional ``helper``: an executor
-whose one thread fills the second row half of the batch while the
-calling thread fills the first. All but two of a layer's ops act row by
-row, and each gives the same bits on a block of at least
-QNN_SPLIT_MIN_ROWS rows as on the whole batch; a batch with fewer than
-twice that, or a layer without a helper, runs as one block of all its
-rows. The two sums over rows, the weight gradient ``d_t.T @ x`` and the
-slope gradient's sum, run whole in the calling thread while the helper,
-if any, forms ``d_t @ w`` for d_x. So a layer gives the same bits with a
-helper as without one. The helper runs only code of this module and
-``linalg``.
+two. ``split_helper(n, dim)`` is the one rule for two: a layer at least
+QNN_SPLIT_MIN_DIM wide, on a batch of at least twice QNN_SPLIT_MIN_ROWS
+rows, with two CPUs usable, gets the process's one helper thread, which
+fills the second row half while the calling thread fills the first. The
+helper is an executor made at import; it starts its thread at the first
+split and keeps it for the life of the process. All but two of a
+layer's ops act row by row, and each gives the same bits on a block of
+at least QNN_SPLIT_MIN_ROWS rows as on the whole batch. The two sums
+over rows, the weight gradient ``d_t.T @ x`` and the slope gradient's
+sum, run whole in the calling thread while the helper, if any, forms
+``d_t @ w`` for d_x. So a layer gives the same bits split as whole. The
+helper runs only code of this module and ``linalg``.
 
 ``brute_force_expansion`` recomputes a layer monomial by monomial in pure
 Python and is the independent oracle for the vectorized path.
@@ -41,6 +42,8 @@ Python and is the independent oracle for the vectorized path.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +61,35 @@ from .linalg import FLOAT, prelu, prelu_grad, prelu_slope_terms
 # the whole product in both dtypes. From 10 rows on at width 128 a row
 # block's product has the whole batch's bits.
 QNN_SPLIT_MIN_ROWS = 128
+
+# QNN width (qnn_dim) from which scoring and training run the QNN layers of
+# each batch as two row halves on two threads (see split_helper). Median
+# paired split/serial ratio of a scoring pass (2 000 rows in batches of
+# 1 024, one BLAS thread, 2-core VM, 41 pairs) at width 64 / 96 / 128:
+# depth 4 with 4-item histories 1.54 / 1.37 / 1.41; depth 2 with 32-item
+# histories 0.96 / 1.01 / 1.06; depth 2 with 1..64-item histories 0.98 /
+# 1.01 / 1.06; width 32 lost 0.81-0.84 on both depth-2 shapes. (Taken
+# with whole row-block stacks on the helper; the per-layer split scores
+# about 5% slower at depth 4, width 128: ROADMAP item 11.) Of a
+# training step (loss_and_grads on 1 024 rows, m 4, dropout 0.1, same
+# machine, two rounds of 40 and 60 pairs) at width 64 / 96 / 128: depth 4
+# with 4-item histories 1.20-1.26 / 1.26-1.49 / 1.38-1.51; depth 2 with
+# 32-item histories 1.05-1.14 / 1.09-1.11 / 1.11-1.17; at width 32, depth 2
+# and 32 items, 0.81 at the desk batch of 256 and 0.95-1.04 at 1 024.
+# Those steps ran in float64. In float32, the training dtype, the same
+# step with depth 4 and 4-item histories ran 1.01-1.03 / 1.15-1.19 /
+# 1.16-1.28 split at width 64 / 96 / 128, against 1.06-1.13 / 1.14-1.21 /
+# 1.27 in float64 in the same two rounds (40 and 60 alternating pairs);
+# depth 2 with 32-item histories at width 128, 1.08-1.09 against 1.11-1.14.
+# Below 96 the QNN is too small a share of a batch to pay for the hand-off,
+# and numpy's short calls fight over the GIL.
+QNN_SPLIT_MIN_DIM = 96
+
+# The process's one helper thread. An executor starts no thread before its
+# first submit, so a process that never splits a layer never starts one.
+# Nothing in the package forks: a child forked after the first split would
+# inherit an executor whose thread is gone.
+_HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="qnn-rows")
 
 
 @dataclass(frozen=True)
@@ -118,9 +150,24 @@ def _both(helper, mine, theirs):
         future.result()
 
 
-def split_helper(helper, n: int):
-    """helper if n rows split into two halves of QNN_SPLIT_MIN_ROWS rows or more, else None."""
-    return helper if n >= 2 * QNN_SPLIT_MIN_ROWS else None
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def split_helper(n: int, dim: int):
+    """The helper thread's executor if a layer of n rows, dim wide, runs as two
+    row halves, else None.
+
+    It splits when dim is at least QNN_SPLIT_MIN_DIM, each half has at
+    least QNN_SPLIT_MIN_ROWS rows and two CPUs are usable. This is the one
+    statement of when a layer splits.
+    """
+    if dim >= QNN_SPLIT_MIN_DIM and n >= 2 * QNN_SPLIT_MIN_ROWS and usable_cpus() >= 2:
+        return _HELPER
+    return None
 
 
 def _by_halves(helper, rows_fn, n: int) -> None:
@@ -149,16 +196,17 @@ def _forward_rows(x, w_t, slope: float, cfg: QnnConfig, drop_mask, t, h, out) ->
 
 
 def qnn_layer_forward(w: np.ndarray, slope: float, x: np.ndarray, cfg: QnnConfig,
-                      drop_mask: np.ndarray | None = None, helper=None):
+                      drop_mask: np.ndarray | None = None):
     """One quadratic layer on a (n, dim) batch; w is (dim, dim) or (m, dim, dim).
 
-    With a helper, the second row half runs in the helper's thread.
+    Where split_helper splits the layer, the second row half runs in the
+    helper's thread.
     """
     if x.ndim != 2 or x.shape[1] != cfg.dim:
         raise ShapeError(f"layer input of shape {x.shape} is not (n, {cfg.dim})")
     w_t = _folded(w, cfg).T
     t, h, out = (np.empty(x.shape, dtype=np.result_type(x, w_t)) for _ in range(3))
-    _by_halves(split_helper(helper, len(x)),
+    _by_halves(split_helper(len(x), cfg.dim),
                lambda r: _forward_rows(x[r], w_t, slope, cfg, _rows(drop_mask, r),
                                        t[r], h[r], out[r]), len(x))
     return out, QnnLayerTrace(x=x, t=t, h=h, drop_mask=drop_mask)
@@ -185,17 +233,17 @@ def _backward_rows(slope: float, cfg: QnnConfig, x, t, h, drop_mask, d_out,
 
 
 def qnn_layer_backward(w: np.ndarray, slope: float, cfg: QnnConfig,
-                       trace: QnnLayerTrace, d_out: np.ndarray, helper=None):
+                       trace: QnnLayerTrace, d_out: np.ndarray):
     """Gradients of one layer with a (dim, dim) w; returns (d_w, d_slope, d_x).
 
-    With a helper, the second row half of the row-wise ops runs in the
-    helper's thread, then the helper adds d_t @ w into d_x while this
-    thread forms d_w and the slope sum.
+    Where split_helper splits the layer, the second row half of the
+    row-wise ops runs in the helper's thread, then the helper adds
+    d_t @ w into d_x while this thread forms d_w and the slope sum.
     """
     if w.shape != (cfg.dim, cfg.dim):
         raise ShapeError(f"layer weight of shape {w.shape} is not ({cfg.dim}, {cfg.dim})")
     x, t, h, mask = trace.x, trace.t, trace.h, trace.drop_mask
-    helper = split_helper(helper, len(d_out))
+    helper = split_helper(len(d_out), cfg.dim)
     terms = None if cfg.act == "relu" else np.empty_like(h)
     d_x, d_t = np.empty_like(h), np.empty_like(h)
     d_t_w = np.empty(h.shape, dtype=np.result_type(h, w))
@@ -237,30 +285,28 @@ def brute_force_expansion(w: np.ndarray, slope: float, x: np.ndarray,
 
 
 def qnn_forward(ws: list, slopes: np.ndarray, x1: np.ndarray, cfg: QnnConfig,
-                drop_masks: list | None = None, helper=None):
+                drop_masks: list | None = None):
     """Run the full stack on a (n, dim) batch; drop_masks is one (n, dim)
-    keep-mask per layer or None, and helper splits each layer's rows (see
-    qnn_layer_forward). The trace is the list of layer traces."""
+    keep-mask per layer or None. The trace is the list of layer traces."""
     x = x1
     layers = []
     for l, slope in enumerate(layer_slopes(slopes, cfg)):
         dm = drop_masks[l] if drop_masks is not None else None
-        x, trace = qnn_layer_forward(ws[l], slope, x, cfg, dm, helper)
+        x, trace = qnn_layer_forward(ws[l], slope, x, cfg, dm)
         layers.append(trace)
     return x, layers
 
 
 def qnn_backward(ws: list, slopes: np.ndarray, cfg: QnnConfig,
-                 layers: list, d_out, helper=None):
+                 layers: list, d_out):
     """Gradients through the full stack, given qnn_forward's layer traces;
-    returns (d_ws, d_slopes, d_x1); under act relu every d_slope is 0.
-    helper splits each layer's rows (see qnn_layer_backward)."""
+    returns (d_ws, d_slopes, d_x1); under act relu every d_slope is 0."""
     d_x = d_out
     d_ws = [None] * cfg.depth
     d_slopes = np.zeros(cfg.depth, dtype=d_out.dtype)
     slope_of = layer_slopes(slopes, cfg)
     for l in range(cfg.depth - 1, -1, -1):
-        d_w, d_slope, d_x = qnn_layer_backward(ws[l], slope_of[l], cfg, layers[l], d_x, helper)
+        d_w, d_slope, d_x = qnn_layer_backward(ws[l], slope_of[l], cfg, layers[l], d_x)
         d_ws[l] = d_w
         d_slopes[l] = d_slope
     return d_ws, d_slopes, d_x

@@ -21,12 +21,13 @@ train draws and passes to the forward pass, derive from the run seed, and
 the float32 parameters update in a fixed buffer order, so identical seeds
 give bit-identical histories and checkpoints; the float64 checkpoint
 holds the float32 values exactly. A wide QNN's layers may run on two
-row halves at once, in the calling thread and one helper thread that train
-holds for the whole call and evaluation shares (see model.qnn_helper). Every
-row-wise op gives the one-thread pass's bits on a half, and the sums over
-rows (the weight and slope gradients) run whole in the calling thread, so
-histories, checkpoints and probabilities are the same to the bit whatever the
-CPU count.
+row halves at once, in the calling thread and the one second thread of the
+process, which the first split starts and every later train, evaluate and
+scoring call shares; the split rule is in qnn.py, and nothing here chooses
+it. Every row-wise op gives the one-thread pass's bits on a half, and the
+sums over rows (the weight and slope gradients) run whole in the calling
+thread, so histories, checkpoints and probabilities are the same to the bit
+whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .embedding import EmbeddingStore
 from .errors import NonFiniteLossError, ShapeError, SingleClassError
 from .linalg import FLOAT, TRAIN_FLOAT, sigmoid, spawn_rng
 from .metrics import auc, bce_logit_loss
-from .model import draw_dropout_masks, loss_and_grads, predict_logits, qnn_helper
+from .model import draw_dropout_masks, loss_and_grads, predict_logits
 from .params import ModelParams, copy_params, lr_scale
 
 # Substream tags for the run seed, so shuffling and dropout never collide.
@@ -128,21 +129,21 @@ class TrainResult:
 
 
 def evaluate(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-             split: Split, helper=None) -> dict:
+             split: Split) -> dict:
     """Full-pass valid metrics, dropout disabled. Raises on single-class data.
 
     Rows are scored by model.predict_logits in stable history-length
     order, each batch cut to its longest history, so ragged histories
-    score few padded slots; helper is as there. "logloss" is
-    metrics.bce_logit_loss, the training loss, of the logits in input
-    order. "probs" is the head's sigmoid of those logits, in the
-    parameters' dtype, then widened to float64; its bits do not depend on
-    how the rows were batched, and the AUC is taken on it.
+    score few padded slots. "logloss" is metrics.bce_logit_loss, the
+    training loss, of the logits in input order. "probs" is the head's
+    sigmoid of those logits, in the parameters' dtype, then widened to
+    float64; its bits do not depend on how the rows were batched, and the
+    AUC is taken on it.
     """
     if not len(split):
         raise SingleClassError("cannot evaluate an empty dataset")
     order, batches = length_sorted_batches(split, EVAL_BATCH_SIZE, hp.seq_len)
-    scored = predict_logits(params, hp, store, batches, helper)
+    scored = predict_logits(params, hp, store, batches)
     logits = np.empty_like(scored)
     logits[order] = scored
     probs = sigmoid(logits).astype(FLOAT)
@@ -178,35 +179,34 @@ def train(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
     since_best = 0
     global_step = 0
 
-    with qnn_helper(hp) as helper:
-        for epoch in range(cfg.epochs):
-            batches = make_batches(data_train, cfg.batch_size, hp.seq_len, rng=shuffle_rng)
-            total_loss = 0.0
-            for batch in batches:
-                dropout_rng = spawn_rng(cfg.seed, _DROPOUT_STREAM, global_step)
-                masks = draw_dropout_masks(hp, batch.size, dropout_rng)
-                loss, grads = loss_and_grads(params, hp, store, batch, masks, helper)
-                if not np.isfinite(loss):
-                    raise NonFiniteLossError(
-                        f"non-finite loss {loss} at epoch {epoch} step {global_step}")
-                adam_step(params, grads, state, cfg, factors)
-                total_loss += loss * batch.size
-                global_step += 1
-            epoch_loss = total_loss / len(data_train)
-            metrics = evaluate(params, hp, store, data_valid, helper)
-            result.history.append(HistoryEntry(epoch=epoch, loss=epoch_loss,
-                                               val_auc=metrics["auc"],
-                                               val_logloss=metrics["logloss"]))
-            if metrics["auc"] > best_auc:
-                best_auc = metrics["auc"]
-                result.params = ModelParams(params.shapes, params.flat.astype(FLOAT))
-                result.best_epoch = epoch
-                result.best_auc = best_auc
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= cfg.patience:
-                    break
+    for epoch in range(cfg.epochs):
+        batches = make_batches(data_train, cfg.batch_size, hp.seq_len, rng=shuffle_rng)
+        total_loss = 0.0
+        for batch in batches:
+            dropout_rng = spawn_rng(cfg.seed, _DROPOUT_STREAM, global_step)
+            masks = draw_dropout_masks(hp, batch.size, dropout_rng)
+            loss, grads = loss_and_grads(params, hp, store, batch, masks)
+            if not np.isfinite(loss):
+                raise NonFiniteLossError(
+                    f"non-finite loss {loss} at epoch {epoch} step {global_step}")
+            adam_step(params, grads, state, cfg, factors)
+            total_loss += loss * batch.size
+            global_step += 1
+        epoch_loss = total_loss / len(data_train)
+        metrics = evaluate(params, hp, store, data_valid)
+        result.history.append(HistoryEntry(epoch=epoch, loss=epoch_loss,
+                                           val_auc=metrics["auc"],
+                                           val_logloss=metrics["logloss"]))
+        if metrics["auc"] > best_auc:
+            best_auc = metrics["auc"]
+            result.params = ModelParams(params.shapes, params.flat.astype(FLOAT))
+            result.best_epoch = epoch
+            result.best_auc = best_auc
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= cfg.patience:
+                break
     return result
 
 

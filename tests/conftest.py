@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from qin import model
+from qin import qnn
 from qin.config import GenConfig, HyperParams, TrainConfig
 from qin.datagen import generate
 from qin.dataio import Split, read_dataset
@@ -74,8 +74,8 @@ def thread_world(hp, n, seed=0, empty=False):
 
 def usable(monkeypatch, count):
     """Lower the QNN width gate to 0 and report count usable CPUs."""
-    monkeypatch.setattr(model, "QNN_SPLIT_MIN_DIM", 0)
-    monkeypatch.setattr(model, "usable_cpus", lambda: count)
+    monkeypatch.setattr(qnn, "QNN_SPLIT_MIN_DIM", 0)
+    monkeypatch.setattr(qnn, "usable_cpus", lambda: count)
 
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "qinbench" / "tracing.py"
@@ -102,6 +102,11 @@ def spy_traced_names(monkeypatch) -> list:
 
         monkeypatch.setattr(module, attr, shim)
     return entered
+
+
+def helper_threads() -> list:
+    """The QNN helper threads alive now; the process never has more than one."""
+    return [t for t in threading.enumerate() if t.name.startswith("qnn-rows")]
 
 
 @pytest.fixture

@@ -1,8 +1,9 @@
-"""Every name a package module imports is read in that module.
+"""Static checks of the package's imports.
 
-No linter runs on this tree, so this is the check for an import that a
-deletion left behind. Names the package re-exports through
-``qin.__all__`` are exempt.
+Every name a package module imports is read in that module. No linter
+runs on this tree, so this is the check for an import that a deletion left
+behind. Names the package re-exports through ``qin.__all__`` are exempt.
+Only qnn.py, which owns the QNN row split, imports a thread module.
 """
 
 import ast
@@ -50,3 +51,20 @@ def test_every_imported_name_is_read():
         if names:
             unused[path.name] = names
     assert unused == {}, f"imported but never read: {unused}"
+
+
+def test_only_qnn_imports_threads():
+    # The QNN row split is the package's one use of a second thread, and
+    # qnn.py its one owner: no other module may start or share a thread.
+    owners = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] in ("concurrent", "threading") for m in modules):
+                owners.add(path.name)
+    assert owners == {"qnn.py"}

@@ -1,9 +1,9 @@
 """predict_logits with the QNN layers split over two threads, against one thread, bit for bit.
 
-The split is forced on by lowering QNN_SPLIT_MIN_DIM and reporting two
-usable CPUs, and forced off by reporting one. Widths 32 and 128 bracket
-the gate: at width 32 OpenBLAS keeps its small-matrix GEMM path up to 37
-rows, the widest span of rows whose bits differ from a big GEMM's.
+The split is forced on by lowering qnn.QNN_SPLIT_MIN_DIM and reporting
+two usable CPUs, and forced off by reporting one. Widths 32 and 128
+bracket the gate: at width 32 OpenBLAS keeps its small-matrix GEMM path up
+to 37 rows, the widest span of rows whose bits differ from a big GEMM's.
 """
 
 import threading
@@ -11,7 +11,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import spy_traced_names, thread_hp, thread_world, usable
+from conftest import helper_threads, spy_traced_names, thread_hp, thread_world, usable
 
 from qin import model, qnn
 from qin.config import TrainConfig
@@ -104,7 +104,7 @@ def test_traced_names_do_not_depend_on_the_cpu_count(monkeypatch, qnn_threads):
     entered = spy_traced_names(monkeypatch)
     calls = []
     for count in (1, 2):
-        monkeypatch.setattr(model, "usable_cpus", lambda: count)
+        monkeypatch.setattr(qnn, "usable_cpus", lambda: count)
         entered.clear()
         evaluate(params, hp, store, split)
         assert {t for _, t in entered} == {threading.current_thread().name}, count
@@ -123,37 +123,30 @@ def test_split_all_empty_histories(monkeypatch, qnn_threads):
     assert len(set(qnn_threads)) == 2
 
 
-def test_mlp_interaction_never_splits(monkeypatch):
+class RefusingHelper:
+    def submit(self, *args, **kwargs):
+        raise AssertionError("a layer split")
+
+
+def test_mlp_interaction_never_splits(monkeypatch, started):
     hp = thread_hp(64, interaction="mlp", mlp_dims=(32, 16))
     store, params, split = thread_world(hp, 1023, seed=5)
     batches = list(make_batches(split, 1023, hp.seq_len))
     usable(monkeypatch, 1)
     one = model.predict_logits(params, hp, store, batches)
     usable(monkeypatch, 2)
-    monkeypatch.setattr(model, "ThreadPoolExecutor", None)   # any use would raise
+    monkeypatch.setattr(qnn, "_HELPER", RefusingHelper())
     assert np.array_equal(one, model.predict_logits(params, hp, store, batches))
+    assert started == []
 
 
 def test_one_cpu_starts_no_thread(monkeypatch, started):
     hp = thread_hp(64)    # width 128: past the real gate
     store, params, split = thread_world(hp, 1023, seed=9)
     batches = list(make_batches(split, 1023, hp.seq_len))
-    monkeypatch.setattr(model, "usable_cpus", lambda: 1)
-    before = threading.active_count()
+    monkeypatch.setattr(qnn, "usable_cpus", lambda: 1)
     model.predict_logits(params, hp, store, batches)
     assert started == []
-    assert threading.active_count() == before
-
-
-def test_helper_thread_ends_with_the_call(monkeypatch, started):
-    hp = thread_hp(64)
-    store, params, split = thread_world(hp, 2000, seed=9)
-    batches = list(make_batches(split, 1000, hp.seq_len))
-    monkeypatch.setattr(model, "usable_cpus", lambda: 2)
-    before = threading.active_count()
-    model.predict_logits(params, hp, store, batches)
-    assert len(started) == 1            # one helper for both batches
-    assert threading.active_count() == before
 
 
 def test_helper_error_reaches_caller_with_its_type(monkeypatch):
@@ -169,11 +162,10 @@ def test_helper_error_reaches_caller_with_its_type(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(qnn, "prelu", failing)
-    monkeypatch.setattr(model, "usable_cpus", lambda: 2)
-    before = threading.active_count()
+    monkeypatch.setattr(qnn, "usable_cpus", lambda: 2)
     with pytest.raises(ShapeError, match="helper half failed"):
         model.predict_logits(params, hp, store, batches)
-    assert threading.active_count() == before
+    assert len(helper_threads()) == 1
 
 
 def test_wide_training_with_dropout_same_bits(monkeypatch):

@@ -48,8 +48,8 @@ def spied_train(monkeypatch, hp, store, params, data, n_train, batch_size):
     real_backward, real_adam, real_predict = (model.model_backward, train_mod.adam_step,
                                               train_mod.predict_logits)
 
-    def backward(params, hp, trace, d_logits, helper=None):
-        grads = real_backward(params, hp, trace, d_logits, helper)
+    def backward(params, hp, trace, d_logits):
+        grads = real_backward(params, hp, trace, d_logits)
         seen["traces"].append((trace, d_logits))
         seen["grads"].append(grads)
         return grads
@@ -81,7 +81,7 @@ def test_every_array_of_a_training_step_is_float32(monkeypatch, shape):
         hp = thread_hp(64, dropout_p=0.1, attn_dropout_p=0.1)
         store, params, data = thread_world(hp, 512 + 64, seed=2)
         n_train, batch_size, helper_on = 512, 512, True
-        monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(qnn, "usable_cpus", lambda: 2)
     split_rows = []
     real_forward_rows = qnn._forward_rows
 
