@@ -16,16 +16,17 @@ normalization; for the pointwise kinds the transformed weight is zeroed.
 Either way masked positions contribute exactly zero to the output, and an
 all-masked (empty) history returns the target embedding unchanged.
 
-Data flow: keys and values are linear maps of the same behavior rows x_b,
-so neither is ever formed. Each slot's raw row is gathered once, the
-query is mapped into item space (qk = W_k^T q, so q.k = x_b.qk), the
-weights pool the raw rows, and W_v maps the pooled row once per sample.
-The backward pass mirrors this: every projection gradient is a product of
-per-sample (n, d) arrays, and the behavior-row gradient is one segment sum
-whose slot entry is d_score * qk + weight * W_v^T d_o, over columns
-frozen: only; the first `frozen` columns are the store, which never trains.
-Under ``mean`` there is no score and no W_q or W_k: the slot entry is the
-weight term alone, and the block takes and returns None for them.
+Data flow: each slot's behavior row x_b comes in whole, gathered by the
+embedding module, and keys and values are linear maps of those rows, so
+neither is ever formed. The query is mapped into item space
+(qk = W_k^T q, so q.k = x_b.qk), the weights pool the raw rows, and W_v
+maps the pooled row once per sample. The backward pass mirrors this:
+every projection gradient is a product of per-sample (n, d) arrays, and
+the behavior-row gradient is returned factored, never per slot: slot
+(r, j) gets d_score * qk[r] + weight * (W_v^T d_o)[r], and the embedding
+module sums those terms into its table. Under ``mean`` there is no score
+and no W_q or W_k: the slot gradient is the weight term alone, and the
+block takes and returns None for them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .config import ATTN_KINDS, check_item_width
 from .errors import ConfigError, ShapeError
-from .linalg import relu, relu2, relu2_grad, relu_grad, segment_sum, silu, silu_grad
+from .linalg import relu, relu2, relu2_grad, relu_grad, silu, silu_grad
 
 # The pointwise score transforms: kind -> (transform, derivative).
 _POINTWISE = {"relu": (relu, relu_grad), "relu2": (relu2, relu2_grad), "silu": (silu, silu_grad)}
@@ -73,9 +74,9 @@ class AttentionConfig:
 class AttentionTrace:
     """Everything the backward pass replays, per batch row.
 
-    Only per-sample vectors and the gathered behavior rows are kept; no
-    per-slot key or value exists in either pass. Kind ``mean`` forms no
-    query or score, so q, qk and scores are None.
+    Only per-sample vectors and the behavior rows are kept; no per-slot
+    key or value exists in either pass. Kind ``mean`` forms no query or
+    score, so q, qk and scores are None.
     """
 
     q: np.ndarray | None     # (n, d_t)
@@ -85,8 +86,6 @@ class AttentionTrace:
     scores: np.ndarray | None  # (n, s) raw scaled scores
     weights: np.ndarray      # (n, s) transformed, masked, post-dropout
     x_t: np.ndarray          # (n, d_t)
-    ids: np.ndarray          # (n, s) table row of each slot
-    x_b_shape: tuple         # shape of the x_b argument, which d_x_b takes
     mask: np.ndarray         # (n, s)
     drop_mask: np.ndarray | None  # (n, s) bool or {0, 1} keep-mask, or None
     softmax_w: np.ndarray | None  # (n, s) pre-dropout softmax weights
@@ -120,46 +119,29 @@ def attention_weights(scores: np.ndarray | None, mask: np.ndarray, kind: str) ->
     return transform(scores) * mask
 
 
-def _promote(x_t, x_b, mask, ids):
-    """Batch-shaped inputs, each slot's behavior row and its table row.
-
-    Without ids, x_b holds one row per slot, (n, s, d_t) or (s, d_t) for
-    one sample, and is read as a table of n*s rows under the identity
-    index. With ids, (n, s) or (s,), x_b is the item table and each
-    slot's row is gathered from it once. The mask takes x_b's dtype.
-    """
-    mask = mask.astype(x_b.dtype, copy=False)
-    if ids is None:
-        ids = np.arange(int(np.prod(x_b.shape[:-1]))).reshape(x_b.shape[:-1])
-    else:
-        x_b = np.take(x_b, ids, axis=0)
-    single = x_t.ndim == 1
-    if single:
-        x_t, x_b, ids, mask = x_t[None], x_b[None], ids[None], mask[None]
-    return x_t, x_b, ids, mask, single
-
-
 def asta_forward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
                  cfg: AttentionConfig, x_t, x_b, mask,
-                 drop_mask: np.ndarray | None = None, ids=None):
+                 drop_mask: np.ndarray | None = None):
     """Interest vector o = transform(Q.K^T / sqrt(d_t)) V + x_t.
 
     Under kind mean the weights are the masked mean's, o = W_v . mean(x_b) + x_t,
     and w_q, w_k are not used (None will do).
 
-    Accepts one sample (x_t (d_t,), x_b (s, d_t)) or a batch with a leading
-    n axis. With ids, x_b is an item table (rows, d_t) instead and ids
-    (n, s) names the row behind each slot. drop_mask, when given, is the
-    bool (or {0, 1}) keep mask applied to the transformed weights with inverted
-    scaling (training mode only).
+    Accepts a batch, x_t (n, d_t) and each slot's behavior row x_b
+    (n, s, d_t), or one sample without the leading n axis. The mask takes
+    x_b's dtype. drop_mask, when given, is the bool (or {0, 1}) keep mask
+    applied to the transformed weights with inverted scaling (training
+    mode only).
     """
-    x_b_shape = np.shape(x_b)
-    x_t, x_b, ids, mask, single = _promote(x_t, x_b, mask, ids)
+    mask = mask.astype(x_b.dtype, copy=False)
+    single = x_t.ndim == 1
+    if single:
+        x_t, x_b, mask = x_t[None], x_b[None], mask[None]
     d = cfg.d_t
-    if ids.ndim != 2 or x_t.shape != (ids.shape[0], d) \
-            or x_b.shape[-1] != d or mask.shape != ids.shape:
+    if x_b.ndim != 3 or x_t.shape != (x_b.shape[0], d) \
+            or x_b.shape[2] != d or mask.shape != x_b.shape[:2]:
         raise ShapeError(
-            f"attention input shapes x_t={x_t.shape} x_b={x_b_shape} mask={mask.shape} "
+            f"attention input shapes x_t={x_t.shape} x_b={x_b.shape} mask={mask.shape} "
             f"do not match config (d_t={d})")
     if any(np.shape(w) != (d, d) for w in ((w_v,) if cfg.kind == "mean" else (w_q, w_k, w_v))):
         raise ShapeError("attention projection shapes do not match config")
@@ -179,22 +161,22 @@ def asta_forward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
     pooled = (weights[:, None, :] @ x_b)[:, 0, :]           # (n, d_t)
     o = pooled @ w_v.T + x_t
     trace = AttentionTrace(q=q, qk=qk, x_b=x_b, pooled=pooled, scores=scores,
-                           weights=weights, x_t=x_t, ids=ids, x_b_shape=x_b_shape,
-                           mask=mask, drop_mask=drop_mask, softmax_w=softmax_w)
+                           weights=weights, x_t=x_t, mask=mask, drop_mask=drop_mask,
+                           softmax_w=softmax_w)
     return (o[0] if single else o), trace
 
 
 def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
-                  cfg: AttentionConfig, trace: AttentionTrace, d_o, frozen: int = 0):
+                  cfg: AttentionConfig, trace: AttentionTrace, d_o):
     """Reverse-mode gradients for the attention block.
 
-    Returns (d_w_q, d_w_k, d_w_v, d_x_t, d_x_b), d_x_b shaped like the x_b
-    of the forward call, per slot or per table row when ids were given,
-    but holding only columns frozen: of each row. Each slot's behavior-row
-    gradient is summed per table row by one segment sum. ReLU subgradient
-    at 0 is 0; the residual contributes identity to d_x_t; dropout masks
-    are replayed from the trace. Kind mean has no w_q or w_k, so its d_w_q
-    and d_w_k are None.
+    Returns (d_w_q, d_w_k, d_w_v, d_x_t, d_x_b). d_x_b is the behavior-row
+    gradient in factored form, a list of pairs (rows (n, d_t), weights
+    (n, s)): slot (r, j) gets the sum over pairs of weights[r, j] * rows[r].
+    A single-sample call drops the n axis of d_x_t and of each pair.
+    ReLU subgradient at 0 is 0; the residual contributes identity to d_x_t;
+    dropout masks are replayed from the trace. Kind mean has no w_q or
+    w_k, so its d_w_q and d_w_k are None.
     """
     single = d_o.ndim == 1
     if single:
@@ -206,11 +188,11 @@ def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
     d_v = d_o @ w_v                                         # (n, d_t) d_o in item space
     d_w_v = d_o.T @ trace.pooled
     # Slot (r, j) adds d_scores[r, j] * qk[r] + weights[r, j] * d_v[r] to
-    # the gradient of its table row; fixed mean weights have no d_scores.
-    value_term = (d_v[:, frozen:], trace.weights)
+    # the gradient of its behavior row; fixed mean weights have no d_scores.
+    value_term = (d_v, trace.weights)
     if cfg.kind == "mean":
         d_w_q = d_w_k = None
-        terms = [value_term]
+        d_x_b = [value_term]
     else:
         d_w = (trace.x_b @ d_v[:, :, None])[:, :, 0]        # d loss / d weights
         if trace.drop_mask is not None:
@@ -229,10 +211,8 @@ def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
         d_w_q = d_q.T @ trace.x_t
         d_x_t += d_q @ w_q
         d_w_k = trace.q.T @ px
-        terms = [(trace.qk[:, frozen:], d_scores), value_term]
+        d_x_b = [(trace.qk, d_scores), value_term]
 
-    rows = int(np.prod(trace.x_b_shape[:-1]))
-    d_x_b = segment_sum(trace.ids, rows, *terms)
-    d_x_b = d_x_b.reshape(*trace.x_b_shape[:-1], d_x_b.shape[1])
-
-    return d_w_q, d_w_k, d_w_v, (d_x_t[0] if single else d_x_t), d_x_b
+    if single:
+        return d_w_q, d_w_k, d_w_v, d_x_t[0], [(rows[0], w[0]) for rows, w in d_x_b]
+    return d_w_q, d_w_k, d_w_v, d_x_t, d_x_b

@@ -19,7 +19,7 @@ width key. ``attn_kind`` is the attention weight rule; ``mean`` is the
 "w/o ASTA" ablation, fixed mean weights over the live history. Attention
 dropout is off at ``attn_dropout_p = 0``, the default, and applies to the
 pooled slots under every kind. Adam's beta1, beta2 and eps are not keys but
-constants in train.py, beside the chunk size.
+constants in train.py.
 ``desk`` is the default preset (small dims, minutes on one CPU); ``paper``
 pins the reference hyperparameters (lr 2e-3, embedding weight decay 2e-4,
 batch 8192, dim 128, depth = capacity = 4, dropout 0.1).

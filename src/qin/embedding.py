@@ -1,8 +1,12 @@
 """Item representation: frozen pretrained store concat trainable id table.
 
 Every item vector is ``concat(store_row, id_row)``: the frozen part stands
-in for pretrained content embeddings, the id part is learned. Padded
-sequence slots resolve to zero vectors and a zero mask entry.
+in for pretrained content embeddings, the id part is learned. This module
+alone knows that layout. lookup_items hands the model each batch's target
+rows and behavior rows whole; embedding_grad_accumulate takes their
+gradients back, drops the store columns and sums the rest into the id
+table. Padded sequence slots carry id 0 and a zero mask entry, so they
+add exactly zero.
 
 Embedding file layout ("QINEMB1"): 7 magic bytes, count (u32 LE),
 dim (u32 LE), then count x dim float32 little-endian values row-major.
@@ -113,38 +117,36 @@ def _check_ids(ids: np.ndarray, count: int, what: str) -> None:
         raise DataError(f"{what} id {int(bad)} out of range [0, {count})")
 
 
-def lookup_target(store: EmbeddingStore, id_table: np.ndarray, target_ids: np.ndarray) -> np.ndarray:
-    """Target item vectors, (n, d_t) = concat(frozen row, trainable row).
+def lookup_items(store: EmbeddingStore, id_table: np.ndarray, batch: Batch):
+    """The batch's item vectors: x_t (n, d_t) per target, x_b (n, s, d_t) per history slot.
 
-    Ids are checked against the store only: item_table, which the model
-    calls first, checks that the store and the id table have the same rows.
-    """
-    _check_ids(target_ids, store.count, "target")
-    return np.concatenate([store.data[target_ids], id_table[target_ids]], axis=1)
-
-
-def item_table(store: EmbeddingStore, id_table: np.ndarray, seq_ids: np.ndarray) -> np.ndarray:
-    """Every item vector, (vocab, d_t), for attention to index by seq_ids.
-
-    The table is built whole once per step instead of one row per
-    sequence slot. That adds no new cost class: a training step already
-    touches every vocab row through the dense id-table gradient and Adam.
+    Both are taken from one table of every item vector, built once per
+    call; taking rows from it beats concatenating per-slot rows. That adds
+    no new cost class: a training step already touches every vocab row
+    through the dense id-table gradient and Adam.
     """
     if store.count != id_table.shape[0]:
         raise ShapeError(f"embedding store has {store.count} items, id table {id_table.shape[0]}")
-    _check_ids(seq_ids, store.count, "sequence")
-    return np.concatenate([store.data, id_table], axis=1)
+    _check_ids(batch.target_ids, store.count, "target")
+    _check_ids(batch.seq_ids, store.count, "sequence")
+    table = np.concatenate([store.data, id_table], axis=1)
+    return table.take(batch.target_ids, axis=0), table.take(batch.seq_ids, axis=0)
 
 
-def embedding_grad_accumulate(grads: ModelParams, d_frozen: int, target_ids: np.ndarray,
-                              d_x_t: np.ndarray, d_items: np.ndarray) -> None:
-    """Add the id-table gradient: target rows, then per-item rows.
+def embedding_grad_accumulate(grads: ModelParams, batch: Batch, d_x_t: np.ndarray,
+                              d_x_b: list) -> None:
+    """Add the id-table gradient of lookup_items' rows: targets, then history slots.
 
-    d_x_t (n, d_t) is the upstream gradient of each target vector; its
-    frozen store part (first d_frozen coordinates) is dropped. d_items
-    (vocab, d_t - d_frozen) is the pooling gradient already summed per
-    item. The target rows go through one ordered segment sum, so repeated
-    ids accumulate in a fixed order, and each item's row is added last.
+    d_x_t (n, d_t) is the gradient of each target vector. d_x_b is the
+    slot gradient in asta_backward's factored form, pairs (rows (n, d_t),
+    weights (n, s)), slot (r, j) getting the sum of weights[r, j] * rows[r].
+    Only the id columns train: the store's leading d_t - d_id columns are
+    dropped. Each sum is one ordered segment sum, so repeated ids
+    accumulate in a fixed order, and each item's slot sum is added to its
+    target sum.
     """
-    vocab = grads.id_embedding.shape[0]
-    grads.id_embedding += segment_sum(target_ids, vocab, (d_x_t[:, d_frozen:], None)) + d_items
+    vocab, d_id = grads.id_embedding.shape
+    frozen = d_x_t.shape[1] - d_id
+    targets = segment_sum(batch.target_ids, vocab, (d_x_t[:, frozen:], None))
+    slots = segment_sum(batch.seq_ids, vocab, *((rows[:, frozen:], w) for rows, w in d_x_b))
+    grads.id_embedding += targets + slots

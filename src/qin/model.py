@@ -1,10 +1,13 @@
 """Whole-model forward/backward: embeddings -> pooling -> interaction -> head.
 
-The pooling is the attention block for every attn_kind, the "w/o ASTA"
-mean pooling included (attn_kind mean). The model draws nothing: the
-caller passes each step's keep-masks, drawn by draw_dropout_masks.
-Training (loss_and_grads) and scoring (predict_logits) run the one
-forward pass, model_forward; scoring passes no masks. A wide QNN's layers
+The embedding module turns the batch into item rows and takes their
+gradients back; the model hands it the batch, and attention the rows,
+so no id or store column is handled here. The pooling is the attention
+block for every attn_kind, the "w/o ASTA" mean pooling included
+(attn_kind mean). The model draws nothing: the caller passes each
+step's keep-masks, drawn by draw_dropout_masks. Training
+(loss_and_grads) and scoring (predict_logits) run the one forward pass,
+model_forward; scoring passes no masks. A wide QNN's layers
 may run on two row halves at once, on the calling thread and the one
 second thread of the process. The split rule in qnn.py alone decides
 when, so nothing here knows of threads.
@@ -18,7 +21,7 @@ import numpy as np
 
 from .asta import AttentionConfig, asta_backward, asta_forward
 from .config import HyperParams
-from .embedding import Batch, EmbeddingStore, embedding_grad_accumulate, item_table, lookup_target
+from .embedding import Batch, EmbeddingStore, embedding_grad_accumulate, lookup_items
 from .metrics import bce_backward, bce_logit_loss, head_forward
 from .params import ModelParams, zero_gradients
 from .qnn import QnnConfig, assemble_x1, mlp_backward, mlp_forward, qnn_backward, qnn_forward
@@ -61,11 +64,10 @@ def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
                   batch: Batch, masks: tuple | None = None) -> ModelTrace:
     """The forward pass under the keep-masks of draw_dropout_masks; None means no dropout."""
     attn_mask, qnn_masks = masks or (None, None)
-    table = item_table(store, params.id_embedding, batch.seq_ids)
-    x_t = lookup_target(store, params.id_embedding, batch.target_ids)
+    x_t, x_b = lookup_items(store, params.id_embedding, batch)
     o, pool_trace = asta_forward(params.w_q, params.w_k, params.w_v,
-                                 attention_config(hp), x_t, table, batch.mask,
-                                 drop_mask=attn_mask, ids=batch.seq_ids)
+                                 attention_config(hp), x_t, x_b, batch.mask,
+                                 drop_mask=attn_mask)
     x1 = assemble_x1(x_t, o, hp.qnn_dim)
     if hp.interaction == "qnn":
         x_last, inter_trace = qnn_forward(params.qnn_w, params.prelu, x1, qnn_config(hp),
@@ -103,16 +105,15 @@ def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
 
     d_o = d_x1[:, hp.d_t:]
 
-    d_w_q, d_w_k, d_w_v, d_x_t_pool, d_table = asta_backward(
-        params.w_q, params.w_k, params.w_v, attention_config(hp),
-        trace.pool_trace, d_o, frozen=hp.d_frozen)
+    d_w_q, d_w_k, d_w_v, d_x_t_pool, d_x_b = asta_backward(
+        params.w_q, params.w_k, params.w_v, attention_config(hp), trace.pool_trace, d_o)
     if d_w_q is not None:   # attn_kind mean has no w_q or w_k
         grads.w_q += d_w_q
         grads.w_k += d_w_k
     grads.w_v += d_w_v
     d_x_t = d_x1[:, :hp.d_t] + d_x_t_pool
 
-    embedding_grad_accumulate(grads, hp.d_frozen, trace.batch.target_ids, d_x_t, d_table)
+    embedding_grad_accumulate(grads, trace.batch, d_x_t, d_x_b)
     return grads
 
 

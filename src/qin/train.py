@@ -3,8 +3,9 @@
 ``train`` and ``evaluate`` take their data as a ``dataio.Split``, the one
 data form of the library.
 
-Adam updates the flat parameter buffer (see params.py) in fixed-size
-chunks, with its moments in two arrays of the same layout. Its beta1, beta2
+Adam updates the flat parameter buffer (see params.py) in one run per
+span of shared decay and rate, with its moments in two arrays of the
+same layout. Its beta1, beta2
 and eps are the module constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
 Training runs in float32 (TRAIN_FLOAT): train takes float32 copies of the
@@ -66,8 +67,6 @@ class AdamState:
         return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-# Entries per Adam chunk: the temporaries of one chunk stay in cache.
-ADAM_CHUNK = 32_768
 # Adam's moment decays and denominator guard: the standard values, fixed.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -79,9 +78,10 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     Weight decay is coupled (g <- g + lambda * theta) and restricted to the
     embedding table's span; every other parameter is undecayed. lr_factors
     maps a tensor name to a multiplier of cfg.lr for its span; every other
-    span steps at cfg.lr. The update runs chunk by chunk; each entry sees
-    the same arithmetic as a tensor-by-tensor loop, so the result is the
-    same to the bit.
+    span steps at cfg.lr. The update runs once per run of entries that
+    share a decay rule and a rate, cut at the edges of the decayed and
+    scaled spans; each entry sees the same arithmetic as a
+    tensor-by-tensor loop, so the result is the same to the bit.
     """
     if grads.shapes != params.shapes:
         raise ShapeError("params and grads disagree on the parameter layout")
@@ -91,7 +91,7 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     decay = params.spans["id_embedding"] if cfg.emb_weight_decay > 0 else slice(0, 0)
     scaled = [(params.spans[name], cfg.lr * factor) for name, factor in (lr_factors or {}).items()]
     n = params.flat.size
-    edges = sorted({*range(0, n, ADAM_CHUNK), decay.start, decay.stop, n,
+    edges = sorted({0, decay.start, decay.stop, n,
                     *(edge for span, _ in scaled for edge in (span.start, span.stop))})
     for start, stop in zip(edges, edges[1:]):
         theta, g = params.flat[start:stop], grads.flat[start:stop]

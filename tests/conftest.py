@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import pathlib
 import threading
@@ -9,9 +10,10 @@ from qin import qnn
 from qin.config import GenConfig, HyperParams, TrainConfig
 from qin.datagen import generate
 from qin.dataio import Split, read_dataset
-from qin.embedding import EmbeddingStore, _check_ids, load_embeddings
+from qin.embedding import (Batch, EmbeddingStore, _check_ids, embedding_grad_accumulate,
+                           load_embeddings)
 from qin.linalg import make_rng
-from qin.params import init_params
+from qin.params import ModelParams, init_params
 
 
 @pytest.fixture(scope="session")
@@ -159,6 +161,28 @@ def lookup_sequence(store, id_table, seq_ids, mask):
     _check_ids(seq_ids, id_table.shape[0], "sequence")
     x_b = np.concatenate([store.data[seq_ids], id_table[seq_ids]], axis=2)
     return x_b * mask[:, :, None]
+
+
+def slot_rows(d_x_b):
+    """asta_backward's factored behavior-row gradient written out per slot.
+
+    Each pair (rows (n, d), weights (n, s)) gives slot (r, j) the row
+    weights[r, j] * rows[r]; the pairs add in order, entry by entry as the
+    segment sum of the embedding scatter forms them, so the bits agree.
+    The result is (n, s, d), or (s, d) for a single-sample call.
+    """
+    return functools.reduce(np.add, [w[..., None] * rows[..., None, :] for rows, w in d_x_b])
+
+
+def id_table_grad(vocab, d_id, seq_ids, d_x_b, target_ids=None, d_x_t=None):
+    """embedding_grad_accumulate's (vocab, d_id) id-table gradient of one
+    batch, summed from zero; without targets only the history slots add."""
+    if target_ids is None:
+        target_ids, d_x_t = np.zeros(0, dtype=np.int64), np.zeros((0, d_x_b[0][0].shape[-1]))
+    grads = ModelParams({"id_embedding": (vocab, d_id)})
+    batch = Batch(target_ids=target_ids, seq_ids=seq_ids, mask=None, labels=None)
+    embedding_grad_accumulate(grads, batch, d_x_t, d_x_b)
+    return grads.id_embedding
 
 
 def stacked_params(params, hp, seed):

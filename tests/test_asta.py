@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import attention_case_id, split_of
-from qin.asta import (AttentionConfig, _promote, asta_backward, asta_forward,
-                      attention_weights)
+from conftest import attention_case_id, id_table_grad, slot_rows, split_of
+from qin.asta import AttentionConfig, asta_backward, asta_forward, attention_weights
 from qin.errors import ConfigError, ShapeError
 from qin.linalg import make_rng, segment_sum
 
@@ -165,8 +164,8 @@ def test_backward_zero_upstream():
     w_q, w_k, w_v = (rng.standard_normal((3, 3)) for _ in range(3))
     _, trace = asta_forward(w_q, w_k, w_v, cfg, rng.standard_normal(3),
                             rng.standard_normal((4, 3)), np.ones(4))
-    outs = asta_backward(w_q, w_k, w_v, cfg, trace, np.zeros(3))
-    for g in outs:
+    *outs, d_x_b = asta_backward(w_q, w_k, w_v, cfg, trace, np.zeros(3))
+    for g in (*outs, slot_rows(d_x_b)):
         assert np.array_equal(g, np.zeros_like(g))
 
 
@@ -200,7 +199,8 @@ def finite_diff_attention(kind, seed, with_dropout=False):
         return float(r @ o)
 
     _, trace = asta_forward(w_q, w_k, w_v, cfg, x_t, x_b, mask, drop_mask=drop)
-    grads = asta_backward(w_q, w_k, w_v, cfg, trace, r)
+    *grads, d_x_b = asta_backward(w_q, w_k, w_v, cfg, trace, r)
+    grads.append(slot_rows(d_x_b))
     params = [w_q, w_k, w_v, x_t, x_b]
     worst = 0.0
     h = 1e-6
@@ -294,7 +294,7 @@ def test_mean_pool_backward_finite_differences():
     d_w_q, d_w_k, d_w_v, d_x_t, d_x_b = asta_backward(w_q, w_k, w_v, cfg, trace, r)
     assert d_w_q is None and d_w_k is None
     h = 1e-6
-    for param, grad in ((w_v, d_w_v), (x_t, d_x_t), (x_b, d_x_b)):
+    for param, grad in ((w_v, d_w_v), (x_t, d_x_t), (x_b, slot_rows(d_x_b))):
         flat = param.ravel()
         for i in range(flat.size):
             old = flat[i]
@@ -307,32 +307,34 @@ def test_mean_pool_backward_finite_differences():
             assert abs(grad.ravel()[i] - numeric) < 1e-6
 
 
-def reference_mean_pool_forward(w_v, x_t, x_b, mask, ids=None):
+def reference_mean_pool_forward(w_v, x_t, x_b, mask):
     """The separate mean-pooling forward that kind mean replaced, kept as its oracle."""
-    x_b_shape = np.shape(x_b)
-    x_t, x_b, ids, mask, single = _promote(x_t, x_b, mask, ids)
+    single = x_t.ndim == 1
+    if single:
+        x_t, x_b, mask = x_t[None], x_b[None], mask[None]
     counts = mask.sum(axis=1)
     inv_len = np.where(counts > 0, 1.0 / np.where(counts > 0, counts, 1.0), 0.0)
     share = mask * inv_len[:, None]
     mean = (share[:, None, :] @ x_b)[:, 0, :]
     o = mean @ w_v.T + x_t
-    trace = (ids, x_b_shape, share, mean)
-    return (o[0] if single else o), trace
+    return (o[0] if single else o), (share, mean)
 
 
-def reference_mean_pool_backward(w_v, trace, d_o, frozen=0):
-    """(d_w_v, d_x_t, d_x_b) of reference_mean_pool_forward."""
-    ids, x_b_shape, share, mean = trace
-    d_o = np.asarray(d_o, dtype=float)
+def reference_mean_pool_backward(w_v, trace, d_o, ids=None, vocab=0, frozen=0):
+    """(d_w_v, d_x_t, d_x_b) of reference_mean_pool_forward, d_x_b over
+    columns frozen: only: per slot, or with ids summed per table row."""
+    share, mean = trace
     single = d_o.ndim == 1
     if single:
         d_o = d_o[None]
     d_x_t = d_o.copy()
     d_w_v = d_o.T @ mean
     d_mean = d_o @ w_v
-    rows = int(np.prod(x_b_shape[:-1]))
-    d_x_b = segment_sum(ids, rows, (d_mean[:, frozen:], share))
-    d_x_b = d_x_b.reshape(*x_b_shape[:-1], d_x_b.shape[1])
+    if ids is None:
+        d_x_b = share[:, :, None] * d_mean[:, None, frozen:]
+        d_x_b = d_x_b[0] if single else d_x_b
+    else:
+        d_x_b = segment_sum(ids.reshape(share.shape), vocab, (d_mean[:, frozen:], share))
     return d_w_v, (d_x_t[0] if single else d_x_t), d_x_b
 
 
@@ -340,6 +342,8 @@ def reference_mean_pool_backward(w_v, trace, d_o, frozen=0):
 @pytest.mark.parametrize("single", [False, True])
 @pytest.mark.parametrize("with_ids", [False, True])
 def test_mean_kind_matches_mean_pool_bit_for_bit(with_ids, single, frozen):
+    # with_ids compares the slot gradient once the embedding scatter has
+    # summed it per table row, over the id columns of a frozen-wide store.
     d, s, vocab = 6, 5, 9
     cfg = mean_cfg(d)
     rng = make_rng(62)
@@ -353,13 +357,19 @@ def test_mean_kind_matches_mean_pool_bit_for_bit(with_ids, single, frozen):
     d_o = rng.standard_normal((len(ids), d))
     if single:
         ids, mask, x_t, d_o = ids[2], mask[2], x_t[2], d_o[2]
-    x_b, call_ids = (table, ids) if with_ids else (table[ids], None)
+    x_b = table[ids]
 
-    o_ref, trace_ref = reference_mean_pool_forward(w_v, x_t, x_b, mask, ids=call_ids)
-    o, trace = asta_forward(w_q, w_k, w_v, cfg, x_t, x_b, mask, ids=call_ids)
+    o_ref, trace_ref = reference_mean_pool_forward(w_v, x_t, x_b, mask)
+    o, trace = asta_forward(w_q, w_k, w_v, cfg, x_t, x_b, mask)
     assert o.tobytes() == o_ref.tobytes()
-    d_w_q, d_w_k, *got = asta_backward(w_q, w_k, w_v, cfg, trace, d_o, frozen=frozen)
-    ref = reference_mean_pool_backward(w_v, trace_ref, d_o, frozen=frozen)
+    d_w_q, d_w_k, *got, d_x_b = asta_backward(w_q, w_k, w_v, cfg, trace, d_o)
+    if with_ids:
+        batched = [(rows.reshape(-1, d), w.reshape(-1, s)) for rows, w in d_x_b]
+        got.append(id_table_grad(vocab, d - frozen, ids.reshape(-1, s), batched))
+        ref = reference_mean_pool_backward(w_v, trace_ref, d_o, ids, vocab, frozen)
+    else:
+        got.append(slot_rows(d_x_b)[..., frozen:])
+        ref = reference_mean_pool_backward(w_v, trace_ref, d_o, frozen=frozen)
     assert d_w_q is None and d_w_k is None
     for g, r in zip(got, ref):
         assert g.shape == r.shape and g.tobytes() == r.tobytes()
@@ -381,13 +391,13 @@ def per_slot_reference(params, hp, store, batch, masks):
     and scatters the slot gradients into the id table with np.add.at.
     """
     from conftest import lookup_sequence
-    from qin.embedding import lookup_target
     from qin.metrics import bce_backward, bce_logit_loss, head_forward
     from qin.model import attention_config, qnn_config
     from qin.qnn import assemble_x1, qnn_backward, qnn_forward
 
     attn_mask, qnn_masks = masks
-    x_t = lookup_target(store, params.id_embedding, batch.target_ids)
+    x_t = np.concatenate([store.data[batch.target_ids],
+                          params.id_embedding[batch.target_ids]], axis=1)
     x_b = lookup_sequence(store, params.id_embedding, batch.seq_ids, batch.mask)
     cfg = attention_config(hp)
     o, pool = asta_forward(params.w_q, params.w_k, params.w_v, cfg, x_t, x_b,
@@ -401,6 +411,7 @@ def per_slot_reference(params, hp, store, batch, masks):
     grads["w_q"], grads["w_k"], grads["w_v"], d_x_t, d_x_b = asta_backward(
         params.w_q, params.w_k, params.w_v, cfg, pool, d_x1[:, hp.d_t:])
     d_x_t = d_x_t + d_x1[:, :hp.d_t]
+    d_x_b = slot_rows(d_x_b)
     d_id = np.zeros_like(params.id_embedding)
     np.add.at(d_id, batch.target_ids, d_x_t[:, hp.d_frozen:])
     live = batch.mask > 0
@@ -528,26 +539,27 @@ def test_attention_matches_direct_key_value_algebra(kind, with_dropout):
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
-    def check(x_t_in, x_b_in, mask_in, drop_in, d_o_in, ids_in, row, ref_x_b):
-        o, trace = asta_forward(w_q, w_k, w_v, cfg, x_t_in, x_b_in, mask_in,
-                                drop_mask=drop_in, ids=ids_in)
+    def check(x_t_in, ids_in, mask_in, drop_in, d_o_in, row, ref_x_b, ref_table):
+        o, trace = asta_forward(w_q, w_k, w_v, cfg, x_t_in, table[ids_in], mask_in,
+                                drop_mask=drop_in)
         close(o, o_ref[row])
-        got = asta_backward(w_q, w_k, w_v, cfg, trace, d_o_in)
-        refs = (d_w_q, d_w_k, d_w_v, d_x_t[row], ref_x_b)
+        *got, d_slots = asta_backward(w_q, w_k, w_v, cfg, trace, d_o_in)
+        refs = [d_w_q, d_w_k, d_w_v, d_x_t[row], ref_x_b, ref_table]
+        # The slot gradient per slot, and summed into the table by the
+        # embedding scatter (as a batch of one for the single sample).
+        batched = [(rows.reshape(-1, d_a), w.reshape(-1, s)) for rows, w in d_slots]
+        got += [slot_rows(d_slots), id_table_grad(vocab, d_b, ids_in.reshape(-1, s), batched)]
         if kind == "mean":   # no w_q or w_k, and no gradient for them
-            assert got[:2] == (None, None)
+            assert got[:2] == [None, None]
             got, refs = got[2:], refs[2:]
         for g, ref in zip(got, refs):
             close(g, ref)
 
-    everything = slice(None)
-    check(x_t, table, mask, drop, d_o, ids, everything, d_table)
-    check(x_t, x_b, mask, drop, d_o, None, everything, d_x_b)
-    # The single-sample form, on the full history, in both call forms.
+    check(x_t, ids, mask, drop, d_o, slice(None), d_x_b, d_table)
+    # The single-sample form, on the full history.
     one_drop = None if drop is None else drop[2:3]
     o_ref, (d_w_q, d_w_k, d_w_v, d_x_t, d_x_b) = direct_attention(
         w_q, w_k, w_v, cfg, x_t[2:3], x_b[2:3], mask[2:3], one_drop, d_o[2:3])
     d_table = np.zeros_like(table)
     np.add.at(d_table, ids[2], d_x_b[0])
-    check(x_t[2], x_b[2], mask[2], one_drop, d_o[2], None, 0, d_x_b[0])
-    check(x_t[2], table, mask[2], one_drop, d_o[2], ids[2], 0, d_table)
+    check(x_t[2], ids[2], mask[2], one_drop, d_o[2], 0, d_x_b[0], d_table)

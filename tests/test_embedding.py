@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import lookup_sequence
+from conftest import lookup_sequence, slot_rows
 from qin.asta import AttentionConfig, asta_backward, asta_forward
-from qin.config import HyperParams
-from qin.embedding import (EmbeddingStore, embedding_grad_accumulate, item_table,
-                           load_embeddings, lookup_target, save_embeddings)
-from qin.errors import BadMagicError, ConfigError, DataError, QinError, TruncatedFileError
+from qin.config import ATTN_KINDS, HyperParams
+from qin.embedding import (Batch, EmbeddingStore, embedding_grad_accumulate, load_embeddings,
+                           lookup_items, save_embeddings)
+from qin.errors import (BadMagicError, ConfigError, DataError, QinError, ShapeError,
+                        TruncatedFileError)
 from qin.linalg import make_rng
 from qin.params import init_params, zero_gradients
 
@@ -106,53 +107,75 @@ def test_every_truncation_raises_qin_error(tmp_path):
             load_embeddings(str(path))
 
 
+def id_batch(target_ids, seq_ids):
+    """A Batch of these ids, every slot live; lookup_items reads only the ids."""
+    target_ids, seq_ids = np.asarray(target_ids), np.asarray(seq_ids)
+    return Batch(target_ids=target_ids, seq_ids=seq_ids,
+                 mask=np.ones(seq_ids.shape, dtype=np.float32),
+                 labels=np.zeros(target_ids.shape, dtype=np.float32))
+
+
 def test_lookup_target_concat_layout():
     store = make_store()
     table = make_rng(1).standard_normal((10, 3))
-    x_t = lookup_target(store, table, np.array([2, 5]))
-    assert x_t.shape == (2, 7)
+    x_t, x_b = lookup_items(store, table, id_batch([2, 5], [[5, 2, 2], [0, 9, 5]]))
+    assert x_t.shape == (2, 7) and x_b.shape == (2, 3, 7)
     assert np.array_equal(x_t[0, :4], store.data[2])
     assert np.array_equal(x_t[0, 4:], table[2])
+    for r, j, item in ((0, 0, 5), (0, 2, 2), (1, 0, 0), (1, 1, 9)):
+        assert np.array_equal(x_b[r, j], np.concatenate([store.data[item], table[item]]))
+    # A target and a history slot of the same item get the same bits.
+    assert x_b[1, 2].tobytes() == x_t[1].tobytes()
 
 
 def test_lookup_zero_rows_give_zero_vector():
     store = EmbeddingStore(data=np.zeros((4, 3)))
     table = np.zeros((4, 2))
-    x_t = lookup_target(store, table, np.array([1]))
+    x_t, x_b = lookup_items(store, table, id_batch([1], [[3, 0]]))
     assert np.array_equal(x_t, np.zeros((1, 5)))
+    assert np.array_equal(x_b, np.zeros((1, 2, 5)))
 
 
 def test_lookup_purity():
     store = make_store()
     table = make_rng(2).standard_normal((10, 3))
-    a = lookup_target(store, table, np.array([7]))
-    b = lookup_target(store, table, np.array([7]))
-    assert np.array_equal(a, b)
+    before = (store.data.copy(), table.copy())
+    a = lookup_items(store, table, id_batch([7], [[7, 1]]))
+    b = lookup_items(store, table, id_batch([7], [[7, 1]]))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert np.array_equal(store.data, before[0]) and np.array_equal(table, before[1])
 
 
 def test_lookup_out_of_range():
     store = make_store(count=5)
     table = np.zeros((5, 2))
     with pytest.raises(DataError, match="out of range"):
-        lookup_target(store, table, np.array([5]))
+        lookup_items(store, table, id_batch([5], [[0]]))
     with pytest.raises(DataError, match="out of range"):
         lookup_sequence(store, table, np.array([[99]]), np.ones((1, 1)))
 
 
 @pytest.mark.parametrize("bad", [5, -1])
-def test_item_table_out_of_range(bad):
-    from qin.embedding import Batch
+def test_lookup_items_out_of_range(bad):
     from qin.model import loss_and_grads
 
     hp = HyperParams(d_t=6, d_b=6, d_a=6, seq_len=2, vocab=5, d_frozen=4)
     store = make_store(count=5)
     params = init_params(hp, make_rng(0))
-    with pytest.raises(DataError, match="out of range"):
-        item_table(store, params.id_embedding, np.array([[0, bad]]))
-    batch = Batch(target_ids=np.array([1]), seq_ids=np.array([[0, bad]]),
-                  mask=np.ones((1, 2)), labels=np.ones(1))
-    with pytest.raises(DataError, match="out of range"):
-        loss_and_grads(params, hp, store, batch)
+    for target_ids, seq_ids, what in (([bad], [[0, 1]], "target"),
+                                      ([1], [[0, bad]], "sequence")):
+        batch = id_batch(target_ids, seq_ids)
+        with pytest.raises(DataError, match=f"{what} id {bad} out of range"):
+            lookup_items(store, params.id_embedding, batch)
+        with pytest.raises(DataError, match=f"{what} id {bad} out of range"):
+            loss_and_grads(params, hp, store, batch)
+
+
+def test_lookup_store_and_id_table_rows_must_match():
+    store = make_store(count=5)
+    for rows in (4, 6):
+        with pytest.raises(ShapeError, match=f"5 items, id table {rows}"):
+            lookup_items(store, np.zeros((rows, 2)), id_batch([0], [[1]]))
 
 
 def test_store_dim_config_error():
@@ -191,33 +214,36 @@ def test_sequence_positionwise_permutation():
 
 
 def grads_for(vocab=10, d_id=3):
-    hp = HyperParams(d_t=6, d_b=6, d_a=6, seq_len=4, vocab=vocab, d_frozen=3)
+    hp = HyperParams(d_t=6, d_b=6, d_a=6, seq_len=4, vocab=vocab, d_frozen=6 - d_id)
     return zero_gradients(init_params(hp, make_rng(0)))
 
 
 def test_scatter_add_zero_upstream_noop():
     grads = grads_for()
     before = grads.id_embedding.copy()
-    embedding_grad_accumulate(grads, 3, np.array([1]), np.zeros((1, 6)), np.zeros((10, 3)))
+    embedding_grad_accumulate(grads, id_batch([1], [[2, 3]]), np.zeros((1, 6)),
+                              [(np.zeros((1, 6)), np.ones((1, 2)))])
     assert np.array_equal(grads.id_embedding, before)
 
 
 def test_scatter_add_repeated_id_sums():
     grads = grads_for()
     d_x_t = np.stack([np.arange(6.0), np.arange(6.0) * 10])
-    d_items = np.zeros((10, 3))
-    d_items[4] = 100.0
-    embedding_grad_accumulate(grads, 3, np.array([4, 4]), d_x_t, d_items)
-    # id part is the last 3 coordinates of each target row, plus the item row
-    assert np.array_equal(grads.id_embedding[4], np.array([3.0, 4.0, 5.0]) * 11 + 100.0)
+    # Item 4 again fills three history slots: weights 1, 2 and 0 of a 50 row.
+    d_x_b = [(np.full((2, 6), 50.0), np.array([[1.0, 0.0], [2.0, 0.0]]))]
+    embedding_grad_accumulate(grads, id_batch([4, 4], [[4, 0], [4, 4]]), d_x_t, d_x_b)
+    # id part is the last 3 coordinates of each target row, plus the slot rows
+    assert np.array_equal(grads.id_embedding[4], np.array([3.0, 4.0, 5.0]) * 11 + 150.0)
     assert np.count_nonzero(np.delete(grads.id_embedding, 4, axis=0)) == 0
 
 
 def test_scatter_add_drops_frozen_part():
     grads = grads_for()
     d_x_t = np.ones((1, 6))
-    embedding_grad_accumulate(grads, 3, np.array([2]), d_x_t, np.zeros((10, 3)))
+    d_x_b = [(np.array([[9.0, 9.0, 9.0, 1.0, 2.0, 3.0]]), np.ones((1, 1)))]
+    embedding_grad_accumulate(grads, id_batch([2], [[5]]), d_x_t, d_x_b)
     assert np.array_equal(grads.id_embedding[2], np.ones(3))
+    assert np.array_equal(grads.id_embedding[5], np.array([1.0, 2.0, 3.0]))
     # no slot for the frozen store exists at all in a gradient
     assert not hasattr(grads, "store")
 
@@ -227,19 +253,50 @@ def test_scatter_add_ignores_padded_positions():
     # zero, so the id-table gradient is the same bits and items 5 and 6,
     # named by padding only, get +0.0.
     rng = make_rng(9)
-    table, d_o = rng.standard_normal((10, 6)), rng.standard_normal((1, 6))
+    store = EmbeddingStore(rng.standard_normal((10, 3)))
+    id_table, d_o = rng.standard_normal((10, 3)), rng.standard_normal((1, 6))
     w = [np.eye(6), np.eye(6), rng.standard_normal((6, 6))]
-    x_t = table[[3]] + table[[1]]   # both live slots score above zero
     mask = np.array([[1.0, 1.0, 0.0, 0.0]])
     for kind in ("relu", "softmax", "mean"):
         got = []
         cfg = AttentionConfig(kind=kind, d_t=6)
-        for seq_ids in (np.array([[3, 1, 5, 6]]), np.array([[3, 1, 0, 0]])):
+        for seq_ids in ([[3, 1, 5, 6]], [[3, 1, 0, 0]]):
             grads = grads_for()
-            _, trace = asta_forward(*w, cfg, x_t, table, mask, ids=seq_ids)
-            d_x_t, d_items = asta_backward(*w, cfg, trace, d_o, frozen=3)[3:]
-            embedding_grad_accumulate(grads, 3, np.array([2]), d_x_t, d_items)
+            batch = id_batch([2], seq_ids)
+            _, x_b = lookup_items(store, id_table, batch)
+            x_t = x_b[:, 0] + x_b[:, 1]   # both live slots score above zero
+            _, trace = asta_forward(*w, cfg, x_t, x_b, mask)
+            d_x_t, d_x_b = asta_backward(*w, cfg, trace, d_o)[3:]
+            embedding_grad_accumulate(grads, batch, d_x_t, d_x_b)
             assert np.count_nonzero(grads.id_embedding[[1, 2, 3]], axis=1).all(), kind
             got.append(grads.id_embedding.tobytes())
         assert got[0] == got[1], kind
         assert np.frombuffer(got[0])[15:21].tobytes() == np.zeros(6).tobytes(), kind
+
+
+@pytest.mark.parametrize("kind", ATTN_KINDS)
+def test_scatter_matches_add_at_over_expanded_slot_rows(kind):
+    # Oracle: np.add.at of the target rows, then of every slot's written-out
+    # row, over the id columns. Ids repeat within and across histories and
+    # between targets and histories; one history is all masked.
+    rng = make_rng(10)
+    d, d_id, vocab = 6, 4, 7
+    store = EmbeddingStore(rng.standard_normal((vocab, d - d_id)))
+    id_table = rng.standard_normal((vocab, d_id))
+    w = [rng.standard_normal((d, d)) for _ in range(3)]
+    batch = id_batch([2, 3, 2, 5], [[3, 3, 1, 0], [0, 0, 0, 0], [2, 5, 3, 3], [6, 1, 6, 0]])
+    batch.mask = np.array([[1, 1, 1, 0], [0, 0, 0, 0], [1, 1, 1, 1], [1, 1, 1, 0]],
+                          dtype=np.float32)
+    cfg = AttentionConfig(kind=kind, d_t=d, dropout_p=0.25)
+    drop = rng.random(batch.mask.shape) >= cfg.dropout_p
+    x_t, x_b = lookup_items(store, id_table, batch)
+    _, trace = asta_forward(*w, cfg, x_t, x_b, batch.mask, drop_mask=drop)
+    d_x_t, d_x_b = asta_backward(*w, cfg, trace, rng.standard_normal((4, d)))[3:]
+    grads = grads_for(vocab, d_id)
+    embedding_grad_accumulate(grads, batch, d_x_t, d_x_b)
+
+    expected = np.zeros((vocab, d_id))
+    np.add.at(expected, batch.target_ids, d_x_t[:, -d_id:])
+    np.add.at(expected, batch.seq_ids, slot_rows(d_x_b)[..., -d_id:])
+    assert np.count_nonzero(slot_rows(d_x_b)[batch.mask > 0]) > 0
+    assert np.max(np.abs(grads.id_embedding - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -68,3 +68,29 @@ def test_only_qnn_imports_threads():
             if any(m.split(".")[0] in ("concurrent", "threading") for m in modules):
                 owners.add(path.name)
     assert owners == {"qnn.py"}
+
+
+def imported_names(path: pathlib.Path) -> dict:
+    """Module (as written, relative ones with their dots) -> the names
+    path imports from it; a plain import maps its module to no names."""
+    names = {}
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names.setdefault(alias.name, set())
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names.setdefault(module, set()).update(a.name for a in node.names)
+    return names
+
+
+def test_only_embedding_knows_the_item_layout():
+    # The embedding module gathers each batch's item rows and scatters their
+    # gradient into the id table; attention works on the rows it is given.
+    # datagen sums store rows per sample for its truth model, not per item.
+    summing = {path.name for path in sorted(PACKAGE.glob("*.py"))
+               if any("segment_sum" in names for names in imported_names(path).values())}
+    assert summing == {"datagen.py", "embedding.py"}
+    asta = imported_names(PACKAGE / "asta.py")
+    assert not any("embedding" in module or "embedding" in names
+                   for module, names in asta.items())

@@ -1,16 +1,16 @@
 """model_backward against the two-scatter form it replaced, bit for bit.
 
-The reference pools the behaviour-row gradient over every column of the
-item vector, then scatters the target rows and the per-item rows through
-one segment sum whose ids are the targets followed by every vocab row.
-The model sums only the trainable columns and adds the per-item rows to
-the target sum. Both must give the same bits for every gradient class.
+The reference sums the behaviour-row gradient per item over every column
+of the item vector, then scatters the target rows and the per-item rows
+through one segment sum whose ids are the targets followed by every vocab
+row. The model sums only the trainable columns and adds the per-item rows
+to the target sum. Both must give the same bits for every gradient class.
 """
 
 import numpy as np
 import pytest
 
-from conftest import attention_case_id, split_of
+from conftest import attention_case_id, id_table_grad, slot_rows, split_of
 from qin.asta import asta_backward, asta_forward
 from qin.config import HyperParams
 from qin.dataio import build_batch
@@ -40,7 +40,7 @@ def two_scatter_model_backward(params, hp, trace, d_logits):
 
     d_x_t = d_x1[:, :hp.d_t].copy()
     d_o = d_x1[:, hp.d_t:]
-    d_w_q, d_w_k, d_w_v, d_x_t_pool, d_table = asta_backward(
+    d_w_q, d_w_k, d_w_v, d_x_t_pool, d_x_b = asta_backward(
         params.w_q, params.w_k, params.w_v, attention_config(hp),
         trace.pool_trace, d_o)
     if d_w_q is not None:   # attn_kind mean has no w_q or w_k
@@ -49,7 +49,9 @@ def two_scatter_model_backward(params, hp, trace, d_logits):
     grads.w_v += d_w_v
     d_x_t += d_x_t_pool
 
-    # The second scatter: targets, then every vocab row under the identity index.
+    # The first scatter, per item over every column; the second: targets,
+    # then every vocab row under the identity index.
+    d_table = segment_sum(trace.batch.seq_ids, hp.vocab, *d_x_b)
     items = np.arange(d_table.shape[0])
     ids = np.concatenate([trace.batch.target_ids, items])
     rows = np.concatenate([d_x_t[:, hp.d_frozen:], d_table[:, hp.d_frozen:]])
@@ -108,22 +110,30 @@ def test_loss_and_grads_match_two_scatter_reference(kind, attn_dropout, d_frozen
 @pytest.mark.parametrize("with_ids", [False, True])
 @pytest.mark.parametrize("kind", KINDS)
 def test_pooling_backward_frozen_columns_are_a_slice(kind, with_ids, frozen):
+    # The embedding scatter drops the store columns from the rows of the
+    # factored slot gradient. That is the slice of the per-slot gradient,
+    # and, once summed per item with the targets (with_ids), the slice of
+    # the full-width id-table gradient.
     hp, params, _, batch = instance("relu", True, 2)
     rng = make_rng(44)
     table = rng.standard_normal((hp.vocab, D_T))
     x_t = rng.standard_normal((batch.size, D_T))
     d_o = rng.standard_normal((batch.size, D_T))
-    x_b, ids = (table, batch.seq_ids) if with_ids else (table[batch.seq_ids], None)
+    d_x_t = rng.standard_normal((batch.size, D_T))
     cfg = attention_config(HyperParams(d_t=D_T, seq_len=6, vocab=9, attn_kind=kind,
                                        attn_dropout_p=0.3))
     drop = (rng.random(batch.mask.shape) >= 0.3).astype(float)
     w = (params.w_q, params.w_k, params.w_v)
-    _, trace = asta_forward(*w, cfg, x_t, x_b, batch.mask, drop_mask=drop, ids=ids)
-    full = asta_backward(*w, cfg, trace, d_o)
-    part = asta_backward(*w, cfg, trace, d_o, frozen=frozen)
-    assert bits(part[:-1]) == bits(full[:-1])
-    assert part[-1].shape == full[-1].shape[:-1] + (D_T - frozen,)
-    assert part[-1].tobytes() == np.ascontiguousarray(full[-1][..., frozen:]).tobytes()
+    _, trace = asta_forward(*w, cfg, x_t, table[batch.seq_ids], batch.mask, drop_mask=drop)
+    d_x_b = asta_backward(*w, cfg, trace, d_o)[-1]
+    if with_ids:
+        full, part = (id_table_grad(hp.vocab, width, batch.seq_ids, d_x_b, batch.target_ids, d_x_t)
+                      for width in (D_T, D_T - frozen))
+    else:
+        full = slot_rows(d_x_b)
+        part = slot_rows([(rows[:, frozen:], weights) for rows, weights in d_x_b])
+    assert part.shape == full.shape[:-1] + (D_T - frozen,)
+    assert part.tobytes() == np.ascontiguousarray(full[..., frozen:]).tobytes()
 
 
 def test_attention_dropout_reaches_mean_pooling():
@@ -153,15 +163,16 @@ def test_bool_keep_masks_match_float_masks_bit_for_bit(kind):
     floats = as_floats(masks)
     rng = make_rng(45)
 
-    table = rng.standard_normal((hp.vocab, D_T))
+    x_b = rng.standard_normal((hp.vocab, D_T))[batch.seq_ids]
     x_t = rng.standard_normal((batch.size, D_T))
     d_o = rng.standard_normal((batch.size, D_T))
     w = (params.w_q, params.w_k, params.w_v)
     results = []
     for drop in (masks[0], floats[0]):
-        o, trace = asta_forward(*w, attention_config(hp), x_t, table, batch.mask,
-                                drop_mask=drop, ids=batch.seq_ids)
-        results.append(bits((o, *asta_backward(*w, attention_config(hp), trace, d_o))))
+        o, trace = asta_forward(*w, attention_config(hp), x_t, x_b, batch.mask,
+                                drop_mask=drop)
+        *grads, d_x_b = asta_backward(*w, attention_config(hp), trace, d_o)
+        results.append(bits((o, *grads, *(a for pair in d_x_b for a in pair))))
     assert results[0] == results[1]
 
     x = rng.standard_normal((batch.size, hp.qnn_dim))
