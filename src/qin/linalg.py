@@ -5,10 +5,11 @@ These kernels and the model's layers compute in the dtype of their
 inputs and re-cast none of them. The dtype is set where data enters: the
 parameter buffer, the checkpoint and embedding loaders, the ``Split``
 columns and the generator take ``FLOAT`` (float64), the reference dtype
-of checkpoints, gradcheck and scoring. ``train`` takes ``TRAIN_FLOAT``
-(float32) copies of the parameters and the store at entry and trains on
-them, and a batch's mask and labels are ``TRAIN_FLOAT``: {0, 1} is exact
-in float32 and widens exactly, so the float64 paths keep their bits.
+of checkpoints and gradcheck. ``train`` and ``evaluate`` take
+``TRAIN_FLOAT`` (float32) copies of the parameters and the store at
+entry and train and score on them, and a batch's mask and labels are
+``TRAIN_FLOAT``: {0, 1} is exact in float32 and widens exactly, so the
+float64 paths keep their bits.
 Randomness always flows through :func:`make_rng` (PCG64), which gives an
 identical draw stream for an identical seed on every platform.
 """

@@ -3,10 +3,10 @@
 ModelParams holds every tensor as a named view into one buffer, ``flat``,
 laid out in ``expected_shapes`` order: the init draw order and the
 checkpoint entry order. The buffer is float64 wherever it is made here;
-train steps a float32 copy (see train.py). A gradient is a zeroed
-ModelParams of the same layout and dtype, so Adam, the best-epoch copy,
-gradcheck and checkpoints each work on the buffer instead of tensor by
-tensor.
+train steps, and evaluate scores, a float32 copy (see train.py). A
+gradient is a zeroed ModelParams of the same layout and dtype, so Adam,
+the best-epoch copy, gradcheck and checkpoints each work on the buffer
+instead of tensor by tensor.
 
 Each QNN layer is one (D, D) matrix ``qnn_w_<l>``: the sum of the
 paper's m linear heads. The forward pass only uses that sum and every head

@@ -8,14 +8,16 @@ span of shared decay and rate, with its moments in two arrays of the
 same layout. Its beta1, beta2
 and eps are the module constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
-Training runs in float32 (TRAIN_FLOAT): train takes float32 copies of the
-parameters and the store at entry, so the gradients, the Adam moments,
-every trace and the per-epoch validation pass are float32 through kernels
-that follow their inputs. The kept parameters come back widened to
-float64, which is exact, so checkpoints, scoring and gradcheck stay
-float64. Training and evaluation take one loss, on the logits
-(metrics.bce_logit_loss), which stays finite where a float32 probability
-saturates to 1.0.
+Training and scoring run in float32 (TRAIN_FLOAT): train takes float32
+copies of the parameters and the store at entry, so the gradients, the
+Adam moments, every trace and the per-epoch validation pass are float32
+through kernels that follow their inputs. The kept parameters come back
+widened to float64, which is exact, so checkpoints and gradcheck stay
+float64. evaluate takes float32 views of whatever it is given, so scoring
+a checkpoint runs the same ops on the same bits as the validation pass of
+the epoch that wrote it. Training and evaluation take one loss, on the
+logits (metrics.bce_logit_loss), which stays finite where a float32
+probability saturates to 1.0.
 
 Determinism contract: the epoch shuffle and the per-step dropout masks, which
 train draws and passes to the forward pass, derive from the run seed, and
@@ -132,16 +134,19 @@ def evaluate(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
              split: Split) -> dict:
     """Full-pass valid metrics, dropout disabled. Raises on single-class data.
 
-    Rows are scored by model.predict_logits in stable history-length
-    order, each batch cut to its longest history, so ragged histories
-    score few padded slots. "logloss" is metrics.bce_logit_loss, the
-    training loss, of the logits in input order. "probs" is the head's
-    sigmoid of those logits, in the parameters' dtype, then widened to
-    float64; its bits do not depend on how the rows were batched, and the
-    AUC is taken on it.
+    Scores in float32: parameters and store are cast to TRAIN_FLOAT at
+    entry, which rounds a float64 checkpoint not written by train and is
+    a no-op inside train. Rows are scored by model.predict_logits in
+    stable history-length order, each batch cut to its longest history,
+    so ragged histories score few padded slots. "logloss" is
+    metrics.bce_logit_loss, the training loss, of the logits in input
+    order. "probs" is the head's float32 sigmoid of those logits, widened
+    to float64, and the AUC is taken on it.
     """
     if not len(split):
         raise SingleClassError("cannot evaluate an empty dataset")
+    params = ModelParams(params.shapes, params.flat.astype(TRAIN_FLOAT, copy=False))
+    store = EmbeddingStore(store.data.astype(TRAIN_FLOAT, copy=False))
     order, batches = length_sorted_batches(split, EVAL_BATCH_SIZE, hp.seq_len)
     scored = predict_logits(params, hp, store, batches)
     logits = np.empty_like(scored)

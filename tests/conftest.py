@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib.util
 import pathlib
@@ -72,6 +73,25 @@ def thread_world(hp, n, seed=0, empty=False):
     params = init_params(hp, rng)
     params.id_embedding = rng.standard_normal(params.id_embedding.shape) * 0.5
     return store, params, split
+
+
+def float32_copies(params, store):
+    """float32 copies of the parameters and the store, as train and evaluate take them."""
+    return (ModelParams(params.shapes, params.flat.astype(np.float32)),
+            EmbeddingStore(store.data.astype(np.float32)))
+
+
+def float_arrays(obj, path="trace"):
+    """(path, array) for every float array reachable from a trace: fields, lists, tuples."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            yield path, obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from float_arrays(getattr(obj, f.name), f"{path}.{f.name}")
+    elif isinstance(obj, (list, tuple)):
+        for i, item in enumerate(obj):
+            yield from float_arrays(item, f"{path}[{i}]")
 
 
 def usable(monkeypatch, count):

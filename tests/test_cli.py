@@ -1,9 +1,11 @@
 import filecmp
 import shutil
+import threading
 
 import numpy as np
 import pytest
 
+from qin import qnn
 from qin.cli import main
 from qin.config import HyperParams
 from qin.params import init_params, load_checkpoint, params_equal, save_checkpoint
@@ -119,6 +121,45 @@ def test_train_then_eval_pipeline(tiny_data, tmp_path, capsys):
                  *TINY_MODEL]) == 0
     eval_line = capsys.readouterr().out.strip()
     assert eval_line.startswith("auc=") and " logloss=" in eval_line
+
+
+@pytest.fixture(scope="module")
+def oracle_data(tmp_path_factory):
+    """600 validation rows, one eval batch: past the two-thread split's row gate."""
+    out = tmp_path_factory.mktemp("oracle")
+    assert main(["gen-data", "--out", str(out), *TINY_GEN, "--n-samples", "3000",
+                 "--min-seq-len", "1"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("model", [[], ["--d-t", "64", "--qnn-depth", "4", "--qnn-m", "4"]],
+                         ids=["defaults", "wide-split"])
+def test_eval_of_best_ckpt_prints_the_best_history_line(oracle_data, tmp_path, capsys,
+                                                         monkeypatch, model):
+    # best.ckpt holds the best epoch's float32 values, and eval scores them
+    # in float32 in the batches that epoch's validation used, so it prints
+    # that epoch's metrics to the bit. With two usable CPUs the wide run's
+    # QNN layers split over two threads, in training and in eval.
+    monkeypatch.setattr(qnn, "usable_cpus", lambda: 2)
+    threads = []
+    real = qnn._forward_rows
+
+    def forward_rows(*args, **kwargs):
+        threads.append(threading.current_thread().name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qnn, "_forward_rows", forward_rows)
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(oracle_data), "--out", str(out), "--epochs", "3",
+                 *model]) == 0
+    best = int(capsys.readouterr().out.split("best_epoch=")[1].split()[0])
+    entry = dict(field.split("=") for field in
+                 (out / "history.log").read_text().splitlines()[best].split())
+    threads.clear()
+    assert main(["eval", "--data", str(oracle_data), "--ckpt", str(out / "best.ckpt"),
+                 *model]) == 0
+    assert capsys.readouterr().out == f"auc={entry['val_auc']} logloss={entry['val_logloss']}\n"
+    assert any(name != threading.current_thread().name for name in threads) == bool(model)
 
 
 def test_eval_zero_head_gives_tie_auc(tiny_data, tmp_path, capsys):

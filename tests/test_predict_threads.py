@@ -11,15 +11,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import helper_threads, spy_traced_names, thread_hp, thread_world, usable
+from conftest import (float32_copies, float_arrays, helper_threads, spy_traced_names, thread_hp,
+                      thread_world, usable)
 
 from qin import model, qnn
 from qin.config import TrainConfig
 from qin.dataio import make_batches
-from qin.embedding import EmbeddingStore
 from qin.errors import ShapeError
 from qin.linalg import sigmoid
-from qin.params import ModelParams, copy_params
+from qin.params import copy_params
 from qin.train import evaluate, train
 
 KINDS = ("relu", "softmax", "relu2", "silu", "mean")
@@ -87,11 +87,45 @@ def test_float32_copies_score_in_float32(monkeypatch, qnn_threads, kind, interac
     usable(monkeypatch, workers)
     want = sigmoid(model.predict_logits(params, hp, store, batches))
     qnn_threads.clear()
-    got = sigmoid(model.predict_logits(ModelParams(params.shapes, params.flat.astype(np.float32)),
-                                       hp, EmbeddingStore(store.data.astype(np.float32)),
-                                       batches))
+    params32, store32 = float32_copies(params, store)
+    got = sigmoid(model.predict_logits(params32, hp, store32, batches))
     assert want.dtype == np.float64 and got.dtype == np.float32
     assert np.max(np.abs(got - want)) <= 1e-5
+    helper_ran = any(name != threading.current_thread().name for name in qnn_threads)
+    assert helper_ran == (workers == 2 and interaction == "qnn")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("interaction", ["qnn", "mlp"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_evaluate_scores_float64_parameters_in_float32(monkeypatch, qnn_threads, kind,
+                                                       interaction, workers):
+    # evaluate casts what it is given, so float64 parameters and their
+    # float32 copies score the same bits, and every float array that the
+    # scoring pass keeps is float32.
+    hp = thread_hp(64, attn_kind=kind, interaction=interaction)
+    store, params, split = thread_world(hp, 1300, seed=19)   # 1 024 and 276 rows
+    usable(monkeypatch, workers)
+    traces = []
+    real = model.model_forward
+
+    def forward(*args, **kwargs):
+        trace = real(*args, **kwargs)
+        traces.append(trace)
+        return trace
+
+    monkeypatch.setattr(model, "model_forward", forward)
+    wide = evaluate(params, hp, store, split)
+    params32, store32 = float32_copies(params, store)
+    narrow = evaluate(params32, hp, store32, split)
+    assert wide["probs"].dtype == np.float64
+    assert np.array_equal(wide["probs"], narrow["probs"])
+    assert (wide["auc"], wide["logloss"]) == (narrow["auc"], narrow["logloss"])
+    arrays = [item for trace in traces for item in float_arrays(trace)]
+    paths = {path for path, _ in arrays}
+    layer = {"qnn": "trace.inter_trace[1].h", "mlp": "trace.inter_trace.pre[0]"}[interaction]
+    assert {"trace.pool_trace.x_b", layer, "trace.logits"} <= paths
+    assert [path for path, a in arrays if a.dtype != np.float32] == []
     helper_ran = any(name != threading.current_thread().name for name in qnn_threads)
     assert helper_ran == (workers == 2 and interaction == "qnn")
 

@@ -3,19 +3,20 @@ import math
 
 import numpy as np
 import pytest
-from conftest import relabeled, split_of
+from conftest import float32_copies, relabeled, split_of
 
 from qin.config import HyperParams, TrainConfig
-from qin.dataio import make_batches
+from qin.dataio import length_sorted_batches, make_batches
 from qin.embedding import EmbeddingStore, Sample
 from qin.errors import DataError, SingleClassError
 from qin.linalg import make_rng, sigmoid
 from qin.metrics import auc as rank_auc
+from qin.metrics import bce_logit_loss
 from qin.model import predict_logits
 from qin.params import (ModelParams, copy_params, expected_shapes, init_params, lr_scale,
                         params_equal, zero_gradients)
-from qin.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, adam_step,
-                       evaluate, train)
+from qin.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EVAL_BATCH_SIZE, AdamState,
+                       adam_step, evaluate, train)
 
 HP = HyperParams(d_t=8, d_b=8, d_a=8, seq_len=6, depth=2, m=2, dropout_p=0.1,
                  vocab=20, d_frozen=4)
@@ -330,15 +331,27 @@ def test_paper_preset_dims_forward_backward():
     assert all(np.all(np.isfinite(a)) for a in grads.views.values())
 
 
+def length_sorted_logits(params, hp, store, split, batch_size):
+    """predict_logits over length-sorted batches, put back in input order."""
+    order, batches = length_sorted_batches(split, batch_size, hp.seq_len)
+    scored = predict_logits(params, hp, store, batches)
+    logits = np.empty_like(scored)
+    logits[order] = scored
+    return logits
+
+
 def test_evaluate_matches_independent_recompute():
-    # Dump per-sample probabilities and recompute both metrics with
-    # independent reimplementations; exact agreement required.
+    # Dump per-sample probabilities of the float32 pass that evaluate runs
+    # and recompute both metrics with independent reimplementations; exact
+    # agreement required.
     store, samples = tiny_world(seed=14)
     params = init_params(HP, make_rng(15))
     metrics = evaluate(params, HP, store, samples)
-    batches = make_batches(samples, 1024, HP.seq_len, rng=None)
-    logits = predict_logits(params, HP, store, batches)
-    probs = sigmoid(logits)
+    params32, store32 = float32_copies(params, store)
+    logits = length_sorted_logits(params32, HP, store32, samples, EVAL_BATCH_SIZE)
+    assert logits.dtype == np.float32
+    probs = sigmoid(logits).astype(np.float64)
+    logits = logits.astype(np.float64)
     labels = np.array([s.label for s in samples], dtype=float)
 
     ll = sum(max(z, 0.0) + math.log1p(math.exp(-abs(z))) - y * z
@@ -354,27 +367,50 @@ def test_evaluate_matches_independent_recompute():
     assert metrics["auc"] == rank_auc(probs, labels.astype(int))
 
 
-# Ids keep the `<kind>-<pooling>` form they had under the retired pooling key.
-@pytest.mark.parametrize("kind", ["relu", "softmax", "relu2", "silu", "mean"],
-                         ids=["relu-asta", "softmax-asta", "relu2-asta", "silu-asta",
-                              "relu-mean"])
-def test_length_ordered_evaluate_matches_full_width_pass(kind, monkeypatch):
+def length_world(kind):
+    """A ragged split with nine empty histories, so the first length-ordered
+    batch of 8 is all empty, and parameters with a live id table."""
     hp = HyperParams(d_t=8, d_b=8, d_a=8, seq_len=6, depth=2, m=2, vocab=20, d_frozen=4,
                      attn_kind=kind)
     store, split = tiny_world(seed=40, n=60, hp=hp)
     samples = list(split)
-    # Nine empty histories: the first length-ordered batch of 8 is all empty.
     for s in samples[::7][:9]:
         s.seq_ids = []
-    samples = split_of(samples)
     params = init_params(hp, make_rng(41))
     params.id_embedding = make_rng(42).standard_normal(params.id_embedding.shape)
+    return hp, store, params, split_of(samples)
+
+
+# Ids keep the `<kind>-<pooling>` form they had under the retired pooling key.
+LENGTH_KINDS = dict(argnames="kind", argvalues=["relu", "softmax", "relu2", "silu", "mean"],
+                    ids=["relu-asta", "softmax-asta", "relu2-asta", "silu-asta", "relu-mean"])
+
+
+@pytest.mark.parametrize(**LENGTH_KINDS)
+def test_length_ordered_evaluate_matches_full_width_pass(kind):
+    # In float64, batches cut to their longest history score as full-width
+    # batches do, to 1e-15 in every probability; in float32 the two differ
+    # by about an ulp.
+    hp, store, params, split = length_world(kind)
+    got = sigmoid(length_sorted_logits(params, hp, store, split, 8))
+    reference = sigmoid(predict_logits(params, hp, store, make_batches(split, 8, hp.seq_len)))
+    assert got.dtype == reference.dtype == np.float64
+    assert np.max(np.abs(got - reference)) <= 1e-15
+    assert rank_auc(got, split.labels) == rank_auc(reference, split.labels)
+
+
+@pytest.mark.parametrize(**LENGTH_KINDS)
+def test_evaluate_is_the_float32_length_ordered_pass(kind, monkeypatch):
+    hp, store, params, split = length_world(kind)
     monkeypatch.setattr("qin.train.EVAL_BATCH_SIZE", 8)
-    got = evaluate(params, hp, store, samples)
-    reference = sigmoid(predict_logits(params, hp, store, make_batches(samples, 8, hp.seq_len)))
-    labels = np.array([s.label for s in samples])
-    assert np.max(np.abs(got["probs"] - reference)) <= 1e-15
-    assert got["auc"] == rank_auc(reference, labels)
+    got = evaluate(params, hp, store, split)
+    params32, store32 = float32_copies(params, store)
+    logits = length_sorted_logits(params32, hp, store32, split, 8)
+    probs = sigmoid(logits).astype(np.float64)
+    assert logits.dtype == np.float32
+    assert np.array_equal(got["probs"], probs)
+    assert got["logloss"] == bce_logit_loss(logits, split.labels)
+    assert got["auc"] == rank_auc(probs, split.labels)
 
 
 def test_train_same_bits_from_list_and_split(tmp_path):

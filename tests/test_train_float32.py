@@ -8,12 +8,11 @@ finite where a float32 probability saturates, and that the parameters
 come back as float64 values that are float32 values.
 """
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
-from conftest import thread_hp, thread_world
+from conftest import float_arrays, thread_hp, thread_world
 
 from qin import model, qnn
 from qin import train as train_mod
@@ -27,19 +26,6 @@ from qin.params import ModelParams, copy_params, params_equal, save_checkpoint
 KINDS = ("relu", "softmax", "relu2", "silu", "mean")
 # The most a probability loss clamped to [1e-12, 1 - 1e-12] charges a sample, 27.6.
 CLAMP_CAP = -math.log(1e-12)
-
-
-def float_arrays(obj, path="trace"):
-    """(path, array) for every float array reachable from a trace: fields, lists, tuples."""
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f":
-            yield path, obj
-    elif dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            yield from float_arrays(getattr(obj, f.name), f"{path}.{f.name}")
-    elif isinstance(obj, (list, tuple)):
-        for i, item in enumerate(obj):
-            yield from float_arrays(item, f"{path}[{i}]")
 
 
 def spied_train(monkeypatch, hp, store, params, data, n_train, batch_size):
