@@ -3,18 +3,20 @@
 The target item is the query, the behavior sequence supplies keys and
 values. Scores are Q.K^T scaled by 1/sqrt(d_t); the score transform is
 ReLU by default, which yields non-normalized, exactly sparse weights.
-SoftMax, squared-ReLU and SiLU transforms are kept for ablations, and the
-``mean`` kind is the paper's "w/o ASTA" ablation: fixed weights of
-1 / live count on every unmasked slot, with no query, key or score. The
-target embedding is added back to the weighted value sum for every kind,
-so ablations isolate the weight rule alone. Because of that residual
-and because targets and behaviors share one item vector, every width in
-the block is the item width d_t.
+``softmax`` and ``mean`` are the paper's ablations: softmax normalizes
+the scores, and mean is "w/o ASTA", fixed weights of 1 / live count on
+every unmasked slot, with no query, key or score. ``silu`` is a
+pointwise SiLU transform kept for comparison. The target embedding is
+added back to the weighted value sum for every kind, so ablations
+isolate the weight rule alone. Because of that residual and because
+targets and behaviors share one item vector, every width in the block is
+the item width d_t.
 
 Masking: with softmax the masked scores are forced to -inf before
-normalization; for the pointwise kinds the transformed weight is zeroed.
-Either way masked positions contribute exactly zero to the output, and an
-all-masked (empty) history returns the target embedding unchanged.
+normalization; for the pointwise kinds (relu, silu) the transformed
+weight is zeroed. Either way masked positions contribute exactly zero to
+the output, and an all-masked (empty) history returns the target
+embedding unchanged.
 
 Data flow: each slot's behavior row x_b comes in whole, gathered by the
 embedding module, and keys and values are linear maps of those rows, so
@@ -37,10 +39,10 @@ import numpy as np
 
 from .config import ATTN_KINDS, check_item_width
 from .errors import ConfigError, ShapeError
-from .linalg import relu, relu2, relu2_grad, relu_grad, silu, silu_grad
+from .linalg import relu, relu_grad, silu, silu_grad
 
 # The pointwise score transforms: kind -> (transform, derivative).
-_POINTWISE = {"relu": (relu, relu_grad), "relu2": (relu2, relu2_grad), "silu": (silu, silu_grad)}
+_POINTWISE = {"relu": (relu, relu_grad), "silu": (silu, silu_grad)}
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,8 @@ def attention_weights(scores: np.ndarray | None, mask: np.ndarray, kind: str) ->
     mean ignores the scores (None will do): each unmasked slot weighs
     1 / the row's live count, and an all-masked row weighs nothing.
     softmax rows normalize over unmasked positions (all-masked rows yield
-    all-zero weights); the other kinds transform pointwise then zero the
-    masked slots.
+    all-zero weights); relu and silu transform pointwise then zero the
+    masked slots. Any other kind is a ConfigError.
     """
     if kind == "mean":
         counts = mask.sum(axis=-1)

@@ -117,7 +117,7 @@ def check(forward, analytic_grad: np.ndarray, point: np.ndarray,
 def collect_kink_preacts(trace, hp: HyperParams) -> np.ndarray:
     """Pre-activation values whose sign changes would invalidate a central diff."""
     pieces = []
-    if hp.attn_kind in ("relu", "relu2"):
+    if hp.attn_kind == "relu":
         live = trace.pool_trace.mask > 0
         pieces.append(trace.pool_trace.scores[live].ravel())
     if hp.interaction == "qnn":

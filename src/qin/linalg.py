@@ -77,15 +77,6 @@ def relu_grad(x: np.ndarray) -> np.ndarray:
     return (x > 0.0).astype(x.dtype)
 
 
-def relu2(x: np.ndarray) -> np.ndarray:
-    r = relu(x)
-    return r * r
-
-
-def relu2_grad(x: np.ndarray) -> np.ndarray:
-    return 2.0 * relu(x)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0

@@ -3,10 +3,9 @@ import pytest
 
 from conftest import attention_case_id, id_table_grad, slot_rows, split_of
 from qin.asta import AttentionConfig, asta_backward, asta_forward, attention_weights
+from qin.config import ATTN_KINDS
 from qin.errors import ConfigError, ShapeError
 from qin.linalg import make_rng, segment_sum
-
-KINDS = ("relu", "softmax", "relu2", "silu", "mean")
 
 
 def cfg_for(d_a, d_b, kind="relu"):
@@ -69,15 +68,6 @@ def test_relu_weights_nonnegative():
     assert np.all(w >= 0)
 
 
-def test_relu2_weights_nonnegative_and_masked_zero():
-    rng = make_rng(19)
-    scores = rng.standard_normal((16, 8))
-    mask = (rng.random((16, 8)) < 0.5).astype(float)
-    w = attention_weights(scores, mask, "relu2")
-    assert np.all(w >= 0)
-    assert np.array_equal(w[mask == 0], np.zeros(int((mask == 0).sum())))
-
-
 def test_silu_weights_masked_zero_negatives_allowed():
     rng = make_rng(20)
     scores = rng.standard_normal((16, 8)) * 3
@@ -92,7 +82,7 @@ def test_unknown_weight_kind_is_a_config_error():
         attention_weights(np.zeros((2, 3)), np.ones((2, 3)), "gelu")
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ATTN_KINDS)
 def test_empty_history_returns_target(kind):
     cfg = cfg_for(3, 3, kind=kind)
     rng = make_rng(1)
@@ -103,7 +93,7 @@ def test_empty_history_returns_target(kind):
     assert np.array_equal(o, x_t)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ATTN_KINDS)
 def test_masked_positions_cannot_influence_output(kind):
     cfg = cfg_for(4, 4, kind=kind)
     rng = make_rng(2)
@@ -129,7 +119,7 @@ def test_permutation_invariance_exact_on_integers():
     assert np.array_equal(o1, o2)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ATTN_KINDS)
 def test_permutation_invariance_float(kind):
     cfg = cfg_for(4, 4, kind=kind)
     rng = make_rng(3)
@@ -222,7 +212,7 @@ def finite_diff_attention(kind, seed, with_dropout=False):
     return worst
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ATTN_KINDS)
 def test_backward_matches_finite_differences(kind):
     for seed in range(5):
         assert finite_diff_attention(kind, 20 + seed) < 1e-4
@@ -420,7 +410,7 @@ def per_slot_reference(params, hp, store, batch, masks):
     return bce_logit_loss(logits, batch.labels), logits, grads
 
 
-PER_SLOT_CASES = [(kind, drop) for kind in KINDS for drop in (False, True)]
+PER_SLOT_CASES = [(kind, drop) for kind in ATTN_KINDS for drop in (False, True)]
 
 
 @pytest.mark.parametrize("kind,attn_dropout", PER_SLOT_CASES,
@@ -484,8 +474,6 @@ def direct_attention(w_q, w_k, w_v, cfg, x_t, x_b, mask, drop, d_o):
         p, dp = np.where(counts > 0, mask / np.maximum(counts, 1.0), 0.0), 0.0 * mask
     elif cfg.kind == "relu":
         p, dp = np.maximum(scores, 0.0) * mask, (scores > 0) * mask
-    elif cfg.kind == "relu2":
-        p, dp = np.maximum(scores, 0.0) ** 2 * mask, 2 * np.maximum(scores, 0.0) * mask
     else:
         sig = 1.0 / (1.0 + np.exp(-scores))
         p, dp = scores * sig * mask, sig * (1 + scores * (1 - sig)) * mask
@@ -511,7 +499,7 @@ def direct_attention(w_q, w_k, w_v, cfg, x_t, x_b, mask, drop, d_o):
 
 
 @pytest.mark.parametrize("with_dropout", [False, True])
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ATTN_KINDS)
 def test_attention_matches_direct_key_value_algebra(kind, with_dropout):
     d_a, d_b, s, vocab = 4, 4, 5, 7
     cfg = cfg_for(d_a, d_b, kind=kind)

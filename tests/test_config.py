@@ -154,6 +154,24 @@ def test_retired_keys_exit_2(key, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# Squared ReLU, an attention kind that no preset, ablation variant or
+# benchmark ran, is gone: naming it is a config error, by flag or in a
+# config file.
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_retired_attn_kind_relu2_exits_2(command, tmp_path, capsys):
+    places = ["--out", str(tmp_path / "out")]
+    if command == "train":
+        places += ["--data", str(tmp_path / "data")]
+    assert main([command, *places, "--attn-kind", "relu2"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+    cfg_file = tmp_path / "retired.cfg"
+    cfg_file.write_text("attn_kind=relu2\n")
+    assert main([command, *places, "--config", str(cfg_file)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_not_utf8_is_a_config_error(tmp_path, capsys):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_bytes(b"# fine\nd_t=1\xff6\n")

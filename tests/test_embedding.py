@@ -257,7 +257,7 @@ def test_scatter_add_ignores_padded_positions():
     id_table, d_o = rng.standard_normal((10, 3)), rng.standard_normal((1, 6))
     w = [np.eye(6), np.eye(6), rng.standard_normal((6, 6))]
     mask = np.array([[1.0, 1.0, 0.0, 0.0]])
-    for kind in ("relu", "softmax", "mean"):
+    for kind in ATTN_KINDS:
         got = []
         cfg = AttentionConfig(kind=kind, d_t=6)
         for seq_ids in ([[3, 1, 5, 6]], [[3, 1, 0, 0]]):

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import attention_case_id, id_table_grad, slot_rows, split_of
 from qin.asta import asta_backward, asta_forward
-from qin.config import HyperParams
+from qin.config import ATTN_KINDS, HyperParams
 from qin.dataio import build_batch
 from qin.embedding import EmbeddingStore, Sample
 from qin.linalg import make_rng, segment_sum, spawn_rng
@@ -22,7 +22,6 @@ from qin.model import (attention_config, draw_dropout_masks, loss_and_grads, mod
 from qin.params import init_params, zero_gradients
 from qin.qnn import qnn_backward, qnn_layer_backward, qnn_layer_forward
 
-KINDS = ("relu", "softmax", "relu2", "silu", "mean")
 D_T = 8
 
 
@@ -86,7 +85,7 @@ def bits(arrays):
     return [None if a is None else a.tobytes() for a in arrays]
 
 
-CASES = [(kind, drop) for kind in KINDS for drop in (False, True)]
+CASES = [(kind, drop) for kind in ATTN_KINDS for drop in (False, True)]
 
 
 @pytest.mark.parametrize("d_frozen", [0, 1, D_T - 1])
@@ -108,7 +107,7 @@ def test_loss_and_grads_match_two_scatter_reference(kind, attn_dropout, d_frozen
 
 @pytest.mark.parametrize("frozen", [0, 1, D_T - 1])
 @pytest.mark.parametrize("with_ids", [False, True])
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ATTN_KINDS)
 def test_pooling_backward_frozen_columns_are_a_slice(kind, with_ids, frozen):
     # The embedding scatter drops the store columns from the rows of the
     # factored slot gradient. That is the slice of the per-slot gradient,
@@ -154,7 +153,7 @@ def as_floats(masks):
     return attn_mask.astype(float), [m.astype(float) for m in qnn_masks]
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ATTN_KINDS)
 def test_bool_keep_masks_match_float_masks_bit_for_bit(kind):
     # A float times a bool is the float times exactly 0.0 or 1.0.
     hp, params, store, batch = instance(kind, True, 2)

@@ -15,14 +15,13 @@ from conftest import (float32_copies, float_arrays, helper_threads, spy_traced_n
                       thread_world, usable)
 
 from qin import model, qnn
-from qin.config import TrainConfig
+from qin.config import ATTN_KINDS, TrainConfig
 from qin.dataio import make_batches
 from qin.errors import ShapeError
 from qin.linalg import sigmoid
 from qin.params import copy_params
 from qin.train import evaluate, train
 
-KINDS = ("relu", "softmax", "relu2", "silu", "mean")
 SIZES = (1, 2, 3, 954, 1023)
 
 
@@ -48,7 +47,7 @@ def both_ways(monkeypatch, fn):
 
 
 @pytest.mark.parametrize("act", ["prelu", "relu"])
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ATTN_KINDS)
 @pytest.mark.parametrize("d_t", [16, 64])
 def test_split_probs_match_one_thread(monkeypatch, qnn_threads, d_t, kind, act):
     hp = thread_hp(d_t, attn_kind=kind, qnn_act=act)
@@ -64,7 +63,7 @@ def test_split_probs_match_one_thread(monkeypatch, qnn_threads, d_t, kind, act):
         assert helper_ran == (n >= 2 * qnn.QNN_SPLIT_MIN_ROWS), n
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ATTN_KINDS)
 def test_split_evaluate_matches_one_thread(monkeypatch, kind):
     # Two length-sorted batches, 1024 and 976 rows, an all-empty run first.
     hp = thread_hp(64, attn_kind=kind)
@@ -76,7 +75,7 @@ def test_split_evaluate_matches_one_thread(monkeypatch, kind):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("interaction", ["qnn", "mlp"])
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ATTN_KINDS)
 def test_float32_copies_score_in_float32(monkeypatch, qnn_threads, kind, interaction, workers):
     # No kernel re-casts its inputs, so float32 copies of the parameters and
     # the store give float32 logits and probabilities, on the serial and
@@ -97,7 +96,7 @@ def test_float32_copies_score_in_float32(monkeypatch, qnn_threads, kind, interac
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("interaction", ["qnn", "mlp"])
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ATTN_KINDS)
 def test_evaluate_scores_float64_parameters_in_float32(monkeypatch, qnn_threads, kind,
                                                        interaction, workers):
     # evaluate casts what it is given, so float64 parameters and their

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import float32_copies, relabeled, split_of
 
-from qin.config import HyperParams, TrainConfig
+from qin.config import ATTN_KINDS, HyperParams, TrainConfig
 from qin.dataio import length_sorted_batches, make_batches
 from qin.embedding import EmbeddingStore, Sample
 from qin.errors import DataError, SingleClassError
@@ -382,8 +382,8 @@ def length_world(kind):
 
 
 # Ids keep the `<kind>-<pooling>` form they had under the retired pooling key.
-LENGTH_KINDS = dict(argnames="kind", argvalues=["relu", "softmax", "relu2", "silu", "mean"],
-                    ids=["relu-asta", "softmax-asta", "relu2-asta", "silu-asta", "relu-mean"])
+LENGTH_KINDS = dict(argnames="kind", argvalues=ATTN_KINDS,
+                    ids=["relu-mean" if kind == "mean" else f"{kind}-asta" for kind in ATTN_KINDS])
 
 
 @pytest.mark.parametrize(**LENGTH_KINDS)

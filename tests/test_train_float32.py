@@ -16,14 +16,13 @@ from conftest import float_arrays, thread_hp, thread_world
 
 from qin import model, qnn
 from qin import train as train_mod
-from qin.config import HyperParams, TrainConfig
+from qin.config import ATTN_KINDS, HyperParams, TrainConfig
 from qin.embedding import EmbeddingStore
 from qin.gradcheck import build_random_instance, gradcheck_hyperparams, parameter_classes
 from qin.metrics import bce_logit_loss
 from qin.model import loss_and_grads, model_forward
 from qin.params import ModelParams, copy_params, params_equal, save_checkpoint
 
-KINDS = ("relu", "softmax", "relu2", "silu", "mean")
 # The most a probability loss clamped to [1e-12, 1 - 1e-12] charges a sample, 27.6.
 CLAMP_CAP = -math.log(1e-12)
 
@@ -103,7 +102,7 @@ def rounded_instance(hp, seed):
 
 
 @pytest.mark.parametrize("interaction", ["qnn", "mlp"])
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ATTN_KINDS)
 def test_float32_gradients_agree_with_float64(kind, interaction):
     # The float64 path is the one gradcheck certifies; at the same point
     # the float32 path must give every class's gradient to 1e-5.

@@ -17,7 +17,7 @@ import pytest
 from conftest import helper_threads, spy_traced_names, thread_hp, thread_world, usable
 
 from qin import model, qnn
-from qin.config import TrainConfig
+from qin.config import ATTN_KINDS, TrainConfig
 from qin.dataio import build_batch
 from qin.errors import ShapeError
 from qin.linalg import make_rng
@@ -25,7 +25,6 @@ from qin.params import copy_params, save_checkpoint
 from qin.qnn import QNN_SPLIT_MIN_ROWS, QnnConfig, qnn_backward, qnn_forward
 from qin.train import evaluate, train
 
-KINDS = ("relu", "softmax", "relu2", "silu", "mean")
 # Halves below, at and above QNN_SPLIT_MIN_ROWS, and a wide batch.
 BATCH_SIZES = (255, 256, 257, 1023)
 TRAIN_ROWS = 1100   # every batch size above leaves a short last batch
@@ -59,7 +58,7 @@ def trained(hp, store, params, data, batch_size, path):
 
 @pytest.mark.parametrize("dropout_p", [0.0, 0.1])
 @pytest.mark.parametrize("act", ["prelu", "relu"])
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ATTN_KINDS)
 def test_split_training_matches_one_thread(monkeypatch, tmp_path, backward_threads, kind, act,
                                            dropout_p):
     hp = thread_hp(16, attn_kind=kind, qnn_act=act, dropout_p=dropout_p)
