@@ -5,8 +5,7 @@ in for pretrained content embeddings, the id part is learned. This module
 alone knows that layout. lookup_items hands the model each batch's target
 rows and behavior rows whole; embedding_grad_accumulate takes their
 gradients back, drops the store columns and sums the rest into the id
-table. Padded sequence slots carry id 0 and a zero mask entry, so they
-add exactly zero.
+table, skipping the history slots that attention gave no weight.
 
 Embedding file layout ("QINEMB1"): 7 magic bytes, count (u32 LE),
 dim (u32 LE), then count x dim float32 little-endian values row-major.
@@ -133,6 +132,25 @@ def lookup_items(store: EmbeddingStore, id_table: np.ndarray, batch: Batch):
     return table.take(batch.target_ids, axis=0), table.take(batch.seq_ids, axis=0)
 
 
+def _live_slots(d_x_b: list) -> np.ndarray | None:
+    """Flat indices of the slot entries with a nonzero weight in some term of d_x_b.
+
+    None when more than half of the entries are live, where the dense sum
+    is as fast or faster.
+    """
+    live = np.logical_or.reduce([weights != 0 for _, weights in d_x_b])
+    # embedding_grad_accumulate summing the live entries only, against the
+    # dense sum, per call (float32, one BLAS thread, 2-core VM; training
+    # calls with weights zeroed at random), at 0.25 / 0.40 / 0.50 / 0.60
+    # of the entries live and with all live:
+    #   desk 256 x 32 slots, 10 id columns:    1.53 / 1.25 / 0.99-1.16 / 0.71 / 0.49x
+    #   ragged 256 x 64 slots, 10 id columns:  1.88 / 1.43 / 1.16 / 1.01 / 0.41x
+    #   wide 1 024 x 4 slots, 58 id columns:   1.76 / 1.48 / 1.45 / 0.99 / 0.97x
+    if 2 * np.count_nonzero(live) > live.size:
+        return None
+    return np.flatnonzero(live)
+
+
 def embedding_grad_accumulate(grads: ModelParams, batch: Batch, d_x_t: np.ndarray,
                               d_x_b: list) -> None:
     """Add the id-table gradient of lookup_items' rows: targets, then history slots.
@@ -144,9 +162,25 @@ def embedding_grad_accumulate(grads: ModelParams, batch: Batch, d_x_t: np.ndarra
     dropped. Each sum is one ordered segment sum, so repeated ids
     accumulate in a fixed order, and each item's slot sum is added to its
     target sum.
+
+    A slot whose weight is zero in every term adds a signed zero to its
+    item's bin. Padded slots are such slots (zero mask entry, id 0), and
+    so is every slot that ReLU attention scored at or below zero or that
+    attention dropout dropped. When at
+    most half of the slots are live, only the live ones are summed
+    (_live_slots). This keeps the bits whenever the rows are finite: a
+    skipped slot would add +-0.0, a bin starts at +0.0 and so never holds
+    -0.0 (+0.0 + -0.0 is +0.0), and adding +-0.0 to any other value
+    leaves it unchanged.
     """
     vocab, d_id = grads.id_embedding.shape
     frozen = d_x_t.shape[1] - d_id
     targets = segment_sum(batch.target_ids, vocab, (d_x_t[:, frozen:], None))
-    slots = segment_sum(batch.seq_ids, vocab, *((rows[:, frozen:], w) for rows, w in d_x_b))
-    grads.id_embedding += targets + slots
+    ids = batch.seq_ids
+    terms = [(rows[:, frozen:], weights) for rows, weights in d_x_b]
+    live = _live_slots(d_x_b)
+    if live is not None:
+        row = live // ids.shape[1]
+        ids = ids.ravel().take(live)
+        terms = [(rows.take(row, axis=0), weights.ravel().take(live)) for rows, weights in terms]
+    grads.id_embedding += targets + segment_sum(ids, vocab, *terms)

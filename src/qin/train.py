@@ -3,10 +3,9 @@
 ``train`` and ``evaluate`` take their data as a ``dataio.Split``, the one
 data form of the library.
 
-Adam updates the flat parameter buffer (see params.py) in one run per
-span of shared decay and rate, with its moments in two arrays of the
-same layout. Its beta1, beta2
-and eps are the module constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
+Adam updates the flat parameter buffer (see params.py) in one pass, with
+its moments in two arrays of the same layout. Its beta1, beta2 and eps
+are the module constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
 Training and scoring run in float32 (TRAIN_FLOAT): train takes float32
 copies of the parameters and the store at entry, so the gradients, the
@@ -75,39 +74,38 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
               cfg: TrainConfig, lr_factors: dict[str, float] | None = None) -> None:
-    """In-place Adam update with bias correction, over the flat buffers.
+    """In-place Adam update with bias correction, in one pass over the flat buffers.
 
     Weight decay is coupled (g <- g + lambda * theta) and restricted to the
     embedding table's span; every other parameter is undecayed. lr_factors
     maps a tensor name to a multiplier of cfg.lr for its span; every other
-    span steps at cfg.lr. The update runs once per run of entries that
-    share a decay rule and a rate, cut at the edges of the decayed and
-    scaled spans; each entry sees the same arithmetic as a
-    tensor-by-tensor loop, so the result is the same to the bit.
+    span steps at cfg.lr. The rate is one entry per parameter in the
+    parameters' dtype, the value a scalar cfg.lr * factor is rounded to
+    when it multiplies the update, so each entry sees the same arithmetic
+    as a tensor-by-tensor loop, to the bit.
     """
     if grads.shapes != params.shapes:
         raise ShapeError("params and grads disagree on the parameter layout")
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
-    decay = params.spans["id_embedding"] if cfg.emb_weight_decay > 0 else slice(0, 0)
-    scaled = [(params.spans[name], cfg.lr * factor) for name, factor in (lr_factors or {}).items()]
-    n = params.flat.size
-    edges = sorted({0, decay.start, decay.stop, n,
-                    *(edge for span, _ in scaled for edge in (span.start, span.stop))})
-    for start, stop in zip(edges, edges[1:]):
-        theta, g = params.flat[start:stop], grads.flat[start:stop]
-        if decay.start <= start and stop <= decay.stop:
-            g = g + cfg.emb_weight_decay * theta
-        lr = next((lr for span, lr in scaled if span.start <= start and stop <= span.stop),
-                  cfg.lr)
-        m, v = state.m[start:stop], state.v[start:stop]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        theta -= lr * update
+    theta, g = params.flat, grads.flat
+    if cfg.emb_weight_decay > 0:
+        decay = params.spans["id_embedding"]
+        g = g.copy()
+        g[decay] = g[decay] + cfg.emb_weight_decay * theta[decay]
+    lr = np.full_like(theta, cfg.lr)
+    for name, factor in (lr_factors or {}).items():
+        lr[params.spans[name]] = cfg.lr * factor
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * g
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * (g * g)
+    # The update in one buffer: a fresh array per op ran slower at 136k values.
+    update = state.m / bc1
+    update /= np.sqrt(state.v / bc2) + ADAM_EPS
+    update *= lr
+    theta -= update
 
 
 @dataclass

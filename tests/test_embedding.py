@@ -8,8 +8,8 @@ from qin.embedding import (Batch, EmbeddingStore, embedding_grad_accumulate, loa
                            lookup_items, save_embeddings)
 from qin.errors import (BadMagicError, ConfigError, DataError, QinError, ShapeError,
                         TruncatedFileError)
-from qin.linalg import make_rng
-from qin.params import init_params, zero_gradients
+from qin.linalg import make_rng, segment_sum
+from qin.params import ModelParams, init_params, zero_gradients
 
 
 def make_store(count=10, dim=4, seed=0):
@@ -300,3 +300,120 @@ def test_scatter_matches_add_at_over_expanded_slot_rows(kind):
     np.add.at(expected, batch.seq_ids, slot_rows(d_x_b)[..., -d_id:])
     assert np.count_nonzero(slot_rows(d_x_b)[batch.mask > 0]) > 0
     assert np.max(np.abs(grads.id_embedding - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def dense_scatter(vocab, d_id, batch, d_x_t, d_x_b):
+    """Reference: the id-table gradient from one two-term segment sum over every slot."""
+    frozen = d_x_t.shape[1] - d_id
+    out = np.zeros((vocab, d_id), dtype=d_x_t.dtype)
+    out += (segment_sum(batch.target_ids, vocab, (d_x_t[:, frozen:], None))
+            + segment_sum(batch.seq_ids, vocab, *((rows[:, frozen:], w) for rows, w in d_x_b)))
+    return out
+
+
+def ragged_case(kind, dtype=np.float64, dropout_p=0.0, lengths=(3, 0, 8, 1, 5, 6), seed=11):
+    """An attention backward on a ragged batch whose ids repeat within and across rows.
+
+    The default lengths leave 23 of the 48 slots unmasked, under the gate for every kind.
+    """
+    rng = make_rng(seed)
+    d, d_id, vocab, s = 6, 4, 7, 8
+    store = EmbeddingStore(rng.standard_normal((vocab, d - d_id)).astype(dtype))
+    id_table = rng.standard_normal((vocab, d_id)).astype(dtype)
+    w = [rng.standard_normal((d, d)).astype(dtype) for _ in range(3)]
+    mask = (np.arange(s) < np.asarray(lengths)[:, None]).astype(np.float32)
+    seq_ids = rng.integers(0, vocab, mask.shape) * (mask > 0)
+    batch = Batch(target_ids=rng.integers(0, vocab, len(lengths)), seq_ids=seq_ids, mask=mask,
+                  labels=np.zeros(len(lengths), dtype=np.float32))
+    cfg = AttentionConfig(kind=kind, d_t=d, dropout_p=dropout_p)
+    drop = rng.random(mask.shape) >= dropout_p if dropout_p else None
+    x_t, x_b = lookup_items(store, id_table, batch)
+    _, trace = asta_forward(*w, cfg, x_t, x_b, batch.mask, drop_mask=drop)
+    d_o = rng.standard_normal((len(lengths), d)).astype(dtype)
+    d_x_t, d_x_b = asta_backward(*w, cfg, trace, d_o)[3:]
+    return vocab, d_id, batch, d_x_t, d_x_b
+
+
+def spy_slot_ids(monkeypatch) -> list:
+    """The ids each slot segment sum of embedding_grad_accumulate receives."""
+    seen = []
+
+    def spy(ids, count, *terms):
+        if terms[0][1] is not None:   # the targets' one term has no weights
+            seen.append(ids.copy())
+        return segment_sum(ids, count, *terms)
+    monkeypatch.setattr("qin.embedding.segment_sum", spy)
+    return seen
+
+
+def scatter(vocab, d_id, batch, d_x_t, d_x_b):
+    grads = ModelParams({"id_embedding": (vocab, d_id)}, np.zeros(vocab * d_id, d_x_t.dtype))
+    embedding_grad_accumulate(grads, batch, d_x_t, d_x_b)
+    return grads.id_embedding
+
+
+@pytest.mark.parametrize("dropout_p", [0.0, 0.25], ids=["no-dropout", "dropout"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("kind", ATTN_KINDS)
+def test_scatter_equals_dense_two_term_reference_bit_for_bit(kind, dtype, dropout_p, monkeypatch):
+    case = ragged_case(kind, dtype, dropout_p)
+    seen = spy_slot_ids(monkeypatch)
+    got = scatter(*case)
+    assert got.dtype == dtype
+    assert got.tobytes() == dense_scatter(*case).tobytes()
+    assert np.count_nonzero(got) > 0
+    assert [ids.ndim for ids in seen] == [1]   # the live entries only
+
+
+@pytest.mark.parametrize("kind", ATTN_KINDS)
+def test_scatter_of_an_all_padded_batch_keeps_only_the_target_sums(kind, monkeypatch):
+    vocab, d_id, batch, d_x_t, d_x_b = ragged_case(kind, np.float32, lengths=(0, 0, 0))
+    seen = spy_slot_ids(monkeypatch)
+    got = scatter(vocab, d_id, batch, d_x_t, d_x_b)
+    targets = segment_sum(batch.target_ids, vocab, (d_x_t[:, -d_id:], None))
+    assert got.tobytes() == targets.tobytes() == dense_scatter(vocab, d_id, batch, d_x_t,
+                                                               d_x_b).tobytes()
+    assert [ids.size for ids in seen] == [0]
+
+
+@pytest.mark.parametrize("kind", ["softmax", "mean"])
+def test_scatter_of_an_all_live_batch_takes_the_dense_sum(kind, monkeypatch):
+    case = ragged_case(kind, np.float32, lengths=(8,) * 6)
+    assert all(np.all(w != 0) for _, w in case[4])
+    seen = spy_slot_ids(monkeypatch)
+    assert scatter(*case).tobytes() == dense_scatter(*case).tobytes()
+    assert [ids.shape for ids in seen] == [case[2].seq_ids.shape]
+
+
+@pytest.mark.parametrize("extra, compact", [(0, True), (1, False)], ids=["half", "half+1"])
+def test_scatter_gate_sums_live_entries_at_exactly_half(extra, compact, monkeypatch):
+    # Rows of 8 slots with 4 live each are exactly half live; one more live
+    # entry tips the batch over the gate to the dense sum.
+    rng = make_rng(12)
+    vocab, d_id, n, s = 7, 4, 6, 8
+    batch = id_batch(rng.integers(0, vocab, n), rng.integers(0, vocab, (n, s)))
+    live = np.zeros((n, s), dtype=bool)
+    live[:, ::2] = True
+    live[0, 1] = bool(extra)
+    d_x_t = rng.standard_normal((n, 6))
+    some = live & (rng.random((n, s)) < 0.5)   # the first term is zero on some live entries
+    d_x_b = [(rng.standard_normal((n, 6)), rng.standard_normal((n, s)) * some),
+             (rng.standard_normal((n, 6)), rng.standard_normal((n, s)) * live)]
+    seen = spy_slot_ids(monkeypatch)
+    assert scatter(vocab, d_id, batch, d_x_t, d_x_b).tobytes() == dense_scatter(
+        vocab, d_id, batch, d_x_t, d_x_b).tobytes()
+    if compact:
+        assert [ids.tolist() for ids in seen] == [batch.seq_ids[live].tolist()]
+    else:
+        assert [ids.shape for ids in seen] == [(n, s)]
+
+
+def test_relu_slot_sum_receives_only_the_live_entries(monkeypatch):
+    # ReLU attention leaves its scored-below-zero slots and the padding with
+    # weight zero in both terms; only the other entries reach the slot sum.
+    vocab, d_id, batch, d_x_t, d_x_b = ragged_case("relu", np.float32)
+    live = np.logical_or(d_x_b[0][1] != 0, d_x_b[1][1] != 0)
+    assert 0 < np.count_nonzero(live) < np.count_nonzero(batch.mask)
+    seen = spy_slot_ids(monkeypatch)
+    scatter(vocab, d_id, batch, d_x_t, d_x_b)
+    assert [ids.tolist() for ids in seen] == [batch.seq_ids[live].tolist()]

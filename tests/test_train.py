@@ -438,3 +438,33 @@ def test_train_same_bits_from_list_and_split(tmp_path):
         save_checkpoint(result.params, str(path))
         runs.append(([e.line() for e in result.history], path.read_bytes()))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("kind", ["relu", "softmax", "mean"])
+def test_live_slot_scatter_trains_the_dense_scatter_bits(kind, tmp_path, monkeypatch):
+    """Summing only the live slots of the id-table gradient changes no bit of a run."""
+    import qin.embedding
+    from qin.params import save_checkpoint
+
+    hp = dataclasses.replace(HP, seq_len=12, attn_kind=kind)   # histories 1..12
+    store, samples = tiny_world(seed=46, n=200, hp=hp)
+    live_slots = qin.embedding._live_slots
+    paths = []
+
+    def counted(d_x_b):
+        live = live_slots(d_x_b)
+        paths.append(live is not None)
+        return live
+
+    runs = []
+    for gate in (counted, lambda d_x_b: None):
+        monkeypatch.setattr(qin.embedding, "_live_slots", gate)
+        params = init_params(hp, make_rng(47))
+        result = train(params, hp, store, samples[:160], samples[160:],
+                       TrainConfig(epochs=2, patience=2, batch_size=16, seed=48))
+        path = tmp_path / f"{len(runs)}.ckpt"
+        save_checkpoint(result.params, str(path))
+        runs.append(([e.line() for e in result.history], path.read_bytes()))
+    assert len(runs[0][0]) == 2
+    assert runs[0] == runs[1]
+    assert any(paths)   # the gated run summed live slots only at least once
