@@ -5,18 +5,16 @@ values. Scores are Q.K^T scaled by 1/sqrt(d_t); the score transform is
 ReLU by default, which yields non-normalized, exactly sparse weights.
 ``softmax`` and ``mean`` are the paper's ablations: softmax normalizes
 the scores, and mean is "w/o ASTA", fixed weights of 1 / live count on
-every unmasked slot, with no query, key or score. ``silu`` is a
-pointwise SiLU transform kept for comparison. The target embedding is
-added back to the weighted value sum for every kind, so ablations
+every unmasked slot, with no query, key or score. The target embedding
+is added back to the weighted value sum for every kind, so ablations
 isolate the weight rule alone. Because of that residual and because
 targets and behaviors share one item vector, every width in the block is
 the item width d_t.
 
 Masking: with softmax the masked scores are forced to -inf before
-normalization; for the pointwise kinds (relu, silu) the transformed
-weight is zeroed. Either way masked positions contribute exactly zero to
-the output, and an all-masked (empty) history returns the target
-embedding unchanged.
+normalization; under relu the transformed weight is zeroed. Either way
+masked positions contribute exactly zero to the output, and an
+all-masked (empty) history returns the target embedding unchanged.
 
 Data flow: each slot's behavior row x_b comes in whole, gathered by the
 embedding module, and keys and values are linear maps of those rows, so
@@ -39,10 +37,7 @@ import numpy as np
 
 from .config import ATTN_KINDS, check_item_width
 from .errors import ConfigError, ShapeError
-from .linalg import relu, relu_grad, silu, silu_grad
-
-# The pointwise score transforms: kind -> (transform, derivative).
-_POINTWISE = {"relu": (relu, relu_grad), "silu": (silu, silu_grad)}
+from .linalg import relu, relu_grad
 
 
 @dataclass(frozen=True)
@@ -99,8 +94,8 @@ def attention_weights(scores: np.ndarray | None, mask: np.ndarray, kind: str) ->
     mean ignores the scores (None will do): each unmasked slot weighs
     1 / the row's live count, and an all-masked row weighs nothing.
     softmax rows normalize over unmasked positions (all-masked rows yield
-    all-zero weights); relu and silu transform pointwise then zero the
-    masked slots. Any other kind is a ConfigError.
+    all-zero weights); relu transforms pointwise then zeroes the masked
+    slots. Any other kind is a ConfigError.
     """
     if kind == "mean":
         counts = mask.sum(axis=-1)
@@ -115,10 +110,9 @@ def attention_weights(scores: np.ndarray | None, mask: np.ndarray, kind: str) ->
         ex = np.where(mask > 0, np.exp(shifted), 0.0)
         denom = ex.sum(axis=-1)
         return np.where(live[..., None], ex / np.where(live, denom, 1.0)[..., None], 0.0)
-    if kind not in _POINTWISE:
+    if kind != "relu":
         raise ConfigError(f"unknown attention kind {kind!r}")
-    transform, _ = _POINTWISE[kind]
-    return transform(scores) * mask
+    return relu(scores) * mask
 
 
 def asta_forward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
@@ -204,8 +198,7 @@ def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
             p = trace.softmax_w
             d_scores = p * (d_w - (d_w * p).sum(axis=1)[:, None])
         else:
-            _, derivative = _POINTWISE[cfg.kind]
-            d_scores = d_w * derivative(trace.scores) * trace.mask
+            d_scores = d_w * relu_grad(trace.scores) * trace.mask
         d_scores = d_scores * cfg.scale
 
         px = (d_scores[:, None, :] @ trace.x_b)[:, 0, :]   # (n, d_t)

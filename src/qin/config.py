@@ -34,7 +34,7 @@ from dataclasses import InitVar, dataclass, field, fields
 
 from .errors import ConfigError
 
-ATTN_KINDS = ("relu", "softmax", "silu", "mean")
+ATTN_KINDS = ("relu", "softmax", "mean")
 INTERACTIONS = ("qnn", "mlp")
 QNN_ACTS = ("prelu", "relu")
 

@@ -86,15 +86,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def silu(x: np.ndarray) -> np.ndarray:
-    return x * sigmoid(x)
-
-
-def silu_grad(x: np.ndarray) -> np.ndarray:
-    s = sigmoid(x)
-    return s * (1.0 + x * (1.0 - s))
-
-
 def prelu(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
     """max(x, 0) + slope * min(x, 0): x where x >= 0, slope * x below, NaN stays NaN.
 

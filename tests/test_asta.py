@@ -68,18 +68,14 @@ def test_relu_weights_nonnegative():
     assert np.all(w >= 0)
 
 
-def test_silu_weights_masked_zero_negatives_allowed():
-    rng = make_rng(20)
-    scores = rng.standard_normal((16, 8)) * 3
-    mask = (rng.random((16, 8)) < 0.5).astype(float)
-    w = attention_weights(scores, mask, "silu")
-    assert np.array_equal(w[mask == 0], np.zeros(int((mask == 0).sum())))
-    assert np.any(w < 0)  # silu may emit negative weights by contract
-
-
 def test_unknown_weight_kind_is_a_config_error():
     with pytest.raises(ConfigError, match="unknown attention kind 'gelu'"):
         attention_weights(np.zeros((2, 3)), np.ones((2, 3)), "gelu")
+    # silu, a pointwise kind that no ablation ran, is retired.
+    with pytest.raises(ConfigError, match="unknown attention kind 'silu'"):
+        attention_weights(np.zeros((2, 3)), np.ones((2, 3)), "silu")
+    with pytest.raises(ConfigError, match="attention kind must be one of"):
+        AttentionConfig(kind="silu", d_t=4)
 
 
 @pytest.mark.parametrize("kind", ATTN_KINDS)
@@ -472,11 +468,8 @@ def direct_attention(w_q, w_k, w_v, cfg, x_t, x_b, mask, drop, d_o):
     elif cfg.kind == "mean":
         counts = mask.sum(axis=1, keepdims=True)
         p, dp = np.where(counts > 0, mask / np.maximum(counts, 1.0), 0.0), 0.0 * mask
-    elif cfg.kind == "relu":
-        p, dp = np.maximum(scores, 0.0) * mask, (scores > 0) * mask
     else:
-        sig = 1.0 / (1.0 + np.exp(-scores))
-        p, dp = scores * sig * mask, sig * (1 + scores * (1 - sig)) * mask
+        p, dp = np.maximum(scores, 0.0) * mask, (scores > 0) * mask
     keep = np.ones_like(mask) if drop is None else drop / (1.0 - cfg.dropout_p)
     weights = p * keep
     o = np.einsum("ns,nsa->na", weights, v) + x_t

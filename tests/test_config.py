@@ -2,8 +2,9 @@ import dataclasses
 
 import pytest
 
-from qin.cli import _resolve, build_parser, main
-from qin.config import KEYS, GenConfig, HyperParams, TrainConfig, build, resolve_config
+from qin.cli import ABLATION_VARIANTS, _resolve, build_parser, main
+from qin.config import (ATTN_KINDS, INTERACTIONS, KEYS, QNN_ACTS, GenConfig, HyperParams,
+                        TrainConfig, build, resolve_config)
 from qin.errors import ConfigError
 
 NAN, INF = float("nan"), float("inf")
@@ -154,22 +155,35 @@ def test_retired_keys_exit_2(key, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-# Squared ReLU, an attention kind that no preset, ablation variant or
-# benchmark ran, is gone: naming it is a config error, by flag or in a
-# config file.
+# Squared ReLU and SiLU, attention kinds that no preset, ablation variant
+# or benchmark ran, are gone: naming one is a config error, by flag or in
+# a config file.
+@pytest.mark.parametrize("kind", ["relu2", "silu"])
 @pytest.mark.parametrize("command", ["gen-data", "train"])
-def test_retired_attn_kind_relu2_exits_2(command, tmp_path, capsys):
+def test_retired_attn_kinds_exit_2(command, kind, tmp_path, capsys):
     places = ["--out", str(tmp_path / "out")]
     if command == "train":
         places += ["--data", str(tmp_path / "data")]
-    assert main([command, *places, "--attn-kind", "relu2"]) == 2
+    assert main([command, *places, "--attn-kind", kind]) == 2
     assert capsys.readouterr().err.startswith("config error:")
 
     cfg_file = tmp_path / "retired.cfg"
-    cfg_file.write_text("attn_kind=relu2\n")
+    cfg_file.write_text(f"attn_kind={kind}\n")
     assert main([command, *places, "--config", str(cfg_file)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "out").exists()
+
+
+# Every choice of a model key is the HyperParams default or the value an
+# ablation variant sets, so no choice stays that nothing runs.
+def test_every_model_choice_is_the_default_or_an_ablation_variant():
+    choices = {f.metadata["key"] or f.name: f for f in dataclasses.fields(HyperParams)
+               if isinstance(f.metadata.get("rule"), tuple)}
+    assert {key: f.metadata["rule"] for key, f in choices.items()} == {
+        "attn_kind": ATTN_KINDS, "interaction": INTERACTIONS, "qnn_act": QNN_ACTS}
+    for key, f in choices.items():
+        run = {f.default} | {v[key] for _, v in ABLATION_VARIANTS if key in v}
+        assert set(f.metadata["rule"]) == run, key
 
 
 def test_config_file_not_utf8_is_a_config_error(tmp_path, capsys):

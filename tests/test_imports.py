@@ -3,6 +3,8 @@
 Every name a package module imports is read in that module. No linter
 runs on this tree, so this is the check for an import that a deletion left
 behind. Names the package re-exports through ``qin.__all__`` are exempt.
+The same holds one level up: every public top-level function or class is
+read somewhere, so a kernel whose last caller went is seen too.
 Only qnn.py, which owns the QNN row split, imports a thread module.
 """
 
@@ -51,6 +53,38 @@ def test_every_imported_name_is_read():
         if names:
             unused[path.name] = names
     assert unused == {}, f"imported but never read: {unused}"
+
+
+def names_read(node: ast.AST) -> set:
+    """Names node reads: loaded names (quoted annotations included),
+    attribute names, and the names a from-import takes from its module."""
+    reads = imports_and_reads(node)[1]
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            reads.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            reads |= {a.name for a in sub.names}
+    return reads
+
+
+def test_every_public_function_and_class_is_used():
+    # A public top-level function or class is read in the package outside
+    # its own definition, exported by qin.__all__, or read by the acceptance
+    # suite, whose oracles and helpers it holds.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    used = exported(trees["__init__.py"]) | names_read(
+        ast.parse((PACKAGE.parents[1] / "tests" / "test_acceptance.py").read_text()))
+    readers = {}  # name -> the top-level statements that read it
+    for tree in trees.values():
+        for stmt in tree.body:
+            for read in names_read(stmt):
+                readers.setdefault(read, []).append(stmt)
+    unused = [f"{name}:{node.name}" for name, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used
+              and all(stmt is node for stmt in readers.get(node.name, []))]
+    assert unused == [], f"defined but never used: {unused}"
 
 
 def test_only_qnn_imports_threads():

@@ -4,28 +4,22 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qin.linalg import (make_rng, prelu, prelu_grad, prelu_slope_terms, relu, relu_grad,
-                        segment_sum, sigmoid, silu, silu_grad)
+                        segment_sum, sigmoid)
 
 
 def test_elementwise_definitions():
     x = np.array([-1.0, 0.0, 2.0])
     assert np.array_equal(relu(x), [0.0, 0.0, 2.0])
     assert np.array_equal(prelu(np.array([-2.0]), 0.25), [-0.5])
-    assert silu(np.array([0.0]))[0] == 0.0
     assert sigmoid(np.array([0.0]))[0] == 0.5
 
 
 def test_activation_monotonicity_where_defined():
-    # relu, prelu, sigmoid are globally nondecreasing; silu only from 0 up
-    # (it dips below -1.278).
+    # relu, prelu, sigmoid are globally nondecreasing.
     x = np.sort(make_rng(3).standard_normal(500) * 3)
     for fn in (relu, lambda v: prelu(v, 0.25), sigmoid):
         y = fn(x)
         assert np.all(np.diff(y) >= 0)
-    pos = x[x >= 0]
-    assert np.all(np.diff(silu(pos)) >= 0)
-    neg = x[x < 0]
-    assert np.allclose(silu(neg), neg * sigmoid(neg))
 
 
 def test_activation_gradients_match_finite_differences():
@@ -34,7 +28,6 @@ def test_activation_gradients_match_finite_differences():
     x = x[np.abs(x) > 1e-3]
     h = 1e-6
     for fn, grad in ((relu, relu_grad),
-                     (silu, silu_grad),
                      (lambda v: prelu(v, 0.3), lambda v: prelu_grad(v, 0.3))):
         numeric = (fn(x + h) - fn(x - h)) / (2 * h)
         assert np.max(np.abs(numeric - grad(x))) < 1e-6
@@ -109,7 +102,7 @@ def test_kernel_sequence_bit_determinism():
         rng = make_rng(123)
         a = rng.normal(0.0, 1.0, 16).reshape(4, 4)
         b = rng.normal(0.0, 1.0, 16).reshape(4, 4)
-        return relu(a) @ silu(b)
+        return relu(a) @ sigmoid(b)
 
     assert np.array_equal(run(), run())
 
