@@ -37,15 +37,14 @@ import numpy as np
 
 from .config import ATTN_KINDS, check_item_width
 from .errors import ConfigError, ShapeError
-from .linalg import relu, relu_grad
+from .linalg import relu
 
 
 @dataclass(frozen=True)
 class AttentionConfig:
-    """Score transform, item width and dropout rate of the attention block.
+    """Score transform and item width of the attention block.
 
-    d_a and d_b are accepted only when equal to d_t. dropout_p scales the
-    weights when a keep mask is passed to the forward call.
+    d_a and d_b are accepted only when equal to d_t.
     """
 
     kind: str
@@ -53,7 +52,6 @@ class AttentionConfig:
     # Accepted and ignored: each call takes the history width from its mask.
     # It stays accepted because the acceptance suite (criterion 3) passes it.
     seq_len: InitVar[int | None] = None
-    dropout_p: float = 0.0
     d_a: InitVar[int | None] = None
     d_b: InitVar[int | None] = None
 
@@ -69,7 +67,7 @@ class AttentionConfig:
 
 @dataclass
 class AttentionTrace:
-    """Everything the backward pass replays, per batch row.
+    """Everything the backward pass reads, per batch row.
 
     Only per-sample vectors and the behavior rows are kept; no per-slot
     key or value exists in either pass. Kind ``mean`` forms no query or
@@ -81,15 +79,13 @@ class AttentionTrace:
     x_b: np.ndarray          # (n, s, d_t) behavior row of each slot
     pooled: np.ndarray       # (n, d_t) weighted sum of the behavior rows
     scores: np.ndarray | None  # (n, s) raw scaled scores
-    weights: np.ndarray      # (n, s) transformed, masked, post-dropout
+    weights: np.ndarray      # (n, s) transformed and masked
     x_t: np.ndarray          # (n, d_t)
     mask: np.ndarray         # (n, s)
-    drop_mask: np.ndarray | None  # (n, s) bool or {0, 1} keep-mask, or None
-    softmax_w: np.ndarray | None  # (n, s) pre-dropout softmax weights
 
 
 def attention_weights(scores: np.ndarray | None, mask: np.ndarray, kind: str) -> np.ndarray:
-    """The weight rule: score transform plus masking; no dropout.
+    """The weight rule: score transform plus masking.
 
     mean ignores the scores (None will do): each unmasked slot weighs
     1 / the row's live count, and an all-masked row weighs nothing.
@@ -116,8 +112,7 @@ def attention_weights(scores: np.ndarray | None, mask: np.ndarray, kind: str) ->
 
 
 def asta_forward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
-                 cfg: AttentionConfig, x_t, x_b, mask,
-                 drop_mask: np.ndarray | None = None):
+                 cfg: AttentionConfig, x_t, x_b, mask):
     """Interest vector o = transform(Q.K^T / sqrt(d_t)) V + x_t.
 
     Under kind mean the weights are the masked mean's, o = W_v . mean(x_b) + x_t,
@@ -125,9 +120,7 @@ def asta_forward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
 
     Accepts a batch, x_t (n, d_t) and each slot's behavior row x_b
     (n, s, d_t), or one sample without the leading n axis. The mask takes
-    x_b's dtype. drop_mask, when given, is the bool (or {0, 1}) keep mask
-    applied to the transformed weights with inverted scaling (training
-    mode only).
+    x_b's dtype.
     """
     mask = mask.astype(x_b.dtype, copy=False)
     single = x_t.ndim == 1
@@ -150,15 +143,10 @@ def asta_forward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
         scores = (x_b @ qk[:, :, None])[:, :, 0] * cfg.scale
 
     weights = attention_weights(scores, mask, cfg.kind)
-    softmax_w = weights if cfg.kind == "softmax" else None
-    if drop_mask is not None:
-        weights = weights * drop_mask / (1.0 - cfg.dropout_p)
-
     pooled = (weights[:, None, :] @ x_b)[:, 0, :]           # (n, d_t)
     o = pooled @ w_v.T + x_t
     trace = AttentionTrace(q=q, qk=qk, x_b=x_b, pooled=pooled, scores=scores,
-                           weights=weights, x_t=x_t, mask=mask, drop_mask=drop_mask,
-                           softmax_w=softmax_w)
+                           weights=weights, x_t=x_t, mask=mask)
     return (o[0] if single else o), trace
 
 
@@ -170,9 +158,11 @@ def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
     gradient in factored form, a list of pairs (rows (n, d_t), weights
     (n, s)): slot (r, j) gets the sum over pairs of weights[r, j] * rows[r].
     A single-sample call drops the n axis of d_x_t and of each pair.
-    ReLU subgradient at 0 is 0; the residual contributes identity to d_x_t;
-    dropout masks are replayed from the trace. Kind mean has no w_q or
-    w_k, so its d_w_q and d_w_k are None.
+    The backward reads the weights the forward pass kept: a ReLU score
+    passes its gradient where its weight is positive, so the subgradient
+    at 0 is 0 and masked slots pass none. The residual contributes
+    identity to d_x_t. Kind mean has no w_q or w_k, so its d_w_q and d_w_k
+    are None.
     """
     single = d_o.ndim == 1
     if single:
@@ -191,14 +181,11 @@ def asta_backward(w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
         d_x_b = [value_term]
     else:
         d_w = (trace.x_b @ d_v[:, :, None])[:, :, 0]        # d loss / d weights
-        if trace.drop_mask is not None:
-            d_w = d_w * trace.drop_mask / (1.0 - cfg.dropout_p)
-
+        p = trace.weights
         if cfg.kind == "softmax":
-            p = trace.softmax_w
             d_scores = p * (d_w - (d_w * p).sum(axis=1)[:, None])
         else:
-            d_scores = d_w * relu_grad(trace.scores) * trace.mask
+            d_scores = d_w * (p > 0)
         d_scores = d_scores * cfg.scale
 
         px = (d_scores[:, None, :] @ trace.x_b)[:, 0, :]   # (n, d_t)

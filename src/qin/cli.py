@@ -38,16 +38,15 @@ ABLATION_VARIANTS = [
     ("qin_wo_asta_mean", {"attn_kind": "mean"}),
     ("asta_softmax", {"attn_kind": "softmax"}),
     ("qnn_relu_act", {"qnn_act": "relu"}),
-    ("asta_dropout", {"attn_dropout_p": 0.1}),
 ]
 
 # The config keys gradcheck reads besides seed; its instance's dims are fixed.
-GRADCHECK_KEYS = ("attn_kind", "interaction", "dropout_p", "attn_dropout_p", "qnn_act")
+GRADCHECK_KEYS = ("attn_kind", "interaction", "dropout_p", "qnn_act")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    # Whole flags only: a prefix such as --attn-dropout must not pass for
-    # --attn-dropout-p.
+    # Whole flags only: a prefix such as --dropout must not pass for
+    # --dropout-p.
     parser.allow_abbrev = False
     parser.add_argument("--config", metavar="FILE", help="key=value config file")
     parser.add_argument("--preset", choices=sorted(PRESETS), help="named preset")

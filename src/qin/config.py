@@ -16,10 +16,9 @@ rejected, and ``resolve_config`` validates the result by building the three
 configs. Targets and behaviors share one item vector and the attention
 residual adds the target back, so d_t is the only item width and the only
 width key. ``attn_kind`` is the attention weight rule; ``mean`` is the
-"w/o ASTA" ablation, fixed mean weights over the live history. Attention
-dropout is off at ``attn_dropout_p = 0``, the default, and applies to the
-pooled slots under every kind. Adam's beta1, beta2 and eps are not keys but
-constants in train.py.
+"w/o ASTA" ablation, fixed mean weights over the live history. Dropout
+applies to the QNN branches alone. Adam's beta1, beta2 and eps are not keys
+but constants in train.py.
 ``desk`` is the default preset (small dims, minutes on one CPU); ``paper``
 pins the reference hyperparameters (lr 2e-3, embedding weight decay 2e-4,
 batch 8192, dim 128, depth = capacity = 4, dropout 0.1).
@@ -121,8 +120,7 @@ class HyperParams:
     of the attention output that the residual adds the target onto; the
     d_b and d_a arguments, which are not config keys, are accepted only
     when equal to it. attn_kind picks the attention weight rule, mean
-    pooling (attn_kind mean) included. attn_dropout_p = 0 turns attention
-    dropout off.
+    pooling (attn_kind mean) included.
     d_frozen is the width of the frozen pretrained part of each item
     vector; the trainable id-embedding supplies the remaining d_t -
     d_frozen coordinates. vocab and d_frozen come from the embedding store,
@@ -141,7 +139,6 @@ class HyperParams:
     m: int = _field(2, int, ">= 1", key="qnn_m")
     dropout_p: float = _field(0.1, float, "in [0, 1)")
     attn_kind: str = _field("relu", str, ATTN_KINDS)
-    attn_dropout_p: float = _field(0.0, float, "in [0, 1)")
     interaction: str = _field("qnn", str, INTERACTIONS)
     mlp_dims: tuple[int, ...] = _field((64, 32), _parse_int_list, ">= 1")
     qnn_act: str = _field("prelu", str, QNN_ACTS)

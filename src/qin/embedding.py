@@ -165,8 +165,7 @@ def embedding_grad_accumulate(grads: ModelParams, batch: Batch, d_x_t: np.ndarra
 
     A slot whose weight is zero in every term adds a signed zero to its
     item's bin. Padded slots are such slots (zero mask entry, id 0), and
-    so is every slot that ReLU attention scored at or below zero or that
-    attention dropout dropped. When at
+    so is every slot that ReLU attention scored at or below zero. When at
     most half of the slots are live, only the live ones are summed
     (_live_slots). This keeps the bits whenever the rows are finite: a
     skipped slot would add +-0.0, a bin starts at +0.0 and so never holds

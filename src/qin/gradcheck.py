@@ -130,12 +130,11 @@ def collect_kink_preacts(trace, hp: HyperParams) -> np.ndarray:
 
 
 def gradcheck_hyperparams(attn_kind: str = "relu", interaction: str = "qnn",
-                          dropout_p: float = 0.0, attn_dropout_p: float = 0.0,
-                          qnn_act: str = "prelu") -> HyperParams:
+                          dropout_p: float = 0.0, qnn_act: str = "prelu") -> HyperParams:
     """Small instance: d=16, seq len 8, depth = capacity = 2, vocab 24; dropout off by default."""
     return HyperParams(d_t=16, seq_len=8, depth=2, m=2, mlp_dims=(12, 8), vocab=24, d_frozen=8,
                        attn_kind=attn_kind, interaction=interaction, dropout_p=dropout_p,
-                       attn_dropout_p=attn_dropout_p, qnn_act=qnn_act)
+                       qnn_act=qnn_act)
 
 
 def build_random_instance(hp: HyperParams, seed: int, n: int = 4):
@@ -181,10 +180,11 @@ def run_model_gradcheck(seed: int, hp: HyperParams | None = None,
 
     sabotage flips the sign of the analytic gradient for the named class,
     one of this model's (else ConfigError); the run must then fail, which
-    self-tests the harness. One keep-mask pair, drawn from substream 1 of
-    seed, serves the analytic pass and every perturbed forward. Each class
-    has one trial copy of the parameters; every forward overwrites the
-    class's whole span, so the rest stays at the instance's values.
+    self-tests the harness. One set of QNN keep-masks, drawn from
+    substream 1 of seed, serves the analytic pass and every perturbed
+    forward. Each class has one trial copy of the parameters; every
+    forward overwrites the class's whole span, so the rest stays at the
+    instance's values.
     """
     hp = hp or gradcheck_hyperparams()
     params, store, batch = build_random_instance(hp, seed)

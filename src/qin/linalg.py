@@ -72,11 +72,6 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def relu_grad(x: np.ndarray) -> np.ndarray:
-    """Subgradient at 0 is defined as 0."""
-    return (x > 0.0).astype(x.dtype)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0

@@ -5,7 +5,7 @@ gradients back; the model hands it the batch, and attention the rows,
 so no id or store column is handled here. The pooling is the attention
 block for every attn_kind, the "w/o ASTA" mean pooling included
 (attn_kind mean). The model draws nothing: the caller passes each
-step's keep-masks, drawn by draw_dropout_masks. Training
+step's QNN keep-masks, drawn by draw_dropout_masks. Training
 (loss_and_grads) and scoring (predict_logits) run the one forward pass,
 model_forward; scoring passes no masks. A wide QNN's layers
 may run on two row halves at once, on the calling thread and the one
@@ -28,7 +28,7 @@ from .qnn import QnnConfig, assemble_x1, mlp_backward, mlp_forward, qnn_backward
 
 
 def attention_config(hp: HyperParams) -> AttentionConfig:
-    return AttentionConfig(kind=hp.attn_kind, d_t=hp.d_t, dropout_p=hp.attn_dropout_p)
+    return AttentionConfig(kind=hp.attn_kind, d_t=hp.d_t)
 
 
 def qnn_config(hp: HyperParams) -> QnnConfig:
@@ -45,33 +45,28 @@ class ModelTrace:
     logits: np.ndarray
 
 
-def draw_dropout_masks(hp: HyperParams, n: int, rng: np.random.Generator):
-    """Per-step bool keep-masks, in a fixed draw order: attention first, then layers.
+def draw_dropout_masks(hp: HyperParams, n: int, rng: np.random.Generator) -> list | None:
+    """Per-step bool keep-masks, one per QNN layer in layer order, or None
+    when the step has no QNN dropout.
 
     A float times a bool is the float times exactly 1.0 or 0.0, so the
     masks scale as {0, 1} floats would, at a byte per entry.
     """
-    attn_mask = None
-    if hp.attn_dropout_p > 0:
-        attn_mask = rng.random((n, hp.seq_len)) >= hp.attn_dropout_p
-    qnn_masks = None
     if hp.interaction == "qnn" and hp.dropout_p > 0:
-        qnn_masks = [rng.random((n, hp.qnn_dim)) >= hp.dropout_p for _ in range(hp.depth)]
-    return attn_mask, qnn_masks
+        return [rng.random((n, hp.qnn_dim)) >= hp.dropout_p for _ in range(hp.depth)]
+    return None
 
 
 def model_forward(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-                  batch: Batch, masks: tuple | None = None) -> ModelTrace:
+                  batch: Batch, masks: list | None = None) -> ModelTrace:
     """The forward pass under the keep-masks of draw_dropout_masks; None means no dropout."""
-    attn_mask, qnn_masks = masks or (None, None)
     x_t, x_b = lookup_items(store, params.id_embedding, batch)
     o, pool_trace = asta_forward(params.w_q, params.w_k, params.w_v,
-                                 attention_config(hp), x_t, x_b, batch.mask,
-                                 drop_mask=attn_mask)
+                                 attention_config(hp), x_t, x_b, batch.mask)
     x1 = assemble_x1(x_t, o, hp.qnn_dim)
     if hp.interaction == "qnn":
         x_last, inter_trace = qnn_forward(params.qnn_w, params.prelu, x1, qnn_config(hp),
-                                          qnn_masks)
+                                          masks)
     else:
         x_last, inter_trace = mlp_forward(params.mlp_w, params.mlp_b, x1)
 
@@ -118,7 +113,7 @@ def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
 
 
 def loss_and_grads(params: ModelParams, hp: HyperParams, store: EmbeddingStore,
-                   batch: Batch, masks: tuple | None = None):
+                   batch: Batch, masks: list | None = None):
     """One batch: (mean BCE loss of the logits, full gradients), under the
     keep-masks of model_forward.
 

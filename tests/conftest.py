@@ -233,13 +233,15 @@ def print_criterion(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"[acceptance] criterion {num} ({name}): {status} - {detail}")
 
 
-def attention_case_id(kind: str, attn_dropout) -> str:
+def attention_case_id(kind: str, dropout) -> str:
     """Test id ``<pooling>-<kind>-<dropout>`` of an attention case.
 
     The form dates from when mean pooling had a ``pooling`` key of its own;
     the mean cases keep ``relu``, the attn_kind default they then ran under,
-    so a case keeps its id across versions.
+    so a case keeps its id across versions. ``dropout`` says whether the
+    step runs under keep-masks; it switched attention dropout until that
+    was removed, and now switches QNN dropout.
     """
     if kind == "mean":
-        return f"mean-relu-{attn_dropout}"
-    return f"asta-{kind}-{attn_dropout}"
+        return f"mean-relu-{dropout}"
+    return f"asta-{kind}-{dropout}"

@@ -9,7 +9,7 @@ from qin.linalg import make_rng, segment_sum
 
 
 def cfg_for(d_a, d_b, kind="relu"):
-    return AttentionConfig(kind=kind, d_a=d_a, d_t=d_a, d_b=d_b, dropout_p=0.1)
+    return AttentionConfig(kind=kind, d_a=d_a, d_t=d_a, d_b=d_b)
 
 
 def test_hand_case_relu():
@@ -168,7 +168,7 @@ def test_backward_residual_only_when_weights_dead():
     assert np.array_equal(d_x_t, up)
 
 
-def finite_diff_attention(kind, seed, with_dropout=False):
+def finite_diff_attention(kind, seed):
     """Max relative FD error across every parameter and input of a random instance."""
     d, s = 2, 3
     cfg = cfg_for(d, d, kind=kind)
@@ -178,13 +178,12 @@ def finite_diff_attention(kind, seed, with_dropout=False):
     x_b = rng.standard_normal((s, d))
     mask = np.array([1.0, 1.0, 0.0])
     r = rng.standard_normal(d)  # random linear functional makes the loss scalar
-    drop = (rng.random((1, s)) >= cfg.dropout_p).astype(float) if with_dropout else None
 
     def loss(wq, wk, wv, xt, xb):
-        o, _ = asta_forward(wq, wk, wv, cfg, xt, xb, mask, drop_mask=drop)
+        o, _ = asta_forward(wq, wk, wv, cfg, xt, xb, mask)
         return float(r @ o)
 
-    _, trace = asta_forward(w_q, w_k, w_v, cfg, x_t, x_b, mask, drop_mask=drop)
+    _, trace = asta_forward(w_q, w_k, w_v, cfg, x_t, x_b, mask)
     *grads, d_x_b = asta_backward(w_q, w_k, w_v, cfg, trace, r)
     grads.append(slot_rows(d_x_b))
     params = [w_q, w_k, w_v, x_t, x_b]
@@ -212,23 +211,6 @@ def finite_diff_attention(kind, seed, with_dropout=False):
 def test_backward_matches_finite_differences(kind):
     for seed in range(5):
         assert finite_diff_attention(kind, 20 + seed) < 1e-4
-
-
-def test_backward_with_dropout_mask_replay():
-    assert finite_diff_attention("relu", 31, with_dropout=True) < 1e-4
-
-
-def test_dropout_inverted_scaling():
-    cfg = cfg_for(2, 2)
-    w = np.eye(2)
-    x_t = np.array([1.0, 1.0])
-    x_b = np.abs(make_rng(8).standard_normal((2, 2))) + 0.5
-    keep_all = np.ones((1, 2))
-    o_drop, _ = asta_forward(w, w, w, cfg, x_t, x_b, np.ones(2), drop_mask=keep_all)
-    o_plain, trace = asta_forward(w, w, w, cfg, x_t, x_b, np.ones(2))
-    expected = (o_plain - x_t) / (1.0 - cfg.dropout_p) + x_t
-    assert np.allclose(o_drop, expected, atol=1e-12)
-    assert np.all(trace.weights > 0)
 
 
 def mean_cfg(d):
@@ -381,15 +363,13 @@ def per_slot_reference(params, hp, store, batch, masks):
     from qin.model import attention_config, qnn_config
     from qin.qnn import assemble_x1, qnn_backward, qnn_forward
 
-    attn_mask, qnn_masks = masks
     x_t = np.concatenate([store.data[batch.target_ids],
                           params.id_embedding[batch.target_ids]], axis=1)
     x_b = lookup_sequence(store, params.id_embedding, batch.seq_ids, batch.mask)
     cfg = attention_config(hp)
-    o, pool = asta_forward(params.w_q, params.w_k, params.w_v, cfg, x_t, x_b,
-                           batch.mask, drop_mask=attn_mask)
+    o, pool = asta_forward(params.w_q, params.w_k, params.w_v, cfg, x_t, x_b, batch.mask)
     x_last, inter = qnn_forward(params.qnn_w, params.prelu, assemble_x1(x_t, o, hp.qnn_dim),
-                                qnn_config(hp), qnn_masks)
+                                qnn_config(hp), masks)
     logits = head_forward(params.head_w, params.head_b, x_last)
     d_x_last = np.multiply.outer(bce_backward(logits, batch.labels), params.head_w)
     _, _, d_x1 = qnn_backward(params.qnn_w, params.prelu, qnn_config(hp), inter, d_x_last)
@@ -409,9 +389,9 @@ def per_slot_reference(params, hp, store, batch, masks):
 PER_SLOT_CASES = [(kind, drop) for kind in ATTN_KINDS for drop in (False, True)]
 
 
-@pytest.mark.parametrize("kind,attn_dropout", PER_SLOT_CASES,
+@pytest.mark.parametrize("kind,dropout", PER_SLOT_CASES,
                          ids=[attention_case_id(*case) for case in PER_SLOT_CASES])
-def test_per_item_path_matches_per_slot_reference(kind, attn_dropout):
+def test_per_item_path_matches_per_slot_reference(kind, dropout):
     from qin.config import HyperParams
     from qin.dataio import build_batch
     from qin.embedding import EmbeddingStore, Sample
@@ -420,7 +400,7 @@ def test_per_item_path_matches_per_slot_reference(kind, attn_dropout):
     from qin.params import init_params
 
     hp = HyperParams(d_t=8, d_b=8, d_a=8, seq_len=6, vocab=9, d_frozen=3,
-                     attn_kind=kind, attn_dropout_p=0.3 if attn_dropout else 0.0)
+                     attn_kind=kind, dropout_p=0.3 if dropout else 0.0)
     rng = make_rng(41)
     params = init_params(hp, rng)
     params.id_embedding = rng.standard_normal(params.id_embedding.shape) * 0.5
@@ -435,6 +415,7 @@ def test_per_item_path_matches_per_slot_reference(kind, attn_dropout):
     batch = build_batch(split, hp.seq_len)
 
     masks = draw_dropout_masks(hp, batch.size, spawn_rng(5, 2, 0))
+    assert (masks is None) != dropout
     loss, grads = loss_and_grads(params, hp, store, batch, masks)
     logits = model_forward(params, hp, store, batch, masks).logits
     ref_loss, ref_logits, ref_grads = per_slot_reference(params, hp, store, batch, masks)
@@ -453,7 +434,7 @@ def test_per_item_path_matches_per_slot_reference(kind, attn_dropout):
         assert close(named[name], ref), name
 
 
-def direct_attention(w_q, w_k, w_v, cfg, x_t, x_b, mask, drop, d_o):
+def direct_attention(w_q, w_k, w_v, cfg, x_t, x_b, mask, d_o):
     """Output and gradients of batched attention from explicit per-slot
     keys and values, every contraction an einsum; d_x_b is per slot.
     Shares no code with asta_forward/asta_backward."""
@@ -470,11 +451,9 @@ def direct_attention(w_q, w_k, w_v, cfg, x_t, x_b, mask, drop, d_o):
         p, dp = np.where(counts > 0, mask / np.maximum(counts, 1.0), 0.0), 0.0 * mask
     else:
         p, dp = np.maximum(scores, 0.0) * mask, (scores > 0) * mask
-    keep = np.ones_like(mask) if drop is None else drop / (1.0 - cfg.dropout_p)
-    weights = p * keep
-    o = np.einsum("ns,nsa->na", weights, v) + x_t
+    o = np.einsum("ns,nsa->na", p, v) + x_t
 
-    d_w = np.einsum("nsa,na->ns", v, d_o) * keep
+    d_w = np.einsum("nsa,na->ns", v, d_o)
     if cfg.kind == "softmax":
         d_scores = p * (d_w - np.einsum("ns,ns->n", d_w, p)[:, None])
     else:
@@ -482,7 +461,7 @@ def direct_attention(w_q, w_k, w_v, cfg, x_t, x_b, mask, drop, d_o):
     d_scores = d_scores * cfg.scale
     d_q = np.einsum("ns,nsa->na", d_scores, k)
     d_k = np.einsum("ns,na->nsa", d_scores, q)
-    d_v = np.einsum("ns,na->nsa", weights, d_o)
+    d_v = np.einsum("ns,na->nsa", p, d_o)
     d_w_q = np.einsum("na,nt->at", d_q, x_t)
     d_w_k = np.einsum("nsa,nsb->ab", d_k, x_b)
     d_w_v = np.einsum("nsa,nsb->ab", d_v, x_b)
@@ -491,9 +470,9 @@ def direct_attention(w_q, w_k, w_v, cfg, x_t, x_b, mask, drop, d_o):
     return o, (d_w_q, d_w_k, d_w_v, d_x_t, d_x_b)
 
 
-@pytest.mark.parametrize("with_dropout", [False, True])
+@pytest.mark.parametrize("zero_target", [False, True])
 @pytest.mark.parametrize("kind", ATTN_KINDS)
-def test_attention_matches_direct_key_value_algebra(kind, with_dropout):
+def test_attention_matches_direct_key_value_algebra(kind, zero_target):
     d_a, d_b, s, vocab = 4, 4, 5, 7
     cfg = cfg_for(d_a, d_b, kind=kind)
     rng = make_rng(61)
@@ -507,12 +486,13 @@ def test_attention_matches_direct_key_value_algebra(kind, with_dropout):
                     dtype=float)
     n = len(ids)
     x_t = rng.standard_normal((n, d_a))
+    if zero_target:   # every slot of the full history scores exactly 0, ReLU's kink
+        x_t[2] = 0.0
     d_o = rng.standard_normal((n, d_a))
-    drop = (rng.random((n, s)) >= 0.3).astype(float) if with_dropout else None
     x_b = table[ids]
 
     o_ref, (d_w_q, d_w_k, d_w_v, d_x_t, d_x_b) = direct_attention(
-        w_q, w_k, w_v, cfg, x_t, x_b, mask, drop, d_o)
+        w_q, w_k, w_v, cfg, x_t, x_b, mask, d_o)
     d_table = np.zeros_like(table)
     np.add.at(d_table, ids, d_x_b)
 
@@ -520,11 +500,14 @@ def test_attention_matches_direct_key_value_algebra(kind, with_dropout):
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
-    def check(x_t_in, ids_in, mask_in, drop_in, d_o_in, row, ref_x_b, ref_table):
-        o, trace = asta_forward(w_q, w_k, w_v, cfg, x_t_in, table[ids_in], mask_in,
-                                drop_mask=drop_in)
+    def check(x_t_in, ids_in, mask_in, d_o_in, row, ref_x_b, ref_table):
+        o, trace = asta_forward(w_q, w_k, w_v, cfg, x_t_in, table[ids_in], mask_in)
         close(o, o_ref[row])
         *got, d_slots = asta_backward(w_q, w_k, w_v, cfg, trace, d_o_in)
+        if zero_target and kind == "relu":   # no score gradient passes at the kink
+            at_kink = 0 if x_t_in.ndim == 1 else 2
+            assert not trace.scores.reshape(-1, s)[at_kink].any()
+            assert not d_slots[0][1].reshape(-1, s)[at_kink].any()
         refs = [d_w_q, d_w_k, d_w_v, d_x_t[row], ref_x_b, ref_table]
         # The slot gradient per slot, and summed into the table by the
         # embedding scatter (as a batch of one for the single sample).
@@ -536,11 +519,10 @@ def test_attention_matches_direct_key_value_algebra(kind, with_dropout):
         for g, ref in zip(got, refs):
             close(g, ref)
 
-    check(x_t, ids, mask, drop, d_o, slice(None), d_x_b, d_table)
+    check(x_t, ids, mask, d_o, slice(None), d_x_b, d_table)
     # The single-sample form, on the full history.
-    one_drop = None if drop is None else drop[2:3]
     o_ref, (d_w_q, d_w_k, d_w_v, d_x_t, d_x_b) = direct_attention(
-        w_q, w_k, w_v, cfg, x_t[2:3], x_b[2:3], mask[2:3], one_drop, d_o[2:3])
+        w_q, w_k, w_v, cfg, x_t[2:3], x_b[2:3], mask[2:3], d_o[2:3])
     d_table = np.zeros_like(table)
     np.add.at(d_table, ids[2], d_x_b[0])
-    check(x_t[2], ids[2], mask[2], one_drop, d_o[2], 0, d_x_b[0], d_table)
+    check(x_t[2], ids[2], mask[2], d_o[2], 0, d_x_b[0], d_table)

@@ -374,16 +374,16 @@ def test_gradcheck_reads_the_dropout_keys_and_fixes_the_dims(monkeypatch, capsys
 
     monkeypatch.setattr(qin.cli, "run_model_gradcheck", fake)
     assert main(["gradcheck", "--seeds", "1"]) == 0
-    assert main(["gradcheck", "--seeds", "1", "--dropout-p", "0.5", "--attn-dropout-p", "0.25",
+    assert main(["gradcheck", "--seeds", "1", "--dropout-p", "0.5",
                  "--d-t", "64", "--max-seq-len", "32"]) == 0
-    assert (seen[0].dropout_p, seen[0].attn_dropout_p) == (0.1, 0.0)   # the trained defaults
-    assert (seen[1].dropout_p, seen[1].attn_dropout_p) == (0.5, 0.25)
+    assert seen[0].dropout_p == 0.1   # the trained default
+    assert seen[1].dropout_p == 0.5
     assert (seen[1].d_t, seen[1].seq_len) == (seen[0].d_t, seen[0].seq_len) == (16, 8)
     capsys.readouterr()
     with pytest.raises(SystemExit):
         main(["gradcheck", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
-    assert "seed, attn_kind, interaction, dropout_p, attn_dropout_p, qnn_act;" in help_text
+    assert "seed, attn_kind, interaction, dropout_p, qnn_act;" in help_text
 
 
 def test_gradcheck_class_that_checked_nothing_fails(monkeypatch, capsys):
@@ -419,10 +419,10 @@ def test_ablate_smoke_deterministic(tiny_data, capsys):
     assert table_a == table_b
     lines = table_a.strip().splitlines()
     assert lines[0] == "| variant | val_auc |"
-    assert len(lines) == 8  # header, rule, six variants
+    assert len(lines) == 7  # header, rule, five variants
     for row in lines[2:]:
         value = float(row.split("|")[2])
         assert np.isfinite(value)
     names = [row.split("|")[1].strip() for row in lines[2:]]
     assert names == ["qin_full", "qin_wo_qnn_mlp", "qin_wo_asta_mean",
-                     "asta_softmax", "qnn_relu_act", "asta_dropout"]
+                     "asta_softmax", "qnn_relu_act"]

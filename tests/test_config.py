@@ -11,9 +11,10 @@ NAN, INF = float("nan"), float("inf")
 
 # Each bad value exits 2 with a config error from the CLI ("gen-data" or
 # "train"), and raises ConfigError from the constructor. Adam's beta1, beta2
-# and eps are constants in train.py, not keys: a config file line or a
-# resolved config that sets one names an unknown key (their retired flags
-# are in test_retired_keys_exit_2). A "--config" case gives the file's line.
+# and eps are constants in train.py, and attention dropout is gone, so none
+# is a key: a config file line or a resolved config that sets one names an
+# unknown key (their retired flags are in test_retired_keys_exit_2). A
+# "--config" case gives the file's line.
 CLI_CASES = {
     "gen_seed_negative": ["gen-data", "--seed", "-1"],
     "train_seed_negative": ["train", "--seed", "-1"],
@@ -27,7 +28,7 @@ CLI_CASES = {
     "adam_eps_zero": ["train", "--qnn-act", "relu", "--config", "adam_eps=0"],
 }
 CONSTRUCTOR_CASES = {
-    "attn_dropout_p_one": lambda: HyperParams(vocab=5, attn_dropout_p=1.0),
+    "attn_dropout_p_one": lambda: resolve_config(file_values={"attn_dropout_p": 1.0}),
     "hp_mlp_dims_zero": lambda: HyperParams(vocab=5, interaction="mlp", mlp_dims=(8, 0)),
     "hp_d_a_not_d_t": lambda: HyperParams(vocab=5, d_t=8, d_a=16),
     "train_seed_negative": lambda: TrainConfig(seed=-1),
@@ -40,7 +41,7 @@ CONSTRUCTOR_CASES = {
     "noise_std_nan": lambda: GenConfig(noise_std=NAN),
     "quad_strength_inf": lambda: GenConfig(quad_strength=INF),
     "depth_float": lambda: HyperParams(vocab=3, depth=2.5),
-    "attn_dropout_p_str": lambda: HyperParams(vocab=3, attn_dropout_p="0.1"),
+    "attn_dropout_p_str": lambda: resolve_config(flag_values={"attn_dropout_p": "0.1"}),
     "batch_size_float": lambda: TrainConfig(batch_size=2.5),
     "epochs_str": lambda: TrainConfig(epochs="3"),
     "lr_str": lambda: TrainConfig(lr="0.1"),
@@ -73,7 +74,6 @@ NON_DEFAULT = {
     "d_t": ("12", 12),
     "max_seq_len": ("5", 5), "qnn_depth": ("3", 3), "qnn_m": ("4", 4),
     "dropout_p": ("0.25", 0.25), "attn_kind": ("softmax", "softmax"),
-    "attn_dropout_p": ("0.2", 0.2),
     "interaction": ("mlp", "mlp"),
     "mlp_dims": ("9,4", (9, 4)), "qnn_act": ("relu", "relu"),
     "lr": ("0.01", 0.01), "emb_weight_decay": ("0.001", 0.001),
@@ -135,9 +135,10 @@ def test_every_key_reaches_its_config_fields():
 # equal d_t, attn_dropout repeated attn_dropout_p = 0, and the QNN residual
 # and mid-activation switches selected layer forms the model never runs.
 # pooling=mean is attn_kind=mean, the attention block with mean weights.
-# Adam's beta1, beta2 and eps are constants in train.py.
+# Adam's beta1, beta2 and eps are constants in train.py. Attention dropout
+# (attn_dropout_p) is gone: it is not one of the paper's ablations.
 RETIRED_KEYS = ("d_b", "d_a", "attn_dropout", "qnn_residual", "qnn_mid_act", "pooling",
-                "adam_beta1", "adam_beta2", "adam_eps")
+                "adam_beta1", "adam_beta2", "adam_eps", "attn_dropout_p")
 
 
 @pytest.mark.parametrize("key", RETIRED_KEYS)

@@ -287,11 +287,12 @@ def test_scatter_matches_add_at_over_expanded_slot_rows(kind):
     batch = id_batch([2, 3, 2, 5], [[3, 3, 1, 0], [0, 0, 0, 0], [2, 5, 3, 3], [6, 1, 6, 0]])
     batch.mask = np.array([[1, 1, 1, 0], [0, 0, 0, 0], [1, 1, 1, 1], [1, 1, 1, 0]],
                           dtype=np.float32)
-    cfg = AttentionConfig(kind=kind, d_t=d, dropout_p=0.25)
-    drop = rng.random(batch.mask.shape) >= cfg.dropout_p
+    cfg = AttentionConfig(kind=kind, d_t=d)
+    keep = rng.random(batch.mask.shape) >= 0.25   # zero weights on some live slots too
     x_t, x_b = lookup_items(store, id_table, batch)
-    _, trace = asta_forward(*w, cfg, x_t, x_b, batch.mask, drop_mask=drop)
+    _, trace = asta_forward(*w, cfg, x_t, x_b, batch.mask)
     d_x_t, d_x_b = asta_backward(*w, cfg, trace, rng.standard_normal((4, d)))[3:]
+    d_x_b = [(rows, weights * keep) for rows, weights in d_x_b]
     grads = grads_for(vocab, d_id)
     embedding_grad_accumulate(grads, batch, d_x_t, d_x_b)
 
@@ -311,10 +312,11 @@ def dense_scatter(vocab, d_id, batch, d_x_t, d_x_b):
     return out
 
 
-def ragged_case(kind, dtype=np.float64, dropout_p=0.0, lengths=(3, 0, 8, 1, 5, 6), seed=11):
+def ragged_case(kind, dtype=np.float64, dead=0.0, lengths=(3, 0, 8, 1, 5, 6), seed=11):
     """An attention backward on a ragged batch whose ids repeat within and across rows.
 
     The default lengths leave 23 of the 48 slots unmasked, under the gate for every kind.
+    A random share dead of the slots then gets weight zero in every term.
     """
     rng = make_rng(seed)
     d, d_id, vocab, s = 6, 4, 7, 8
@@ -325,12 +327,14 @@ def ragged_case(kind, dtype=np.float64, dropout_p=0.0, lengths=(3, 0, 8, 1, 5, 6
     seq_ids = rng.integers(0, vocab, mask.shape) * (mask > 0)
     batch = Batch(target_ids=rng.integers(0, vocab, len(lengths)), seq_ids=seq_ids, mask=mask,
                   labels=np.zeros(len(lengths), dtype=np.float32))
-    cfg = AttentionConfig(kind=kind, d_t=d, dropout_p=dropout_p)
-    drop = rng.random(mask.shape) >= dropout_p if dropout_p else None
+    cfg = AttentionConfig(kind=kind, d_t=d)
     x_t, x_b = lookup_items(store, id_table, batch)
-    _, trace = asta_forward(*w, cfg, x_t, x_b, batch.mask, drop_mask=drop)
+    _, trace = asta_forward(*w, cfg, x_t, x_b, batch.mask)
     d_o = rng.standard_normal((len(lengths), d)).astype(dtype)
     d_x_t, d_x_b = asta_backward(*w, cfg, trace, d_o)[3:]
+    if dead:
+        keep = rng.random(mask.shape) >= dead
+        d_x_b = [(rows, weights * keep) for rows, weights in d_x_b]
     return vocab, d_id, batch, d_x_t, d_x_b
 
 
@@ -352,17 +356,23 @@ def scatter(vocab, d_id, batch, d_x_t, d_x_b):
     return grads.id_embedding
 
 
-@pytest.mark.parametrize("dropout_p", [0.0, 0.25], ids=["no-dropout", "dropout"])
+# "dropout" drops a random quarter of the slots to weight zero in every term.
+@pytest.mark.parametrize("dead", [0.0, 0.25], ids=["no-dropout", "dropout"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 @pytest.mark.parametrize("kind", ATTN_KINDS)
-def test_scatter_equals_dense_two_term_reference_bit_for_bit(kind, dtype, dropout_p, monkeypatch):
-    case = ragged_case(kind, dtype, dropout_p)
-    seen = spy_slot_ids(monkeypatch)
-    got = scatter(*case)
-    assert got.dtype == dtype
-    assert got.tobytes() == dense_scatter(*case).tobytes()
-    assert np.count_nonzero(got) > 0
-    assert [ids.ndim for ids in seen] == [1]   # the live entries only
+def test_scatter_equals_dense_two_term_reference_bit_for_bit(kind, dtype, dead, monkeypatch):
+    # The ragged batch is under _live_slots' gate, so only its live entries
+    # are summed. The full batch is over it and takes the dense sum, except
+    # under ReLU with dead slots, where 20 of its 48 slots are live.
+    full = 1 if kind == "relu" and dead else 2
+    for lengths, ndim in (((3, 0, 8, 1, 5, 6), 1), ((8,) * 6, full)):
+        case = ragged_case(kind, dtype, dead, lengths)
+        seen = spy_slot_ids(monkeypatch)
+        got = scatter(*case)
+        assert got.dtype == dtype
+        assert got.tobytes() == dense_scatter(*case).tobytes()
+        assert np.count_nonzero(got) > 0
+        assert [ids.ndim for ids in seen] == [ndim], lengths
 
 
 @pytest.mark.parametrize("kind", ATTN_KINDS)

@@ -3,8 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qin.linalg import (make_rng, prelu, prelu_grad, prelu_slope_terms, relu, relu_grad,
-                        segment_sum, sigmoid)
+from qin.linalg import make_rng, prelu, prelu_grad, prelu_slope_terms, relu, segment_sum, sigmoid
 
 
 def test_elementwise_definitions():
@@ -27,10 +26,8 @@ def test_activation_gradients_match_finite_differences():
     x = rng.standard_normal(100) * 2
     x = x[np.abs(x) > 1e-3]
     h = 1e-6
-    for fn, grad in ((relu, relu_grad),
-                     (lambda v: prelu(v, 0.3), lambda v: prelu_grad(v, 0.3))):
-        numeric = (fn(x + h) - fn(x - h)) / (2 * h)
-        assert np.max(np.abs(numeric - grad(x))) < 1e-6
+    numeric = (prelu(x + h, 0.3) - prelu(x - h, 0.3)) / (2 * h)
+    assert np.max(np.abs(numeric - prelu_grad(x, 0.3))) < 1e-6
 
 
 def where_prelu(x, slope):

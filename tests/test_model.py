@@ -58,9 +58,9 @@ def two_scatter_model_backward(params, hp, trace, d_logits):
     return grads
 
 
-def instance(kind, attn_dropout, d_frozen):
+def instance(kind, dropout, d_frozen):
     hp = HyperParams(d_t=D_T, seq_len=6, vocab=9, d_frozen=d_frozen,
-                     attn_kind=kind, attn_dropout_p=0.3 if attn_dropout else 0.0)
+                     attn_kind=kind, dropout_p=0.3 if dropout else 0.0)
     rng = make_rng(43)
     params = init_params(hp, rng)
     params.id_embedding = rng.standard_normal(params.id_embedding.shape) * 0.5
@@ -80,20 +80,16 @@ def step_masks(hp, batch):
     return draw_dropout_masks(hp, batch.size, spawn_rng(5, 2, 0))
 
 
-def bits(arrays):
-    """Each array's bytes; None, the gradient of a tensor the layout lacks, stays None."""
-    return [None if a is None else a.tobytes() for a in arrays]
-
-
 CASES = [(kind, drop) for kind in ATTN_KINDS for drop in (False, True)]
 
 
 @pytest.mark.parametrize("d_frozen", [0, 1, D_T - 1])
-@pytest.mark.parametrize("kind,attn_dropout", CASES,
+@pytest.mark.parametrize("kind,dropout", CASES,
                          ids=[attention_case_id(*case) for case in CASES])
-def test_loss_and_grads_match_two_scatter_reference(kind, attn_dropout, d_frozen):
-    hp, params, store, batch = instance(kind, attn_dropout, d_frozen)
+def test_loss_and_grads_match_two_scatter_reference(kind, dropout, d_frozen):
+    hp, params, store, batch = instance(kind, dropout, d_frozen)
     masks = step_masks(hp, batch)
+    assert (masks is None) != dropout
     loss, grads = loss_and_grads(params, hp, store, batch, masks)
     trace = model_forward(params, hp, store, batch, masks)
     ref = two_scatter_model_backward(params, hp, trace,
@@ -103,6 +99,12 @@ def test_loss_and_grads_match_two_scatter_reference(kind, attn_dropout, d_frozen
     for name, got in grads.views.items():
         assert got.tobytes() == ref.views[name].tobytes(), name
     assert np.count_nonzero(grads.id_embedding) > 0
+
+    mask = trace.pool_trace.mask   # the float32 batch mask, widened to the rows' float64
+    assert mask.dtype == np.float64 and np.array_equal(mask, batch.mask)
+    if kind == "mean":
+        share = mask * (1.0 / np.maximum(mask.sum(axis=1), 1.0))[:, None]
+        assert trace.pool_trace.weights.tobytes() == share.tobytes()
 
 
 @pytest.mark.parametrize("frozen", [0, 1, D_T - 1])
@@ -119,11 +121,9 @@ def test_pooling_backward_frozen_columns_are_a_slice(kind, with_ids, frozen):
     x_t = rng.standard_normal((batch.size, D_T))
     d_o = rng.standard_normal((batch.size, D_T))
     d_x_t = rng.standard_normal((batch.size, D_T))
-    cfg = attention_config(HyperParams(d_t=D_T, seq_len=6, vocab=9, attn_kind=kind,
-                                       attn_dropout_p=0.3))
-    drop = (rng.random(batch.mask.shape) >= 0.3).astype(float)
+    cfg = attention_config(HyperParams(d_t=D_T, seq_len=6, vocab=9, attn_kind=kind))
     w = (params.w_q, params.w_k, params.w_v)
-    _, trace = asta_forward(*w, cfg, x_t, table[batch.seq_ids], batch.mask, drop_mask=drop)
+    _, trace = asta_forward(*w, cfg, x_t, table[batch.seq_ids], batch.mask)
     d_x_b = asta_backward(*w, cfg, trace, d_o)[-1]
     if with_ids:
         full, part = (id_table_grad(hp.vocab, width, batch.seq_ids, d_x_b, batch.target_ids, d_x_t)
@@ -135,50 +135,20 @@ def test_pooling_backward_frozen_columns_are_a_slice(kind, with_ids, frozen):
     assert part.tobytes() == np.ascontiguousarray(full[..., frozen:]).tobytes()
 
 
-def test_attention_dropout_reaches_mean_pooling():
-    hp, params, store, batch = instance("mean", True, 2)
-    masks = step_masks(hp, batch)
-    trace = model_forward(params, hp, store, batch, masks)
-    keep, _ = masks
-    assert not keep[batch.mask > 0].all()   # some live slot is dropped
-    mask = trace.pool_trace.mask   # the float32 batch mask, widened to the rows' float64
-    assert mask.dtype == np.float64 and np.array_equal(mask, batch.mask)
-    share = mask * (1.0 / np.maximum(mask.sum(axis=1), 1.0))[:, None]
-    expected = share * keep / (1.0 - hp.attn_dropout_p)
-    assert trace.pool_trace.weights.tobytes() == expected.tobytes()
-
-
-def as_floats(masks):
-    attn_mask, qnn_masks = masks
-    return attn_mask.astype(float), [m.astype(float) for m in qnn_masks]
-
-
 @pytest.mark.parametrize("kind", ATTN_KINDS)
 def test_bool_keep_masks_match_float_masks_bit_for_bit(kind):
     # A float times a bool is the float times exactly 0.0 or 1.0.
     hp, params, store, batch = instance(kind, True, 2)
     masks = step_masks(hp, batch)
-    assert masks[0].dtype == bool and all(m.dtype == bool for m in masks[1])
-    floats = as_floats(masks)
+    assert all(m.dtype == bool for m in masks)
+    floats = [m.astype(float) for m in masks]
     rng = make_rng(45)
-
-    x_b = rng.standard_normal((hp.vocab, D_T))[batch.seq_ids]
-    x_t = rng.standard_normal((batch.size, D_T))
-    d_o = rng.standard_normal((batch.size, D_T))
-    w = (params.w_q, params.w_k, params.w_v)
-    results = []
-    for drop in (masks[0], floats[0]):
-        o, trace = asta_forward(*w, attention_config(hp), x_t, x_b, batch.mask,
-                                drop_mask=drop)
-        *grads, d_x_b = asta_backward(*w, attention_config(hp), trace, d_o)
-        results.append(bits((o, *grads, *(a for pair in d_x_b for a in pair))))
-    assert results[0] == results[1]
 
     x = rng.standard_normal((batch.size, hp.qnn_dim))
     d_out = rng.standard_normal((batch.size, hp.qnn_dim))
     cfg = qnn_config(hp)
     results = []
-    for drop in (masks[1][0], floats[1][0]):
+    for drop in (masks[0], floats[0]):
         out, trace = qnn_layer_forward(params.qnn_w[0], 0.25, x, cfg, drop)
         d_w, d_slope, d_x = qnn_layer_backward(params.qnn_w[0], 0.25, cfg, trace, d_out)
         results.append((out.tobytes(), d_w.tobytes(), d_slope, d_x.tobytes()))

@@ -202,7 +202,7 @@ def test_helper_error_reaches_caller_with_its_type(monkeypatch):
 
 
 def test_wide_training_with_dropout_same_bits(monkeypatch):
-    hp = thread_hp(48, dropout_p=0.1, attn_dropout_p=0.1)   # width 96
+    hp = thread_hp(48, dropout_p=0.1)   # width 96
     store, params, data = thread_world(hp, 900, seed=13)
     cfg = TrainConfig(batch_size=128, epochs=2, patience=5, seed=4)
 

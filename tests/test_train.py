@@ -418,7 +418,7 @@ def test_train_same_bits_from_list_and_split(tmp_path):
     from qin.dataio import read_dataset, write_dataset
     from qin.params import save_checkpoint
 
-    hp = dataclasses.replace(HP, attn_dropout_p=0.1)   # the dropout mask stream too
+    hp = HP   # QNN dropout on: the dropout mask stream too
     store, samples = tiny_world(seed=43)
 
     def in_memory(split):

@@ -59,11 +59,11 @@ def spied_train(monkeypatch, hp, store, params, data, n_train, batch_size):
 @pytest.mark.parametrize("shape", ["desk", "wide"])
 def test_every_array_of_a_training_step_is_float32(monkeypatch, shape):
     if shape == "desk":   # the shipped defaults: width-32 QNN, 32-slot histories, batch 256
-        hp = HyperParams(vocab=40, d_frozen=8, attn_dropout_p=0.1)
+        hp = HyperParams(vocab=40, d_frozen=8)
         store, params, data = thread_world(hp, 256 + 64, seed=1)
         n_train, batch_size, helper_on = 256, 256, False
     else:                 # width 128, 512 rows, split over the helper thread
-        hp = thread_hp(64, dropout_p=0.1, attn_dropout_p=0.1)
+        hp = thread_hp(64, dropout_p=0.1)
         store, params, data = thread_world(hp, 512 + 64, seed=2)
         n_train, batch_size, helper_on = 512, 512, True
         monkeypatch.setattr(qnn, "usable_cpus", lambda: 2)
@@ -155,7 +155,7 @@ def test_desk_run_trains_in_float32_to_a_finite_history(trained_desk_model):
 
 
 def test_float32_run_returns_float64_values_of_float32(tmp_path):
-    hp = thread_hp(8, dropout_p=0.1, attn_dropout_p=0.1)
+    hp = thread_hp(8, dropout_p=0.1)
     store, params, data = thread_world(hp, 400, seed=6)
     init = copy_params(params)
     runs = []

@@ -76,7 +76,7 @@ def test_split_training_matches_one_thread(monkeypatch, tmp_path, backward_threa
 @pytest.mark.parametrize("kind", ["softmax", "mean"])
 def test_wide_training_matches_one_thread_under_the_real_gate(monkeypatch, tmp_path,
                                                               backward_threads, kind):
-    hp = thread_hp(64, attn_kind=kind, dropout_p=0.1, attn_dropout_p=0.1)   # width 128
+    hp = thread_hp(64, attn_kind=kind, dropout_p=0.1)   # width 128
     store, params, data = thread_world(hp, TRAIN_ROWS + 300, seed=23)
     runs = []
     for count in (1, 2):
