@@ -37,11 +37,10 @@ ABLATION_VARIANTS = [
     ("qin_wo_qnn_mlp", {"interaction": "mlp"}),
     ("qin_wo_asta_mean", {"attn_kind": "mean"}),
     ("asta_softmax", {"attn_kind": "softmax"}),
-    ("qnn_relu_act", {"qnn_act": "relu"}),
 ]
 
 # The config keys gradcheck reads besides seed; its instance's dims are fixed.
-GRADCHECK_KEYS = ("attn_kind", "interaction", "dropout_p", "qnn_act")
+GRADCHECK_KEYS = ("attn_kind", "interaction", "dropout_p")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -145,6 +144,12 @@ def cmd_gradcheck(args) -> int:
 def cmd_ablate(args) -> int:
     _check_positive(seeds=args.seeds)
     cfg = _resolve(args)
+    # Each variant starts from cfg, so a key the grid sets must be left at
+    # its default, or every row would carry it under its own name.
+    for key in sorted({k for _, overrides in ABLATION_VARIANTS for k in overrides}):
+        if cfg[key] != KEYS[key].default:
+            raise ConfigError(f"ablate sets {key} per variant; it cannot be given "
+                              f"(got {key}={cfg[key]!r})")
     train_samples, store, _ = _load_split(args.data, "train", cfg)
     valid_samples, _, _ = _load_split(args.data, "valid", cfg)
     rows = []

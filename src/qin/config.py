@@ -35,7 +35,6 @@ from .errors import ConfigError
 
 ATTN_KINDS = ("relu", "softmax", "mean")
 INTERACTIONS = ("qnn", "mlp")
-QNN_ACTS = ("prelu", "relu")
 
 # Range rules a field names in its metadata.
 RULES = {
@@ -141,7 +140,6 @@ class HyperParams:
     attn_kind: str = _field("relu", str, ATTN_KINDS)
     interaction: str = _field("qnn", str, INTERACTIONS)
     mlp_dims: tuple[int, ...] = _field((64, 32), _parse_int_list, ">= 1")
-    qnn_act: str = _field("prelu", str, QNN_ACTS)
     vocab: int = _field(0, rule=">= 1")
     d_frozen: int = _field(0, rule=">= 0")
 

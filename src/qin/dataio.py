@@ -352,12 +352,14 @@ def load_dataset(path: str, embedding_path: str, hp: HyperParams):
     return split, store, manifest
 
 
-def _check_batching(split: Split, batch_size: int, max_seq_len: int) -> None:
+def _check_batching(split: Split, batch_size: int, max_seq_len: int) -> int:
+    """The split's longest history length, after checking it and batch_size."""
     if batch_size < 1:
         raise DataError(f"batch_size must be >= 1, got {batch_size}")
     longest = int(split.lengths.max(initial=0))
     if longest > max_seq_len:
         raise DataError(f"sequence length {longest} exceeds limit {max_seq_len}")
+    return longest
 
 
 def _gather(split: Split, rows: np.ndarray, width: int | None) -> Batch:
@@ -411,8 +413,11 @@ def length_sorted_batches(split: Split, batch_size: int,
 
     Returns (order, batches): the rows of the batches, concatenated, are
     split rows order[0], order[1], ... When every history has the same
-    length, the order is the identity and every batch is that wide.
+    length, the order is the identity and every batch is that wide. The
+    sort key is the lengths in the narrowest unsigned type that holds the
+    longest; numpy's stable sort of a uint8 or uint16 key is a radix sort,
+    and gives the same order as the int64 sort.
     """
-    _check_batching(split, batch_size, max_seq_len)
-    order = np.argsort(split.lengths, kind="stable")
+    longest = _check_batching(split, batch_size, max_seq_len)
+    order = np.argsort(split.lengths.astype(np.min_scalar_type(longest)), kind="stable")
     return order, _batches(split, order, batch_size, None)

@@ -130,11 +130,10 @@ def collect_kink_preacts(trace, hp: HyperParams) -> np.ndarray:
 
 
 def gradcheck_hyperparams(attn_kind: str = "relu", interaction: str = "qnn",
-                          dropout_p: float = 0.0, qnn_act: str = "prelu") -> HyperParams:
+                          dropout_p: float = 0.0) -> HyperParams:
     """Small instance: d=16, seq len 8, depth = capacity = 2, vocab 24; dropout off by default."""
     return HyperParams(d_t=16, seq_len=8, depth=2, m=2, mlp_dims=(12, 8), vocab=24, d_frozen=8,
-                       attn_kind=attn_kind, interaction=interaction, dropout_p=dropout_p,
-                       qnn_act=qnn_act)
+                       attn_kind=attn_kind, interaction=interaction, dropout_p=dropout_p)
 
 
 def build_random_instance(hp: HyperParams, seed: int, n: int = 4):

@@ -32,8 +32,7 @@ def attention_config(hp: HyperParams) -> AttentionConfig:
 
 
 def qnn_config(hp: HyperParams) -> QnnConfig:
-    return QnnConfig(depth=hp.depth, m=hp.m, dim=hp.qnn_dim, dropout_p=hp.dropout_p,
-                     act=hp.qnn_act)
+    return QnnConfig(depth=hp.depth, m=hp.m, dim=hp.qnn_dim, dropout_p=hp.dropout_p)
 
 
 @dataclass
@@ -89,8 +88,7 @@ def model_backward(params: ModelParams, hp: HyperParams, trace: ModelTrace,
                                             trace.inter_trace, d_x_last)
         for l in range(hp.depth):
             grads.qnn_w[l] += d_ws[l]
-        if grads.prelu is not None:   # qnn_act relu has no slopes
-            grads.prelu += d_slopes
+        grads.prelu += d_slopes
     else:
         d_ws, d_bs, d_x1 = mlp_backward(params.mlp_w, params.mlp_b,
                                         trace.inter_trace, d_x_last)

@@ -65,7 +65,7 @@ class ModelParams:
     w_q = _tensor("w_q")                     # (d_t, d_t); none under attn_kind mean
     w_k = _tensor("w_k")                     # (d_t, d_t); none under attn_kind mean
     w_v = _tensor("w_v")                     # (d_t, d_t)
-    prelu = _tensor("prelu")                 # (depth,) one slope per layer; none under relu
+    prelu = _tensor("prelu")                 # (depth,) one slope per layer; none under mlp
     head_w = _tensor("head_w")               # (out_dim,)
     head_b = _tensor("head_b")               # () scalar
 
@@ -106,9 +106,9 @@ def init_params(hp: HyperParams, rng: np.random.Generator) -> ModelParams:
 
     Projection / interaction / head weights ~ Normal(0, sqrt(1/fan_in)),
     fan_in being the last dim; id embeddings ~ Normal(0, 0.01); PReLU
-    slopes 0.25 (a plain-ReLU model has none); all biases 0, drawing
-    nothing. A QNN layer draws m (D, D) heads and stores their sum. The
-    draws are ``rng.normal``'s float64, the buffer's dtype.
+    slopes 0.25; all biases 0, drawing nothing. A QNN layer draws m
+    (D, D) heads and stores their sum. The draws are ``rng.normal``'s
+    float64, the buffer's dtype.
     """
     params = ModelParams(expected_shapes(hp))
     for name, span in params.spans.items():
@@ -144,8 +144,7 @@ def expected_shapes(hp: HyperParams) -> dict[str, tuple[int, ...]]:
     if hp.interaction == "qnn":
         for i in range(hp.depth):
             shapes[f"qnn_w_{i}"] = (dim, dim)
-        if hp.qnn_act == "prelu":
-            shapes["prelu"] = (hp.depth,)
+        shapes["prelu"] = (hp.depth,)
     else:
         widths = [dim, *hp.mlp_dims]
         for i in range(len(hp.mlp_dims)):

@@ -1,6 +1,6 @@
 """Quadratic feature-interaction stack and the MLP ablation alternative.
 
-Each quadratic layer maps x to x + dropout(act(h)) where
+Each quadratic layer maps x to x + dropout(PReLU(h)) where
 h[i] = x[i] * sum_j w[i, j] * x[j]: an elementwise product between the input
 and a linear transform of it, so every h[i] is a quadratic form spanning all
 dim^2 input pairs x_i * x_j. Depth squares the reachable polynomial degree.
@@ -10,10 +10,9 @@ an init-scale and learning-rate multiplier (see ``params.lr_scale``). The
 forward layer also takes a stacked (m, dim, dim) weight and sums it, so the
 brute-force oracle's heads can be checked against it; the backward layer
 takes only the (dim, dim) matrix. The activation is PReLU with one
-learnable slope per layer (plain ReLU, with no slope, for the no-PReLU
-ablation), applied after the product. Both stacks take a (n, dim) batch
-and raise ShapeError for any other input rank; one sample is a batch of
-one. They compute in the dtype of their inputs.
+learnable slope per layer, applied after the product. Both stacks take a
+(n, dim) batch and raise ShapeError for any other input rank; one sample
+is a batch of one. They compute in the dtype of their inputs.
 
 The elementwise chain has no select on the sign of the pre-activation:
 PReLU, its derivative and the slope gradient are max/min arithmetic (see
@@ -99,7 +98,6 @@ class QnnConfig:
     dim: int
     dropout_p: float = 0.0
     residual: bool = True
-    act: str = "prelu"   # "relu": every slope is 0, and the model stores none
 
 
 @dataclass
@@ -108,11 +106,6 @@ class QnnLayerTrace:
     t: np.ndarray               # (n, dim) x @ w.T
     h: np.ndarray               # (n, dim) pre-activation of the branch
     drop_mask: np.ndarray | None   # (n, dim) bool or {0, 1} keep-mask
-
-
-def layer_slopes(slopes, cfg: QnnConfig) -> list[float]:
-    """Each layer's PReLU slope; 0.0 under act relu, which has none (slopes may be None)."""
-    return [0.0] * cfg.depth if cfg.act == "relu" else [float(s) for s in slopes]
 
 
 def assemble_x1(x_t, o, dim: int) -> np.ndarray:
@@ -216,16 +209,14 @@ def _backward_rows(slope: float, cfg: QnnConfig, x, t, h, drop_mask, d_out,
                    terms, d_x, d_t) -> None:
     """The layer's row-wise gradient ops on rows of the trace and d_out.
 
-    d_x gets d_h * t, d_x before its d_t @ w term, and d_t gets d_h * x.
-    terms, None under act relu, gets the slope gradient's terms for the
-    caller to sum.
+    d_x gets d_h * t, d_x before its d_t @ w term, d_t gets d_h * x, and
+    terms gets the slope gradient's terms for the caller to sum.
     """
     d_branch = d_out
     if drop_mask is not None:
         d_branch = d_out * drop_mask
         d_branch /= 1.0 - cfg.dropout_p
-    if terms is not None:
-        prelu_slope_terms(h, d_branch, out=terms)
+    prelu_slope_terms(h, d_branch, out=terms)
     d_h = prelu_grad(h, slope, out=d_t)
     np.multiply(d_branch, d_h, out=d_h)
     np.multiply(d_h, t, out=d_x)
@@ -244,15 +235,14 @@ def qnn_layer_backward(w: np.ndarray, slope: float, cfg: QnnConfig,
         raise ShapeError(f"layer weight of shape {w.shape} is not ({cfg.dim}, {cfg.dim})")
     x, t, h, mask = trace.x, trace.t, trace.h, trace.drop_mask
     helper = split_helper(len(d_out), cfg.dim)
-    terms = None if cfg.act == "relu" else np.empty_like(h)
-    d_x, d_t = np.empty_like(h), np.empty_like(h)
+    terms, d_x, d_t = np.empty_like(h), np.empty_like(h), np.empty_like(h)
     d_t_w = np.empty(h.shape, dtype=np.result_type(h, w))
     _by_halves(helper, lambda r: _backward_rows(slope, cfg, x[r], t[r], h[r], _rows(mask, r),
-                                                d_out[r], _rows(terms, r), d_x[r], d_t[r]),
+                                                d_out[r], terms[r], d_x[r], d_t[r]),
                len(h))
 
     def sums():
-        return d_t.T @ x, 0.0 if terms is None else float(np.sum(terms))
+        return d_t.T @ x, float(np.sum(terms))
 
     def input_grad():
         np.add(d_x, np.matmul(d_t, w, out=d_t_w), out=d_x)
@@ -290,9 +280,9 @@ def qnn_forward(ws: list, slopes: np.ndarray, x1: np.ndarray, cfg: QnnConfig,
     keep-mask per layer or None. The trace is the list of layer traces."""
     x = x1
     layers = []
-    for l, slope in enumerate(layer_slopes(slopes, cfg)):
+    for l in range(cfg.depth):
         dm = drop_masks[l] if drop_masks is not None else None
-        x, trace = qnn_layer_forward(ws[l], slope, x, cfg, dm)
+        x, trace = qnn_layer_forward(ws[l], float(slopes[l]), x, cfg, dm)
         layers.append(trace)
     return x, layers
 
@@ -300,13 +290,12 @@ def qnn_forward(ws: list, slopes: np.ndarray, x1: np.ndarray, cfg: QnnConfig,
 def qnn_backward(ws: list, slopes: np.ndarray, cfg: QnnConfig,
                  layers: list, d_out):
     """Gradients through the full stack, given qnn_forward's layer traces;
-    returns (d_ws, d_slopes, d_x1); under act relu every d_slope is 0."""
+    returns (d_ws, d_slopes, d_x1)."""
     d_x = d_out
     d_ws = [None] * cfg.depth
     d_slopes = np.zeros(cfg.depth, dtype=d_out.dtype)
-    slope_of = layer_slopes(slopes, cfg)
     for l in range(cfg.depth - 1, -1, -1):
-        d_w, d_slope, d_x = qnn_layer_backward(ws[l], slope_of[l], cfg, layers[l], d_x)
+        d_w, d_slope, d_x = qnn_layer_backward(ws[l], float(slopes[l]), cfg, layers[l], d_x)
         d_ws[l] = d_w
         d_slopes[l] = d_slope
     return d_ws, d_slopes, d_x

@@ -8,7 +8,8 @@ import pytest
 from qin import qnn
 from qin.cli import main
 from qin.config import HyperParams
-from qin.params import init_params, load_checkpoint, params_equal, save_checkpoint
+from qin.params import (ModelParams, expected_shapes, init_params, load_checkpoint,
+                        params_equal, save_checkpoint)
 from qin.linalg import make_rng
 
 TINY_GEN = ["--n-samples", "400", "--n-items", "60", "--n-users", "30",
@@ -214,16 +215,17 @@ def test_eval_mean_checkpoint_needs_attn_kind_mean(tiny_data, tmp_path, capsys):
     assert main([*args, "--attn-kind", "mean"]) == 0
 
 
-@pytest.mark.parametrize("saved, other", [("relu", "prelu"), ("prelu", "relu")])
-def test_eval_qnn_act_mismatch_exit_3(tiny_data, tmp_path, capsys, saved, other):
-    # Only the PReLU layout holds slopes, so neither act can score the other's checkpoint.
-    hp = HyperParams(d_t=8, seq_len=6, vocab=60, d_frozen=4, qnn_act=saved)
-    ckpt = tmp_path / f"{saved}.ckpt"
-    save_checkpoint(init_params(hp, make_rng(1)), str(ckpt))
-    args = ["eval", "--data", str(tiny_data), "--ckpt", str(ckpt), *TINY_MODEL]
-    assert main([*args, "--qnn-act", other]) == 3
-    assert "'prelu'" in capsys.readouterr().err
-    assert main([*args, "--qnn-act", saved]) == 0
+def test_eval_checkpoint_without_prelu_exit_3(tiny_data, tmp_path, capsys):
+    # A QNN checkpoint with no slope entry, as the retired plain-ReLU
+    # activation wrote it, does not match the one QNN layout.
+    hp = HyperParams(d_t=8, seq_len=6, vocab=60, d_frozen=4)
+    shapes = expected_shapes(hp)
+    del shapes["prelu"]
+    ckpt = tmp_path / "no_prelu.ckpt"
+    save_checkpoint(ModelParams(shapes), str(ckpt))
+    assert main(["eval", "--data", str(tiny_data), "--ckpt", str(ckpt), *TINY_MODEL]) == 3
+    captured = capsys.readouterr()
+    assert "'prelu'" in captured.err and captured.out == ""
 
 
 def test_eval_checkpoint_corrupted_name_exit_3(tiny_data, tmp_path):
@@ -332,15 +334,6 @@ def test_gradcheck_cli_mean_pooling(interaction, capsys):
     assert [l.split()[0] for l in out.splitlines() if "status=FAIL" in l] == ["class=w_v"]
 
 
-def test_gradcheck_cli_relu_act_has_no_slope_class(capsys):
-    flags = ["--seeds", "1", "--qnn-act", "relu"]
-    assert main(["gradcheck", *flags]) == 0
-    out = capsys.readouterr().out
-    assert "class=qnn_w_0" in out and "status=FAIL" not in out
-    assert "class=prelu" not in out
-    assert main(["gradcheck", *flags, "--sabotage", "prelu"]) == 2
-
-
 def test_gradcheck_multi_seed_reports_worst(capsys):
     assert main(["gradcheck", "--seeds", "2"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
@@ -383,7 +376,7 @@ def test_gradcheck_reads_the_dropout_keys_and_fixes_the_dims(monkeypatch, capsys
     with pytest.raises(SystemExit):
         main(["gradcheck", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
-    assert "seed, attn_kind, interaction, dropout_p, qnn_act;" in help_text
+    assert "seed, attn_kind, interaction, dropout_p;" in help_text
 
 
 def test_gradcheck_class_that_checked_nothing_fails(monkeypatch, capsys):
@@ -419,10 +412,21 @@ def test_ablate_smoke_deterministic(tiny_data, capsys):
     assert table_a == table_b
     lines = table_a.strip().splitlines()
     assert lines[0] == "| variant | val_auc |"
-    assert len(lines) == 7  # header, rule, five variants
+    assert len(lines) == 6  # header, rule, four variants
     for row in lines[2:]:
         value = float(row.split("|")[2])
         assert np.isfinite(value)
     names = [row.split("|")[1].strip() for row in lines[2:]]
-    assert names == ["qin_full", "qin_wo_qnn_mlp", "qin_wo_asta_mean",
-                     "asta_softmax", "qnn_relu_act"]
+    assert names == ["qin_full", "qin_wo_qnn_mlp", "qin_wo_asta_mean", "asta_softmax"]
+
+
+@pytest.mark.parametrize("key, value", [("attn_kind", "mean"), ("interaction", "mlp")])
+def test_ablate_refuses_a_key_the_grid_sets(tiny_data, capsys, key, value):
+    # Every variant starts from the resolved config, so a set grid key would
+    # train each row under it and label it with the variant's name.
+    args = ["ablate", "--data", str(tiny_data), *TINY_MODEL, "--epochs", "1",
+            f"--{key.replace('_', '-')}", value]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and key in captured.err
+    assert captured.out == ""

@@ -3,8 +3,8 @@ import dataclasses
 import pytest
 
 from qin.cli import ABLATION_VARIANTS, _resolve, build_parser, main
-from qin.config import (ATTN_KINDS, INTERACTIONS, KEYS, QNN_ACTS, GenConfig, HyperParams,
-                        TrainConfig, build, resolve_config)
+from qin.config import (ATTN_KINDS, INTERACTIONS, KEYS, GenConfig, HyperParams, TrainConfig,
+                        build, resolve_config)
 from qin.errors import ConfigError
 
 NAN, INF = float("nan"), float("inf")
@@ -25,7 +25,7 @@ CLI_CASES = {
     "adam_beta1_one": ["train", "--config", "adam_beta1=1"],
     "adam_beta2_one": ["train", "--config", "adam_beta2=1"],
     "lr_inf": ["train", "--lr", "inf"],
-    "adam_eps_zero": ["train", "--qnn-act", "relu", "--config", "adam_eps=0"],
+    "adam_eps_zero": ["train", "--attn-kind", "softmax", "--config", "adam_eps=0"],
 }
 CONSTRUCTOR_CASES = {
     "attn_dropout_p_one": lambda: resolve_config(file_values={"attn_dropout_p": 1.0}),
@@ -75,7 +75,7 @@ NON_DEFAULT = {
     "max_seq_len": ("5", 5), "qnn_depth": ("3", 3), "qnn_m": ("4", 4),
     "dropout_p": ("0.25", 0.25), "attn_kind": ("softmax", "softmax"),
     "interaction": ("mlp", "mlp"),
-    "mlp_dims": ("9,4", (9, 4)), "qnn_act": ("relu", "relu"),
+    "mlp_dims": ("9,4", (9, 4)),
     "lr": ("0.01", 0.01), "emb_weight_decay": ("0.001", 0.001),
     "batch_size": ("17", 17), "epochs": ("4", 4), "patience": ("1", 1),
     "seed": ("11", 11),
@@ -136,9 +136,11 @@ def test_every_key_reaches_its_config_fields():
 # and mid-activation switches selected layer forms the model never runs.
 # pooling=mean is attn_kind=mean, the attention block with mean weights.
 # Adam's beta1, beta2 and eps are constants in train.py. Attention dropout
-# (attn_dropout_p) is gone: it is not one of the paper's ablations.
+# (attn_dropout_p) and the plain-ReLU QNN activation (qnn_act=relu) are
+# gone: neither is one of the paper's ablations, and PReLU is the one QNN
+# activation.
 RETIRED_KEYS = ("d_b", "d_a", "attn_dropout", "qnn_residual", "qnn_mid_act", "pooling",
-                "adam_beta1", "adam_beta2", "adam_eps", "attn_dropout_p")
+                "adam_beta1", "adam_beta2", "adam_eps", "attn_dropout_p", "qnn_act")
 
 
 @pytest.mark.parametrize("key", RETIRED_KEYS)
@@ -181,7 +183,7 @@ def test_every_model_choice_is_the_default_or_an_ablation_variant():
     choices = {f.metadata["key"] or f.name: f for f in dataclasses.fields(HyperParams)
                if isinstance(f.metadata.get("rule"), tuple)}
     assert {key: f.metadata["rule"] for key, f in choices.items()} == {
-        "attn_kind": ATTN_KINDS, "interaction": INTERACTIONS, "qnn_act": QNN_ACTS}
+        "attn_kind": ATTN_KINDS, "interaction": INTERACTIONS}
     for key, f in choices.items():
         run = {f.default} | {v[key] for _, v in ABLATION_VARIANTS if key in v}
         assert set(f.metadata["rule"]) == run, key

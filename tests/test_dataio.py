@@ -103,6 +103,29 @@ def test_length_sorted_batches_cut_to_longest_history():
         assert not full.mask[:, width:].any()
 
 
+def length_case(name):
+    """Many ties of history lengths whose largest needs a uint8, uint16 or uint32 key."""
+    rng = make_rng(12)
+    if name == "equal":
+        return np.full(300, 5)
+    top = {"uint8": 255, "uint16": 65_535, "uint32": 70_000}[name]
+    lengths = rng.integers(0, 12, 300)
+    # Ties among long histories, at the narrow types' boundaries up to top.
+    long = [v for v in (top, top, top - 1, 65_536, 65_535, 256, 256, 255, 255) if v <= top]
+    lengths[rng.choice(300, len(long), replace=False)] = long
+    return lengths
+
+
+@pytest.mark.parametrize("name", ["uint8", "uint16", "uint32", "equal"])
+def test_length_sorted_order_is_the_stable_int64_order(name):
+    lengths = length_case(name)
+    n = len(lengths)
+    split = Split.from_lengths(np.zeros(n), np.arange(n) % 2, lengths,
+                               np.zeros(int(lengths.sum())))
+    order, _ = dataio.length_sorted_batches(split, 64, int(lengths.max()))
+    assert np.array_equal(order, np.argsort(lengths.astype(np.int64), kind="stable"))
+
+
 def test_batching_rejects_overlong_history_in_split():
     split = split_of(ragged_samples())
     with pytest.raises(DataError, match="exceeds"):

@@ -144,15 +144,6 @@ def test_model_gradcheck_mean_pool_and_mlp():
         assert report.max_rel_err < 1e-4, report.line()
 
 
-@pytest.mark.parametrize("seed", range(7, 12))
-def test_model_gradcheck_relu_act(seed):
-    # The ReLU ablation has no slope class, and every class it has certifies.
-    reports = run_model_gradcheck(seed, hp=gradcheck_hyperparams(qnn_act="relu"))
-    assert "prelu" not in {report.name for report in reports}
-    for report in reports:
-        assert report.n_checked > 0 and report.max_rel_err < 1e-4, report.line()
-
-
 def test_sabotage_self_test():
     reports = {r.name: r for r in run_model_gradcheck(7, sabotage="head")}
     assert reports["head"].max_rel_err > 1e-4

@@ -45,19 +45,6 @@ def test_init_values_follow_scheme():
     assert float(p.head_b) == 0.0
 
 
-def test_relu_layout_has_no_slopes():
-    # Plain ReLU has no slope to use or train, so its layout stores none; the
-    # slopes draw nothing, so every other tensor gets the PReLU model's values.
-    hp = small_hp(qnn_act="relu")
-    assert "prelu" not in expected_shapes(hp)
-    p = init_params(hp, make_rng(9))
-    assert p.prelu is None and "prelu" not in p.views
-    with_slopes = init_params(small_hp(), make_rng(9))
-    assert [name for name in with_slopes.views if name != "prelu"] == list(p.views)
-    for name, view in p.views.items():
-        assert np.array_equal(view, with_slopes.views[name]), name
-
-
 def test_param_grad_bijection():
     for hp in (small_hp(), small_hp(interaction="mlp", mlp_dims=(6, 5))):
         p = init_params(hp, make_rng(1))

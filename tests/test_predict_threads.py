@@ -46,11 +46,10 @@ def both_ways(monkeypatch, fn):
     return one, fn()
 
 
-@pytest.mark.parametrize("act", ["prelu", "relu"])
 @pytest.mark.parametrize("kind", ATTN_KINDS)
 @pytest.mark.parametrize("d_t", [16, 64])
-def test_split_probs_match_one_thread(monkeypatch, qnn_threads, d_t, kind, act):
-    hp = thread_hp(d_t, attn_kind=kind, qnn_act=act)
+def test_split_probs_match_one_thread(monkeypatch, qnn_threads, d_t, kind):
+    hp = thread_hp(d_t, attn_kind=kind)
     for n in SIZES:
         store, params, split = thread_world(hp, n, seed=n)
         batches = list(make_batches(split, n, hp.seq_len))

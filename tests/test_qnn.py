@@ -148,13 +148,13 @@ def test_stack_zero_upstream():
     assert np.array_equal(d_x1, np.zeros((1, 3)))
 
 
-def qnn_fd_worst(seed, residual=True, act="prelu", dropout=False):
+def qnn_fd_worst(seed, residual=True, dropout=False):
     rng = make_rng(seed)
     dim, m, depth = 4, 2, 2
     cfg = QnnConfig(depth=depth, m=m, dim=dim, dropout_p=0.1 if dropout else 0.0,
-                    residual=residual, act=act)
+                    residual=residual)
     ws = [(rng.standard_normal((m, dim, dim)) * 0.5).sum(axis=0) for _ in range(depth)]
-    slopes = np.array([0.25, 0.4]) if act == "prelu" else np.zeros(depth)
+    slopes = np.array([0.25, 0.4])
     x1 = rng.standard_normal((1, dim))
     r = rng.standard_normal((1, dim))
     masks = None
@@ -189,18 +189,17 @@ def qnn_fd_worst(seed, residual=True, act="prelu", dropout=False):
 
             numeric = fd(move)
             worst = max(worst, abs(gflat[i] - numeric) / max(abs(gflat[i]), abs(numeric), 1e-6))
-    if act == "prelu":
-        for l in range(depth):
-            old = slopes[l]
+    for l in range(depth):
+        old = slopes[l]
 
-            def move(delta, l=l, old=old):
-                slopes[l] = old + delta
-                v = loss(ws, slopes, x1)
-                slopes[l] = old
-                return v
+        def move(delta, l=l, old=old):
+            slopes[l] = old + delta
+            v = loss(ws, slopes, x1)
+            slopes[l] = old
+            return v
 
-            numeric = fd(move)
-            worst = max(worst, abs(d_slopes[l] - numeric) / max(abs(d_slopes[l]), abs(numeric), 1e-6))
+        numeric = fd(move)
+        worst = max(worst, abs(d_slopes[l] - numeric) / max(abs(d_slopes[l]), abs(numeric), 1e-6))
     for i in range(dim):
         old = x1[0, i]
 
@@ -222,19 +221,8 @@ def test_stack_backward_matches_finite_differences(residual):
         assert qnn_fd_worst(40 + seed, residual=residual) < 1e-4
 
 
-def test_stack_backward_relu_act_and_dropout():
-    assert qnn_fd_worst(50, act="relu") < 1e-4
+def test_stack_backward_with_dropout():
     assert qnn_fd_worst(51, dropout=True) < 1e-4
-
-
-def test_relu_act_freezes_slope_gradient():
-    rng = make_rng(52)
-    cfg = QnnConfig(depth=1, m=1, dim=3, act="relu")
-    ws = [rng.standard_normal((3, 3))]
-    slopes = np.zeros(1)
-    _, trace = qnn_forward(ws, slopes, rng.standard_normal((1, 3)), cfg)
-    _, d_slopes, _ = qnn_backward(ws, slopes, cfg, trace, np.ones((1, 3)))
-    assert np.array_equal(d_slopes, np.zeros(1))
 
 
 def where_prelu(x, slope):
@@ -261,26 +249,23 @@ def where_layer(w, slope, x, cfg, drop_mask, d_out):
     d_x = d_x + d_t @ w
     if cfg.residual:
         d_x = d_x + d_out
-    if cfg.act == "relu":
-        d_slope = 0.0
     return out, d_w, d_slope, d_x
 
 
 @pytest.mark.parametrize("n", [1, 257])
-@pytest.mark.parametrize("act", ["prelu", "relu"])
 @pytest.mark.parametrize("stacked", [False, True])
 @pytest.mark.parametrize("dropout", [False, True])
 @pytest.mark.parametrize("residual", [False, True])
-def test_layer_matches_where_reference_bit_for_bit(n, act, stacked, dropout, residual):
+def test_layer_matches_where_reference_bit_for_bit(n, stacked, dropout, residual):
     # The forward pass gets the m heads (as the brute-force oracle does) or
     # their (dim, dim) sum (as the model does); the backward pass the sum.
     rng = make_rng(60 + n)
     dim, m = 8, 3
     cfg = QnnConfig(depth=1, m=m, dim=dim, dropout_p=0.3 if dropout else 0.0,
-                    residual=residual, act=act)
+                    residual=residual)
     heads = rng.standard_normal((m, dim, dim))
     w = heads.sum(axis=0)
-    slope = 0.0 if act == "relu" else float(rng.uniform(-1.0, 1.0))
+    slope = float(rng.uniform(-1.0, 1.0))
     x = rng.standard_normal((n, dim))
     drop_mask = (rng.uniform(size=(n, dim)) > 0.3).astype(float) if dropout else None
     d_out = rng.standard_normal((n, dim))

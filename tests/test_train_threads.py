@@ -57,11 +57,10 @@ def trained(hp, store, params, data, batch_size, path):
 
 
 @pytest.mark.parametrize("dropout_p", [0.0, 0.1])
-@pytest.mark.parametrize("act", ["prelu", "relu"])
 @pytest.mark.parametrize("kind", ATTN_KINDS)
-def test_split_training_matches_one_thread(monkeypatch, tmp_path, backward_threads, kind, act,
+def test_split_training_matches_one_thread(monkeypatch, tmp_path, backward_threads, kind,
                                            dropout_p):
-    hp = thread_hp(16, attn_kind=kind, qnn_act=act, dropout_p=dropout_p)
+    hp = thread_hp(16, attn_kind=kind, dropout_p=dropout_p)
     store, params, data = thread_world(hp, TRAIN_ROWS + 300, seed=21)
     for batch_size in BATCH_SIZES:
         usable(monkeypatch, 1)
@@ -106,11 +105,10 @@ def stack_pass(ws, slopes, x1, cfg, masks, d_out):
 
 
 @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
-@pytest.mark.parametrize("act", ["prelu", "relu"])
 @pytest.mark.parametrize("residual", [True, False])
-def test_split_layers_match_one_thread(monkeypatch, residual, act, dropout_p):
+def test_split_layers_match_one_thread(monkeypatch, residual, dropout_p):
     dim, depth = 128, 3
-    cfg = QnnConfig(depth=depth, m=2, dim=dim, dropout_p=dropout_p, residual=residual, act=act)
+    cfg = QnnConfig(depth=depth, m=2, dim=dim, dropout_p=dropout_p, residual=residual)
     rng = make_rng(5)
     weights = [rng.standard_normal((dim, dim)) * 0.05 for _ in range(depth)]
     slopes = np.array([0.25, -0.1, 0.4])
