@@ -46,12 +46,14 @@ def both_ways(monkeypatch, fn):
     return one, fn()
 
 
+@pytest.mark.parametrize("act", ["prelu"])  # the one QNN activation; names the cases
 @pytest.mark.parametrize("kind", ATTN_KINDS)
 @pytest.mark.parametrize("d_t", [16, 64])
-def test_split_probs_match_one_thread(monkeypatch, qnn_threads, d_t, kind):
+def test_split_probs_match_one_thread(monkeypatch, qnn_threads, d_t, kind, act):
     hp = thread_hp(d_t, attn_kind=kind)
     for n in SIZES:
         store, params, split = thread_world(hp, n, seed=n)
+        assert act in params.views
         batches = list(make_batches(split, n, hp.seq_len))
         qnn_threads.clear()
         one, two = both_ways(monkeypatch,

@@ -253,10 +253,11 @@ def where_layer(w, slope, x, cfg, drop_mask, d_out):
 
 
 @pytest.mark.parametrize("n", [1, 257])
+@pytest.mark.parametrize("act", ["prelu"])  # the one QNN activation; names the cases
 @pytest.mark.parametrize("stacked", [False, True])
 @pytest.mark.parametrize("dropout", [False, True])
 @pytest.mark.parametrize("residual", [False, True])
-def test_layer_matches_where_reference_bit_for_bit(n, stacked, dropout, residual):
+def test_layer_matches_where_reference_bit_for_bit(n, act, stacked, dropout, residual):
     # The forward pass gets the m heads (as the brute-force oracle does) or
     # their (dim, dim) sum (as the model does); the backward pass the sum.
     rng = make_rng(60 + n)

@@ -57,11 +57,13 @@ def trained(hp, store, params, data, batch_size, path):
 
 
 @pytest.mark.parametrize("dropout_p", [0.0, 0.1])
+@pytest.mark.parametrize("act", ["prelu"])  # the one QNN activation; names the cases
 @pytest.mark.parametrize("kind", ATTN_KINDS)
-def test_split_training_matches_one_thread(monkeypatch, tmp_path, backward_threads, kind,
+def test_split_training_matches_one_thread(monkeypatch, tmp_path, backward_threads, kind, act,
                                            dropout_p):
     hp = thread_hp(16, attn_kind=kind, dropout_p=dropout_p)
     store, params, data = thread_world(hp, TRAIN_ROWS + 300, seed=21)
+    assert act in params.views
     for batch_size in BATCH_SIZES:
         usable(monkeypatch, 1)
         one = trained(hp, store, params, data, batch_size, tmp_path / "one.ckpt")
@@ -105,8 +107,9 @@ def stack_pass(ws, slopes, x1, cfg, masks, d_out):
 
 
 @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+@pytest.mark.parametrize("act", ["prelu"])  # the one QNN activation; names the cases
 @pytest.mark.parametrize("residual", [True, False])
-def test_split_layers_match_one_thread(monkeypatch, residual, dropout_p):
+def test_split_layers_match_one_thread(monkeypatch, residual, act, dropout_p):
     dim, depth = 128, 3
     cfg = QnnConfig(depth=depth, m=2, dim=dim, dropout_p=dropout_p, residual=residual)
     rng = make_rng(5)
