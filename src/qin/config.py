@@ -184,7 +184,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Synthetic dataset knobs; the click model is quadratic by default.
+    """Synthetic dataset sizes, seed and split; the click model is fixed in datagen.py.
 
     min_seq_len left at None follows max_seq_len (fixed-length histories).
     """
@@ -195,12 +195,8 @@ class GenConfig:
     emb_dim: int = _field(6, int, ">= 1")
     max_seq_len: int = _max_seq_len()
     min_seq_len: int | None = _field(None, int, ">= 1")
-    quad_strength: float = _field(4.0, float)
-    linear_strength: float = _field(0.0, float)
-    noise_std: float = _field(0.1, float, ">= 0")
     seed: int = _seed()
     split_frac: float = _field(0.8, float, "in (0, 1)")
-    temperature: float = _field(0.1, float, "> 0")
 
     def __post_init__(self):
         if self.min_seq_len is None:

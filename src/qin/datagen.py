@@ -4,22 +4,20 @@ Construction, all draws from one PCG64 stream:
   * item embeddings e_i and user latents z_u are standard normal vectors
     scaled by 1/sqrt(emb_dim), then rounded through float32 so the values
     in memory match the embedding file bit-exactly;
-  * each sample picks a user, draws a history length in [1, max_seq_len],
-    and samples that many distinct items with probability proportional to
-    exp(z_u . e_i / temperature) (Gumbel top-k);
+  * each sample picks a user, draws a history length in
+    [min_seq_len, max_seq_len], and samples that many distinct items with
+    probability proportional to exp(z_u . e_i / TEMPERATURE) (Gumbel top-k);
   * the interest vector u is the mean of the history embeddings and the
     raw affinity is r = u . e_target for a uniformly random target;
   * r is standardized over the whole dataset to t = (r - mean) / std, and
-    the click logit is linear_strength * t + quad_strength * (t^2 - 1)
-    plus Normal(0, noise_std) noise. Centering the quadratic term keeps
-    logits two-sided; without it every probability would sit above 1/2 and
-    no scorer could rank well.
+    the click logit is QUAD_STRENGTH * (t^2 - 1) plus Normal(0, NOISE_STD)
+    noise. Centering the quadratic term keeps logits two-sided; without it
+    every probability would sit above 1/2 and no scorer could rank well.
   * label ~ Bernoulli(sigmoid(logit)).
 
-Because the label depends on t only through t and t^2, any scorer linear
-in the affinity is blind to the dominant quadratic part, while the true
-probabilities (written to the truth file for the validation split) give
-the Bayes-optimal reference AUC.
+Because the label depends on t only through t^2, any scorer linear in the
+affinity is blind to it, while the true probabilities (written to the
+truth file for the validation split) give the Bayes-optimal reference AUC.
 """
 
 from __future__ import annotations
@@ -33,11 +31,14 @@ from .atomic import atomic_write
 from .config import GenConfig
 from .dataio import Split, numbered_lines, read_bytes, write_dataset
 from .embedding import save_embeddings
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .linalg import FLOAT, make_rng, segment_sum, sigmoid
 from .metrics import auc
 
 CHUNK = 512  # samples whose histories are drawn in one array
+TEMPERATURE = 0.1  # histories draw item i with probability ~ exp(z_u . e_i / TEMPERATURE)
+QUAD_STRENGTH = 4.0  # click logit: QUAD_STRENGTH * (t^2 - 1) + Normal(0, NOISE_STD)
+NOISE_STD = 0.1
 
 
 @dataclass
@@ -55,14 +56,13 @@ def _f32_round(x: np.ndarray) -> np.ndarray:
 
 def generate(cfg: GenConfig, out_dir: str) -> GenResult:
     """Write embeddings.qemb, train.jsonl, valid.jsonl, truth.txt into out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
     rng = make_rng(cfg.seed)
 
     items = _f32_round(rng.standard_normal((cfg.n_items, cfg.emb_dim)) / np.sqrt(cfg.emb_dim))
     users = _f32_round(rng.standard_normal((cfg.n_users, cfg.emb_dim)) / np.sqrt(cfg.emb_dim))
 
     # Per-user item logits for history sampling.
-    user_logits = (users @ items.T) / cfg.temperature
+    user_logits = (users @ items.T) / TEMPERATURE
 
     user_ids = rng.integers(0, cfg.n_users, cfg.n_samples)
     target_ids = rng.integers(0, cfg.n_items, cfg.n_samples)
@@ -95,14 +95,13 @@ def generate(cfg: GenConfig, out_dir: str) -> GenResult:
         u = hist.sum(axis=1) / take[:, None]
         raw[rows] = (u[:, None, :] @ items[target_ids[rows]][:, :, None])[:, 0, 0]
 
-    std = raw.std()
-    if std == 0:
-        raise DataError("degenerate generator config: zero variance in item affinity")
-    t = (raw - raw.mean()) / std
+    # Equal affinities can still have a float std of an ulp's size, so test equality.
+    if raw.min() == raw.max():
+        raise ConfigError("degenerate generator config: zero variance in item affinity")
+    t = (raw - raw.mean()) / raw.std()
 
-    noise = rng.standard_normal(cfg.n_samples) * cfg.noise_std
-    logits = cfg.linear_strength * t + cfg.quad_strength * (t * t - 1.0) + noise
-    probs = sigmoid(logits)
+    noise = rng.standard_normal(cfg.n_samples) * NOISE_STD
+    probs = sigmoid(QUAD_STRENGTH * (t * t - 1.0) + noise)
     labels = (rng.random(cfg.n_samples) < probs).astype(FLOAT)
 
     split = Split(targets=target_ids, labels=labels, offsets=offsets, ids=seq_ids)
@@ -114,6 +113,7 @@ def generate(cfg: GenConfig, out_dir: str) -> GenResult:
     valid_path = os.path.join(out_dir, "valid.jsonl")
     truth_path = os.path.join(out_dir, "truth.txt")
 
+    os.makedirs(out_dir, exist_ok=True)  # only now, so a config error leaves no directory
     save_embeddings(items, emb_path)
     manifest = write_dataset(split[:n_train], train_path, cfg.seed)
     write_dataset(split[n_train:], valid_path, cfg.seed)

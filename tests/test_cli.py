@@ -56,6 +56,16 @@ def test_bad_config_value_exit_2(tmp_path):
     assert main(["gen-data", "--out", str(tmp_path / "o"), "--lr", "banana"]) == 2
 
 
+# A config whose affinities have no variance (one item, or one sample) is
+# found before anything is written: a config error, and no output directory.
+@pytest.mark.parametrize("flags", [["--n-items", "1", "--max-seq-len", "1"],
+                                   ["--n-samples", "1"]], ids=["one_item", "one_sample"])
+def test_gen_data_degenerate_config_exit_2_writes_nothing(flags, tmp_path, capsys):
+    assert main(["gen-data", "--out", str(tmp_path / "out"), *flags]) == 2
+    assert capsys.readouterr().err.startswith("config error: degenerate generator config")
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_precedence_matrix(tmp_path, capsys):
     from qin.config import read_config_file, resolve_config
 

@@ -1,10 +1,17 @@
+import ast
 import dataclasses
+import math
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qin.cli import ABLATION_VARIANTS, _resolve, build_parser, main
-from qin.config import (ATTN_KINDS, INTERACTIONS, KEYS, GenConfig, HyperParams, TrainConfig,
-                        build, resolve_config)
+from qin.cli import ABLATION_VARIANTS, GRADCHECK_KEYS, _resolve, build_parser, main
+from qin.config import (ATTN_KINDS, INTERACTIONS, KEYS, PRESETS, GenConfig, HyperParams,
+                        TrainConfig, build, read_config_file, resolve_config)
 from qin.errors import ConfigError
 
 NAN, INF = float("nan"), float("inf")
@@ -20,8 +27,7 @@ CLI_CASES = {
     "train_seed_negative": ["train", "--seed", "-1"],
     "mlp_dims_zero": ["train", "--interaction", "mlp", "--mlp-dims", "0"],
     "mlp_dims_negative": ["train", "--interaction", "mlp", "--mlp-dims", "-3"],
-    "temperature_nan": ["gen-data", "--temperature", "nan"],
-    "noise_std_nan": ["gen-data", "--noise-std", "nan"],
+    "split_frac_nan": ["gen-data", "--split-frac", "nan"],
     "adam_beta1_one": ["train", "--config", "adam_beta1=1"],
     "adam_beta2_one": ["train", "--config", "adam_beta2=1"],
     "lr_inf": ["train", "--lr", "inf"],
@@ -37,9 +43,7 @@ CONSTRUCTOR_CASES = {
     "lr_inf": lambda: TrainConfig(lr=INF),
     "adam_eps_zero": lambda: resolve_config(flag_values={"adam_eps": 0.0}),
     "gen_seed_negative": lambda: GenConfig(seed=-1),
-    "temperature_nan": lambda: GenConfig(temperature=NAN),
-    "noise_std_nan": lambda: GenConfig(noise_std=NAN),
-    "quad_strength_inf": lambda: GenConfig(quad_strength=INF),
+    "split_frac_nan": lambda: GenConfig(split_frac=NAN),
     "depth_float": lambda: HyperParams(vocab=3, depth=2.5),
     "attn_dropout_p_str": lambda: resolve_config(flag_values={"attn_dropout_p": "0.1"}),
     "batch_size_float": lambda: TrainConfig(batch_size=2.5),
@@ -80,9 +84,7 @@ NON_DEFAULT = {
     "batch_size": ("17", 17), "epochs": ("4", 4), "patience": ("1", 1),
     "seed": ("11", 11),
     "n_items": ("300", 300), "n_users": ("120", 120), "n_samples": ("900", 900),
-    "emb_dim": ("5", 5), "min_seq_len": ("2", 2), "quad_strength": ("2.5", 2.5),
-    "linear_strength": ("0.5", 0.5), "noise_std": ("0.3", 0.3),
-    "split_frac": ("0.7", 0.7), "temperature": ("0.4", 0.4),
+    "emb_dim": ("5", 5), "min_seq_len": ("2", 2), "split_frac": ("0.7", 0.7),
 }
 # Keys whose field has another name, or that feed two configs.
 FEEDS = {
@@ -138,9 +140,12 @@ def test_every_key_reaches_its_config_fields():
 # Adam's beta1, beta2 and eps are constants in train.py. Attention dropout
 # (attn_dropout_p) and the plain-ReLU QNN activation (qnn_act=relu) are
 # gone: neither is one of the paper's ablations, and PReLU is the one QNN
-# activation.
+# activation. The generator's click model is fixed (datagen.py's constants):
+# only unit tests ever set its temperature, strengths or noise, and the
+# linear strength was always 0.
 RETIRED_KEYS = ("d_b", "d_a", "attn_dropout", "qnn_residual", "qnn_mid_act", "pooling",
-                "adam_beta1", "adam_beta2", "adam_eps", "attn_dropout_p", "qnn_act")
+                "adam_beta1", "adam_beta2", "adam_eps", "attn_dropout_p", "qnn_act",
+                "quad_strength", "linear_strength", "noise_std", "temperature")
 
 
 @pytest.mark.parametrize("key", RETIRED_KEYS)
@@ -189,6 +194,30 @@ def test_every_model_choice_is_the_default_or_an_ablation_variant():
         assert set(f.metadata["rule"]) == run, key
 
 
+# Every key is set by a preset, an ablation variant, gradcheck, the
+# acceptance suite or a benchmark workload; a key that only unit tests set
+# tunes nothing anyone runs. The acceptance suite and the benchmark are
+# read as source, not imported.
+def test_every_key_is_set_outside_the_unit_tests():
+    root = Path(__file__).resolve().parent.parent
+    key_of = {f.name: key for key, f in KEYS.items()} | {key: key for key in KEYS}
+    configs = {cls.__name__ for cls in (GenConfig, HyperParams, TrainConfig)}
+    acceptance = ast.parse((root / "tests" / "test_acceptance.py").read_text())
+    bench = ast.parse((root / "qinbench" / "run.py").read_text())
+    names = {kw.arg for node in ast.walk(acceptance) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) in configs for kw in node.keywords}
+    names |= {kw.arg for node in ast.walk(bench) if isinstance(node, ast.Call)
+              for kw in node.keywords}
+    names |= {k.value for node in ast.walk(bench) if isinstance(node, ast.Dict)
+              for k in node.keys if isinstance(k, ast.Constant)}
+    set_by = ({key_of[name] for name in names if name in key_of}
+              | {key for preset in PRESETS.values() for key in preset}
+              | {key for _, overrides in ABLATION_VARIANTS for key in overrides}
+              | set(GRADCHECK_KEYS))
+    unset = sorted(set(KEYS) - set_by)
+    assert not unset, f"keys that only unit tests set: {unset}"
+
+
 def test_config_file_not_utf8_is_a_config_error(tmp_path, capsys):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_bytes(b"# fine\nd_t=1\xff6\n")
@@ -196,3 +225,37 @@ def test_config_file_not_utf8_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"{cfg_file}:2:" in err and "UTF-8" in err
     assert not (tmp_path / "out").exists()
+
+
+# Values a config file might hold that its parsers could mishandle:
+# non-finite and overflowing floats, digit separators, non-ASCII digits,
+# empty values and comma lists.
+HOSTILE_VALUES = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "1e999", "-1e999", "1e-400", "1_0", "_1",
+                     "0x10", "", " ", ",", "1,", ",2", "1,,2", "3, 0", "-1", "0", "2.5",
+                     "relu", "mean", "mlp", "\u0663", "\uff11\uff12", "\u00b2"]),
+    st.text(st.characters(categories=["Nd"]), min_size=1, max_size=4),
+    st.lists(st.integers(-2, 300).map(str), max_size=4).map(",".join),
+    st.floats().map(repr),
+    st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\n\r"),
+            max_size=6),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(lines=st.lists(st.tuples(st.sampled_from(sorted(KEYS) + list(RETIRED_KEYS)),
+                                HOSTILE_VALUES), max_size=6),
+       preset=st.sampled_from([None, *PRESETS]))
+def test_config_file_fuzz_builds_or_raises_config_error(lines, preset):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{key}={value}\n" for key, value in lines)
+        try:
+            cfg = resolve_config(preset, read_config_file(path))
+            build(HyperParams, cfg, vocab=1, d_frozen=0)
+            build(TrainConfig, cfg)
+            build(GenConfig, cfg)
+        except ConfigError:
+            return
+    assert all(math.isfinite(v) for v in cfg.values() if isinstance(v, float)), cfg
