@@ -18,15 +18,26 @@ Construction, all draws from one PCG64 stream:
 Because the label depends on t only through t^2, any scorer linear in the
 affinity is blind to it, while the true probabilities (written to the
 truth file for the validation split) give the Bayes-optimal reference AUC.
+
+The histories are drawn CHUNK samples at a time. With two CPUs usable and
+at least two chunks, the calling thread draws the first half of the
+chunks and the process's one helper thread (``qnn.row_helper``) the rest,
+from a copy of the bit generator advanced past the first half's draws:
+each float64 key takes exactly one 64-bit output. The caller's generator
+then takes up the copy's position, so the stream stays one stream and
+every output byte is the same on one CPU as on two.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import qnn
 from .atomic import atomic_write
 from .config import GenConfig
 from .dataio import Split, numbered_lines, read_bytes, write_dataset
@@ -35,7 +46,17 @@ from .errors import ConfigError, DataError
 from .linalg import FLOAT, make_rng, segment_sum, sigmoid
 from .metrics import auc
 
-CHUNK = 512  # samples whose histories are drawn in one array
+# Samples whose histories are drawn in one array. A chunk's keys, gathered
+# logits and argpartition indices take 8 * CHUNK * n_items bytes each, and
+# on two CPUs two chunks are in flight, so CHUNK sets generate's peak
+# memory, which is every benchmark workload's peak RSS. Paired qinbench
+# runs (4 seeds, 2-core Xeon VM, one BLAS thread) of the two-thread draw
+# at 128 / 192 / 256 rows against one thread at 512: set-up time 0.61 /
+# 0.64 / 0.60x on desk_train, 0.63 / 0.60 / 0.57x on wide_qnn_train and
+# 0.70 / 0.70 / 0.75x on ragged_score; peak RSS 0.91 / 0.96 / 1.01x,
+# 0.95 / 0.98 / 1.02x and 0.91 / 0.96 / 1.03x. On one CPU, desk-size
+# generate took 0.82-0.90 s at 128 rows and 0.91-1.10 s at 512.
+CHUNK = 128
 TEMPERATURE = 0.1  # histories draw item i with probability ~ exp(z_u . e_i / TEMPERATURE)
 QUAD_STRENGTH = 4.0  # click logit: QUAD_STRENGTH * (t^2 - 1) + Normal(0, NOISE_STD)
 NOISE_STD = 0.1
@@ -52,6 +73,35 @@ class GenResult:
 
 def _f32_round(x: np.ndarray) -> np.ndarray:
     return x.astype(np.float32).astype(FLOAT)
+
+
+def _draw_histories(rng, start: int, stop: int, *, items, user_logits, user_ids, target_ids,
+                    seq_lens, offsets, seq_ids, raw) -> None:
+    """Draw the histories of rows start..stop in CHUNK-row steps from rng,
+    filling their slices of seq_ids and raw."""
+    n_items = len(items)
+    for at in range(start, stop, CHUNK):
+        rows = slice(at, min(at + CHUNK, stop))
+        take = seq_lens[rows]
+        # One (rows, n_items) draw is the same stream as one draw per row;
+        # the Gumbel keys are formed in place to hold one array per chunk.
+        keys = rng.random((len(take), n_items))
+        np.negative(np.log(keys, out=keys), out=keys)
+        np.negative(np.log(keys, out=keys), out=keys)
+        keys += user_logits[user_ids[rows]]
+        width = int(take.max())
+        top = np.argpartition(keys, -width, axis=1)[:, -width:]
+        by_key = np.take_along_axis(
+            top, np.argsort(-np.take_along_axis(keys, top, axis=1), axis=1), axis=1)
+        live = np.arange(width) < take[:, None]
+        # Each row's history in ascending id order, then padding.
+        picked = np.sort(np.where(live, by_key, n_items), axis=1)
+        seq_ids[offsets[at]:offsets[at + len(take)]] = picked[live]
+        # Padded slots add exact zeros after the live rows, so the sum runs
+        # in the same order as a per-row mean over the sorted history.
+        hist = np.where(live[:, :, None], items[np.where(live, picked, 0)], 0.0)
+        u = hist.sum(axis=1) / take[:, None]
+        raw[rows] = (u[:, None, :] @ items[target_ids[rows]][:, :, None])[:, 0, 0]
 
 
 def generate(cfg: GenConfig, out_dir: str) -> GenResult:
@@ -72,28 +122,23 @@ def generate(cfg: GenConfig, out_dir: str) -> GenResult:
     np.cumsum(seq_lens, out=offsets[1:])
     seq_ids = np.empty(offsets[-1], dtype=np.int64)
     raw = np.empty(cfg.n_samples, dtype=FLOAT)
-    for at in range(0, cfg.n_samples, CHUNK):
-        rows = slice(at, at + CHUNK)
-        take = seq_lens[rows]
-        # One (rows, n_items) draw is the same stream as one draw per row;
-        # the Gumbel keys are formed in place to hold one array per chunk.
-        keys = rng.random((len(take), cfg.n_items))
-        np.negative(np.log(keys, out=keys), out=keys)
-        np.negative(np.log(keys, out=keys), out=keys)
-        keys += user_logits[user_ids[rows]]
-        width = int(take.max())
-        top = np.argpartition(keys, -width, axis=1)[:, -width:]
-        by_key = np.take_along_axis(
-            top, np.argsort(-np.take_along_axis(keys, top, axis=1), axis=1), axis=1)
-        live = np.arange(width) < take[:, None]
-        # Each row's history in ascending id order, then padding.
-        picked = np.sort(np.where(live, by_key, cfg.n_items), axis=1)
-        seq_ids[offsets[at]:offsets[at + len(take)]] = picked[live]
-        # Padded slots add exact zeros after the live rows, so the sum runs
-        # in the same order as a per-row mean over the sorted history.
-        hist = np.where(live[:, :, None], items[np.where(live, picked, 0)], 0.0)
-        u = hist.sum(axis=1) / take[:, None]
-        raw[rows] = (u[:, None, :] @ items[target_ids[rows]][:, :, None])[:, 0, 0]
+    draw = functools.partial(_draw_histories, items=items, user_logits=user_logits,
+                             user_ids=user_ids, target_ids=target_ids, seq_lens=seq_lens,
+                             offsets=offsets, seq_ids=seq_ids, raw=raw)
+    n_chunks = -(-cfg.n_samples // CHUNK)
+    helper = qnn.row_helper(n_chunks >= 2)
+    if helper is None:
+        draw(rng, 0, cfg.n_samples)
+    else:
+        # The helper draws the rows from a chunk boundary on, from a copy of
+        # the stream moved past the caller's draws: one 64-bit output per
+        # float64 key. The caller then takes up the copy's position.
+        half = (n_chunks + 1) // 2 * CHUNK
+        bits = copy.deepcopy(rng.bit_generator)
+        bits.advance(half * cfg.n_items)
+        qnn.both(helper, lambda: draw(rng, 0, half),
+                 lambda: draw(np.random.Generator(bits), half, cfg.n_samples))
+        rng.bit_generator.state = {**rng.bit_generator.state, "state": bits.state["state"]}
 
     # Equal affinities can still have a float std of an ulp's size, so test equality.
     if raw.min() == raw.max():

@@ -33,7 +33,8 @@ at least QNN_SPLIT_MIN_ROWS rows as on the whole batch. The two sums
 over rows, the weight gradient ``d_t.T @ x`` and the slope gradient's
 sum, run whole in the calling thread while the helper, if any, forms
 ``d_t @ w`` for d_x. So a layer gives the same bits split as whole. The
-helper runs only code of this module and ``linalg``.
+helper runs only code of this module and ``linalg``, and the history
+draw of ``datagen``, which borrows it through ``row_helper`` and ``both``.
 
 ``brute_force_expansion`` recomputes a layer monomial by monomial in pure
 Python and is the independent oracle for the vectorized path.
@@ -84,8 +85,9 @@ QNN_SPLIT_MIN_ROWS = 128
 # and numpy's short calls fight over the GIL.
 QNN_SPLIT_MIN_DIM = 96
 
-# The process's one helper thread. An executor starts no thread before its
-# first submit, so a process that never splits a layer never starts one.
+# The process's one helper thread, for the QNN and the generator. An
+# executor starts no thread before its first submit, so a process that
+# never splits a layer or a history draw never starts one.
 # Nothing in the package forks: a child forked after the first split would
 # inherit an executor whose thread is gone.
 _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="qnn-rows")
@@ -126,7 +128,7 @@ def _folded(w: np.ndarray, cfg: QnnConfig) -> np.ndarray:
     raise ShapeError(f"layer weight of shape {w.shape} does not match dim={cfg.dim} m={cfg.m}")
 
 
-def _both(helper, mine, theirs):
+def both(helper, mine, theirs):
     """mine() in this thread while the helper runs theirs(); without a helper, both here.
 
     Returns what mine() returns. Both are done before it returns or
@@ -158,9 +160,12 @@ def split_helper(n: int, dim: int):
     least QNN_SPLIT_MIN_ROWS rows and two CPUs are usable. This is the one
     statement of when a layer splits.
     """
-    if dim >= QNN_SPLIT_MIN_DIM and n >= 2 * QNN_SPLIT_MIN_ROWS and usable_cpus() >= 2:
-        return _HELPER
-    return None
+    return row_helper(dim >= QNN_SPLIT_MIN_DIM and n >= 2 * QNN_SPLIT_MIN_ROWS)
+
+
+def row_helper(split: bool):
+    """The helper thread's executor if split and two CPUs are usable, else None."""
+    return _HELPER if split and usable_cpus() >= 2 else None
 
 
 def _by_halves(helper, rows_fn, n: int) -> None:
@@ -169,7 +174,7 @@ def _by_halves(helper, rows_fn, n: int) -> None:
         rows_fn(slice(0, n))
     else:
         h = n // 2
-        _both(helper, lambda: rows_fn(slice(0, h)), lambda: rows_fn(slice(h, n)))
+        both(helper, lambda: rows_fn(slice(0, h)), lambda: rows_fn(slice(h, n)))
 
 
 def _rows(a: np.ndarray | None, r: slice) -> np.ndarray | None:
@@ -247,7 +252,7 @@ def qnn_layer_backward(w: np.ndarray, slope: float, cfg: QnnConfig,
     def input_grad():
         np.add(d_x, np.matmul(d_t, w, out=d_t_w), out=d_x)
 
-    d_w, d_slope = _both(helper, sums, input_grad)
+    d_w, d_slope = both(helper, sums, input_grad)
     if cfg.residual:
         np.add(d_x, d_out, out=d_x)
     return d_w, d_slope, d_x

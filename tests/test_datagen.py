@@ -1,19 +1,22 @@
+import dataclasses
 import filecmp
 import hashlib
 import json
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
-from conftest import split_of
+from conftest import helper_threads, split_of, spy_traced_names
 
-from qin import datagen
+from qin import datagen, qnn
 from qin.config import GenConfig, HyperParams
 from qin.datagen import (affinity_features, bayes_auc, generate, history_means,
                          linear_baseline_auc, read_truth)
 from qin.dataio import build_batch, load_dataset, make_batches, read_dataset, write_dataset
 from qin.embedding import Sample, load_embeddings
-from qin.errors import ConfigError, DataError
+from qin.errors import ConfigError, DataError, ShapeError
 from qin.linalg import make_rng
 
 SMALL = GenConfig(n_items=60, n_users=40, n_samples=600, emb_dim=4,
@@ -287,18 +290,103 @@ def per_sample_generate(cfg, out_dir):
             fh.write(f"{p:.17g}\n")
 
 
+OUTPUTS = ("embeddings.qemb", "train.jsonl", "valid.jsonl", "truth.txt")
+
+
+def same_outputs(a, b) -> None:
+    for name in OUTPUTS:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("min_seq_len", [1, 8])
 def test_chunked_generator_byte_identical_to_per_sample_loop(tmp_path, min_seq_len):
-    # 1203 samples: two full chunks of histories and a partial third.
-    cfg = GenConfig(n_items=60, n_users=40, n_samples=1203, emb_dim=4,
+    # Two full chunks of histories and a partial third.
+    cfg = GenConfig(n_items=60, n_users=40, n_samples=datagen.CHUNK * 7 // 3, emb_dim=4,
                     max_seq_len=8, min_seq_len=min_seq_len, seed=13)
     per_sample_generate(cfg, str(tmp_path / "reference"))
-    result = generate(cfg, str(tmp_path / "chunked"))
-    for path in (result.embedding_path, result.train_path, result.valid_path,
-                 result.truth_path):
-        name = os.path.basename(path)
-        assert (tmp_path / "chunked" / name).read_bytes() == \
-            (tmp_path / "reference" / name).read_bytes(), name
+    generate(cfg, str(tmp_path / "chunked"))
+    same_outputs(tmp_path / "chunked", tmp_path / "reference")
+
+
+@pytest.fixture
+def draw_threads(monkeypatch) -> list:
+    """The thread of each call to datagen's per-thread history draw."""
+    threads = []
+    real = datagen._draw_histories
+
+    def spy(*args, **kwargs):
+        threads.append(threading.current_thread().name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(datagen, "_draw_histories", spy)
+    return threads
+
+
+# Sample counts: one whole chunk (no split), one row over (the helper
+# draws one row), three whole chunks and two and a half chunks (the
+# calling thread draws two chunks, not half the rows).
+@pytest.mark.parametrize("size", [lambda c: c, lambda c: c + 1, lambda c: 3 * c,
+                                  lambda c: 2 * c + c // 2],
+                         ids=["one", "one_row_over", "three", "two_and_a_half"])
+@pytest.mark.parametrize("min_seq_len", [1, 8])
+def test_generator_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, draw_threads,
+                                                       size, min_seq_len):
+    n_samples = size(datagen.CHUNK)
+    cfg = GenConfig(n_items=60, n_users=40, n_samples=n_samples, emb_dim=4,
+                    max_seq_len=8, min_seq_len=min_seq_len, seed=17)
+    per_sample_generate(cfg, str(tmp_path / "reference"))
+    switch = sys.getswitchinterval()
+    for count in (1, 2):
+        monkeypatch.setattr(qnn, "usable_cpus", lambda: count)
+        draw_threads.clear()
+        sys.setswitchinterval(1e-6)   # hand the interpreter lock over as often as it can go
+        try:
+            generate(cfg, str(tmp_path / f"cpus{count}"))
+        finally:
+            sys.setswitchinterval(switch)
+        same_outputs(tmp_path / f"cpus{count}", tmp_path / "reference")
+    main = threading.current_thread().name
+    helper = [t for t in draw_threads if t != main]
+    assert draw_threads.count(main) == 1
+    assert len(helper) == (n_samples > datagen.CHUNK)
+    assert all(t.startswith("qnn-rows") for t in helper)
+
+
+def test_two_cpu_generate_enters_traced_names_on_the_calling_thread(tmp_path, monkeypatch,
+                                                                  draw_threads):
+    entered = spy_traced_names(monkeypatch)
+    monkeypatch.setattr(qnn, "usable_cpus", lambda: 2)
+    datagen.generate(dataclasses.replace(SMALL, n_samples=3 * datagen.CHUNK), str(tmp_path))
+    main = threading.current_thread().name
+    assert ("qin.datagen.generate", main) in entered
+    assert [(n, t) for n, t in entered if t != main] == []
+    assert len(set(draw_threads)) == 2
+    assert len(helper_threads()) == 1
+
+
+def test_helper_error_reaches_generate_with_its_type(tmp_path, monkeypatch):
+    # An error in the helper's half leaves no output directory, and the
+    # helper goes on drawing the same bits for the next call.
+    cfg = dataclasses.replace(SMALL, n_samples=3 * datagen.CHUNK)
+    caller = threading.current_thread()
+    monkeypatch.setattr(qnn, "usable_cpus", lambda: 2)
+    with monkeypatch.context() as failing:
+        real = datagen._draw_histories
+
+        def draw(*args, **kwargs):
+            if threading.current_thread() is not caller:   # the helper's half only
+                raise ShapeError("helper half failed")
+            return real(*args, **kwargs)
+
+        failing.setattr(datagen, "_draw_histories", draw)
+        with pytest.raises(ShapeError, match="helper half failed"):
+            generate(cfg, str(tmp_path / "failed"))
+    assert not (tmp_path / "failed").exists()
+    assert len(helper_threads()) == 1
+    generate(cfg, str(tmp_path / "two"))
+    monkeypatch.setattr(qnn, "usable_cpus", lambda: 1)
+    generate(cfg, str(tmp_path / "one"))
+    same_outputs(tmp_path / "two", tmp_path / "one")
 
 
 # sha256 of generate(GenConfig()): the frozen default data the acceptance

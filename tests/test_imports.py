@@ -5,7 +5,7 @@ runs on this tree, so this is the check for an import that a deletion left
 behind. Names the package re-exports through ``qin.__all__`` are exempt.
 The same holds one level up: every public top-level function or class is
 read somewhere, so a kernel whose last caller went is seen too.
-Only qnn.py, which owns the QNN row split, imports a thread module.
+Only qnn.py, which owns the one helper thread, imports a thread module.
 """
 
 import ast
@@ -88,8 +88,9 @@ def test_every_public_function_and_class_is_used():
 
 
 def test_only_qnn_imports_threads():
-    # The QNN row split is the package's one use of a second thread, and
-    # qnn.py its one owner: no other module may start or share a thread.
+    # The package has one helper thread, and qnn.py owns it. Its two users
+    # are the QNN row split and datagen's history draw, which borrows it
+    # from qnn; no other module may start a thread.
     owners = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
