@@ -19,13 +19,15 @@ Because the label depends on t only through t^2, any scorer linear in the
 affinity is blind to it, while the true probabilities (written to the
 truth file for the validation split) give the Bayes-optimal reference AUC.
 
-The histories are drawn CHUNK samples at a time. With two CPUs usable and
-at least two chunks, the calling thread draws the first half of the
-chunks and the process's one helper thread (``qnn.row_helper``) the rest,
-from a copy of the bit generator advanced past the first half's draws:
-each float64 key takes exactly one 64-bit output. The caller's generator
-then takes up the copy's position, so the stream stays one stream and
-every output byte is the same on one CPU as on two.
+The histories are drawn CHUNK samples at a time, the first half of the
+chunks from the stream itself and the rest from a copy of the bit
+generator advanced past the first half's draws: each float64 key takes
+exactly one 64-bit output. With two CPUs usable and at least two chunks,
+the process's one helper thread (``qnn.row_helper``) draws the second
+half while the calling thread draws the first; otherwise the calling
+thread draws both in turn. The noise and labels are then drawn from the
+copy, which stands where the one stream would, so every output byte is
+the same on one CPU as on two.
 """
 
 from __future__ import annotations
@@ -125,20 +127,17 @@ def generate(cfg: GenConfig, out_dir: str) -> GenResult:
     draw = functools.partial(_draw_histories, items=items, user_logits=user_logits,
                              user_ids=user_ids, target_ids=target_ids, seq_lens=seq_lens,
                              offsets=offsets, seq_ids=seq_ids, raw=raw)
+    # The second half draws from a copy of the stream moved past the first
+    # half's keys; afterwards the copy stands past both, so the rest of
+    # generate draws from it (module docstring).
     n_chunks = -(-cfg.n_samples // CHUNK)
-    helper = qnn.row_helper(n_chunks >= 2)
-    if helper is None:
-        draw(rng, 0, cfg.n_samples)
-    else:
-        # The helper draws the rows from a chunk boundary on, from a copy of
-        # the stream moved past the caller's draws: one 64-bit output per
-        # float64 key. The caller then takes up the copy's position.
-        half = (n_chunks + 1) // 2 * CHUNK
-        bits = copy.deepcopy(rng.bit_generator)
-        bits.advance(half * cfg.n_items)
-        qnn.both(helper, lambda: draw(rng, 0, half),
-                 lambda: draw(np.random.Generator(bits), half, cfg.n_samples))
-        rng.bit_generator.state = {**rng.bit_generator.state, "state": bits.state["state"]}
+    half = min((n_chunks + 1) // 2 * CHUNK, cfg.n_samples)
+    bits = copy.deepcopy(rng.bit_generator)
+    bits.advance(half * cfg.n_items)
+    rest = np.random.Generator(bits)
+    qnn.both(qnn.row_helper(n_chunks >= 2), lambda: draw(rng, 0, half),
+             lambda: draw(rest, half, cfg.n_samples))
+    rng = rest
 
     # Equal affinities can still have a float std of an ulp's size, so test equality.
     if raw.min() == raw.max():

@@ -336,6 +336,7 @@ def test_generator_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, d
                     max_seq_len=8, min_seq_len=min_seq_len, seed=17)
     per_sample_generate(cfg, str(tmp_path / "reference"))
     switch = sys.getswitchinterval()
+    main = threading.current_thread().name
     for count in (1, 2):
         monkeypatch.setattr(qnn, "usable_cpus", lambda: count)
         draw_threads.clear()
@@ -345,11 +346,12 @@ def test_generator_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, d
         finally:
             sys.setswitchinterval(switch)
         same_outputs(tmp_path / f"cpus{count}", tmp_path / "reference")
-    main = threading.current_thread().name
-    helper = [t for t in draw_threads if t != main]
-    assert draw_threads.count(main) == 1
-    assert len(helper) == (n_samples > datagen.CHUNK)
-    assert all(t.startswith("qnn-rows") for t in helper)
+        # Both halves are always drawn; the helper draws the second only
+        # on two CPUs with two chunks.
+        helper = [t for t in draw_threads if t != main]
+        assert len(draw_threads) == 2
+        assert len(helper) == (count == 2 and n_samples > datagen.CHUNK)
+        assert all(t.startswith("qnn-rows") for t in helper)
 
 
 def test_two_cpu_generate_enters_traced_names_on_the_calling_thread(tmp_path, monkeypatch,
