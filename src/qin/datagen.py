@@ -19,15 +19,18 @@ Because the label depends on t only through t^2, any scorer linear in the
 affinity is blind to it, while the true probabilities (written to the
 truth file for the validation split) give the Bayes-optimal reference AUC.
 
-The histories are drawn CHUNK samples at a time, the first half of the
-chunks from the stream itself and the rest from a copy of the bit
-generator advanced past the first half's draws: each float64 key takes
-exactly one 64-bit output. With two CPUs usable and at least two chunks,
-the process's one helper thread (``qnn.row_helper``) draws the second
-half while the calling thread draws the first; otherwise the calling
-thread draws both in turn. The noise and labels are then drawn from the
-copy, which stands where the one stream would, so every output byte is
-the same on one CPU as on two.
+The histories are drawn CHUNK samples at a time. Each chunk forms the
+logits of its own users (``_user_logits``), with the bits of their rows
+of the (n_users, n_items) table z_u . e_i / TEMPERATURE, which is not
+held: it would take 8 * n_users * n_items bytes (15.3 MiB at the
+defaults). The first half of the chunks is drawn from the stream itself
+and the rest from a copy of the bit generator advanced past the first
+half's draws: each float64 key takes exactly one 64-bit output. With
+two CPUs usable and at least two chunks, the process's one helper thread
+(``qnn.row_helper``) draws the second half while the calling thread
+draws the first; otherwise the calling thread draws both in turn. The
+noise and labels are then drawn from the copy, which stands where the
+one stream would, so every output byte is the same on one CPU as on two.
 """
 
 from __future__ import annotations
@@ -48,16 +51,20 @@ from .errors import ConfigError, DataError
 from .linalg import FLOAT, make_rng, segment_sum, sigmoid
 from .metrics import auc
 
-# Samples whose histories are drawn in one array. A chunk's keys, gathered
-# logits and argpartition indices take 8 * CHUNK * n_items bytes each, and
-# on two CPUs two chunks are in flight, so CHUNK sets generate's peak
-# memory, which is every benchmark workload's peak RSS. Paired qinbench
-# runs (4 seeds, 2-core Xeon VM, one BLAS thread) of the two-thread draw
-# at 128 / 192 / 256 rows against one thread at 512: set-up time 0.61 /
-# 0.64 / 0.60x on desk_train, 0.63 / 0.60 / 0.57x on wide_qnn_train and
-# 0.70 / 0.70 / 0.75x on ragged_score; peak RSS 0.91 / 0.96 / 1.01x,
-# 0.95 / 0.98 / 1.02x and 0.91 / 0.96 / 1.03x. On one CPU, desk-size
-# generate took 0.82-0.90 s at 128 rows and 0.91-1.10 s at 512.
+# Samples whose histories are drawn in one array. A chunk's keys, logits
+# and argpartition indices take 8 * CHUNK * n_items bytes each (1 MiB at
+# 1 000 items, about 100 MB at 100 000), and on two CPUs two chunks are in
+# flight, so CHUNK sets generate's peak memory. That is no longer a
+# benchmark workload's peak RSS: in one qinbench process each, ru_maxrss
+# read 62.5 MiB after the first generate and 65.1 at the end on
+# desk_train, 49.1 and 67.0 on wide_qnn_train, and 57.0 and 62.3 on
+# ragged_score. Paired qinbench runs (4 seeds, 2-core Xeon VM, one BLAS
+# thread, the logit table still held) of the two-thread draw at 128 / 192
+# / 256 rows against one thread at 512: set-up time 0.61 / 0.64 / 0.60x on
+# desk_train, 0.63 / 0.60 / 0.57x on wide_qnn_train and 0.70 / 0.70 /
+# 0.75x on ragged_score; peak RSS 0.91 / 0.96 / 1.01x, 0.95 / 0.98 /
+# 1.02x and 0.91 / 0.96 / 1.03x. On one CPU, desk-size generate took
+# 0.82-0.90 s at 128 rows and 0.91-1.10 s at 512.
 CHUNK = 128
 TEMPERATURE = 0.1  # histories draw item i with probability ~ exp(z_u . e_i / TEMPERATURE)
 QUAD_STRENGTH = 4.0  # click logit: QUAD_STRENGTH * (t^2 - 1) + Normal(0, NOISE_STD)
@@ -77,7 +84,25 @@ def _f32_round(x: np.ndarray) -> np.ndarray:
     return x.astype(np.float32).astype(FLOAT)
 
 
-def _draw_histories(rng, start: int, stop: int, *, items, user_logits, user_ids, target_ids,
+def _user_logits(users, items, user_ids) -> np.ndarray:
+    """(len(user_ids), n_items) item logits of the users: the bits of their
+    rows of the whole (n_users, n_items) table users @ items.T / TEMPERATURE.
+
+    OpenBLAS 0.3.31 (AVX-512 Xeon) gives a block of 2 or more rows of a
+    product the whole product's bits: of blocks of 1-599 rows of
+    GenConfig()'s product only the one-row block differed. numpy sends a
+    one-row product to gemv, whose last bits differ, so one user is taken
+    twice and the first row kept. Of other item counts probed, 999, 1003
+    and 1004 gave the last items of some blocks other last bits; gen-data
+    at 5 000 samples still wrote the same files with them.
+    """
+    ids = user_ids if len(user_ids) > 1 else np.repeat(user_ids, 2)
+    logits = (users[ids] @ items.T)[:len(user_ids)]
+    logits /= TEMPERATURE
+    return logits
+
+
+def _draw_histories(rng, start: int, stop: int, *, items, users, user_ids, target_ids,
                     seq_lens, offsets, seq_ids, raw) -> None:
     """Draw the histories of rows start..stop in CHUNK-row steps from rng,
     filling their slices of seq_ids and raw."""
@@ -90,7 +115,7 @@ def _draw_histories(rng, start: int, stop: int, *, items, user_logits, user_ids,
         keys = rng.random((len(take), n_items))
         np.negative(np.log(keys, out=keys), out=keys)
         np.negative(np.log(keys, out=keys), out=keys)
-        keys += user_logits[user_ids[rows]]
+        keys += _user_logits(users, items, user_ids[rows])
         width = int(take.max())
         top = np.argpartition(keys, -width, axis=1)[:, -width:]
         by_key = np.take_along_axis(
@@ -113,9 +138,6 @@ def generate(cfg: GenConfig, out_dir: str) -> GenResult:
     items = _f32_round(rng.standard_normal((cfg.n_items, cfg.emb_dim)) / np.sqrt(cfg.emb_dim))
     users = _f32_round(rng.standard_normal((cfg.n_users, cfg.emb_dim)) / np.sqrt(cfg.emb_dim))
 
-    # Per-user item logits for history sampling.
-    user_logits = (users @ items.T) / TEMPERATURE
-
     user_ids = rng.integers(0, cfg.n_users, cfg.n_samples)
     target_ids = rng.integers(0, cfg.n_items, cfg.n_samples)
     seq_lens = rng.integers(cfg.min_seq_len, cfg.max_seq_len + 1, cfg.n_samples)
@@ -124,7 +146,7 @@ def generate(cfg: GenConfig, out_dir: str) -> GenResult:
     np.cumsum(seq_lens, out=offsets[1:])
     seq_ids = np.empty(offsets[-1], dtype=np.int64)
     raw = np.empty(cfg.n_samples, dtype=FLOAT)
-    draw = functools.partial(_draw_histories, items=items, user_logits=user_logits,
+    draw = functools.partial(_draw_histories, items=items, users=users,
                              user_ids=user_ids, target_ids=target_ids, seq_lens=seq_lens,
                              offsets=offsets, seq_ids=seq_ids, raw=raw)
     # The second half draws from a copy of the stream moved past the first

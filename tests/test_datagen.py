@@ -5,6 +5,7 @@ import json
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -389,6 +390,33 @@ def test_helper_error_reaches_generate_with_its_type(tmp_path, monkeypatch):
     monkeypatch.setattr(qnn, "usable_cpus", lambda: 1)
     generate(cfg, str(tmp_path / "one"))
     same_outputs(tmp_path / "two", tmp_path / "one")
+
+
+@pytest.mark.parametrize("cfg", [GenConfig(), SMALL], ids=["default", "small"])
+@pytest.mark.parametrize("rows", [1, 2, 3, datagen.CHUNK - 1, datagen.CHUNK])
+def test_chunk_logits_have_the_bits_of_the_whole_table(cfg, rows):
+    # The generated files cannot show this: a logit's last bit moved no
+    # history pick in any config tried, the one-row chunks included.
+    rng = make_rng(cfg.seed)
+    items = rng.standard_normal((cfg.n_items, cfg.emb_dim)).astype(np.float32).astype(float)
+    users = rng.standard_normal((cfg.n_users, cfg.emb_dim)).astype(np.float32).astype(float)
+    user_ids = rng.integers(0, cfg.n_users, rows)
+    table = (users @ items.T) / datagen.TEMPERATURE
+    assert np.array_equal(datagen._user_logits(users, items, user_ids), table[user_ids])
+
+
+def test_generate_holds_no_user_by_item_table(tmp_path):
+    # The logits are formed per chunk: a (n_users, n_items) float64 table,
+    # 160 MB here, would be ten times the bound, which is 16 arrays of a
+    # chunk's keys. Four chunks peaked at about 8 MiB.
+    cfg = GenConfig(n_users=20_000, n_items=1_000, n_samples=4 * datagen.CHUNK, seed=3)
+    tracemalloc.start()
+    try:
+        generate(cfg, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * datagen.CHUNK * cfg.n_items * 8
 
 
 # sha256 of generate(GenConfig()): the frozen default data the acceptance
