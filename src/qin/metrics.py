@@ -11,7 +11,8 @@ dtype of its inputs.
 
 The fast AUC uses rank sums with average ranks on ties, which is
 algebraically identical to the O(N^2) pairwise count (wins plus half
-ties); ``auc_bruteforce`` keeps the pairwise definition as the oracle.
+ties), and with an exact rank sum equal to it bit for bit;
+``auc_bruteforce`` keeps the pairwise definition as the oracle.
 Both give NaN when any score is NaN: a NaN orders neither above nor
 below anything.
 """
@@ -64,21 +65,27 @@ def _split_classes(scores, labels):
 
 
 def auc(scores, labels) -> float:
-    """Rank-based AUC, O(N log N), average ranks on ties."""
+    """Rank-based AUC, O(N log N), average ranks on ties.
+
+    Works with any argsort: a tied group's average rank depends only on
+    where the group starts and how many scores it holds, not on their
+    order within it, so numpy's default (unstable, SIMD) sort serves. The
+    positives' rank sum is taken per group, as twice the average rank
+    (an integer) times the group's positives, in int64: exact in any
+    order, and halved once. It matches the pairwise count bit for bit.
+    """
     scores, labels, n_pos, n_neg = _split_classes(scores, labels)
     if np.isnan(scores).any():
         return float("nan")
-    order = np.argsort(scores, kind="stable")
+    order = np.argsort(scores)
     s = scores[order]
-    # Average 1-based ranks within each tied group; every value is an exact
-    # multiple of 0.5, so the rank sum matches the pairwise count bit-exactly.
-    new_group = np.r_[True, s[1:] != s[:-1]]
-    group_id = np.cumsum(new_group) - 1
-    counts = np.bincount(group_id)
-    starts = np.cumsum(counts) - counts
-    ranks = np.empty(scores.shape[0], dtype=FLOAT)
-    ranks[order] = (starts + (counts + 1) / 2.0)[group_id]
-    rank_sum_pos = float(np.sum(ranks[labels == 1]))
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    ends = np.r_[starts[1:], len(s)]
+    # Positives in each tied group, from the running count at its end.
+    pos = np.diff(np.cumsum(labels[order] == 1)[ends - 1], prepend=0)
+    # A group's 0-based slots start..end-1 have average 1-based rank
+    # (start + end + 1) / 2.
+    rank_sum_pos = int(pos @ (starts + ends + 1)) / 2.0
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 

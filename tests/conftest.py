@@ -94,6 +94,35 @@ def float_arrays(obj, path="trace"):
             yield from float_arrays(item, f"{path}[{i}]")
 
 
+def masked_sigmoid(x):
+    """sigmoid as linalg computed it before its branch-free pass: two masked halves."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def stable_sort_auc(scores, labels):
+    """metrics.auc as it was before it took its rank sum per tied group: a
+    stable argsort, every sample's average rank, and their float64 sum.
+    Scores float64 without NaN, labels 0 or 1 of both classes."""
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
+    order = np.argsort(scores, kind="stable")
+    s = scores[order]
+    new_group = np.r_[True, s[1:] != s[:-1]]
+    group_id = np.cumsum(new_group) - 1
+    counts = np.bincount(group_id)
+    starts = np.cumsum(counts) - counts
+    ranks = np.empty(scores.shape[0], dtype=np.float64)
+    ranks[order] = (starts + (counts + 1) / 2.0)[group_id]
+    rank_sum_pos = float(np.sum(ranks[labels == 1]))
+    u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
 def usable(monkeypatch, count):
     """Lower the QNN width gate to 0 and report count usable CPUs."""
     monkeypatch.setattr(qnn, "QNN_SPLIT_MIN_DIM", 0)

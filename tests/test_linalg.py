@@ -1,4 +1,6 @@
 import numpy as np
+import pytest
+from conftest import masked_sigmoid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -76,6 +78,38 @@ def test_prelu_slope_grad_matches_where_definition(data, shape):
         got = float(np.sum(terms))
     assert np.array_equal(terms, want_terms, equal_nan=True)
     assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+# Where exp overflows (log of the largest float) and where it underflows
+# to zero (log of half the smallest subnormal), per dtype.
+EXP_EDGES = {np.float32: (88.72, 103.98), np.float64: (709.78, 745.13)}
+
+
+def sigmoid_cases(dtype) -> np.ndarray:
+    f = np.finfo(dtype)
+    edges = [np.linspace(e - 0.01, e + 0.01, 201, dtype=dtype) for e in EXP_EDGES[dtype]]
+    special = np.array([0.0, np.inf, np.nan, f.smallest_subnormal, 3 * f.smallest_subnormal,
+                        f.smallest_normal, f.eps, 1.0, f.max], dtype=dtype)
+    spread = make_rng(8).standard_normal(4000) * np.repeat([1.0, 10.0, 100.0, 1000.0], 1000)
+    half = np.concatenate([special, *edges, np.abs(spread).astype(dtype)])
+    return np.concatenate([half, -half])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_sigmoid_has_the_bits_of_the_masked_form(dtype):
+    # ±0, ±inf, NaN of both signs, subnormals, the exp edges and random
+    # values; no errstate, so any warning fails the test.
+    x = sigmoid_cases(dtype)
+    got = sigmoid(x)
+    assert got.dtype == dtype
+    assert got.tobytes() == masked_sigmoid(x).tobytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(x=st.one_of(arrays(np.float32, st.integers(0, 40), elements=st.floats(width=32)),
+                   arrays(np.float64, st.integers(0, 40), elements=VALUES)))
+def test_sigmoid_has_the_bits_of_the_masked_form_anywhere(x):
+    assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
 
 
 def test_rng_determinism():

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from conftest import stable_sort_auc
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qin.errors import DataError, ShapeError, SingleClassError
 from qin.linalg import make_rng, sigmoid
@@ -156,3 +160,31 @@ def test_auc_monotone_transform_bit_exact():
     base = auc(scores, labels)
     assert auc(2.0 * scores + 1.0, labels) == base
     assert auc(sigmoid(scores), labels) == base
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+# A few distinct scores per case, ±0 and ±inf among them, so most are tied.
+TIED_VALUES = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, np.inf, -np.inf]),
+                                 st.floats(-10, 10).map(lambda v: round(v, 1))),
+                       min_size=1, max_size=5)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), n=st.integers(2, 300), values=TIED_VALUES,
+       label_dtype=st.sampled_from([np.int64, np.float32]))
+def test_auc_is_exact_and_order_free_under_heavy_ties(data, n, values, label_dtype):
+    # The group rank sum against the pairwise count, against the stable
+    # sort and per-sample float64 rank sum it replaced, and under any
+    # order of its input: the same bits every time.
+    codes = data.draw(arrays(np.int64, n, elements=st.integers(0, len(values) - 1)))
+    scores = np.array(values, dtype=np.float64)[codes]
+    labels = data.draw(arrays(label_dtype, n, elements=st.sampled_from([0, 1])))
+    labels[:2] = (0, 1)
+    perm = np.array(data.draw(st.permutations(range(n))))
+    got = auc(scores, labels)
+    assert bits(got) == bits(auc_bruteforce(scores, labels))
+    assert bits(got) == bits(stable_sort_auc(scores, labels))
+    assert bits(auc(scores[perm], labels[perm])) == bits(got)

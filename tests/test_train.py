@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import float32_copies, relabeled, split_of
+from conftest import float32_copies, masked_sigmoid, relabeled, split_of, stable_sort_auc
 
 from qin.config import ATTN_KINDS, HyperParams, TrainConfig
-from qin.dataio import length_sorted_batches, make_batches
+from qin.dataio import Split, length_sorted_batches, make_batches
 from qin.embedding import EmbeddingStore, Sample
 from qin.errors import DataError, SingleClassError
 from qin.linalg import make_rng, sigmoid
@@ -411,6 +411,36 @@ def test_evaluate_is_the_float32_length_ordered_pass(kind, monkeypatch):
     assert np.array_equal(got["probs"], probs)
     assert got["logloss"] == bce_logit_loss(logits, split.labels)
     assert got["auc"] == rank_auc(probs, split.labels)
+
+
+def ragged_world(**overrides):
+    """3 000 rows with histories uniform in 1..64, so evaluate scores three
+    length-ordered batches, and parameters with a live id table."""
+    hp = HyperParams(d_t=8, d_b=8, d_a=8, seq_len=64, depth=2, m=2, vocab=300, d_frozen=4,
+                     **overrides)
+    rng = make_rng(50)
+    n = 3000
+    lengths = rng.integers(1, 65, n)
+    split = Split.from_lengths(targets=rng.integers(0, hp.vocab, n),
+                               labels=(rng.random(n) < 0.3).astype(np.float32),
+                               lengths=lengths, ids=rng.integers(0, hp.vocab, lengths.sum()))
+    store = EmbeddingStore(rng.standard_normal((hp.vocab, hp.d_frozen)))
+    params = init_params(hp, rng)
+    params.id_embedding = rng.standard_normal(params.id_embedding.shape)
+    return hp, store, params, split
+
+
+@pytest.mark.parametrize("overrides", [dict(attn_kind=kind) for kind in ATTN_KINDS]
+                         + [dict(interaction="mlp")],
+                         ids=[*ATTN_KINDS, "mlp"])
+def test_evaluate_has_the_bits_of_the_masked_sigmoid_and_stable_sort_auc(overrides, monkeypatch):
+    hp, store, params, split = ragged_world(**overrides)
+    got = evaluate(params, hp, store, split)
+    monkeypatch.setattr("qin.train.sigmoid", masked_sigmoid)
+    monkeypatch.setattr("qin.train.auc", stable_sort_auc)
+    want = evaluate(params, hp, store, split)
+    for key in ("auc", "logloss", "probs"):
+        assert np.asarray(got[key]).tobytes() == np.asarray(want[key]).tobytes(), key
 
 
 def test_train_same_bits_from_list_and_split(tmp_path):
